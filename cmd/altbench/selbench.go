@@ -274,9 +274,8 @@ var readPathSites = []string{
 	").Get", // epoch.(*Map[...]).Get — scoped by the epoch package check below
 	"lfRegistry).world",
 	"lfRegistry).appendSubscribers",
-	"lfRegistry).hasAlias",
-	"lfRegistry).aliasFor",
-	"lfRegistry).appendAliasTargets",
+	"core.(*Runtime).split",
+	"core.(*Runtime).appendCopies",
 	"proc.(*Table).Status",
 	"proc.(*Table).AppendChildren",
 	"proc.(*Table).lookup",

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"time"
 
 	"altrun/internal/arbiter"
@@ -154,6 +155,9 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	if w.ctx == nil {
 		return Result{}, fmt.Errorf("core: RunAlt outside a running world body")
 	}
+	if w.eliminated.Load() {
+		return Result{}, ErrEliminated
+	}
 	start := rt.be.now()
 	done := rt.be.newInbox()
 
@@ -189,7 +193,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		}
 		pids[k] = rt.procs.Register(w.pid, name)
 	}
-	rt.excl.AddGroup(pids)
 
 	// Phase 2: build child worlds (setup overhead, charged to the
 	// blocked parent). children is indexed by live slot k; reports
@@ -257,12 +260,15 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	// Phase 3: run the alternatives.
 	for k, i := range live {
 		alt, cw, idx := alts[i], children[k], i
+		// Spawned under the world's lock, as in spawnServerLoop: an
+		// elimination that finds no handle releases the pages itself,
+		// which it must never do under a body that is already running.
+		cw.mu.Lock()
 		handle := rt.be.spawn(cw.name, func(ctx execCtx) {
 			cw.ctx = ctx
 			defer cw.exitCleanup()
 			rt.runAlternative(idx, alt, cw, opts, claim, done)
 		})
-		cw.mu.Lock()
 		cw.handle = handle
 		dead := cw.terminated
 		cw.mu.Unlock()
@@ -368,6 +374,16 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	if opts.SyncElimination {
 		rt.chargeElimination(w.ctx, siblings)
 		rt.propagate(work)
+		if rt.realBE != nil {
+			// A kernel deschedules what it kills; the Go scheduler does the
+			// opposite. The parent and each block's winner hand the
+			// processor to one another through the scheduler's run-next
+			// slot, so eliminated losers sit in the run queue, still
+			// holding their forks of the parent's pages, until the time
+			// slice ends ~10 ms and many blocks later. One yield lets them
+			// run into the trap and exit before the parent goes on.
+			runtime.Gosched()
+		}
 	} else {
 		rt.be.spawn("reaper", func(ctx execCtx) {
 			rt.chargeElimination(ctx, siblings)

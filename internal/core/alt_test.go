@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"altrun/internal/ids"
 	"altrun/internal/proc"
 	"altrun/internal/sim"
 	"altrun/internal/trace"
@@ -465,10 +466,13 @@ func TestWastedWorkAccounting(t *testing.T) {
 
 func TestStatusesAfterBlock(t *testing.T) {
 	rt := simRT(t, 0)
+	// The bodies record their own PIDs: the process table indexes live
+	// children only, and after the block there are none.
+	var pids []ids.PID
 	_, res, err := runBlock(t, rt, 1024, Options{SyncElimination: true},
-		Alt{Name: "win", Body: func(w *World) error { w.Compute(time.Second); return nil }},
-		Alt{Name: "fail", Body: func(w *World) error { return errors.New("nope") }},
-		Alt{Name: "lose", Body: func(w *World) error { w.Compute(time.Hour); return nil }},
+		Alt{Name: "win", Body: func(w *World) error { pids = append(pids, w.PID()); w.Compute(time.Second); return nil }},
+		Alt{Name: "fail", Body: func(w *World) error { pids = append(pids, w.PID()); return errors.New("nope") }},
+		Alt{Name: "lose", Body: func(w *World) error { pids = append(pids, w.PID()); w.Compute(time.Hour); return nil }},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -478,11 +482,14 @@ func TestStatusesAfterBlock(t *testing.T) {
 		t.Fatalf("winner status = %v", st)
 	}
 	counts := map[proc.Status]int{}
-	for _, pid := range procs.Children(1) { // root is pid 1
+	for _, pid := range pids {
 		counts[procs.Status(pid)]++
 	}
 	if counts[proc.Completed] != 1 || counts[proc.Failed] != 1 || counts[proc.Eliminated] != 1 {
 		t.Fatalf("status counts = %v", counts)
+	}
+	if kids := procs.Children(1); len(kids) != 0 { // root is pid 1
+		t.Fatalf("root still indexes %v after the block", kids)
 	}
 }
 
@@ -518,9 +525,11 @@ func TestManyAlternativesScale(t *testing.T) {
 	rt := simRT(t, 0)
 	const n = 64
 	alts := make([]Alt, n)
+	var pids []ids.PID // recorded by the bodies: terminated children are in no index
 	for i := range alts {
 		d := time.Duration(n-i) * time.Second // last alternative fastest
 		alts[i] = Alt{Body: func(w *World) error {
+			pids = append(pids, w.PID())
 			w.Compute(d)
 			return nil
 		}}
@@ -539,14 +548,17 @@ func TestManyAlternativesScale(t *testing.T) {
 		t.Fatalf("live processes after the run = %d, want 0 (no leaks)", live)
 	}
 	// Exactly one child completed; the rest were eliminated.
-	completed := 0
-	for _, pid := range rt.Procs().Children(1) {
-		if rt.Procs().Status(pid) == proc.Completed {
+	completed, eliminated := 0, 0
+	for _, pid := range pids {
+		switch rt.Procs().Status(pid) {
+		case proc.Completed:
 			completed++
+		case proc.Eliminated:
+			eliminated++
 		}
 	}
-	if completed != 1 {
-		t.Fatalf("completed children = %d, want 1", completed)
+	if len(pids) != n || completed != 1 || eliminated != n-1 {
+		t.Fatalf("of %d children %d completed and %d were eliminated, want 1 and %d", len(pids), completed, eliminated, n-1)
 	}
 }
 

@@ -47,12 +47,12 @@ func pageServer(t *testing.T) Handler {
 		switch op := m.Data.(type) {
 		case pageWrite:
 			if err := w.WriteUint64(int64(op.Key)*8, op.Val); err != nil {
-				t.Errorf("page write: %v", err)
+				handlerErr(t, "page write", err)
 			}
 		case pageRead:
 			v, err := w.ReadUint64(int64(op.Key) * 8)
 			if err != nil {
-				t.Errorf("page read: %v", err)
+				handlerErr(t, "page read", err)
 				return
 			}
 			// The reply fails if the asker was eliminated meanwhile.

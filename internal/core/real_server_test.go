@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,6 +12,15 @@ import (
 // Real-mode multiple-worlds tests: the split machinery under genuine
 // goroutine concurrency (run with -race).
 
+// handlerErr reports a server handler's failed operation — unless its
+// world was eliminated under it: a copy killed in the middle of a
+// handler is refused at its next operation (ErrEliminated), by design.
+func handlerErr(t *testing.T, what string, err error) {
+	if !errors.Is(err, ErrEliminated) {
+		t.Errorf("%s: %v", what, err)
+	}
+}
+
 // realCounterServer maintains a uint64 at offset 0.
 func realCounterServer(t *testing.T) Handler {
 	return func(w *World, m msg.Message) {
@@ -18,20 +28,20 @@ func realCounterServer(t *testing.T) Handler {
 		case "inc":
 			v, err := w.ReadUint64(0)
 			if err != nil {
-				t.Errorf("server read: %v", err)
+				handlerErr(t, "server read", err)
 				return
 			}
 			if err := w.WriteUint64(0, v+1); err != nil {
-				t.Errorf("server write: %v", err)
+				handlerErr(t, "server write", err)
 			}
 		case "get":
 			v, err := w.ReadUint64(0)
 			if err != nil {
-				t.Errorf("server read: %v", err)
+				handlerErr(t, "server read", err)
 				return
 			}
 			if err := w.Send(m.Sender, v); err != nil {
-				t.Errorf("server reply: %v", err)
+				handlerErr(t, "server reply", err)
 			}
 		}
 	}

@@ -5,11 +5,11 @@ import (
 	"altrun/internal/trace"
 )
 
-// This file is the world registry behind Runtime: who is live, which
-// worlds care about which process fates, and where split receivers
-// forward to. The three structures exist to make *selection* — commit,
-// sibling elimination, predicate resolution (§3.2.1, §3.4.2) — scale
-// with the affected set instead of the live set:
+// This file is the world registry behind Runtime: who is live and which
+// worlds care about which process fates. The two structures exist to
+// make *selection* — commit, sibling elimination, predicate resolution
+// (§3.2.1, §3.4.2) — scale with the affected set instead of the live
+// set:
 //
 //   - a sharded PID→World map;
 //   - a predicate-subscription index: assumed PID → the worlds whose
@@ -18,18 +18,18 @@ import (
 //     never touched. Subscriptions are established at registration
 //     (a world's assumption *universe* is fixed then — resolution only
 //     ever removes assumptions, §3.4.2) and torn down at
-//     unregistration or when the subject PID itself resolves;
-//   - a copy-on-write alias table for split receivers (§3.4.2): the
-//     reader path is a single atomic load, and a destination that
-//     never split pays nothing for the split machinery.
+//     unregistration or when the subject PID itself resolves.
+//
+// Where a split receiver's messages go (§3.4.2) is not recorded here:
+// the copies are the forked original's children in the process table,
+// and Runtime.appendCopies resolves a destination through that.
 //
 // Two implementations exist behind the worldRegistry interface:
 //
 //   - lfRegistry (default): every read path — world lookup, subscriber
-//     snapshot, alias walk — is lock-free. World and subscription maps
-//     are epoch-reclaimed open-addressed tables (internal/epoch);
-//     subscription buckets are immutable copy-on-write slices; the
-//     alias table is a generation-stamped snapshot swapped by CAS. A
+//     snapshot — is lock-free. World and subscription maps are
+//     epoch-reclaimed open-addressed tables (internal/epoch);
+//     subscription buckets are immutable copy-on-write slices. A
 //     commit cascade acquires zero mutexes on its lookup side; only
 //     registration/unregistration (writers) serialize, per shard.
 //   - lockedRegistry: the previous RWMutex-sharded design, kept as the
@@ -45,9 +45,9 @@ import (
 const regShardCount = 16
 
 // worldRegistry is the registry contract Runtime depends on. Methods
-// on the selection path (world, appendSubscribers, hasAlias, aliasFor,
-// appendAliasTargets) must be safe for unbounded concurrency with
-// writers; append* methods must only append to buf, never clobber it.
+// on the selection path (world, appendSubscribers) must be safe for
+// unbounded concurrency with writers; appendSubscribers must only
+// append to buf, never clobber it.
 type worldRegistry interface {
 	// addWorld publishes w and subscribes it to every PID in w.subPIDs
 	// (fixed before the call — written once, at registration, before
@@ -70,82 +70,6 @@ type worldRegistry interface {
 	// snapshotWorlds returns all live worlds (diagnostic/test path; the
 	// selection path never calls it).
 	snapshotWorlds() []*World
-	// setAlias records that messages for orig should reach copies
-	// (§3.4.2: "two copies of the receiver are created").
-	setAlias(orig ids.PID, copies []ids.PID)
-	// aliasFor returns orig's direct alias targets, if any. Lock-free.
-	aliasFor(orig ids.PID) ([]ids.PID, bool)
-	// hasAlias reports whether dest ever split. Lock-free; this is the
-	// zero-cost guard in front of every send's alias walk.
-	hasAlias(dest ids.PID) bool
-	// appendAliasTargets walks the alias DAG from dest and appends the
-	// currently-live transitive targets to buf. The caller has already
-	// established hasAlias(dest).
-	appendAliasTargets(buf []ids.PID, dest ids.PID) []ids.PID
-	// aliasSnapshot returns the current alias snapshot (nil before the
-	// first split) — test and stress-harness hook for generation
-	// monotonicity assertions.
-	aliasSnapshot() *aliasTable
-}
-
-// aliasTable is an immutable snapshot of the split-receiver forwarding
-// map. Writers build a new table stamped with the next generation;
-// readers load one atomically. Generations are totally ordered (each
-// snapshot derives from its predecessor), so any reader observing
-// generation g sees every write that produced generations ≤ g.
-type aliasTable struct {
-	gen uint64
-	m   map[ids.PID][]ids.PID
-}
-
-// extend builds the successor snapshot of old (nil for the first) with
-// orig→copies applied.
-func (old *aliasTable) extend(orig ids.PID, copies []ids.PID) *aliasTable {
-	if old == nil {
-		return &aliasTable{gen: 1, m: map[ids.PID][]ids.PID{orig: copies}}
-	}
-	next := make(map[ids.PID][]ids.PID, len(old.m)+1)
-	for k, v := range old.m {
-		next[k] = v
-	}
-	next[orig] = copies
-	return &aliasTable{gen: old.gen + 1, m: next}
-}
-
-// walkAliases is the shared alias-DAG traversal: from dest, follow
-// alias edges in at, appending the leaves that are live according to
-// lookup. Small stack buffers keep shallow split chains (the only kind
-// splits produce) allocation-free.
-func walkAliases(buf []ids.PID, dest ids.PID, at *aliasTable, lookup func(ids.PID) bool) []ids.PID {
-	if at == nil {
-		if lookup(dest) {
-			return append(buf, dest)
-		}
-		return buf
-	}
-	var stackArr [8]ids.PID
-	var seenArr [16]ids.PID
-	stack := append(stackArr[:0], dest)
-	seen := seenArr[:0]
-walk:
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, q := range seen {
-			if q == p {
-				continue walk
-			}
-		}
-		seen = append(seen, p)
-		if copies, ok := at.m[p]; ok {
-			stack = append(stack, copies...)
-			continue
-		}
-		if lookup(p) {
-			buf = append(buf, p)
-		}
-	}
-	return buf
 }
 
 // newRegistry returns the registry implementation selected by locked:

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync/atomic"
-
 	"altrun/internal/epoch"
 	"altrun/internal/ids"
 	"altrun/internal/trace"
@@ -10,7 +8,7 @@ import (
 
 // lfRegistry is the lock-free-read registry (the default). Every
 // lookup the selection path performs — world-by-PID, subscriber
-// snapshot, alias resolution — is a pinned epoch-guarded probe of an
+// snapshot — is a pinned epoch-guarded probe of an
 // atomically-published structure; no read ever acquires a mutex, so a
 // propagation cascade on one commit cannot stall lookups from any
 // other, and 64 goroutines committing concurrently contend only on
@@ -24,16 +22,10 @@ import (
 //   - subs: per-shard epoch.Map of immutable copy-on-write []*World
 //     buckets. Writers publish a fresh slice per mutation; readers
 //     copy out of whichever snapshot they loaded — exactly the view an
-//     RLock taken at load time would have given;
-//   - aliases: a generation-stamped immutable snapshot swapped by CAS
-//     (no writer mutex at all). Generations are totally ordered;
-//     readers use them to assert prefix consistency in the
-//     linearizability stress test.
+//     RLock taken at load time would have given.
 type lfRegistry struct {
 	dom    *epoch.Domain
 	shards [regShardCount]lfShard
-
-	aliases atomic.Pointer[aliasTable] // nil until the first split
 
 	sel *trace.SelCounters
 }
@@ -149,47 +141,3 @@ func (r *lfRegistry) snapshotWorlds() []*World {
 	}
 	return out
 }
-
-// setAlias publishes the successor snapshot by CAS — no mutex even on
-// the writer side. A failed CAS means a concurrent split won the
-// generation; rebuild from its snapshot and retry (splits are rare and
-// the table is small, so the retry copy is cheap).
-func (r *lfRegistry) setAlias(orig ids.PID, copies []ids.PID) {
-	for {
-		old := r.aliases.Load()
-		if r.aliases.CompareAndSwap(old, old.extend(orig, copies)) {
-			return
-		}
-	}
-}
-
-func (r *lfRegistry) aliasFor(orig ids.PID) ([]ids.PID, bool) {
-	at := r.aliases.Load()
-	if at == nil {
-		return nil, false
-	}
-	c, ok := at.m[orig]
-	return c, ok
-}
-
-func (r *lfRegistry) hasAlias(dest ids.PID) bool {
-	at := r.aliases.Load()
-	if at == nil {
-		return false
-	}
-	_, ok := at.m[dest]
-	return ok
-}
-
-func (r *lfRegistry) appendAliasTargets(buf []ids.PID, dest ids.PID) []ids.PID {
-	// One pin covers the whole walk: every liveness probe runs against
-	// tables that cannot be recycled until the walk unpins.
-	g := r.dom.Pin()
-	buf = walkAliases(buf, dest, r.aliases.Load(), func(p ids.PID) bool {
-		return p > 0 && r.shardFor(p).worlds.Get(p) != nil
-	})
-	g.Unpin()
-	return buf
-}
-
-func (r *lfRegistry) aliasSnapshot() *aliasTable { return r.aliases.Load() }

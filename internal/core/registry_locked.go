@@ -2,7 +2,6 @@ package core
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"altrun/internal/ids"
 	"altrun/internal/trace"
@@ -11,8 +10,7 @@ import (
 // lockedRegistry is the RWMutex-sharded registry that preceded the
 // lock-free default — kept intact as the A/B baseline behind
 // Config.LockedRegistry so selbench can quantify the lock removal.
-// Reads take one shard RLock; the alias table was already a
-// copy-on-write snapshot, but its writers serialize on a mutex.
+// Reads take one shard RLock.
 
 // regShard is one lock stripe of the registry. Worlds and subscription
 // buckets are both sharded by PID — a world lives in the shard of its
@@ -29,9 +27,6 @@ type regShard struct {
 // lockedRegistry is the sharded world registry.
 type lockedRegistry struct {
 	shards [regShardCount]regShard
-
-	aliasMu sync.Mutex                 // serializes alias writers
-	aliases atomic.Pointer[aliasTable] // nil until the first split
 
 	sel *trace.SelCounters
 }
@@ -141,37 +136,3 @@ func (r *lockedRegistry) snapshotWorlds() []*World {
 	}
 	return out
 }
-
-// setAlias is copy-on-write: readers keep the old snapshot until the
-// new one is published.
-func (r *lockedRegistry) setAlias(orig ids.PID, copies []ids.PID) {
-	r.aliasMu.Lock()
-	r.aliases.Store(r.aliases.Load().extend(orig, copies))
-	r.aliasMu.Unlock()
-}
-
-func (r *lockedRegistry) aliasFor(orig ids.PID) ([]ids.PID, bool) {
-	at := r.aliases.Load()
-	if at == nil {
-		return nil, false
-	}
-	c, ok := at.m[orig]
-	return c, ok
-}
-
-func (r *lockedRegistry) hasAlias(dest ids.PID) bool {
-	at := r.aliases.Load()
-	if at == nil {
-		return false
-	}
-	_, ok := at.m[dest]
-	return ok
-}
-
-func (r *lockedRegistry) appendAliasTargets(buf []ids.PID, dest ids.PID) []ids.PID {
-	return walkAliases(buf, dest, r.aliases.Load(), func(p ids.PID) bool {
-		return r.world(p) != nil
-	})
-}
-
-func (r *lockedRegistry) aliasSnapshot() *aliasTable { return r.aliases.Load() }

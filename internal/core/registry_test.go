@@ -1,20 +1,24 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"altrun/internal/ids"
+	"altrun/internal/msg"
 	"altrun/internal/proc"
 	"altrun/internal/trace"
 )
 
-// Unit tests for the world registry: the world map, the
-// predicate-subscription index, and the copy-on-write alias table.
-// Every test runs against both implementations — the lock-free default
-// and the RWMutex baseline — since they must be observably identical.
+// Unit tests for the world registry — the world map and the
+// predicate-subscription index — and for split-receiver alias
+// resolution over it. Every test runs against both registry
+// implementations — the lock-free default and the RWMutex baseline —
+// since they must be observably identical.
 
 // eachRegistry runs fn as a subtest per registry implementation.
 func eachRegistry(t *testing.T, fn func(t *testing.T, mk func() worldRegistry)) {
@@ -122,200 +126,242 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 	})
 }
 
-func TestRegistryAliasCopyOnWrite(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
-		r := mk()
-		if r.hasAlias(1) {
-			t.Fatal("empty registry claims an alias")
-		}
-		if got := r.appendAliasTargets(nil, 1); len(got) != 0 {
-			t.Fatalf("alias targets on empty registry = %v", got)
-		}
-		if r.aliasSnapshot() != nil {
-			t.Fatal("alias snapshot non-nil before first split")
-		}
-
-		// Readers holding the old snapshot must not see later writes,
-		// and generations must advance one per write.
-		r.setAlias(1, []ids.PID{2, 3})
-		old := r.aliasSnapshot()
-		if old.gen != 1 {
-			t.Fatalf("first snapshot generation = %d, want 1", old.gen)
-		}
-		r.setAlias(4, []ids.PID{5, 6})
-		if _, ok := old.m[4]; ok {
-			t.Fatal("old alias snapshot mutated by a later setAlias")
-		}
-		if cur := r.aliasSnapshot(); cur.gen != 2 {
-			t.Fatalf("snapshot generation = %d after two writes, want 2", cur.gen)
-		}
-		if c, ok := r.aliasFor(1); !ok || len(c) != 2 {
-			t.Fatalf("aliasFor(1) = %v %v", c, ok)
-		}
-		if !r.hasAlias(4) {
-			t.Fatal("hasAlias(4) = false after setAlias")
-		}
-		if r.hasAlias(2) {
-			t.Fatal("hasAlias(2) = true; 2 is a target, not a source")
-		}
-	})
+// eachRuntime runs fn as a subtest per registry implementation, on a
+// whole runtime: alias resolution spans the process table and the world
+// registry, so it is tested where it lives.
+func eachRuntime(t *testing.T, fn func(t *testing.T, rt *Runtime)) {
+	t.Helper()
+	for _, impl := range []struct {
+		name   string
+		locked bool
+	}{{"lockfree", false}, {"locked", true}} {
+		locked := impl.locked
+		t.Run(impl.name, func(t *testing.T) {
+			fn(t, New(Config{PageSize: 64, LockedRegistry: locked}))
+		})
+	}
 }
 
-func TestRegistryAliasWalk(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
-		r := mk()
-		// Chain: 1 -> (2,3); 2 -> (4,5); only 3, 4 live. 5 died.
-		for _, pid := range []ids.PID{3, 4} {
-			r.addWorld(&World{pid: pid})
-		}
-		r.setAlias(1, []ids.PID{2, 3})
-		r.setAlias(2, []ids.PID{4, 5})
+// retire ends a bodiless test world the way an elimination would.
+func retire(t *testing.T, rt *Runtime, w *World) {
+	t.Helper()
+	if !rt.eliminateOne(w) {
+		t.Fatalf("world %v was already terminated", w.pid)
+	}
+}
 
-		got := r.appendAliasTargets(nil, 1)
-		sort.Slice(got, func(i, j int) bool { return got[i] < got[j] })
-		if len(got) != 2 || got[0] != 3 || got[1] != 4 {
-			t.Fatalf("alias targets = %v, want [3 4]", got)
+func TestAliasWalk(t *testing.T) {
+	eachRuntime(t, func(t *testing.T, rt *Runtime) {
+		srv := registerBenchWorld(t, rt, "srv", nil, nil)
+		if rt.split(srv.pid) {
+			t.Fatal("a server that never split claims copies")
+		}
+		if got := rt.Copies(srv.pid); len(got) != 1 || got[0] != srv {
+			t.Fatalf("Copies of an unsplit world = %v, want itself", pidsOf(got))
 		}
 
-		// A chain deeper than the stack buffers (8/16 entries) must
-		// still resolve — the buffers spill, they don't truncate.
-		deep := mk()
+		// srv -> (a, d); a -> (aa, ad); ad dies. Live: d and aa.
+		a, d := forkInto(t, rt, srv)
+		aa, ad := forkInto(t, rt, a)
+		retire(t, rt, ad)
+		// A block the original's handler once ran: its loser is srv's
+		// child too, and is no copy of it.
+		stray := registerCopy(rt, srv, "alt")
+		stray.isServer = false
+
+		if !rt.split(srv.pid) || !rt.split(a.pid) || rt.split(d.pid) {
+			t.Fatal("split() must hold for exactly the forked originals")
+		}
+		got := pidsOf(rt.Copies(srv.pid))
+		if len(got) != 2 || got[0] != d.pid || got[1] != aa.pid {
+			t.Fatalf("copies = %v, want [%v %v]", got, d.pid, aa.pid)
+		}
+		// appendCopies appends; it must not clobber what's in buf.
+		buf := rt.appendCopies([]*World{stray}, a.pid)
+		if len(buf) != 2 || buf[0] != stray || buf[1] != aa {
+			t.Fatalf("appendCopies(a) = %v, want the prefix and %v", pidsOf(buf), aa.pid)
+		}
+		sender := registerBenchWorld(t, rt, "sender", nil, nil)
+		if err := sender.Send(srv.pid, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if d.box.size() != 1 || aa.box.size() != 1 || stray.box.size() != 0 {
+			t.Fatalf("fan-out reached d=%d aa=%d stray=%d messages, want 1 1 0",
+				d.box.size(), aa.box.size(), stray.box.size())
+		}
+
+		// The lineage's edges retire with it: when the last copy ends the
+		// walk finds nothing, a send has no receiver, and the process
+		// table indexes nothing of it.
+		retire(t, rt, stray)
+		retire(t, rt, d)
+		if rt.procs.Indexed() == 0 {
+			t.Fatal("edges retired while a copy was still live")
+		}
+		retire(t, rt, aa)
+		if got := rt.Copies(srv.pid); len(got) != 0 {
+			t.Fatalf("copies of a dead lineage = %v", pidsOf(got))
+		}
+		if err := sender.Send(srv.pid, "y"); !errors.Is(err, msg.ErrUnknownReceiver) {
+			t.Fatalf("send to a dead lineage = %v, want ErrUnknownReceiver", err)
+		}
+		if n := rt.procs.Indexed(); n != 0 {
+			t.Fatalf("process table still indexes %d parents of a dead lineage", n)
+		}
+		if !rt.split(srv.pid) {
+			t.Fatal("a retired lineage must still read as split (its PID never reverts)")
+		}
+
+		// A chain deeper than the walk's stack buffer (16 entries) must
+		// still resolve — the buffer spills, it does not truncate.
+		leaf := registerBenchWorld(t, rt, "deep", nil, nil)
+		root := leaf.pid
 		const depth = 40
 		for i := 0; i < depth; i++ {
-			// i -> (i+1, 1000+i); the side branch 1000+i is live.
-			deep.addWorld(&World{pid: ids.PID(1000 + i)})
-			deep.setAlias(ids.PID(i), []ids.PID{ids.PID(i + 1), ids.PID(1000 + i)})
+			leaf, _ = forkInto(t, rt, leaf) // the deny side branch stays live
 		}
-		deep.addWorld(&World{pid: depth})
-		got = deep.appendAliasTargets(nil, 0)
-		if len(got) != depth+1 {
+		if got := rt.Copies(root); len(got) != depth+1 {
 			t.Fatalf("deep walk found %d targets, want %d", len(got), depth+1)
 		}
 	})
 }
 
-// TestAliasLinearizability is the linearizability-style stress for the
-// lock-free alias table: W writers extend overlapping alias chains
-// concurrently while R readers snapshot the table. Assertions:
+// TestAliasLinearizability is the linearizability-style stress for alias
+// resolution: W writers each split their own lineage over and over, in
+// performSplit's publish order, while R readers resolve every lineage.
+// There is no table to snapshot — an edge is a Forked status over a
+// child index, both monotonic — so the assertions are on what a walk
+// returns:
 //
-//   - generation monotonicity: each reader's observed generations never
-//     go backwards (snapshots are totally ordered by CAS);
-//   - prefix consistency: within one reader, once a key is seen at
-//     write-sequence index i, no later snapshot shows it at an index
-//     < i — a later generation contains every earlier write;
-//   - sequential oracle: the final table equals replaying each
-//     writer's operations in order (each key has one writer, so the
-//     interleaving is immaterial — exactly what per-key linearizability
-//     demands).
+//   - lineage isolation: resolving writer w's address yields only w's
+//     copies, each once;
+//   - never empty, never backwards: a lineage with a live copy always
+//     resolves to something, and within one reader, once a copy of
+//     generation i was seen, no later walk stops short of generation i
+//     (an edge, once visible, stays visible until its lineage retires; a
+//     copy that forks between the walk's status check and its registry
+//     lookup is looked at again);
+//   - sequential oracle: when the writers are done, each lineage
+//     resolves to exactly the copies a sequential replay leaves live,
+//     and retiring those returns the process table's index to empty.
 func TestAliasLinearizability(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
-		r := mk()
+	eachRuntime(t, func(t *testing.T, rt *Runtime) {
 		const (
 			writers = 8
-			rounds  = 200
+			rounds  = 100
 			readers = 4
 		)
-		// Writer w owns keys w*1000+1 .. w*1000+rounds and links each
-		// new key into the previous writer's chain (overlapping DAG:
-		// key -> [own previous key, neighbor writer's key]). Values
-		// encode the write-sequence index so readers can check order.
-		keyOf := func(w, i int) ids.PID { return ids.PID(w*1000 + i + 1) }
-		valOf := func(w, i int) []ids.PID {
-			neighbor := keyOf((w+1)%writers, i)
-			if i == 0 {
-				return []ids.PID{neighbor}
+		// gen maps a copy's PID to writer<<16 | generation; written
+		// before the copy becomes reachable (its original turns Forked).
+		var gen sync.Map
+		tagOf := func(w, i int) int { return w<<16 | i }
+		roots := make([]*World, writers)
+		for w := range roots {
+			roots[w] = registerBenchWorld(t, rt, fmt.Sprintf("srv-%d", w), nil, nil)
+			gen.Store(roots[w].pid, tagOf(w, 0))
+		}
+		// Writer w, round i: fork the current leaf; the assume-copy is the
+		// next leaf, the deny-copy dies on even rounds and stays on odd.
+		oracle := make([][]ids.PID, writers)
+		split := func(w, i int, leaf *World) *World {
+			a, d := registerCopy(rt, leaf, "a"), registerCopy(rt, leaf, "d")
+			gen.Store(a.pid, tagOf(w, i+1))
+			gen.Store(d.pid, tagOf(w, i+1))
+			if err := rt.procs.SetStatus(leaf.pid, proc.Forked); err != nil {
+				t.Error(err)
 			}
-			return []ids.PID{keyOf(w, i-1), neighbor, ids.PID(i)}
+			rt.unregisterWorld(leaf)
+			leaf.discardSpace()
+			if i%2 == 0 {
+				rt.eliminateOne(d)
+			} else {
+				oracle[w] = append(oracle[w], d.pid)
+			}
+			return a
 		}
 
-		var wg sync.WaitGroup
-		stop := make(chan struct{})
-		errs := make(chan error, readers)
+		var rg sync.WaitGroup
+		var stop atomic.Bool
 		for rd := 0; rd < readers; rd++ {
-			wg.Add(1)
+			rg.Add(1)
 			go func() {
-				defer wg.Done()
-				var lastGen uint64
-				lastIdx := make(map[ids.PID]int)
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					at := r.aliasSnapshot()
-					if at == nil {
-						continue
-					}
-					if at.gen < lastGen {
-						errs <- fmt.Errorf("generation went backwards: %d after %d", at.gen, lastGen)
-						return
-					}
-					lastGen = at.gen
-					// Spot-check prefix consistency on each writer's
-					// newest visible key: its sequence index must never
-					// regress across this reader's snapshots.
-					for w := 0; w < writers; w++ {
-						for i := rounds - 1; i >= 0; i-- {
-							k := keyOf(w, i)
-							if _, ok := at.m[k]; ok {
-								if prev, seen := lastIdx[ids.PID(w)]; seen && i < prev {
-									errs <- fmt.Errorf("writer %d regressed: saw key %d then %d (gen %d)", w, prev, i, at.gen)
+				defer rg.Done()
+				var buf []*World
+				var deepest [writers]int
+				for !stop.Load() {
+					for w := range roots {
+						if !rt.split(roots[w].pid) {
+							continue
+						}
+						buf = rt.appendCopies(buf[:0], roots[w].pid)
+						if len(buf) == 0 {
+							t.Errorf("lineage %d resolved to nothing while a copy was live", w)
+							return
+						}
+						maxGen := 0
+						for k, c := range buf {
+							v, _ := gen.Load(c.pid)
+							tag := v.(int)
+							if tag>>16 != w {
+								t.Errorf("lineage %d resolved to %v of lineage %d", w, c.pid, tag>>16)
+								return
+							}
+							for _, e := range buf[:k] {
+								if e == c {
+									t.Errorf("lineage %d resolved to %v twice", w, c.pid)
 									return
 								}
-								lastIdx[ids.PID(w)] = i
-								break
 							}
+							maxGen = max(maxGen, tag&0xffff)
 						}
+						if maxGen < deepest[w] {
+							t.Errorf("lineage %d regressed: reached generation %d, then only %d", w, deepest[w], maxGen)
+							return
+						}
+						deepest[w] = maxGen
 					}
 				}
 			}()
 		}
-		var ww sync.WaitGroup
+		leaves := make([]*World, writers)
+		var wg sync.WaitGroup
 		for w := 0; w < writers; w++ {
-			ww.Add(1)
+			wg.Add(1)
 			go func(w int) {
-				defer ww.Done()
+				defer wg.Done()
+				leaf := roots[w]
 				for i := 0; i < rounds; i++ {
-					r.setAlias(keyOf(w, i), valOf(w, i))
+					leaf = split(w, i, leaf)
 				}
+				leaves[w] = leaf
 			}(w)
 		}
-		ww.Wait()
-		close(stop)
 		wg.Wait()
-		select {
-		case err := <-errs:
-			t.Fatal(err)
-		default:
-		}
+		stop.Store(true)
+		rg.Wait()
 
-		// Sequential oracle: replay every writer in order into a plain
-		// map; each key has one writer, so this is the unique
-		// linearized outcome.
-		oracle := make(map[ids.PID][]ids.PID)
-		for w := 0; w < writers; w++ {
-			for i := 0; i < rounds; i++ {
-				oracle[keyOf(w, i)] = valOf(w, i)
-			}
-		}
-		final := r.aliasSnapshot()
-		if final.gen != writers*rounds {
-			t.Fatalf("final generation = %d, want %d (one per write)", final.gen, writers*rounds)
-		}
-		if len(final.m) != len(oracle) {
-			t.Fatalf("final table has %d keys, oracle %d", len(final.m), len(oracle))
-		}
-		for k, want := range oracle {
-			got, ok := final.m[k]
-			if !ok || len(got) != len(want) {
-				t.Fatalf("key %v = %v, oracle %v", k, got, want)
+		for w := range roots {
+			want := append(oracle[w], leaves[w].pid)
+			sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+			live := rt.Copies(roots[w].pid)
+			got := pidsOf(live)
+			if len(got) != len(want) {
+				t.Fatalf("lineage %d resolves to %d copies, oracle %d", w, len(got), len(want))
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("key %v = %v, oracle %v", k, got, want)
+					t.Fatalf("lineage %d = %v, oracle %v", w, got, want)
 				}
 			}
+			for _, c := range live {
+				rt.eliminateOne(c)
+			}
+		}
+		if n := rt.procs.Indexed(); n != 0 {
+			t.Fatalf("process table still indexes %d parents after every lineage retired", n)
+		}
+		if n := rt.LiveWorlds(); n != 0 {
+			t.Fatalf("%d worlds still registered", n)
 		}
 	})
 }

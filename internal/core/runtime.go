@@ -15,11 +15,13 @@
 // goroutines against the wall clock — the mode a library user adopts.
 // Simulated mode executes them as discrete-event processes with a
 // machine cost model (fork, page-copy, elimination, network), which is
-// how the paper's experiments are reproduced deterministically. The Go
-// runtime cannot fork a process mid-flight, so cancellation of losing
-// alternatives is cooperative (Body code should poll World.Cancelled in
-// long loops); the paper itself permits asynchronous elimination, so
-// this changes overhead, not semantics.
+// how the paper's experiments are reproduced deterministically. Go
+// cannot kill a goroutine the way the paper's kernel kills a process, so
+// elimination is enforced where the world meets the runtime: once a
+// world has been eliminated, its memory, message and block operations
+// return ErrEliminated, and pure computation between two such calls
+// should poll World.Cancelled. The paper itself permits asynchronous
+// elimination, so this changes overhead, not semantics.
 package core
 
 import (
@@ -51,8 +53,10 @@ var (
 	// ErrGuardFailed is the implicit error when an alternative's guard
 	// evaluates false.
 	ErrGuardFailed = errors.New("core: guard not satisfied")
-	// ErrEliminated means the executing world was eliminated while
-	// waiting (its own block's ancestor committed a different sibling).
+	// ErrEliminated means the executing world was eliminated (a sibling
+	// committed, or an ancestor block resolved against it): every
+	// memory, message and block operation of an eliminated world returns
+	// it, and so does RunAlt when the caller is cancelled while waiting.
 	ErrEliminated = errors.New("core: world eliminated")
 	// ErrNotServer is returned when the message layer must split a
 	// world that is not a restartable server (see SpawnServer).
@@ -123,14 +127,13 @@ type Runtime struct {
 	store   *page.Store
 	procs   *proc.Table
 	router  *msg.Router
-	excl    *predicate.ExclusionTable
 	log     *trace.Log
 	console *device.Console
 
-	// reg is the sharded world registry: live worlds, the predicate
-	// subscription index, and the split-receiver alias table (see
-	// registry.go; lock-free by default, RWMutex baseline behind
-	// Config.LockedRegistry). sel counts the selection-path work.
+	// reg is the sharded world registry: live worlds and the predicate
+	// subscription index (see registry.go; lock-free by default, RWMutex
+	// baseline behind Config.LockedRegistry). sel counts the
+	// selection-path work.
 	reg worldRegistry
 	sel trace.SelCounters
 
@@ -204,10 +207,7 @@ func NewSim(cfg SimConfig) *Runtime {
 }
 
 func newRuntime(store *page.Store, traced bool, traceCap int, lockedReg bool) *Runtime {
-	rt := &Runtime{
-		store: store,
-		excl:  predicate.NewExclusionTable(),
-	}
+	rt := &Runtime{store: store}
 	rt.reg = newRegistry(&rt.sel, lockedReg)
 	rt.propPool.New = func() any {
 		return &propQueue{items: make([]propEvent, 0, 64)}
@@ -393,14 +393,15 @@ func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *Wo
 func (rt *Runtime) registerWorld(w *World) {
 	w.subPIDs = w.preds.AppendPIDs(w.subPIDs[:0])
 	w.obsSpec = w.preds.Unresolved()
-	rt.reg.addWorld(w)
-	rt.router.Register(w)
 	if o := rt.worldObserver(); o != nil {
-		// Mark before notifying: the catch-up below may eliminate w,
-		// and its unregistration must pair with this registration.
+		// Mark and notify before publishing: once w is visible anyone may
+		// eliminate it (as may the catch-up below), and its unregistration
+		// must pair with, and follow, this registration.
 		w.obsSeen = true
 		o.WorldRegistered(w.pid, w.obsSpec)
 	}
+	rt.reg.addWorld(w)
+	rt.router.Register(w)
 	for _, p := range w.subPIDs {
 		st := rt.procs.Status(p)
 		if !st.Terminal() || st == proc.Forked {
@@ -441,23 +442,46 @@ func (rt *Runtime) worldByPID(pid ids.PID) *World {
 	return rt.reg.world(pid)
 }
 
-// addAlias records that messages for orig should reach copies (§3.4.2:
-// "two copies of the receiver are created").
-func (rt *Runtime) addAlias(orig ids.PID, copies ...ids.PID) {
-	rt.reg.setAlias(orig, copies)
+// split reports whether pid was replaced by split copies (§3.4.2: "two
+// copies of the receiver are created"). Lock-free; the guard in front of
+// every send's copy walk.
+func (rt *Runtime) split(pid ids.PID) bool {
+	return rt.procs.Status(pid) == proc.Forked
 }
 
-// resolveAlias expands a destination through split-receiver aliases to
-// the currently-registered worlds. A destination that never split
-// resolves to itself without touching the alias table.
-func (rt *Runtime) resolveAlias(dest ids.PID) []ids.PID {
-	if !rt.reg.hasAlias(dest) {
-		if rt.reg.world(dest) != nil {
-			return []ids.PID{dest}
+// appendCopies appends the live server worlds that stand in for the
+// split receiver dest. A split registers its copies as the original's
+// children in the process table before the original turns Forked, so the
+// alias graph is the child index below Forked nodes: follow it down to
+// the registered leaves. The table retires a lineage's edges when its
+// last copy ends; the walk then finds nothing, as it does when every
+// copy is dead. The caller has already established split(dest).
+func (rt *Runtime) appendCopies(buf []*World, dest ids.PID) []*World {
+	var stackArr [16]ids.PID
+	stack := rt.procs.AppendChildren(stackArr[:0], dest)
+	for len(stack) > 0 {
+		p := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if !rt.split(p) {
+			if w := rt.reg.world(p); w != nil {
+				// isServer: a handler may have run a block of its own,
+				// whose losers are the original's children too until they
+				// are reaped.
+				if w.isServer {
+					buf = append(buf, w)
+				}
+				continue
+			}
+			// Not registered: it ended — or it forked since the check
+			// above (a fork turns Forked before it is unregistered), and
+			// then its copies are the targets.
+			if !rt.split(p) {
+				continue
+			}
 		}
-		return nil
+		stack = rt.procs.AppendChildren(stack, p)
 	}
-	return rt.reg.appendAliasTargets(nil, dest)
+	return buf
 }
 
 // Copies returns the live worlds reachable from pid through
@@ -465,28 +489,22 @@ func (rt *Runtime) resolveAlias(dest ids.PID) []ids.PID {
 // surviving copies. Experiment harnesses use it to audit and shut down
 // server trees.
 func (rt *Runtime) Copies(pid ids.PID) []*World {
-	if !rt.reg.hasAlias(pid) {
+	if !rt.split(pid) {
 		if w := rt.reg.world(pid); w != nil {
 			return []*World{w}
 		}
 		return nil
 	}
-	var buf [8]ids.PID
-	var out []*World
-	for _, p := range rt.reg.appendAliasTargets(buf[:0], pid) {
-		if w := rt.reg.world(p); w != nil {
-			out = append(out, w)
-		}
-	}
-	return out
+	return rt.appendCopies(nil, pid)
 }
 
 // sendFrom routes data from a sender (with predicate snapshot) to dest,
 // expanding split-receiver aliases. The overwhelmingly common case —
-// dest never split — is a single atomic load on top of the router send,
-// with no registry allocation.
+// dest never split — is one status load on top of the router send.
+// senderPreds is handed to the router as is and shared, read-only, by
+// every copy the message fans out to.
 func (rt *Runtime) sendFrom(sender ids.PID, senderPreds *predicate.Set, dest ids.PID, data any) error {
-	if !rt.reg.hasAlias(dest) {
+	if !rt.split(dest) {
 		rt.sel.AliasFastPath.Add(1)
 		if err := rt.router.Send(sender, senderPreds, dest, data); err != nil {
 			if errors.Is(err, msg.ErrUnknownReceiver) {
@@ -497,14 +515,14 @@ func (rt *Runtime) sendFrom(sender ids.PID, senderPreds *predicate.Set, dest ids
 		return nil
 	}
 	rt.sel.AliasWalks.Add(1)
-	var buf [8]ids.PID
-	targets := rt.reg.appendAliasTargets(buf[:0], dest)
+	var buf [8]*World
+	targets := rt.appendCopies(buf[:0], dest)
 	if len(targets) == 0 {
 		return msg.ErrUnknownReceiver
 	}
 	var firstErr error
 	for _, t := range targets {
-		if err := rt.router.Send(sender, senderPreds, t, data); err != nil {
+		if err := rt.router.Send(sender, senderPreds, t.pid, data); err != nil {
 			if errors.Is(err, msg.ErrUnknownReceiver) {
 				continue // target died between expansion and send
 			}
@@ -591,6 +609,8 @@ func (rt *Runtime) eliminateOne(w *World) bool {
 	if !w.markTerminated() {
 		return false
 	}
+	// The trap: from here on the world's own runtime calls refuse.
+	w.eliminated.Store(true)
 	rt.sel.Eliminations.Add(1)
 	_ = rt.procs.SetStatus(w.pid, proc.Eliminated)
 	rt.unregisterWorld(w)

@@ -7,6 +7,7 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/mem"
 	"altrun/internal/predicate"
+	"altrun/internal/proc"
 )
 
 // registerBenchWorld registers a minimal world carrying the given
@@ -14,7 +15,6 @@ import (
 // equivalent of a parked speculative process: it sits in the registry
 // and (dis)appears from predicate-subscription buckets.
 func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []ids.PID) *World {
-	pid := rt.procs.Register(ids.None, name)
 	preds := predicate.New()
 	for _, p := range must {
 		if err := preds.RequireComplete(p); err != nil {
@@ -26,17 +26,40 @@ func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []id
 			tb.Fatal(err)
 		}
 	}
+	return registerBodiless(rt, ids.None, name, preds, false)
+}
+
+// registerCopy registers a bodiless split copy of the server world orig
+// (its child in the process table, as cloneServer makes it).
+func registerCopy(rt *Runtime, orig *World, name string) *World {
+	return registerBodiless(rt, orig.pid, name, predicate.New(), true)
+}
+
+func registerBodiless(rt *Runtime, parent ids.PID, name string, preds *predicate.Set, server bool) *World {
 	w := &World{
 		rt:         rt,
-		pid:        pid,
+		pid:        rt.procs.Register(parent, name),
 		name:       name,
 		space:      mem.New(rt.store, 4096),
 		preds:      preds,
 		box:        rt.be.newInbox(),
 		ownedSpace: true,
+		isServer:   server,
 	}
 	rt.registerWorld(w)
 	return w
+}
+
+// forkInto replaces orig with two registered copies in performSplit's
+// publish order: copies registered, edge visible, original unregistered.
+func forkInto(tb testing.TB, rt *Runtime, orig *World) (assume, deny *World) {
+	assume = registerCopy(rt, orig, orig.name+"+")
+	deny = registerCopy(rt, orig, orig.name+"-")
+	if err := rt.procs.SetStatus(orig.pid, proc.Forked); err != nil {
+		tb.Fatal(err)
+	}
+	rt.unregisterWorld(orig)
+	return assume, deny
 }
 
 // BenchmarkPropagateScaling measures the cost of one predicate
@@ -72,7 +95,7 @@ func BenchmarkPropagateScaling(b *testing.B) {
 
 // BenchmarkAliasResolve measures destination expansion on the send
 // path. The overwhelmingly common case is a destination that never
-// split (no alias entry); it must not pay for the split machinery.
+// split; it must not pay for the split machinery.
 func BenchmarkAliasResolve(b *testing.B) {
 	b.Run("direct", func(b *testing.B) {
 		rt := New(Config{})
@@ -80,22 +103,20 @@ func BenchmarkAliasResolve(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := rt.resolveAlias(w.pid); len(got) != 1 {
-				b.Fatalf("resolved %d targets, want 1", len(got))
+			if rt.split(w.pid) || rt.reg.world(w.pid) == nil {
+				b.Fatal("an unsplit, registered destination did not resolve to itself")
 			}
 		}
 	})
 	b.Run("split2", func(b *testing.B) {
 		rt := New(Config{})
 		orig := registerBenchWorld(b, rt, "orig", nil, nil)
-		a := registerBenchWorld(b, rt, "copy-a", nil, nil)
-		c := registerBenchWorld(b, rt, "copy-b", nil, nil)
-		rt.addAlias(orig.pid, a.pid, c.pid)
-		rt.unregisterWorld(orig)
+		forkInto(b, rt, orig)
+		var buf [8]*World
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := rt.resolveAlias(orig.pid); len(got) != 2 {
+			if got := rt.appendCopies(buf[:0], orig.pid); len(got) != 2 {
 				b.Fatalf("resolved %d targets, want 2", len(got))
 			}
 		}
@@ -104,18 +125,13 @@ func BenchmarkAliasResolve(b *testing.B) {
 		rt := New(Config{})
 		orig := registerBenchWorld(b, rt, "orig", nil, nil)
 		// Two generations of splits: orig -> (g1a, g1b); g1a -> (g2a, g2b).
-		g1a := registerBenchWorld(b, rt, "g1a", nil, nil)
-		g1b := registerBenchWorld(b, rt, "g1b", nil, nil)
-		rt.addAlias(orig.pid, g1a.pid, g1b.pid)
-		rt.unregisterWorld(orig)
-		g2a := registerBenchWorld(b, rt, "g2a", nil, nil)
-		g2b := registerBenchWorld(b, rt, "g2b", nil, nil)
-		rt.addAlias(g1a.pid, g2a.pid, g2b.pid)
-		rt.unregisterWorld(g1a)
+		g1a, _ := forkInto(b, rt, orig)
+		forkInto(b, rt, g1a)
+		var buf [8]*World
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if got := rt.resolveAlias(orig.pid); len(got) != 3 {
+			if got := rt.appendCopies(buf[:0], orig.pid); len(got) != 3 {
 				b.Fatalf("resolved %d targets, want 3", len(got))
 			}
 		}

@@ -56,12 +56,15 @@ func (rt *Runtime) SpawnServer(name string, spaceSize int64, handler Handler) *W
 // spawnServerLoop starts (or restarts, for split copies) the receive
 // loop.
 func (rt *Runtime) spawnServerLoop(w *World) {
+	// The handle is published under the lock the loop's first Terminated
+	// check takes: a Shutdown or elimination never finds a running loop
+	// without a handle (it would release the pages under the handler).
+	w.mu.Lock()
 	handle := rt.be.spawn(w.name, func(ctx execCtx) {
 		w.ctx = ctx
 		defer w.exitCleanup()
 		rt.serverLoop(w)
 	})
-	w.mu.Lock()
 	w.handle = handle
 	dead := w.terminated
 	w.mu.Unlock()
@@ -133,9 +136,21 @@ func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
 
 	pending := w.box.drain()
 
+	// Publish order: the copies are registered (as w's children, which is
+	// what makes them its alias targets), then the edge becomes visible
+	// (w turns Forked), and only after the queue has been re-routed does
+	// the original leave the registry.
 	assume := rt.cloneServer(w, w.name+"+", req.assume)
 	deny := rt.cloneServer(w, w.name+"-", req.deny)
-	rt.addAlias(w.pid, assume.pid, deny.pid)
+	if !w.markTerminated() {
+		// w was eliminated or shut down while it was splitting, so it
+		// never turns Forked and nothing can reach its copies: they end
+		// with it.
+		rt.Shutdown(assume)
+		rt.Shutdown(deny)
+		return true
+	}
+	rt.procs.SetStatus(w.pid, proc.Forked) //nolint:errcheck // terminated was ours to set
 
 	// The triggering message goes to the assume-copy only: accepting it
 	// is precisely what the extra assumptions buy (§3.4.2).
@@ -161,10 +176,7 @@ func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
 		}
 	}
 
-	if w.markTerminated() {
-		rt.procs.SetStatus(w.pid, proc.Forked) //nolint:errcheck
-		rt.unregisterWorld(w)
-	}
+	rt.unregisterWorld(w)
 	rt.log.Addf(rt.be.now(), trace.KindWorldSplit, w.pid,
 		"split into %v (assume) and %v (deny) on message from %v",
 		assume.pid, deny.pid, req.m.Sender)

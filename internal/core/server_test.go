@@ -106,12 +106,12 @@ func TestServerSplitsOnSpeculativeSender(t *testing.T) {
 			t.Errorf("counter = %d, want 1 (assume-copy survived)", got)
 		}
 		// Exactly one copy should be live.
-		live := rt.resolveAlias(srv.PID())
+		live := rt.Copies(srv.PID())
 		if len(live) != 1 {
-			t.Errorf("live copies = %v, want 1", live)
+			t.Errorf("live copies = %v, want 1", pidsOf(live))
 		}
-		for _, pid := range live {
-			rt.Shutdown(rt.worldByPID(pid))
+		for _, cw := range live {
+			rt.Shutdown(cw)
 		}
 	})
 	if err := rt.Run(); err != nil {
@@ -157,12 +157,12 @@ func TestServerDenyCopySurvivesWhenSenderLoses(t *testing.T) {
 		if got := queryCounter(t, w, srv.PID()); got != 0 {
 			t.Errorf("counter = %d, want 0 (deny-copy survived)", got)
 		}
-		live := rt.resolveAlias(srv.PID())
+		live := rt.Copies(srv.PID())
 		if len(live) != 1 {
-			t.Errorf("live copies = %v, want 1", live)
+			t.Errorf("live copies = %v, want 1", pidsOf(live))
 		}
-		for _, pid := range live {
-			rt.Shutdown(rt.worldByPID(pid))
+		for _, cw := range live {
+			rt.Shutdown(cw)
 		}
 	})
 	if err := rt.Run(); err != nil {
@@ -199,8 +199,8 @@ func TestServerStateSharedUpToSplit(t *testing.T) {
 		if got := queryCounter(t, w, srv.PID()); got != 3 {
 			t.Errorf("counter = %d, want 3 (2 committed + winner's inc)", got)
 		}
-		for _, pid := range rt.resolveAlias(srv.PID()) {
-			rt.Shutdown(rt.worldByPID(pid))
+		for _, cw := range rt.Copies(srv.PID()) {
+			rt.Shutdown(cw)
 		}
 	})
 	if err := rt.Run(); err != nil {
@@ -280,12 +280,12 @@ func TestTwoSpeculativeSendersNestSplits(t *testing.T) {
 		if got := queryCounter(t, w, srv.PID()); got != 1 {
 			t.Errorf("counter = %d, want 1 (winner alpha's inc only)", got)
 		}
-		live := rt.resolveAlias(srv.PID())
+		live := rt.Copies(srv.PID())
 		if len(live) != 1 {
-			t.Errorf("live copies = %v, want exactly 1", live)
+			t.Errorf("live copies = %v, want exactly 1", pidsOf(live))
 		}
-		for _, pid := range live {
-			rt.Shutdown(rt.worldByPID(pid))
+		for _, cw := range live {
+			rt.Shutdown(cw)
 		}
 	})
 	if err := rt.Run(); err != nil {

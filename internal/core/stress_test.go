@@ -36,7 +36,7 @@ func TestStressConcurrentSelectionInvariants(t *testing.T) {
 				err = w.WriteUint64(0, v+1)
 			}
 			if err != nil {
-				t.Errorf("server: %v", err)
+				handlerErr(t, "server", err)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"altrun/internal/ids"
@@ -29,6 +30,14 @@ type World struct {
 	box   inbox
 
 	handle procHandle
+
+	// eliminated is set by eliminateOne, before the body is killed, and
+	// never cleared: the process the kernel has killed executes nothing
+	// further, so every memory, message and block operation refuses from
+	// then on. It is neither Cancelled (a root cancelled by a job
+	// deadline stays readable for Cleanup) nor terminated (the winner
+	// and Shutdown set that too).
+	eliminated atomic.Bool
 
 	// subPIDs lists the PIDs the world's predicate set mentioned at
 	// registration — the subscription record the registry's predicate
@@ -158,14 +167,25 @@ func (w *World) exitCleanup() {
 // Sink state: the paged address space.
 // ---------------------------------------------------------------------
 
+// The operations below are the world's runtime interface. Each refuses
+// with ErrEliminated once the world has been eliminated: one atomic load
+// on the live path, and a loser stops at its next call instead of
+// working on until it polls Cancelled.
+
 // ReadAt fills buf from the world's address space at off.
 func (w *World) ReadAt(buf []byte, off int64) error {
+	if w.eliminated.Load() {
+		return ErrEliminated
+	}
 	return w.space.ReadAt(buf, off)
 }
 
 // WriteAt writes buf at off. Copy-on-write faults on shared pages are
 // charged to the world's simulated CPU in simulated mode.
 func (w *World) WriteAt(buf []byte, off int64) error {
+	if w.eliminated.Load() {
+		return ErrEliminated
+	}
 	before := w.space.CopiedPages()
 	if err := w.space.WriteAt(buf, off); err != nil {
 		return err
@@ -188,10 +208,18 @@ func (w *World) recordCopies(before int64) {
 }
 
 // ReadUint64 reads a big-endian uint64 at off.
-func (w *World) ReadUint64(off int64) (uint64, error) { return w.space.ReadUint64(off) }
+func (w *World) ReadUint64(off int64) (uint64, error) {
+	if w.eliminated.Load() {
+		return 0, ErrEliminated
+	}
+	return w.space.ReadUint64(off)
+}
 
 // WriteUint64 writes a big-endian uint64 at off (COW-charged).
 func (w *World) WriteUint64(off int64, v uint64) error {
+	if w.eliminated.Load() {
+		return ErrEliminated
+	}
 	before := w.space.CopiedPages()
 	if err := w.space.WriteUint64(off, v); err != nil {
 		return err
@@ -208,6 +236,9 @@ func (w *World) Snapshot() ([]byte, error) { return w.space.Snapshot() }
 // "roll back to the state the program had before the block was
 // entered" step of a sequential recovery block (§5.1).
 func (w *World) RestoreSnapshot(data []byte) error {
+	if w.eliminated.Load() {
+		return ErrEliminated
+	}
 	before := w.space.CopiedPages()
 	if err := w.space.Restore(data); err != nil {
 		return err
@@ -257,9 +288,11 @@ func (w *World) SimProc() *sim.Proc {
 }
 
 // Cancelled reports whether the world has been killed (a sibling won,
-// or an ancestor block resolved against it). Long-running bodies should
-// poll it — Go cannot preempt a goroutine the way the paper's kernel
-// kills a process.
+// an ancestor block resolved against it, or Cancel was called). An
+// eliminated world is stopped at its next memory, message or block
+// operation; a body that computes for long without one should poll
+// this — Go cannot preempt a goroutine the way the paper's kernel kills
+// a process.
 func (w *World) Cancelled() bool {
 	if w.ctx == nil {
 		return false
@@ -290,6 +323,9 @@ func (w *World) Cancel() {
 // world's current predicate set. Destinations that have split are
 // fanned out to their live copies.
 func (w *World) Send(dest ids.PID, data any) error {
+	if w.eliminated.Load() {
+		return ErrEliminated
+	}
 	return w.rt.sendFrom(w.pid, w.Predicates(), dest, data)
 }
 

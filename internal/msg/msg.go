@@ -37,7 +37,8 @@ type Message struct {
 	// Sender identifies the sending process (control information).
 	Sender ids.PID
 	// SenderPredicates is the sending predicate: a snapshot of the
-	// sender's assumptions at send time.
+	// sender's assumptions at send time. Read-only: copies of a split
+	// receiver share it.
 	SenderPredicates *predicate.Set
 	// Dest identifies the destination process (control information).
 	Dest ids.PID
@@ -149,8 +150,10 @@ func (r *Router) Stats() Stats {
 }
 
 // Send routes data from the sender (with predicate snapshot senderPred)
-// to pid, applying the accept/ignore/split rule. senderPred is cloned;
-// the caller keeps ownership of its set.
+// to pid, applying the accept/ignore/split rule. The message keeps
+// senderPred itself, so it must be a snapshot nobody mutates afterwards;
+// one snapshot may be shared by any number of sends (a fan-out to split
+// copies). The receiver's set is snapshotted once per send.
 func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, data any) error {
 	rcv := r.lookup(dest)
 	if rcv == nil {
@@ -159,7 +162,7 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 	m := Message{
 		Seq:              r.seq.Add(1),
 		Sender:           sender,
-		SenderPredicates: senderPred.Clone(),
+		SenderPredicates: senderPred,
 		Dest:             dest,
 		Data:             data,
 	}
@@ -167,7 +170,8 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 
 	r.log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, m.SenderPredicates)
 
-	switch predicate.Decide(rcv.Predicates(), m.SenderPredicates) {
+	rcvPred := rcv.Predicates()
+	switch predicate.Decide(rcvPred, m.SenderPredicates) {
 	case predicate.Accept:
 		r.accepted.Add(1)
 		r.log.Addf(r.now(), trace.KindMsgAccept, dest, "seq %d from %v", m.Seq, sender)
@@ -178,7 +182,7 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 		r.log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (conflicting worlds)", m.Seq, sender)
 		return nil
 	default: // Split
-		assume, deny, err := predicate.SplitWorlds(rcv.Predicates(), m.SenderPredicates, sender)
+		assume, deny, err := predicate.SplitWorlds(rcvPred, m.SenderPredicates, sender)
 		if err != nil {
 			// The receiver cannot coherently assume either outcome;
 			// treat as ignore (the sender's world is already dead from

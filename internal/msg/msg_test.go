@@ -17,11 +17,15 @@ type fakeReceiver struct {
 	delivered []Message
 	splits    []struct{ assume, deny *predicate.Set }
 	splitErr  error
+	snapshots int // Predicates calls: each one is a clone in a real world
 }
 
-func (f *fakeReceiver) PID() ids.PID               { return f.pid }
-func (f *fakeReceiver) Predicates() *predicate.Set { return f.preds }
-func (f *fakeReceiver) Deliver(m Message)          { f.delivered = append(f.delivered, m) }
+func (f *fakeReceiver) PID() ids.PID { return f.pid }
+func (f *fakeReceiver) Predicates() *predicate.Set {
+	f.snapshots++
+	return f.preds
+}
+func (f *fakeReceiver) Deliver(m Message) { f.delivered = append(f.delivered, m) }
 func (f *fakeReceiver) Split(assume, deny *predicate.Set, m Message) error {
 	if f.splitErr != nil {
 		return f.splitErr
@@ -54,20 +58,34 @@ func TestSendAccept(t *testing.T) {
 	}
 }
 
-func TestSendPredicateSnapshotIsCloned(t *testing.T) {
+// TestSendTakesOneSnapshotEach: the sender's set is the caller's
+// snapshot and travels as given — no copy per send, so a fan-out to
+// split copies shares one — and the receiver is asked for its set once
+// per send, whatever the decision (the split path used to ask twice).
+func TestSendTakesOneSnapshotEach(t *testing.T) {
 	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, []int64{5}, nil)}
-	r.Register(rcv)
+	accept := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, []int64{5}, nil)}
+	split := &fakeReceiver{pid: ids.PID(3), preds: predicate.New()}
+	r.Register(accept)
+	r.Register(split)
 	senderPred := mustPred(t, []int64{5}, nil)
-	if err := r.Send(ids.PID(1), senderPred, ids.PID(2), "x"); err != nil {
-		t.Fatal(err)
+	for _, rcv := range []*fakeReceiver{accept, split} {
+		if err := r.Send(ids.PID(1), senderPred, rcv.pid, "x"); err != nil {
+			t.Fatal(err)
+		}
+		if rcv.snapshots != 1 {
+			t.Fatalf("receiver %v was snapshotted %d times for one send, want 1", rcv.pid, rcv.snapshots)
+		}
 	}
-	// Mutating the sender's set afterwards must not change the message.
-	if err := senderPred.RequireComplete(ids.PID(99)); err != nil {
-		t.Fatal(err)
+	if len(accept.delivered) != 1 || accept.delivered[0].SenderPredicates != senderPred {
+		t.Fatal("the message must carry the snapshot it was given")
 	}
-	if rcv.delivered[0].SenderPredicates.MustComplete(ids.PID(99)) {
-		t.Fatal("message predicates must be a snapshot")
+	if len(split.splits) != 1 || !split.splits[0].assume.MustComplete(ids.PID(5)) {
+		t.Fatalf("split from the single snapshot = %+v", split.splits)
+	}
+	// What the split made is its own: the shared snapshot is untouched.
+	if senderPred.MustComplete(ids.PID(1)) || senderPred.Len() != 1 {
+		t.Fatalf("sender snapshot mutated by the split: %v", senderPred)
 	}
 }
 

@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"altrun/internal/ids"
 )
@@ -311,55 +310,4 @@ func SplitWorlds(receiver, sender *Set, senderPID ids.PID) (assume, deny *Set, e
 		return nil, nil, fmt.Errorf("deny-world: %w", err)
 	}
 	return assume, deny, nil
-}
-
-// ExclusionTable records groups of mutually exclusive PIDs (the
-// siblings of one alternative block: at most one completes). It lets
-// consistency checking reject sets that require two siblings to both
-// complete — the "logical impossibility" of §3.4.2 fn. 3. One table
-// is shared by every block a runtime executes, and a service pool
-// runs blocks concurrently, so the table locks internally.
-type ExclusionTable struct {
-	mu    sync.RWMutex
-	group map[ids.PID]int
-	next  int
-}
-
-// NewExclusionTable returns an empty table.
-func NewExclusionTable() *ExclusionTable {
-	return &ExclusionTable{group: make(map[ids.PID]int)}
-}
-
-// AddGroup records that the given PIDs are mutually exclusive.
-func (t *ExclusionTable) AddGroup(pids []ids.PID) {
-	t.mu.Lock()
-	t.next++
-	for _, p := range pids {
-		t.group[p] = t.next
-	}
-	t.mu.Unlock()
-}
-
-// MutuallyExclusive reports whether a and b are siblings of one block.
-func (t *ExclusionTable) MutuallyExclusive(a, b ids.PID) bool {
-	t.mu.RLock()
-	ga, okA := t.group[a]
-	gb, okB := t.group[b]
-	t.mu.RUnlock()
-	return okA && okB && a != b && ga == gb
-}
-
-// Validate returns an error if the set requires two mutually exclusive
-// PIDs to both complete.
-func (t *ExclusionTable) Validate(s *Set) error {
-	musts := s.MustList()
-	for i := 0; i < len(musts); i++ {
-		for j := i + 1; j < len(musts); j++ {
-			if t.MutuallyExclusive(musts[i], musts[j]) {
-				return fmt.Errorf("predicate: set requires mutually exclusive %v and %v to both complete",
-					musts[i], musts[j])
-			}
-		}
-	}
-	return nil
 }

@@ -3,7 +3,6 @@ package predicate
 import (
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -242,77 +241,6 @@ func TestSplitWorldsContradiction(t *testing.T) {
 	if _, _, err := SplitWorlds(r2, New(), pid(5)); err == nil {
 		t.Fatal("assume-world contradiction on sender PID must error")
 	}
-}
-
-func TestExclusionTable(t *testing.T) {
-	ex := NewExclusionTable()
-	ex.AddGroup([]ids.PID{pid(1), pid(2), pid(3)})
-	ex.AddGroup([]ids.PID{pid(4), pid(5)})
-	if !ex.MutuallyExclusive(pid(1), pid(2)) {
-		t.Fatal("siblings must be exclusive")
-	}
-	if ex.MutuallyExclusive(pid(1), pid(4)) {
-		t.Fatal("different groups are not exclusive")
-	}
-	if ex.MutuallyExclusive(pid(1), pid(1)) {
-		t.Fatal("a PID is not exclusive with itself")
-	}
-	if ex.MutuallyExclusive(pid(1), pid(99)) {
-		t.Fatal("unknown PIDs are not exclusive")
-	}
-
-	ok := mustSet(t, []int64{1, 4}, nil)
-	if err := ex.Validate(ok); err != nil {
-		t.Fatalf("cross-group set must validate: %v", err)
-	}
-	bad := mustSet(t, []int64{1, 2}, nil)
-	if err := ex.Validate(bad); err == nil {
-		t.Fatal("two siblings both completing must be invalid")
-	}
-	// Assuming sibling failures is fine (the failure alternative assumes
-	// none of the siblings complete — §3.3 fn. 1).
-	failAll := mustSet(t, nil, []int64{1, 2, 3})
-	if err := ex.Validate(failAll); err != nil {
-		t.Fatalf("all-fail set must validate: %v", err)
-	}
-}
-
-// TestExclusionTableConcurrent: one table is shared by every block a
-// runtime runs, and a service pool starts blocks from many workers at
-// once — concurrent AddGroup calls (plus Validate readers) must be
-// safe. Regression test for a concurrent-map-write crash under a
-// multi-worker pool.
-func TestExclusionTableConcurrent(t *testing.T) {
-	ex := NewExclusionTable()
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				base := int64(g*1000 + i*3)
-				ex.AddGroup([]ids.PID{pid(base), pid(base + 1), pid(base + 2)})
-				if !ex.MutuallyExclusive(pid(base), pid(base+1)) {
-					t.Errorf("group %d/%d lost", g, i)
-					return
-				}
-				s := New()
-				if err := s.RequireComplete(pid(base)); err != nil {
-					t.Errorf("group %d/%d: %v", g, i, err)
-					return
-				}
-				if err := s.RequireComplete(pid(base + 1)); err != nil {
-					t.Errorf("group %d/%d: %v", g, i, err)
-					return
-				}
-				if err := ex.Validate(s); err == nil {
-					t.Errorf("group %d/%d: sibling pair validated", g, i)
-					return
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestStringRendering(t *testing.T) {

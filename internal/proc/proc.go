@@ -14,13 +14,24 @@
 // (internal/epoch), a process's status is one atomic word transitioned
 // by CAS (terminal states absorb: the CAS that makes a status terminal
 // wins forever), and each parent's child index is an immutable slice
-// republished on registration. Only Register and Subscribe take the
-// writer side.
+// republished when a child registers or retires. Only Register, a
+// terminal SetStatus (its parent's index) and Subscribe take a writer
+// side.
+//
+// The child index is live-only. A child leaves its parent's index on its
+// terminal transition, so an index holds what an elimination cascade can
+// still reach and costs what the parent has running now, not what it
+// ever ran. One kind of terminal node stays: a Forked process remains in
+// its parent's index for as long as its own index is non-empty, because
+// its children are the split copies messages for it must reach (§3.4.2)
+// — the index restricted to Forked parents is the split-receiver alias
+// graph, and it retires upward when the last copy of a lineage ends.
+// Roots (parent ids.None) are in no index: nothing cascades from None.
 package proc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -98,14 +109,15 @@ type Entry struct {
 // Register, status is an atomic word transitioned only by CAS.
 type entry struct {
 	pid    ids.PID
-	parent ids.PID
+	parent *entry // nil for roots and for children of unregistered PIDs
 	name   string
 	status atomic.Int32
-}
 
-// childList is one parent's immutable, ascending child index. Register
-// publishes a fresh slice per insertion.
-type childList []ids.PID
+	// kids is this process's child index: an immutable slice, replaced
+	// under kidsMu by Register and unlink, nil when empty.
+	kidsMu sync.Mutex
+	kids   atomic.Pointer[[]ids.PID]
+}
 
 // subscriber is one registered status-transition callback.
 type subscriber struct {
@@ -119,11 +131,10 @@ type Table struct {
 
 	dom *epoch.Domain
 	// entries maps PID → record. Entries are never removed (PIDs are
-	// never reused), so a pointer obtained under a pin stays valid
+	// never reused, and the status of a resolved PID is asked for long
+	// after it ended), so a pointer obtained under a pin stays valid
 	// forever; the pin protects only the table probe.
 	entries *epoch.Map[entry]
-	// children maps childKey(parent) → that parent's child index.
-	children *epoch.Map[childList]
 
 	// subMu serializes Subscribe/unsubscribe; subs is the COW snapshot
 	// SetStatus reads without locking.
@@ -132,52 +143,65 @@ type Table struct {
 	nextSub int
 }
 
-// childKey offsets a parent PID into the map's positive key space:
-// roots register under parent ids.None (0), which the epoch map
-// reserves as its empty sentinel.
-func childKey(parent ids.PID) ids.PID { return parent + 1 }
-
 // NewTable returns an empty registry drawing PIDs from gen.
 func NewTable(gen *ids.Generator) *Table {
 	d := epoch.NewDomain()
-	return &Table{
-		gen:      gen,
-		dom:      d,
-		entries:  epoch.NewMap[entry](d),
-		children: epoch.NewMap[childList](d),
-	}
+	return &Table{gen: gen, dom: d, entries: epoch.NewMap[entry](d)}
 }
 
-// Register creates a new Running process and returns its PID.
+// Register creates a new Running process and returns its PID. It costs
+// O(live children of parent): the parent's index is republished with the
+// new child appended.
 func (t *Table) Register(parent ids.PID, name string) ids.PID {
 	pid := t.gen.NextPID()
-	e := &entry{pid: pid, parent: parent, name: name}
+	e := &entry{pid: pid, parent: t.lookup(parent), name: name}
 	e.status.Store(int32(Running))
 	t.entries.Set(pid, e)
-	t.children.Update(childKey(parent), func(old *childList) *childList {
-		if old == nil {
-			l := childList{pid}
-			return &l
+	if p := e.parent; p != nil {
+		p.kidsMu.Lock()
+		var next []ids.PID
+		if old := p.kids.Load(); old != nil {
+			next = make([]ids.PID, len(*old), len(*old)+1)
+			copy(next, *old)
 		}
-		kids := *old
-		n := len(kids)
-		// PIDs are allocated in increasing order, so appending almost
-		// always keeps the slice sorted; concurrent registrations for
-		// one parent can interleave, so fall back to insertion when it
-		// doesn't. Always copy: the published slice is immutable.
-		next := make(childList, n, n+1)
-		copy(next, kids)
-		if n == 0 || next[n-1] < pid {
-			next = append(next, pid)
-		} else {
-			i := sort.Search(n, func(i int) bool { return next[i] > pid })
-			next = append(next, 0)
-			copy(next[i+1:], next[i:])
-			next[i] = pid
-		}
-		return &next
-	})
+		next = append(next, pid)
+		p.kids.Store(&next)
+		p.kidsMu.Unlock()
+	}
 	return pid
+}
+
+// unlink removes e from its parent's child index. Emptying the index of
+// a Forked parent retires that parent from its own parent's index in
+// turn: no live copy is reachable through it any more.
+//
+// This and SetStatus's retire condition are the two halves of one
+// handshake. A process turning Forked stores its status and then reads
+// its index; its last child stores the emptied index and then reads the
+// parent's status. Whichever pair runs second sees the other's store, so
+// a Forked node with an empty index is always unlinked (possibly by
+// both, which is idempotent).
+func (t *Table) unlink(e *entry) {
+	for p := e.parent; p != nil; e, p = p, p.parent {
+		p.kidsMu.Lock()
+		next := p.kids.Load()
+		if next != nil {
+			if i := slices.Index(*next, e.pid); i >= 0 {
+				if len(*next) == 1 {
+					next = nil
+				} else {
+					l := make([]ids.PID, 0, len(*next)-1)
+					l = append(append(l, (*next)[:i]...), (*next)[i+1:]...)
+					next = &l
+				}
+				p.kids.Store(next)
+			}
+		}
+		p.kidsMu.Unlock()
+		if next != nil || Status(p.status.Load()) != Forked {
+			return
+		}
+	}
 }
 
 // lookup returns the stable record for pid, or nil.
@@ -197,7 +221,11 @@ func (t *Table) Get(pid ids.PID) (Entry, bool) {
 	if e == nil {
 		return Entry{}, false
 	}
-	return Entry{PID: e.pid, Parent: e.parent, Name: e.name, Status: Status(e.status.Load())}, true
+	out := Entry{PID: e.pid, Name: e.name, Status: Status(e.status.Load())}
+	if e.parent != nil {
+		out.Parent = e.parent.pid
+	}
+	return out, true
 }
 
 // Status returns the status of pid, or 0 if unknown. Lock-free.
@@ -231,6 +259,11 @@ func (t *Table) SetStatus(pid ids.PID, st Status) error {
 			old = cur
 			break
 		}
+	}
+	// Retire from the parent's index — unless this is a fork with indexed
+	// children, which stays until the last of them has retired (unlink).
+	if st.Terminal() && (st != Forked || e.kids.Load() == nil) {
+		t.unlink(e)
 	}
 	if subs := t.subs.Load(); subs != nil {
 		ev := Event{PID: pid, Old: old, New: st}
@@ -273,20 +306,22 @@ func (t *Table) Subscribe(f func(Event)) (unsubscribe func()) {
 	}
 }
 
-// Children returns the PIDs whose parent is pid, in ascending order.
+// Children returns pid's indexed children (see AppendChildren).
 func (t *Table) Children(pid ids.PID) []ids.PID {
 	return t.AppendChildren(nil, pid)
 }
 
-// AppendChildren appends pid's children (ascending) to buf and returns
-// the extended slice. With a buffer of sufficient capacity it performs
-// no allocation — the form the elimination cascade uses. Lock-free.
+// AppendChildren appends pid's indexed children, in registration order,
+// to buf and returns the extended slice: every child that is registered
+// and not yet terminal, plus Forked children that still lead to one.
+// With a buffer of sufficient capacity it performs no allocation — the
+// form the elimination cascade uses. Lock-free.
 func (t *Table) AppendChildren(buf []ids.PID, pid ids.PID) []ids.PID {
-	g := t.dom.Pin()
-	if l := t.children.Get(childKey(pid)); l != nil {
-		buf = append(buf, *l...)
+	if e := t.lookup(pid); e != nil {
+		if l := e.kids.Load(); l != nil {
+			buf = append(buf, *l...)
+		}
 	}
-	g.Unpin()
 	return buf
 }
 
@@ -295,6 +330,20 @@ func (t *Table) Live() int {
 	n := 0
 	t.entries.Range(func(_ ids.PID, e *entry) bool {
 		if !Status(e.status.Load()).Terminal() {
+			n++
+		}
+		return true
+	})
+	return n
+}
+
+// Indexed returns the number of processes whose child index is
+// non-empty (diagnostic: it walks every entry). A quiescent runtime
+// returns to 0 — every block's children and every split lineage retired.
+func (t *Table) Indexed() int {
+	n := 0
+	t.entries.Range(func(_ ids.PID, e *entry) bool {
+		if e.kids.Load() != nil {
 			n++
 		}
 		return true

@@ -3,6 +3,7 @@ package proc
 import (
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"altrun/internal/ids"
@@ -162,7 +163,7 @@ func TestAppendChildren(t *testing.T) {
 	}
 	for i := range want {
 		if got[i] != want[i] {
-			t.Fatalf("children = %v, want %v (ascending)", got, want)
+			t.Fatalf("children = %v, want %v (registration order)", got, want)
 		}
 	}
 	// Append semantics: the buffer prefix survives and capacity is
@@ -197,9 +198,171 @@ func TestChildIndexConcurrentRegistration(t *testing.T) {
 	if len(kids) != workers*per {
 		t.Fatalf("children = %d, want %d", len(kids), workers*per)
 	}
-	for i := 1; i < len(kids); i++ {
-		if kids[i-1] >= kids[i] {
-			t.Fatalf("children not in ascending order at %d: %v >= %v", i, kids[i-1], kids[i])
+	seen := make(map[ids.PID]bool, len(kids))
+	for _, k := range kids {
+		if seen[k] {
+			t.Fatalf("child %v indexed twice", k)
 		}
+		seen[k] = true
+	}
+}
+
+// TestChildIndexIsLiveOnly: a child leaves its parent's index on its
+// terminal transition, whatever the terminal status, and an emptied
+// index is gone — the index costs what the parent runs now, not what it
+// ever ran. Roots are in no index.
+func TestChildIndexIsLiveOnly(t *testing.T) {
+	tb := newTable()
+	parent := tb.Register(ids.None, "parent")
+	if tb.Indexed() != 0 {
+		t.Fatalf("a root created an index entry: Indexed = %d", tb.Indexed())
+	}
+	for round := 0; round < 100; round++ {
+		var kids []ids.PID
+		for _, st := range []Status{Completed, Failed, Eliminated, Forked} {
+			k := tb.Register(parent, "kid")
+			kids = append(kids, k)
+			if err := tb.SetStatus(k, Blocked); err != nil {
+				t.Fatal(err)
+			}
+			if got := tb.Children(parent); len(got) != 1 || got[0] != k {
+				t.Fatalf("round %d: children = %v, want [%v] (Blocked is not terminal)", round, got, k)
+			}
+			if err := tb.SetStatus(k, st); err != nil {
+				t.Fatal(err)
+			}
+			if got := tb.Children(parent); len(got) != 0 {
+				t.Fatalf("round %d: children after %v = %v, want none", round, st, got)
+			}
+		}
+		if tb.Indexed() != 0 {
+			t.Fatalf("round %d: Indexed = %d, want 0", round, tb.Indexed())
+		}
+		for _, k := range kids {
+			if !tb.Status(k).Terminal() {
+				t.Fatalf("status of retired %v lost", k)
+			}
+		}
+	}
+}
+
+// TestForkedLineageRetiresUpward: a Forked process stays indexed while
+// any of its children is — they are the copies that stand in for it —
+// and the whole lineage retires, leaf to root, when the last copy ends.
+func TestForkedLineageRetiresUpward(t *testing.T) {
+	tb := newTable()
+	owner := tb.Register(ids.None, "owner")
+	srv := tb.Register(owner, "srv")
+	a, d := tb.Register(srv, "srv+"), tb.Register(srv, "srv-")
+	mustSet := func(p ids.PID, st Status) {
+		t.Helper()
+		if err := tb.SetStatus(p, st); err != nil {
+			t.Fatal(err)
+		}
+	}
+	mustSet(srv, Forked)
+	if got := tb.Children(owner); len(got) != 1 || got[0] != srv {
+		t.Fatalf("forked srv with live copies left its parent's index: %v", got)
+	}
+	aa, ad := tb.Register(a, "srv++"), tb.Register(a, "srv+-")
+	mustSet(a, Forked)
+	mustSet(d, Eliminated)
+	if got := tb.Children(srv); len(got) != 1 || got[0] != a {
+		t.Fatalf("children(srv) = %v, want the forked copy %v only", got, a)
+	}
+	mustSet(aa, Eliminated)
+	if tb.Indexed() != 3 {
+		t.Fatalf("Indexed = %d, want 3 (owner, srv, srv+)", tb.Indexed())
+	}
+	mustSet(ad, Completed) // the last live copy ends: a, srv and owner's entry all go
+	if tb.Indexed() != 0 || len(tb.Children(owner)) != 0 || len(tb.Children(srv)) != 0 {
+		t.Fatalf("lineage not retired: Indexed = %d, children(owner) = %v, children(srv) = %v",
+			tb.Indexed(), tb.Children(owner), tb.Children(srv))
+	}
+	// A fork whose copies all ended before it turned Forked retires at once.
+	srv2 := tb.Register(owner, "srv2")
+	c := tb.Register(srv2, "srv2+")
+	mustSet(c, Eliminated)
+	mustSet(srv2, Forked)
+	if tb.Indexed() != 0 {
+		t.Fatalf("childless fork stayed indexed: Indexed = %d", tb.Indexed())
+	}
+}
+
+// TestChildIndexNeverMissesALiveChild: writers register and retire
+// children of one parent while a reader keeps taking the index. A child
+// whose registration has returned and whose terminal transition has not
+// begun must be in every snapshot — the elimination cascade relies on it
+// — and forks racing their last copy must leave nothing behind.
+func TestChildIndexNeverMissesALiveChild(t *testing.T) {
+	tb := newTable()
+	parent := tb.Register(ids.None, "parent")
+	const workers, rounds = 8, 300
+	var live [workers]atomic.Int64 // the PID worker g holds live, 0 when none
+	var stop atomic.Bool
+	var wg, readers sync.WaitGroup
+	readers.Add(1)
+	go func() {
+		defer readers.Done()
+		var buf []ids.PID
+		for !stop.Load() {
+			var want [workers]int64
+			for g := range live {
+				want[g] = live[g].Load()
+			}
+			buf = tb.AppendChildren(buf[:0], parent)
+			for g, pid := range want {
+				// Still held after the snapshot: it was live throughout.
+				if pid == 0 || live[g].Load() != pid {
+					continue
+				}
+				found := false
+				for _, k := range buf {
+					found = found || int64(k) == pid
+				}
+				if !found {
+					t.Errorf("live child %d of worker %d missing from %v", pid, g, buf)
+					return
+				}
+			}
+		}
+	}()
+	for g := 0; g < workers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				k := tb.Register(parent, "kid")
+				live[g].Store(int64(k))
+				if i%3 == 0 {
+					// A fork and its only copy end at the same time from
+					// two goroutines: the handshake in unlink.
+					c := tb.Register(k, "copy")
+					done := make(chan struct{})
+					go func() {
+						defer close(done)
+						if err := tb.SetStatus(c, Eliminated); err != nil {
+							t.Error(err)
+						}
+					}()
+					live[g].Store(0)
+					if err := tb.SetStatus(k, Forked); err != nil {
+						t.Error(err)
+					}
+					<-done
+					continue
+				}
+				live[g].Store(0)
+				if err := tb.SetStatus(k, Eliminated); err != nil {
+					t.Error(err)
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	stop.Store(true)
+	readers.Wait()
+	if got := tb.Children(parent); len(got) != 0 || tb.Indexed() != 0 {
+		t.Fatalf("after every child retired: children = %v, Indexed = %d", got, tb.Indexed())
 	}
 }

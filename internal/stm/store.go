@@ -54,7 +54,8 @@ type (
 )
 
 // Store is a handle on one store server world. The PID outlives any
-// split: sends fan out to the live copies through the alias table.
+// split: sends fan out to the live copies (its children in the process
+// table, see core.Runtime.Copies).
 type Store struct {
 	rt   *core.Runtime
 	pid  ids.PID
@@ -177,9 +178,10 @@ func (s *Store) Seed(w *core.World, vals []uint64, timeout time.Duration) error 
 const closeRetries = 16
 
 // Close shuts down every live copy of the store. Shutdown is not an
-// elimination — no fates resolve — so a copy that splits between the
+// elimination — no fates resolve — so a copy that has forked between the
 // snapshot and the kill leaves fresh copies behind; the loop re-snapshots
-// until the alias tree is empty.
+// until no copy is live. (A copy shut down in the middle of splitting
+// ends the copies it was making itself.)
 func (s *Store) Close() error {
 	for i := 0; i < closeRetries; i++ {
 		copies := s.rt.Copies(s.pid)

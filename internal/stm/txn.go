@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync"
 	"time"
 
 	"altrun/internal/core"
@@ -76,12 +77,26 @@ type Op struct {
 	Val uint64
 }
 
+// rngPool recycles generators: a math/rand source is 4.9 KB, and a block
+// asks for one per alternative, per guard and per oracle replay.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// seededRand returns a pooled generator in exactly the state
+// rand.New(rand.NewSource(seed)) starts in (Seed rebuilds the whole
+// source and drops buffered bytes). Return it with rngPool.Put.
+func seededRand(seed int64) *rand.Rand {
+	rng := rngPool.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // GenOps returns alternative alt's operation sequence. Deterministic:
 // the same (cfg, alt) always yields the same sequence, for both the
 // racing world and the oracle's replay.
 func GenOps(cfg Config, alt int) []Op {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed*1_000_003 + int64(alt)*7919 + 1))
+	rng := seededRand(cfg.Seed*1_000_003 + int64(alt)*7919 + 1)
+	defer rngPool.Put(rng)
 	var zipf *rand.Zipf
 	if cfg.Zipf > 1 && cfg.Keys > 1 {
 		zipf = rand.NewZipf(rng, cfg.Zipf, 1, uint64(cfg.Keys-1))
@@ -107,7 +122,8 @@ func GenOps(cfg Config, alt int) []Op {
 // zero: no winner yet).
 func InitVals(cfg Config) []uint64 {
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed ^ 0x5eed))
+	rng := seededRand(cfg.Seed ^ 0x5eed)
+	defer rngPool.Put(rng)
 	vals := make([]uint64, cfg.StoreKeys())
 	for k := 0; k < cfg.Keys; k++ {
 		vals[k] = rng.Uint64()
