@@ -88,7 +88,6 @@ type clusterState struct {
 	membersMu sync.Mutex
 	members   []ids.NodeID
 	voter     *consensus.Voter
-	ccfg      consensus.Config
 	nc        *trace.NetCounters
 
 	// SWIM membership: static peers seed the table on the -peers
@@ -108,11 +107,8 @@ type clusterState struct {
 
 	rforkFallbacks atomic.Int64 // rfork requests that ran locally instead
 
-	// batch selects the group-commit path: claims route through the
-	// per-node coalescer (pipelined batched ballots) instead of running
-	// one quorum round each. distbench A/Bs the two; production
-	// defaults to batched.
-	batch     bool
+	// Every commit claim routes through the node's coalescer: pipelined
+	// batched ballots, one leader per key. A lone claim is a batch of one.
 	coalescer *consensus.Coalescer
 
 	// Delta checkpoint shipping for rfork.
@@ -206,7 +202,6 @@ func newClusterState(opts clusterOptions) (*clusterState, error) {
 // clusterFromTransport wraps an already-meshed transport endpoint (the
 // in-process test path; production goes through newClusterState).
 func clusterFromTransport(tcp *transport.TCP, members []ids.NodeID, nc *trace.NetCounters) *clusterState {
-	ccfg := consensus.Config{Net: nc}
 	static := make([]membership.Peer, len(members))
 	for i, id := range members {
 		static[i] = membership.Peer{ID: id}
@@ -216,13 +211,11 @@ func clusterFromTransport(tcp *transport.TCP, members []ids.NodeID, nc *trace.Ne
 		tcp:         tcp,
 		voter:       consensus.StartVoter(tcp, ""),
 		members:     members,
-		ccfg:        ccfg,
 		nc:          nc,
 		mc:          &membership.Counters{},
 		staticPeers: static,
 		windows:     make(map[ids.NodeID]*peerWindow),
-		batch:       true,
-		coalescer:   consensus.StartCoalescer(tcp, members, "", ccfg),
+		coalescer:   consensus.StartCoalescer(tcp, members, "", consensus.Config{Net: nc}),
 		shipper:     checkpoint.NewShipper(tcp, nc),
 		receiver:    checkpoint.NewReceiver(tcp, nc, 0),
 		arenas:      make(map[ids.NodeID]*rforkArena),
@@ -324,24 +317,14 @@ func (c *clusterState) close() {
 
 // newClaim is the pool's commit arbiter: each job gets its own
 // consensus key, so the block commits only once a quorum of the peer
-// group has granted it. Batched mode routes the claim through the
-// node's coalescer — many concurrent jobs share one quorum round.
+// group has granted it. The claim goes through the node's coalescer:
+// concurrent jobs share a quorum round, and a job's alternatives share
+// one — the first to claim runs it, the rest are answered from it.
 func (c *clusterState) newClaim(job serve.Job, id uint64) core.ClaimFunc {
 	key := fmt.Sprintf("job/%d/%d", c.node, id)
-	if c.batch {
-		return func(w *core.World) bool {
-			c.ballots.Add(1)
-			won := c.coalescer.Claim(transport.Background(), key, w.PID()).Won
-			if won {
-				c.commits.Add(1)
-			}
-			return won
-		}
-	}
-	cl := consensus.NewClaimant(key, c.tcp, c.membersSnapshot(), "", c.ccfg)
 	return func(w *core.World) bool {
 		c.ballots.Add(1)
-		won := cl.Claim(transport.Background(), w.PID()).Won
+		won := c.coalescer.Claim(transport.Background(), key, w.PID()).Won
 		if won {
 			c.commits.Add(1)
 		}
@@ -569,7 +552,6 @@ type clusterView struct {
 	Node             ids.NodeID   `json:"node"`
 	Members          []ids.NodeID `json:"members"`
 	Quorum           int          `json:"quorum"`
-	GroupCommit      bool         `json:"group_commit"`
 	Ballots          int64        `json:"ballots"`
 	ConsensusCommits int64        `json:"consensus_commits"`
 	RForksIn         int64        `json:"rforks_in"`
@@ -595,7 +577,6 @@ func (c *clusterState) view() *clusterView {
 		Node:             c.node,
 		Members:          members,
 		Quorum:           len(members)/2 + 1,
-		GroupCommit:      c.batch,
 		Ballots:          c.ballots.Load(),
 		ConsensusCommits: c.commits.Load(),
 		RForksIn:         c.rforksIn.Load(),

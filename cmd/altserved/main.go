@@ -67,7 +67,6 @@ func main() {
 		clusterAddr  = flag.String("cluster-addr", "127.0.0.1:0", "cluster transport listen address (used with -join; -peers carries its own)")
 		gossipIval   = flag.Duration("gossip-interval", 250*time.Millisecond, "membership probe/gossip period")
 		suspMult     = flag.Int("suspicion-mult", 5, "suspicion timeout, as a multiple of the gossip interval")
-		groupCommit  = flag.Bool("group-commit", true, "coalesce concurrent job commits into batched quorum rounds")
 		obsRate      = flag.Int("obs-rate", obs.DefaultSampleRate, "flight recorder sampling: record 1 in N blocks (0 = off)")
 		obsKeep      = flag.Int("obs-keep", obs.DefaultKeep, "flight recorder retention: recent timelines kept for /debug/blocks")
 		obsDir       = flag.String("obs-dir", "", "write each sampled block's Chrome trace JSON into this directory")
@@ -118,7 +117,6 @@ func main() {
 			fmt.Fprintln(os.Stderr, "altserved:", err)
 			os.Exit(1)
 		}
-		cluster.batch = *groupCommit
 	}
 	var rec *obs.Recorder
 	if *obsRate > 0 {

@@ -87,13 +87,9 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 		obs.WriteCounter(bw, "altrun_net_rtt_dropped_total", "RTT samples discarded for straddling a reconnect.", float64(c.Net.RTTDropped))
 		obs.WriteGauge(bw, "altrun_net_rtt_ewma_ms", "Smoothed consensus round-trip time.", c.Net.RTTEWMAMS)
 		obs.WriteGauge(bw, "altrun_net_rtt_p99_ms", "99th-percentile consensus round-trip time.", c.Net.RTTP99MS)
-		if c.GroupCommit {
-			obs.WriteGauge(bw, "altrun_cluster_group_commit", "Group-commit (batched ballot) mode on.", 1)
-		} else {
-			obs.WriteGauge(bw, "altrun_cluster_group_commit", "Group-commit (batched ballot) mode on.", 0)
-		}
 		obs.WriteCounter(bw, "altrun_ballot_rounds_total", "Batched quorum rounds started by the coalescer.", float64(c.Net.BallotRounds))
 		obs.WriteCounter(bw, "altrun_ballots_coalesced_total", "Claims carried inside batched quorum rounds.", float64(c.Net.BallotsCoalesced))
+		obs.WriteCounter(bw, "altrun_claims_followed_total", "Claims answered from their key's leader or the decided-key cache, without a round.", float64(c.Net.ClaimsFollowed))
 		obs.WriteCounter(bw, "altrun_codec_frames_total", "Frames encoded on the binary fast path.", float64(c.Net.CodecFrames))
 		obs.WriteCounter(bw, "altrun_codec_fallbacks_total", "Frames that fell back to gob encoding.", float64(c.Net.CodecFallbacks))
 		obs.WriteCounter(bw, "altrun_rfork_full_ships_total", "Full checkpoint images shipped.", float64(c.Net.FullShips))

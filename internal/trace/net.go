@@ -34,9 +34,14 @@ type NetCounters struct {
 	// Group-commit consensus accounting: BallotRounds counts batched
 	// quorum rounds sent by a coalescer; BallotsCoalesced counts the
 	// per-key claims those rounds carried. Coalesced/Rounds is the
-	// amortization factor the group-commit path buys.
+	// amortization factor the group-commit path buys. ClaimsFollowed
+	// counts claims the coalescer answered without a round of their
+	// own: followers of a key's in-flight leader plus hits on its
+	// decided-key cache — why a block costs one round, not one per
+	// alternative.
 	BallotRounds     atomic.Int64
 	BallotsCoalesced atomic.Int64
+	ClaimsFollowed   atomic.Int64
 
 	// Wire-codec accounting: frames encoded with the hand-rolled binary
 	// codec vs frames that fell back to gob (unregistered payload type).
@@ -134,6 +139,7 @@ type NetSnapshot struct {
 	// corresponding mechanism is unused, omitted from JSON then).
 	BallotRounds     int64 `json:"ballot_rounds,omitempty"`
 	BallotsCoalesced int64 `json:"ballots_coalesced,omitempty"`
+	ClaimsFollowed   int64 `json:"claims_followed,omitempty"`
 	CodecFrames      int64 `json:"codec_frames,omitempty"`
 	CodecFallbacks   int64 `json:"codec_fallbacks,omitempty"`
 	FullShips        int64 `json:"full_ships,omitempty"`
@@ -169,6 +175,7 @@ func (c *NetCounters) Snapshot() NetSnapshot {
 		RTTDropped:       c.RTTDropped.Load(),
 		BallotRounds:     c.BallotRounds.Load(),
 		BallotsCoalesced: c.BallotsCoalesced.Load(),
+		ClaimsFollowed:   c.ClaimsFollowed.Load(),
 		CodecFrames:      c.CodecFrames.Load(),
 		CodecFallbacks:   c.CodecFallbacks.Load(),
 		FullShips:        c.FullShips.Load(),

@@ -87,6 +87,9 @@ type TCP struct {
 	node ids.NodeID
 	nc   *trace.NetCounters
 	ln   net.Listener
+	// dial opens the outbound connection to a peer; tests swap it to cut
+	// a connection at a byte of their choosing.
+	dial func(addr string, timeout time.Duration) (net.Conn, error)
 
 	mu          sync.Mutex
 	ports       map[string]*tcpMailbox
@@ -114,10 +117,13 @@ func NewTCP(opts TCPOptions) (*TCP, error) {
 		return nil, fmt.Errorf("transport: listen %s: %w", opts.Listen, err)
 	}
 	t := &TCP{
-		opts:        opts,
-		node:        opts.Node,
-		nc:          opts.Counters,
-		ln:          ln,
+		opts: opts,
+		node: opts.Node,
+		nc:   opts.Counters,
+		ln:   ln,
+		dial: func(addr string, timeout time.Duration) (net.Conn, error) {
+			return net.DialTimeout("tcp", addr, timeout)
+		},
 		ports:       make(map[string]*tcpMailbox),
 		peers:       make(map[ids.NodeID]*tcpPeer),
 		partitioned: make(map[ids.NodeID]bool),
@@ -636,8 +642,16 @@ func (p *tcpPeer) enqueue(frame *[]byte) bool {
 
 func (p *tcpPeer) stop() { p.once.Do(func() { close(p.stopped) }) }
 
-// writeLoop drains the queue, (re)connecting as needed. A frame whose
-// write fails is retried on the next connection, preserving FIFO.
+// maxWriteBatch bounds the bytes one vectored write gathers, so that the
+// one SendTimeout a batch gets still bounds small frames only; a frame
+// larger than this goes out alone, as it always did.
+const maxWriteBatch = 64 << 10
+
+// writeLoop drains the queue, (re)connecting as needed. Whatever is
+// already queued goes out in one vectored write under one deadline.
+// Frames the connection took whole are done; on a failed write the frame
+// it was cut in and every frame behind it are retried on the next
+// connection, preserving FIFO.
 func (p *tcpPeer) writeLoop() {
 	defer p.t.wg.Done()
 	var conn net.Conn
@@ -647,51 +661,75 @@ func (p *tcpPeer) writeLoop() {
 		}
 	}()
 	backoff := p.t.opts.ReconnectMin
+	// retry sleeps out the current backoff and doubles it; false means
+	// the peer was stopped meanwhile.
+	retry := func() bool {
+		p.t.nc.Retries.Add(1)
+		select {
+		case <-p.stopped:
+			return false
+		case <-time.After(backoff):
+		}
+		backoff = min(backoff*2, p.t.opts.ReconnectMax)
+		return true
+	}
+	var batch []*[]byte // taken off the queue and not yet written whole, oldest first
+	var bufs net.Buffers
 	for {
-		var frame *[]byte
 		select {
 		case <-p.stopped:
 			return
-		case frame = <-p.out:
+		case frame := <-p.out:
+			batch = append(batch, frame)
 		}
-		for {
+		for len(batch) > 0 {
 			if conn == nil {
-				c, err := net.DialTimeout("tcp", p.dialAddr(), p.t.opts.DialTimeout)
+				c, err := p.t.dial(p.dialAddr(), p.t.opts.DialTimeout)
 				if err != nil {
-					p.t.nc.Retries.Add(1)
-					select {
-					case <-p.stopped:
+					if !retry() {
 						return
-					case <-time.After(backoff):
-					}
-					backoff *= 2
-					if backoff > p.t.opts.ReconnectMax {
-						backoff = p.t.opts.ReconnectMax
 					}
 					continue
 				}
 				conn = c
 				backoff = p.t.opts.ReconnectMin
 			}
+			size := 0
+			for _, frame := range batch {
+				size += len(*frame)
+			}
+		fill:
+			for size < maxWriteBatch {
+				select {
+				case frame := <-p.out:
+					batch = append(batch, frame)
+					size += len(*frame)
+				default:
+					break fill
+				}
+			}
+			bufs = bufs[:0]
+			for _, frame := range batch {
+				bufs = append(bufs, *frame)
+			}
+			// WriteTo consumes the slice it is called on; keep bufs itself
+			// for its capacity.
+			rest := bufs
 			_ = conn.SetWriteDeadline(time.Now().Add(p.t.opts.SendTimeout))
-			if _, err := conn.Write(*frame); err != nil {
+			_, err := rest.WriteTo(conn)
+			// Final disposition: written whole on a live connection.
+			written := len(batch) - len(rest)
+			for _, frame := range batch[:written] {
+				putFrame(frame)
+			}
+			batch = append(batch[:0], batch[written:]...)
+			if err != nil {
 				conn.Close()
 				conn = nil
-				p.t.nc.Retries.Add(1)
-				select {
-				case <-p.stopped:
+				if !retry() {
 					return
-				case <-time.After(backoff):
 				}
-				backoff *= 2
-				if backoff > p.t.opts.ReconnectMax {
-					backoff = p.t.opts.ReconnectMax
-				}
-				continue
 			}
-			break
 		}
-		// Final disposition: written whole on a live connection.
-		putFrame(frame)
 	}
 }

@@ -1,6 +1,9 @@
 package transport
 
 import (
+	"io"
+	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -182,5 +185,71 @@ func TestTCPSpawnKillUnblocksRecv(t *testing.T) {
 	case <-exited:
 	case <-time.After(5 * time.Second):
 		t.Fatal("killed service never exited")
+	}
+}
+
+// cutConn passes writes through until budget bytes have gone out, then
+// fails the write that crosses it part-way through and closes.
+type cutConn struct {
+	net.Conn
+	budget int
+}
+
+func (c *cutConn) Write(b []byte) (int, error) {
+	if len(b) <= c.budget {
+		c.budget -= len(b)
+		return c.Conn.Write(b)
+	}
+	n, _ := c.Conn.Write(b[:c.budget])
+	c.Conn.Close()
+	return n, io.ErrClosedPipe
+}
+
+// TestTCPBatchCutByRedial: the writer gathers queued frames into one
+// vectored write. When the connection dies inside such a write, frames
+// it took whole must not be sent again, the frame it was cut in must be
+// sent again from its start, and the rest must follow in order: the peer
+// sees every frame once.
+func TestTCPBatchCutByRedial(t *testing.T) {
+	const frames = 40
+	a, err := NewTCP(TCPOptions{Node: 1, ReconnectMin: 5 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	b, err := NewTCP(TCPOptions{Node: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	mb := b.Bind("inbox")
+	// The first connection waits until every frame is queued, so that
+	// they go out as one batch, and dies 2.5 frames into it.
+	queued := make(chan struct{})
+	dial := a.dial
+	var dials atomic.Int32
+	a.dial = func(addr string, timeout time.Duration) (net.Conn, error) {
+		<-queued
+		conn, err := dial(addr, timeout)
+		if dials.Add(1) == 1 && err == nil {
+			probe, _ := encodeFrame(Envelope{From: 1, To: Addr{Node: 2, Port: "inbox"}, Payload: 0}, nil)
+			conn = &cutConn{Conn: conn, budget: len(*probe) * 5 / 2}
+		}
+		return conn, err
+	}
+	a.AddPeer(2, b.Addr())
+	for i := 0; i < frames; i++ {
+		if !a.Send(Addr{Node: 2, Port: "inbox"}, i) {
+			t.Fatalf("send %d failed", i)
+		}
+	}
+	close(queued)
+	for i := 0; i < frames; i++ {
+		if env := recvOne(t, mb, 5*time.Second); env.Payload != i {
+			t.Fatalf("message %d arrived as %v: a frame was lost, repeated or reordered", i, env.Payload)
+		}
+	}
+	if n := dials.Load(); n != 2 {
+		t.Errorf("writer dialled %d times, want 2: the cut must have cost one redial", n)
 	}
 }
