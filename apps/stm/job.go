@@ -32,7 +32,9 @@ type Result struct {
 // seeds the block's private store, the alternatives run the generated
 // transactions against it, Extract replays the sequential oracle over
 // the surviving copy's pages, and Cleanup retires the store's world
-// tree on every terminal path.
+// tree on every terminal path. Each input is generated once per job:
+// Extract replays the winner's recorded stream over the image Init
+// seeded (istm.Block).
 //
 // The store is private to the job on purpose: store copies accumulate
 // assumptions about the fates of the worlds that message them, and a
@@ -40,25 +42,31 @@ type Result struct {
 // never be delivered to an alternative (only servers split). One store
 // per block keeps every predicate in a reply implied by its reader.
 func JobFromSpec(spec istm.TxnSpec) serve.Job {
+	return jobFromBlock(spec, istm.NewBlock(spec.Config()))
+}
+
+// jobFromBlock is JobFromSpec over a given block, so tests can look at
+// what the job recorded.
+func jobFromBlock(spec istm.TxnSpec, block *istm.Block) serve.Job {
 	cfg := spec.Config()
 	name := fmt.Sprintf("txn-%d", spec.TxnID)
 	var store *istm.Store
 	return serve.Job{
 		Kind:      Kind,
 		Name:      name,
-		Alts:      istm.Alts(&store, cfg),
+		Alts:      block.Alts(&store),
 		MaxDegree: spec.MaxDegree,
 		Deadline:  time.Duration(spec.DeadlineMS) * time.Millisecond,
 		Init: func(w *core.World) error {
 			store = istm.NewStore(w.Runtime(), "store:"+name, cfg.StoreKeys())
-			return store.Seed(w, istm.InitVals(cfg), cfg.ReadTimeout)
+			return store.Seed(w, block.InitVals(), cfg.ReadTimeout)
 		},
 		Extract: func(w *core.World) (any, error) {
 			final, err := store.ReadAll(w, cfg.ReadTimeout)
 			if err != nil {
 				return nil, err
 			}
-			winner, err := istm.CheckFinal(cfg, final)
+			winner, err := block.CheckFinal(final)
 			if err != nil {
 				return nil, err
 			}

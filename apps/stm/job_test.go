@@ -2,7 +2,11 @@ package stm
 
 import (
 	"context"
+	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
+	"sync"
 	"testing"
 	"time"
 
@@ -95,6 +99,151 @@ func TestSequentialBaselineThroughPool(t *testing.T) {
 	if out := res.Value.(Result); out.Winner%2 != 0 {
 		t.Fatalf("winner %d is an abort-injected alternative", out.Winner)
 	}
+}
+
+// TestExtractMatchesIndependentOracle: deriving a block's inputs once
+// must not weaken its oracle. Blocks of the benchmark's stm stream race
+// all four alternatives through the store — for at least 20 seeds, and
+// on until every alternative has won at least 5 blocks. Each seed runs
+// one block per alternative, spawned last (Go runs the newest goroutine
+// first, so it usually wins; nothing forces it). For every block:
+//   - every guard that ran read exactly GenOps' stream, the winner's
+//     included;
+//   - Extract's result passes istm.CheckFinal, which regenerates every
+//     input from the seed, and names the alternative that committed;
+//   - the final image with one loser's write injected is rejected by
+//     the job's check and by istm.CheckFinal alike.
+func TestExtractMatchesIndependentOracle(t *testing.T) {
+	const alts, minSeeds, maxSeeds, minWins = 4, 20, 100, 5
+	wins := make([]int, alts)
+	blocks, injected := 0, 0
+	for seed := int64(1); seed <= minSeeds || slices.Min(wins) < minWins; seed++ {
+		if seed > maxSeeds {
+			t.Fatalf("wins per alternative after %d seeds: %v", maxSeeds, wins)
+		}
+		spec := istm.TxnSpec{TxnID: seed, Keys: 8, Alts: alts, Ops: 10, ReadFrac: 0.5, Zipf: 1.2, Seed: seed}
+		cfg := spec.Config()
+		for last := 0; last < alts; last++ {
+			block, out := runChecked(t, spec, last)
+			blocks++
+			wins[out.Winner]++
+			final := append(append([]uint64(nil), out.Pages...), uint64(out.Winner)+1)
+			if winner, err := istm.CheckFinal(cfg, final); err != nil || winner != out.Winner {
+				t.Fatalf("seed %d: Extract named winner %d, pages %v; independent oracle: winner %d, %v",
+					seed, out.Winner, out.Pages, winner, err)
+			}
+			for loser := 0; loser < alts; loser++ {
+				if loser == out.Winner {
+					continue
+				}
+				for _, op := range istm.GenOps(cfg, loser) {
+					if op.Read || final[op.Key] == op.Val {
+						continue
+					}
+					bad := append([]uint64(nil), final...)
+					bad[op.Key] = op.Val
+					if _, err := block.CheckFinal(bad); err == nil {
+						t.Fatalf("seed %d winner %d: the job's check accepted loser %d's write to key %d", seed, out.Winner, loser, op.Key)
+					}
+					if _, err := istm.CheckFinal(cfg, bad); err == nil {
+						t.Fatalf("seed %d winner %d: istm.CheckFinal accepted loser %d's write to key %d", seed, out.Winner, loser, op.Key)
+					}
+					injected++
+					break
+				}
+			}
+		}
+	}
+	if injected < blocks {
+		t.Fatalf("only %d loser writes injected over %d blocks", injected, blocks)
+	}
+	t.Logf("%d blocks, wins per alternative %v", blocks, wins)
+}
+
+// runChecked runs spec's block with alternative last spawned last and
+// returns the block and Extract's result, having checked that every
+// guard read its body's stream. A block in which no alternative could
+// commit (all lost a reply: ROADMAP item 1, a liveness failure this
+// test does not measure) is run again.
+func runChecked(t *testing.T, spec istm.TxnSpec, last int) (*istm.Block, Result) {
+	t.Helper()
+	const attempts = 3
+	cfg := spec.Config()
+	var lastErr error
+	for a := 0; a < attempts; a++ {
+		block := istm.NewBlock(cfg)
+		job := jobFromBlock(spec, block)
+		// Each guard checks its stream on its own alternative's goroutine,
+		// concurrently with its siblings'.
+		var mu sync.Mutex
+		var wrong []string
+		ran := make([]bool, len(job.Alts))
+		for i := range job.Alts {
+			i, guard := i, job.Alts[i].Guard
+			job.Alts[i].Guard = func(w *core.World) (bool, error) {
+				ok, err := guard(w)
+				same := reflect.DeepEqual(block.Ops(i), istm.GenOps(cfg, i))
+				mu.Lock()
+				defer mu.Unlock()
+				if !same {
+					wrong = append(wrong, fmt.Sprintf("alternative %d's guard read %v", i, block.Ops(i)))
+				}
+				ran[i] = true
+				return ok, err
+			}
+		}
+		out, committed, err := runJobDirect(job, last)
+		if err != nil {
+			lastErr = err
+			continue
+		}
+		if out.Winner != committed {
+			t.Fatalf("seed %d: alternative %d committed, the store names %d", spec.Seed, committed, out.Winner)
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(wrong) > 0 || !ran[committed] {
+			t.Fatalf("seed %d winner %d: guards that did not read GenOps' stream: %v (winner's guard ran: %v)",
+				spec.Seed, committed, wrong, ran[committed])
+		}
+		return block, out
+	}
+	t.Fatalf("seed %d: %d attempts failed, last: %v", spec.Seed, attempts, lastErr)
+	return nil, Result{}
+}
+
+// runJobDirect runs job as the serve pool would, on its own runtime,
+// with alternative last spawned last, and returns Extract's result and
+// the index of the alternative that committed.
+func runJobDirect(job serve.Job, last int) (Result, int, error) {
+	rt := core.New(core.Config{})
+	root, err := rt.NewRootWorld("root", 4<<10)
+	if err != nil {
+		return Result{}, -1, err
+	}
+	defer rt.Wait() // no world of this block outlives it
+	defer rt.Shutdown(root)
+	defer job.Cleanup(root)
+	if err := job.Init(root); err != nil {
+		return Result{}, -1, err
+	}
+	order := make([]int, 0, len(job.Alts))
+	wave := make([]core.Alt, 0, len(job.Alts))
+	for i := range job.Alts {
+		if i != last {
+			order, wave = append(order, i), append(wave, job.Alts[i])
+		}
+	}
+	order, wave = append(order, last), append(wave, job.Alts[last])
+	res, err := root.RunAlt(core.Options{SyncElimination: true}, wave...)
+	if err != nil {
+		return Result{}, -1, err
+	}
+	v, err := job.Extract(root)
+	if err != nil {
+		return Result{}, -1, err
+	}
+	return v.(Result), order[res.Index], nil
 }
 
 // TestLineageRetiresPerJob: a store's split lineage is dead once its job

@@ -196,8 +196,11 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 
 	// Phase 2: build child worlds (setup overhead, charged to the
 	// blocked parent). children is indexed by live slot k; reports
-	// carry the original alternative index.
+	// carry the original alternative index. Every child's set is derived
+	// from one snapshot of the parent's.
 	children := make([]*World, len(live))
+	parentPreds := w.Predicates()
+	sibPIDs := make([]ids.PID, 0, len(pids))
 	for k, i := range live {
 		var (
 			space *mem.AddressSpace
@@ -216,17 +219,13 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		if err != nil {
 			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
 		}
-		preds := w.Predicates()
-		if err := preds.RequireComplete(pids[k]); err != nil {
-			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
+		sibPIDs = append(append(sibPIDs[:0], pids[:k]...), pids[k+1:]...)
+		preds, err := parentPreds.WithComplete(pids[k])
+		if err == nil {
+			preds, err = preds.WithFail(sibPIDs...)
 		}
-		for j, sib := range pids {
-			if j == k {
-				continue
-			}
-			if err := preds.RequireFail(sib); err != nil {
-				return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
-			}
+		if err != nil {
+			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
 		}
 		cw := &World{
 			rt:         rt,
@@ -240,7 +239,9 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		}
 		rt.registerWorld(cw)
 		children[k] = cw
-		rt.log.Addf(start, trace.KindSpawn, cw.pid, "alt %d of %v", i+1, w.pid)
+		if rt.log != nil {
+			rt.log.Addf(start, trace.KindSpawn, cw.pid, "alt %d of %v", i+1, w.pid)
+		}
 		if opts.Probe != nil {
 			opts.Probe.ChildSpawned(cw.pid, cw.name, rt.be.now())
 		}
@@ -354,7 +355,9 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	}
 	w.inheritDeferred(ww)
 	rt.unregisterWorld(ww)
-	rt.log.Addf(rt.be.now(), trace.KindCommit, ww.pid, "absorbed into %v", w.pid)
+	if rt.log != nil {
+		rt.log.Addf(rt.be.now(), trace.KindCommit, ww.pid, "absorbed into %v", w.pid)
+	}
 	if opts.Probe != nil {
 		opts.Probe.Committed(ww.pid, rt.be.now())
 	}
@@ -418,7 +421,9 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		}
 	}
 	if err != nil {
-		rt.log.Addf(rt.be.now(), trace.KindGuardFail, cw.pid, "%v", err)
+		if rt.log != nil {
+			rt.log.Addf(rt.be.now(), trace.KindGuardFail, cw.pid, "%v", err)
+		}
 		if opts.Probe != nil {
 			// A body that errors after its world was cancelled lost an
 			// elimination race; only report a genuine failure when the
@@ -438,11 +443,15 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		done.put(rep)
 		return
 	}
-	rt.log.Add(rt.be.now(), trace.KindGuardPass, cw.pid, alt.Name)
+	if rt.log != nil {
+		rt.log.Add(rt.be.now(), trace.KindGuardPass, cw.pid, alt.Name)
+	}
 	if cw.Terminated() || !claim(cw) {
 		// "It is informed that it is 'too late' for the
 		// synchronization, and it should terminate itself" (§3.2.1).
-		rt.log.Add(rt.be.now(), trace.KindTooLate, cw.pid, alt.Name)
+		if rt.log != nil {
+			rt.log.Add(rt.be.now(), trace.KindTooLate, cw.pid, alt.Name)
+		}
 		if opts.Probe != nil {
 			opts.Probe.ChildExit(cw.pid, OutcomeTooLate, rt.be.now(), cw.CopiedPages())
 		}

@@ -410,8 +410,10 @@ func (rt *Runtime) registerWorld(w *World) {
 		outcome, nowResolved := w.applyResolution(p, st.Succeeded())
 		switch outcome {
 		case predicate.Contradicted:
-			rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
-				"assumption about %v failed", p)
+			if rt.log != nil {
+				rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
+					"assumption about %v failed", p)
+			}
 			rt.propagate([]propEvent{{eliminate: w}})
 			return
 		case predicate.Simplified:
@@ -585,8 +587,10 @@ func (rt *Runtime) propagate(events []propEvent) {
 			outcome, nowResolved := w.applyResolution(ev.resolvePID, ev.completed)
 			switch outcome {
 			case predicate.Contradicted:
-				rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
-					"assumption about %v failed", ev.resolvePID)
+				if rt.log != nil {
+					rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
+						"assumption about %v failed", ev.resolvePID)
+				}
 				q.items = append(q.items, propEvent{eliminate: w})
 			case predicate.Simplified:
 				if nowResolved {
@@ -628,7 +632,9 @@ func (rt *Runtime) eliminateOne(w *World) bool {
 		// (discard is idempotent).
 		w.discardSpace()
 	}
-	rt.log.Add(rt.be.now(), trace.KindEliminate, w.pid, w.name)
+	if rt.log != nil {
+		rt.log.Add(rt.be.now(), trace.KindEliminate, w.pid, w.name)
+	}
 	return true
 }
 

@@ -15,16 +15,14 @@ import (
 // equivalent of a parked speculative process: it sits in the registry
 // and (dis)appears from predicate-subscription buckets.
 func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []ids.PID) *World {
-	preds := predicate.New()
+	preds, err := predicate.New().WithFail(cant...)
 	for _, p := range must {
-		if err := preds.RequireComplete(p); err != nil {
-			tb.Fatal(err)
+		if err == nil {
+			preds, err = preds.WithComplete(p)
 		}
 	}
-	for _, p := range cant {
-		if err := preds.RequireFail(p); err != nil {
-			tb.Fatal(err)
-		}
+	if err != nil {
+		tb.Fatal(err)
 	}
 	return registerBodiless(rt, ids.None, name, preds, false)
 }

@@ -108,8 +108,8 @@ func (rt *Runtime) serverLoop(w *World) {
 // state; it reports false when no split happened (message handled
 // directly, or dropped) so the loop continues.
 func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
-	senderPreds := req.m.SenderPredicates.Clone()
-	if !rt.normalizePreds(senderPreds) {
+	senderPreds, live := rt.normalizePreds(req.m.SenderPredicates)
+	if !live {
 		return false // the sender's assumptions already failed: dead-world message
 	}
 	switch rt.procs.Status(req.m.Sender) {
@@ -177,35 +177,32 @@ func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
 	}
 
 	rt.unregisterWorld(w)
-	rt.log.Addf(rt.be.now(), trace.KindWorldSplit, w.pid,
-		"split into %v (assume) and %v (deny) on message from %v",
-		assume.pid, deny.pid, req.m.Sender)
+	if rt.log != nil {
+		rt.log.Addf(rt.be.now(), trace.KindWorldSplit, w.pid,
+			"split into %v (assume) and %v (deny) on message from %v",
+			assume.pid, deny.pid, req.m.Sender)
+	}
 	rt.spawnServerLoop(assume)
 	rt.spawnServerLoop(deny)
 	return true
 }
 
-// normalizePreds folds already-decided process fates into a predicate
-// snapshot. It reports false when some assumption is already known
-// false (the holder's world is dead).
-func (rt *Runtime) normalizePreds(s *predicate.Set) bool {
-	for _, p := range s.MustList() {
-		switch rt.procs.Status(p) {
-		case proc.Completed:
-			s.ResolveComplete(p)
-		case proc.Failed, proc.Eliminated:
-			return false
+// normalizePreds derives from a predicate snapshot the set with every
+// already-decided process fate folded in. It reports false when some
+// assumption is already known false (the holder's world is dead).
+func (rt *Runtime) normalizePreds(s *predicate.Set) (*predicate.Set, bool) {
+	var buf [16]ids.PID
+	for _, p := range s.AppendPIDs(buf[:0]) {
+		st := rt.procs.Status(p)
+		if !st.Terminal() || st == proc.Forked {
+			continue // unresolved (a fork's copies carry its obligations)
+		}
+		var out predicate.Outcome
+		if s, out = s.Resolve(p, st.Succeeded()); out == predicate.Contradicted {
+			return nil, false
 		}
 	}
-	for _, p := range s.CantList() {
-		switch rt.procs.Status(p) {
-		case proc.Failed, proc.Eliminated:
-			s.ResolveFail(p)
-		case proc.Completed:
-			return false
-		}
-	}
-	return true
+	return s, true
 }
 
 // cloneServer builds one split copy: COW-forked space, given predicate

@@ -88,12 +88,13 @@ func (w *World) Size() int64 { return w.space.Size() }
 // Runtime returns the owning runtime.
 func (w *World) Runtime() *Runtime { return w.rt }
 
-// Predicates returns a snapshot of the world's assumption set
-// (msg.Receiver).
+// Predicates returns the world's current assumption set (msg.Receiver).
+// Sets are immutable, so the pointer is a snapshot: a later resolution
+// replaces w's set and leaves this one as it was.
 func (w *World) Predicates() *predicate.Set {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.preds.Clone()
+	return w.preds
 }
 
 // Speculative reports whether the world still runs under unresolved
@@ -104,18 +105,15 @@ func (w *World) Speculative() bool {
 	return w.preds.Unresolved()
 }
 
-// applyResolution updates the predicate set for pid's fate. It returns
-// the outcome and whether the set became fully resolved.
+// applyResolution applies pid's fate to the predicate set, replacing
+// the set when the resolution simplifies it. It returns the outcome and
+// whether the set became fully resolved.
 func (w *World) applyResolution(pid ids.PID, completed bool) (predicate.Outcome, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	var out predicate.Outcome
-	if completed {
-		out = w.preds.ResolveComplete(pid)
-	} else {
-		out = w.preds.ResolveFail(pid)
-	}
-	return out, out == predicate.Simplified && !w.preds.Unresolved()
+	preds, out := w.preds.Resolve(pid, completed)
+	w.preds = preds
+	return out, out == predicate.Simplified && !preds.Unresolved()
 }
 
 // markTerminated flips the terminated flag; reports false if already
@@ -320,8 +318,8 @@ func (w *World) Cancel() {
 // ---------------------------------------------------------------------
 
 // Send routes data to the world dest, stamping the message with this
-// world's current predicate set. Destinations that have split are
-// fanned out to their live copies.
+// world's current predicate set, shared rather than copied.
+// Destinations that have split are fanned out to their live copies.
 func (w *World) Send(dest ids.PID, data any) error {
 	if w.eliminated.Load() {
 		return ErrEliminated

@@ -14,8 +14,8 @@ func now() time.Time { return time.Unix(0, 0) }
 
 func specSet(t *testing.T) *predicate.Set {
 	t.Helper()
-	s := predicate.New()
-	if err := s.RequireComplete(ids.PID(9)); err != nil {
+	s, err := predicate.New().WithComplete(ids.PID(9))
+	if err != nil {
 		t.Fatal(err)
 	}
 	return s

@@ -21,15 +21,14 @@
 //     runs.
 //
 // Handles live in a grow-only registration list so Advance can scan
-// them, and are cached per-P through a sync.Pool of small ref objects;
-// when the pool drops a ref on a GC cycle, the ref's finalizer releases
-// the underlying handle for re-claiming, so the list stays bounded by
-// the historical maximum of concurrent pins rather than growing with
-// every GC.
+// them, and are cached per-P through a sync.Pool of small ref objects.
+// A handle is claimed only while pinned: Unpin releases it before the
+// ref goes back to the pool, so a ref the pool drops (on a GC cycle, or
+// at random under the race detector) holds nothing, and the list stays
+// bounded by the historical maximum of concurrent pins.
 package epoch
 
 import (
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -40,9 +39,9 @@ import (
 const collectThreshold = 64
 
 // handle is one reader's epoch slot. A handle is pinned when epoch != 0
-// and quiescent otherwise; claimed guards the transfer of a handle
-// between goroutines (via the ref pool), never the pin itself. The pad
-// keeps concurrently-pinning readers off each other's cache lines.
+// and quiescent otherwise; claimed is held from Pin to Unpin, so one
+// handle serves one reader at a time. The pad keeps concurrently-pinning
+// readers off each other's cache lines.
 type handle struct {
 	epoch   atomic.Uint64
 	claimed atomic.Uint32
@@ -50,11 +49,9 @@ type handle struct {
 	_       [40]byte
 }
 
-// ref is the pooled per-P wrapper around a claimed handle. The
-// indirection exists so a ref dropped by the pool on a GC cycle can
-// release its handle through a finalizer; the handle itself is pinned
-// into the registration list forever and must not hold claimed=1 with
-// no owner.
+// ref is the pooled per-P cache of the handle its last reader used;
+// the next Pin on that P reclaims it unless another reader has taken it
+// in the meantime.
 type ref struct {
 	h *handle
 }
@@ -77,7 +74,7 @@ type Domain struct {
 	// handles is the grow-only registration list Advance scans.
 	handles atomic.Pointer[handle]
 
-	refs sync.Pool // *ref with a claimed handle
+	refs sync.Pool // *ref
 
 	retMu   sync.Mutex
 	retired []retiree
@@ -91,22 +88,13 @@ type Domain struct {
 func NewDomain() *Domain {
 	d := &Domain{}
 	d.global.Store(1)
-	d.refs.New = func() any {
-		r := &ref{h: d.claimHandle()}
-		// If the pool drops this ref (GC of a victim cache), release
-		// the handle so claimHandle can hand it to a future reader
-		// instead of growing the registration list.
-		runtime.SetFinalizer(r, func(r *ref) {
-			r.h.claimed.Store(0)
-		})
-		return r
-	}
+	d.refs.New = func() any { return new(ref) }
 	return d
 }
 
 // claimHandle finds a quiescent, unclaimed handle in the registration
-// list or registers a new one. Only the ref pool's New calls it, so it
-// is off every hot path.
+// list or registers a new one. Pin calls it only when its ref's cached
+// handle is missing or taken, so it is off the hot path.
 func (d *Domain) claimHandle() *handle {
 	for h := d.handles.Load(); h != nil; h = h.next {
 		if h.claimed.Load() == 0 && h.claimed.CompareAndSwap(0, 1) {
@@ -133,10 +121,13 @@ type Guard struct {
 
 // Pin enters a read-side critical section: objects reachable from
 // shared state at any point while pinned will not be recycled until
-// after Unpin. Pins are cheap (two atomic stores and a pool hit) and
-// may nest — each Pin claims its own handle.
+// after Unpin. Pins are cheap (a pool hit, a CAS and two atomic stores)
+// and may nest — each Pin claims its own handle.
 func (d *Domain) Pin() Guard {
 	r := d.refs.Get().(*ref)
+	if r.h == nil || !r.h.claimed.CompareAndSwap(0, 1) {
+		r.h = d.claimHandle()
+	}
 	h := r.h
 	// Store-then-recheck: if the global epoch moved between the load
 	// and the store, the store may have parked the handle at a stale
@@ -153,9 +144,11 @@ func (d *Domain) Pin() Guard {
 	return Guard{d: d, r: r}
 }
 
-// Unpin leaves the read-side critical section.
+// Unpin leaves the read-side critical section and releases the handle
+// before the ref goes back to the pool, which may drop it.
 func (g Guard) Unpin() {
 	g.r.h.epoch.Store(0)
+	g.r.h.claimed.Store(0)
 	g.d.refs.Put(g.r)
 }
 

@@ -62,6 +62,27 @@ func TestStalePinDoesNotStallForever(t *testing.T) {
 	}
 }
 
+// TestDroppedRefsLeakNoHandles: the ref pool may drop any ref it holds
+// (on a GC cycle, and a quarter of all Puts under the race detector).
+// A dropped ref must not keep its handle claimed, or every later Pin
+// registers a new handle and claimHandle's scan grows with the number
+// of pins between two GCs.
+func TestDroppedRefsLeakNoHandles(t *testing.T) {
+	d := NewDomain()
+	for i := 0; i < 1000; i++ {
+		g := d.Pin()
+		g.Unpin()
+		d.refs.Get() // drop the ref, as the pool may
+	}
+	n := 0
+	for h := d.handles.Load(); h != nil; h = h.next {
+		n++
+	}
+	if n > 1 {
+		t.Fatalf("one reader at a time registered %d handles", n)
+	}
+}
+
 func TestPinUnpinConcurrent(t *testing.T) {
 	d := NewDomain()
 	var readers, writers sync.WaitGroup

@@ -36,9 +36,10 @@ type Message struct {
 	Seq int64
 	// Sender identifies the sending process (control information).
 	Sender ids.PID
-	// SenderPredicates is the sending predicate: a snapshot of the
-	// sender's assumptions at send time. Read-only: copies of a split
-	// receiver share it.
+	// SenderPredicates is the sending predicate: the sender's
+	// assumptions at send time. Sets are immutable, so the sender's
+	// current set is the snapshot, and copies of a split receiver share
+	// it.
 	SenderPredicates *predicate.Set
 	// Dest identifies the destination process (control information).
 	Dest ids.PID
@@ -149,11 +150,11 @@ func (r *Router) Stats() Stats {
 	}
 }
 
-// Send routes data from the sender (with predicate snapshot senderPred)
-// to pid, applying the accept/ignore/split rule. The message keeps
-// senderPred itself, so it must be a snapshot nobody mutates afterwards;
-// one snapshot may be shared by any number of sends (a fan-out to split
-// copies). The receiver's set is snapshotted once per send.
+// Send routes data from the sender (with predicate set senderPred) to
+// pid, applying the accept/ignore/split rule. The message carries
+// senderPred itself — sets are immutable, so one may be shared by any
+// number of sends (a fan-out to split copies). The receiver's set is
+// read once per send.
 func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, data any) error {
 	rcv := r.lookup(dest)
 	if rcv == nil {
@@ -167,19 +168,27 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 		Data:             data,
 	}
 	r.sent.Add(1)
-
-	r.log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, m.SenderPredicates)
+	// Every trace site tests the log first: with tracing off no argument
+	// is evaluated (no clock read, no boxing).
+	log := r.log
+	if log != nil {
+		log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, m.SenderPredicates)
+	}
 
 	rcvPred := rcv.Predicates()
 	switch predicate.Decide(rcvPred, m.SenderPredicates) {
 	case predicate.Accept:
 		r.accepted.Add(1)
-		r.log.Addf(r.now(), trace.KindMsgAccept, dest, "seq %d from %v", m.Seq, sender)
+		if log != nil {
+			log.Addf(r.now(), trace.KindMsgAccept, dest, "seq %d from %v", m.Seq, sender)
+		}
 		rcv.Deliver(m)
 		return nil
 	case predicate.Ignore:
 		r.ignored.Add(1)
-		r.log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (conflicting worlds)", m.Seq, sender)
+		if log != nil {
+			log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (conflicting worlds)", m.Seq, sender)
+		}
 		return nil
 	default: // Split
 		assume, deny, err := predicate.SplitWorlds(rcvPred, m.SenderPredicates, sender)
@@ -188,11 +197,15 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 			// treat as ignore (the sender's world is already dead from
 			// the receiver's perspective).
 			r.ignored.Add(1)
-			r.log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (split impossible: %v)", m.Seq, sender, err)
+			if log != nil {
+				log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (split impossible: %v)", m.Seq, sender, err)
+			}
 			return nil
 		}
 		r.splits.Add(1)
-		r.log.Addf(r.now(), trace.KindMsgSplit, dest, "seq %d from %v", m.Seq, sender)
+		if log != nil {
+			log.Addf(r.now(), trace.KindMsgSplit, dest, "seq %d from %v", m.Seq, sender)
+		}
 		if err := rcv.Split(assume, deny, m); err != nil {
 			return fmt.Errorf("split receiver %v: %w", dest, err)
 		}

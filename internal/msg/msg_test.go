@@ -17,7 +17,7 @@ type fakeReceiver struct {
 	delivered []Message
 	splits    []struct{ assume, deny *predicate.Set }
 	splitErr  error
-	snapshots int // Predicates calls: each one is a clone in a real world
+	snapshots int // Predicates calls: each one takes a world's lock
 }
 
 func (f *fakeReceiver) PID() ids.PID { return f.pid }
@@ -201,13 +201,14 @@ func TestSeqMonotonic(t *testing.T) {
 func mustPred(t *testing.T, must, cant []int64) *predicate.Set {
 	t.Helper()
 	s := predicate.New()
+	var err error
 	for _, p := range must {
-		if err := s.RequireComplete(ids.PID(p)); err != nil {
+		if s, err = s.WithComplete(ids.PID(p)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	for _, p := range cant {
-		if err := s.RequireFail(ids.PID(p)); err != nil {
+		if s, err = s.WithFail(ids.PID(p)); err != nil {
 			t.Fatal(err)
 		}
 	}

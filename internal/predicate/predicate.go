@@ -8,11 +8,19 @@
 // The representation as two PID lists is deliberately simpler than
 // Eswaran-style data predicates: it is updated when *processes* change
 // status, which happens far less often than memory references (§3.3).
+//
+// A Set is an immutable value shared by pointer. Nothing changes a Set
+// once it is built: WithComplete, WithFail, Union, Resolve and
+// SplitWorlds derive new sets and leave their receivers alone. So a
+// world hands out its current set without copying, a message carries
+// its sender's set by pointer to every copy it fans out to, and a
+// resolution replaces a world's set instead of editing it — a snapshot
+// taken before the resolution still says what it said.
 package predicate
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"altrun/internal/ids"
@@ -20,53 +28,47 @@ import (
 
 // Set is a conjunction of assumptions: every PID in the must-complete
 // list completes successfully, and every PID in the can't-complete list
-// does not. The zero value is not usable; call New.
+// does not. The lists are sorted, free of duplicates and disjoint, and
+// never written after the Set is built; derived sets share the lists
+// they did not change. The zero value is the empty set.
 type Set struct {
-	must map[ids.PID]struct{}
-	cant map[ids.PID]struct{}
+	must []ids.PID
+	cant []ids.PID
 }
+
+// empty is the one empty set; immutability makes sharing it safe.
+var empty = &Set{}
 
 // New returns an empty (always-true) predicate set.
-func New() *Set {
-	return &Set{
-		must: make(map[ids.PID]struct{}),
-		cant: make(map[ids.PID]struct{}),
+func New() *Set { return empty }
+
+// WithComplete returns s plus the assumption that p completes
+// successfully. Adding an assumption already contradicted returns a
+// *ContradictionError. A child's predicates "consist of those of the
+// parent" plus its own (§3.3), so spawning derives from the parent.
+func (s *Set) WithComplete(p ids.PID) (*Set, error) {
+	if contains(s.cant, p) {
+		return nil, &ContradictionError{PID: p}
 	}
+	if contains(s.must, p) {
+		return s, nil
+	}
+	return &Set{must: merge(s.must, []ids.PID{p}), cant: s.cant}, nil
 }
 
-// Clone returns an independent copy. A child's predicates "consist of
-// those of the parent" (§3.3), so spawning starts from Clone.
-func (s *Set) Clone() *Set {
-	n := &Set{
-		must: make(map[ids.PID]struct{}, len(s.must)),
-		cant: make(map[ids.PID]struct{}, len(s.cant)),
+// WithFail returns s plus the assumption that none of ps completes
+// successfully.
+func (s *Set) WithFail(ps ...ids.PID) (*Set, error) {
+	for _, p := range ps {
+		if contains(s.must, p) {
+			return nil, &ContradictionError{PID: p}
+		}
 	}
-	for p := range s.must {
-		n.must[p] = struct{}{}
+	cant := merge(s.cant, ps)
+	if len(cant) == len(s.cant) {
+		return s, nil
 	}
-	for p := range s.cant {
-		n.cant[p] = struct{}{}
-	}
-	return n
-}
-
-// RequireComplete adds the assumption that p completes successfully.
-// Adding an assumption already contradicted returns ErrContradiction.
-func (s *Set) RequireComplete(p ids.PID) error {
-	if _, bad := s.cant[p]; bad {
-		return &ContradictionError{PID: p}
-	}
-	s.must[p] = struct{}{}
-	return nil
-}
-
-// RequireFail adds the assumption that p does NOT complete successfully.
-func (s *Set) RequireFail(p ids.PID) error {
-	if _, bad := s.must[p]; bad {
-		return &ContradictionError{PID: p}
-	}
-	s.cant[p] = struct{}{}
-	return nil
+	return &Set{must: s.must, cant: cant}, nil
 }
 
 // ContradictionError reports an impossible predicate set: some PID is
@@ -82,10 +84,10 @@ func (e *ContradictionError) Error() string {
 }
 
 // MustComplete reports whether the set assumes p completes.
-func (s *Set) MustComplete(p ids.PID) bool { _, ok := s.must[p]; return ok }
+func (s *Set) MustComplete(p ids.PID) bool { return contains(s.must, p) }
 
 // CantComplete reports whether the set assumes p does not complete.
-func (s *Set) CantComplete(p ids.PID) bool { _, ok := s.cant[p]; return ok }
+func (s *Set) CantComplete(p ids.PID) bool { return contains(s.cant, p) }
 
 // Len returns the number of outstanding assumptions.
 func (s *Set) Len() int { return len(s.must) + len(s.cant) }
@@ -100,50 +102,25 @@ func (s *Set) Unresolved() bool { return s.Len() > 0 }
 // already an assumption of s. A receiver whose predicates imply the
 // sender's accepts the message immediately (§3.4.2, "S ⊆ R").
 func (s *Set) Implies(other *Set) bool {
-	for p := range other.must {
-		if _, ok := s.must[p]; !ok {
-			return false
-		}
-	}
-	for p := range other.cant {
-		if _, ok := s.cant[p]; !ok {
-			return false
-		}
-	}
-	return true
+	return subset(other.must, s.must) && subset(other.cant, s.cant)
 }
 
 // ConflictsWith reports whether s and other make opposite assumptions
 // about any PID ("p ∈ S and ¬p ∈ R", §3.4.2).
 func (s *Set) ConflictsWith(other *Set) bool {
-	for p := range other.must {
-		if _, ok := s.cant[p]; ok {
-			return true
-		}
-	}
-	for p := range other.cant {
-		if _, ok := s.must[p]; ok {
-			return true
-		}
-	}
-	return false
+	_, a := common(s.cant, other.must)
+	_, b := common(s.must, other.cant)
+	return a || b
 }
 
-// Union merges other's assumptions into a copy of s. It returns
-// ErrContradiction (as *ContradictionError) if the result is impossible.
+// Union returns the assumptions of s and other together. It returns a
+// *ContradictionError if the result is impossible.
 func (s *Set) Union(other *Set) (*Set, error) {
-	n := s.Clone()
-	for p := range other.must {
-		if err := n.RequireComplete(p); err != nil {
-			return nil, err
-		}
+	must, cant := merge(s.must, other.must), merge(s.cant, other.cant)
+	if p, ok := common(must, cant); ok {
+		return nil, &ContradictionError{PID: p}
 	}
-	for p := range other.cant {
-		if err := n.RequireFail(p); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
+	return &Set{must: must, cant: cant}, nil
 }
 
 // Outcome is the effect of resolving a process's fate on a Set.
@@ -175,79 +152,61 @@ func (o Outcome) String() string {
 	}
 }
 
-// ResolveComplete records that p completed successfully.
-func (s *Set) ResolveComplete(p ids.PID) Outcome {
-	if _, ok := s.cant[p]; ok {
-		return Contradicted
+// Resolve records that p completed successfully (completed) or failed
+// or was eliminated (!completed). On Simplified it returns the set
+// without the satisfied assumption; otherwise it returns s itself.
+func (s *Set) Resolve(p ids.PID, completed bool) (*Set, Outcome) {
+	holds, denied := s.must, s.cant
+	if !completed {
+		holds, denied = s.cant, s.must
 	}
-	if _, ok := s.must[p]; ok {
-		delete(s.must, p)
-		return Simplified
+	if contains(denied, p) {
+		return s, Contradicted
 	}
-	return Unaffected
+	i, ok := slices.BinarySearch(holds, p)
+	if !ok {
+		return s, Unaffected
+	}
+	rest := slices.Delete(slices.Clone(holds), i, i+1)
+	if completed {
+		return &Set{must: rest, cant: s.cant}, Simplified
+	}
+	return &Set{must: s.must, cant: rest}, Simplified
 }
 
-// ResolveFail records that p failed (or was eliminated).
-func (s *Set) ResolveFail(p ids.PID) Outcome {
-	if _, ok := s.must[p]; ok {
-		return Contradicted
-	}
-	if _, ok := s.cant[p]; ok {
-		delete(s.cant, p)
-		return Simplified
-	}
-	return Unaffected
-}
-
-// AppendPIDs appends every PID the set mentions (must-complete and
-// can't-complete, which are disjoint) to buf and returns the extended
-// slice, in no particular order. It is the allocation-free enumeration
-// the runtime's predicate-subscription index is built from: a world is
-// affected by exactly the resolutions of the PIDs listed here.
+// AppendPIDs appends every PID the set mentions (must-complete, then
+// can't-complete; the lists are disjoint) to buf and returns the
+// extended slice. It is the allocation-free enumeration the runtime's
+// predicate-subscription index is built from: a world is affected by
+// exactly the resolutions of the PIDs listed here.
 func (s *Set) AppendPIDs(buf []ids.PID) []ids.PID {
-	for p := range s.must {
-		buf = append(buf, p)
-	}
-	for p := range s.cant {
-		buf = append(buf, p)
-	}
-	return buf
+	return append(append(buf, s.must...), s.cant...)
 }
 
 // MustList returns the must-complete PIDs in ascending order.
-func (s *Set) MustList() []ids.PID { return sortedPIDs(s.must) }
+func (s *Set) MustList() []ids.PID { return slices.Clone(s.must) }
 
 // CantList returns the can't-complete PIDs in ascending order.
-func (s *Set) CantList() []ids.PID { return sortedPIDs(s.cant) }
-
-func sortedPIDs(m map[ids.PID]struct{}) []ids.PID {
-	out := make([]ids.PID, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s *Set) CantList() []ids.PID { return slices.Clone(s.cant) }
 
 // String renders the set as {must: p1,p2 cant: p3}.
 func (s *Set) String() string {
 	var b strings.Builder
 	b.WriteString("{must:")
-	for i, p := range s.MustList() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.String())
-	}
+	writePIDs(&b, s.must)
 	b.WriteString(" cant:")
-	for i, p := range s.CantList() {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(p.String())
-	}
+	writePIDs(&b, s.cant)
 	b.WriteByte('}')
 	return b.String()
+}
+
+func writePIDs(b *strings.Builder, ps []ids.PID) {
+	for i, p := range ps {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(p.String())
+	}
 }
 
 // Decision is what a receiver does with a message, per §3.4.2.
@@ -279,9 +238,10 @@ func (d Decision) String() string {
 }
 
 // Decide classifies a message with sender predicates S arriving at a
-// receiver with predicates R (§3.4.2).
+// receiver with predicates R (§3.4.2). The same set on both sides is an
+// Accept without looking inside.
 func Decide(receiver, sender *Set) Decision {
-	if receiver.Implies(sender) {
+	if receiver == sender || receiver.Implies(sender) {
 		return Accept
 	}
 	if receiver.ConflictsWith(sender) {
@@ -299,15 +259,69 @@ func Decide(receiver, sender *Set) Decision {
 // (fn. 3) — i.e., it assumes only that the sender itself can't complete.
 func SplitWorlds(receiver, sender *Set, senderPID ids.PID) (assume, deny *Set, err error) {
 	assume, err = receiver.Union(sender)
+	if err == nil {
+		assume, err = assume.WithComplete(senderPID)
+	}
 	if err != nil {
 		return nil, nil, fmt.Errorf("assume-world: %w", err)
 	}
-	if err := assume.RequireComplete(senderPID); err != nil {
-		return nil, nil, fmt.Errorf("assume-world: %w", err)
-	}
-	deny = receiver.Clone()
-	if err := deny.RequireFail(senderPID); err != nil {
+	deny, err = receiver.WithFail(senderPID)
+	if err != nil {
 		return nil, nil, fmt.Errorf("deny-world: %w", err)
 	}
 	return assume, deny, nil
+}
+
+// contains reports whether the sorted list ps holds p.
+func contains(ps []ids.PID, p ids.PID) bool {
+	_, ok := slices.BinarySearch(ps, p)
+	return ok
+}
+
+// merge returns the sorted list ps with the PIDs of add, in any order,
+// merged in: ps itself when add holds nothing new, else a new list.
+func merge(ps, add []ids.PID) []ids.PID {
+	for _, p := range add {
+		if !contains(ps, p) {
+			out := make([]ids.PID, 0, len(ps)+len(add))
+			out = append(append(out, ps...), add...)
+			slices.Sort(out)
+			return slices.Compact(out)
+		}
+	}
+	return ps
+}
+
+// subset reports whether every PID of sorted sub is in sorted super.
+func subset(sub, super []ids.PID) bool {
+	if len(sub) > len(super) {
+		return false
+	}
+	j := 0
+	for _, p := range sub {
+		for j < len(super) && super[j] < p {
+			j++
+		}
+		if j == len(super) || super[j] != p {
+			return false
+		}
+		j++
+	}
+	return true
+}
+
+// common returns the smallest PID both sorted lists hold, if any.
+func common(a, b []ids.PID) (ids.PID, bool) {
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			return a[i], true
+		}
+	}
+	return 0, false
 }

@@ -71,7 +71,7 @@ func TestBlockCommitMatchesOracle(t *testing.T) {
 
 	before := rt.MsgStats()
 	var storep = store
-	res, err := root.RunAlt(core.Options{SyncElimination: true}, Alts(&storep, cfg)...)
+	res, err := root.RunAlt(core.Options{SyncElimination: true}, NewBlock(cfg).Alts(&storep)...)
 	if err != nil {
 		t.Fatalf("RunAlt: %v", err)
 	}
@@ -117,7 +117,7 @@ func TestAllAbortFailsBlock(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	var storep = store
-	_, err := root.RunAlt(core.Options{SyncElimination: true}, Alts(&storep, cfg)...)
+	_, err := root.RunAlt(core.Options{SyncElimination: true}, NewBlock(cfg).Alts(&storep)...)
 	if !errors.Is(err, core.ErrAllFailed) {
 		t.Fatalf("RunAlt err = %v, want ErrAllFailed", err)
 	}
@@ -146,7 +146,7 @@ func TestSequentialDegreeOne(t *testing.T) {
 		t.Fatalf("seed: %v", err)
 	}
 	var storep = store
-	res, err := root.RunAlt(core.Options{SyncElimination: true}, Alts(&storep, cfg)...)
+	res, err := root.RunAlt(core.Options{SyncElimination: true}, NewBlock(cfg).Alts(&storep)...)
 	if err != nil {
 		t.Fatalf("RunAlt: %v", err)
 	}

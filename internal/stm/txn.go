@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sync"
 	"time"
 
@@ -78,7 +79,7 @@ type Op struct {
 }
 
 // rngPool recycles generators: a math/rand source is 4.9 KB, and a block
-// asks for one per alternative, per guard and per oracle replay.
+// asks for one per alternative it runs and one for its initial image.
 var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
 
 // seededRand returns a pooled generator in exactly the state
@@ -136,27 +137,60 @@ func (c Config) aborts(alt int) bool {
 	return c.AbortEvery > 0 && (alt+1)%c.AbortEvery == 0
 }
 
-// Expected is the sequential oracle: the page image after exactly the
-// winner's writes are applied to the initial image — what
-// no-observable-losers demands of the surviving store copy.
-func Expected(cfg Config, winner int) []uint64 {
-	cfg = cfg.withDefaults()
-	out := InitVals(cfg)
-	for _, op := range GenOps(cfg, winner) {
-		if !op.Read {
-			out[op.Key] = op.Val
-		}
-	}
-	out[cfg.winnerKey()] = uint64(winner) + 1
-	return out
+// Block is one transaction block's inputs, each derived from Seed once:
+// the initial image its store is seeded with, and every alternative's
+// op stream. Generating a stream re-seeds a 4.9 KB generator, so the
+// body generates its stream, the guard reads it back, and the block's
+// check replays the winner's recorded stream over the recorded image
+// instead of generating either again.
+//
+// ops[i] is written by alternative i's body and read by its guard, on
+// the body's goroutine; CheckFinal reads the winner's slot after the
+// winner's commit report, which orders it after the write. Losers may
+// still be writing their own slots then: every slot has one writer.
+type Block struct {
+	cfg  Config
+	init []uint64
+	ops  [][]Op
 }
 
-// RunOps executes alternative alt's transaction against the store from
-// w: the generated operation stream, then the winner stamp. Returns
-// ErrTxnAbort for abort-injected alternatives.
-func RunOps(s *Store, w *core.World, cfg Config, alt int) error {
+// NewBlock returns the block for cfg with nothing generated yet.
+func NewBlock(cfg Config) *Block {
 	cfg = cfg.withDefaults()
-	for i, op := range GenOps(cfg, alt) {
+	return &Block{cfg: cfg, ops: make([][]Op, cfg.Alts)}
+}
+
+// InitVals returns InitVals(cfg) and keeps it as the image CheckFinal
+// replays over. Call it from the goroutine that runs CheckFinal (the
+// job's Init and Extract share the root's).
+func (b *Block) InitVals() []uint64 {
+	b.init = InitVals(b.cfg)
+	return b.init
+}
+
+// Ops returns the stream alternative alt's body recorded — the one its
+// guard and CheckFinal read — or nil if the body has not run. Call it
+// where the block reads the slot: on the alternative's goroutine, or
+// after its commit report.
+func (b *Block) Ops(alt int) []Op { return b.ops[alt] }
+
+// opsOf returns alternative alt's recorded stream, or generates it when
+// the alternative's body has not recorded one.
+func (b *Block) opsOf(alt int) []Op {
+	if ops := b.ops[alt]; ops != nil {
+		return ops
+	}
+	return GenOps(b.cfg, alt)
+}
+
+// run executes alternative alt's transaction against the store from w:
+// the generated operation stream, recorded in the block, then the
+// winner stamp. Returns ErrTxnAbort for abort-injected alternatives.
+func (b *Block) run(s *Store, w *core.World, alt int) error {
+	cfg := b.cfg
+	ops := GenOps(cfg, alt)
+	b.ops[alt] = ops
+	for i, op := range ops {
 		if w.Cancelled() {
 			return fmt.Errorf("stm: alt %d cancelled at op %d", alt, i)
 		}
@@ -174,15 +208,15 @@ func RunOps(s *Store, w *core.World, cfg Config, alt int) error {
 	return s.Write(w, cfg.winnerKey(), uint64(alt)+1)
 }
 
-// Validate is the alternative's guard: read-your-writes through the
+// validate is the alternative's guard: read-your-writes through the
 // store copy consistent with this world. Every key the transaction
 // wrote — and the winner stamp — must read back as the last value this
 // alternative wrote; a mismatch means the message layer routed a
 // sibling's conflicting write into our copy.
-func Validate(s *Store, w *core.World, cfg Config, alt int) (bool, error) {
-	cfg = cfg.withDefaults()
+func (b *Block) validate(s *Store, w *core.World, alt int) (bool, error) {
+	cfg := b.cfg
 	last := make(map[int]uint64)
-	for _, op := range GenOps(cfg, alt) {
+	for _, op := range b.opsOf(alt) {
 		if !op.Read {
 			last[op.Key] = op.Val
 		}
@@ -203,28 +237,28 @@ func Validate(s *Store, w *core.World, cfg Config, alt int) (bool, error) {
 // Alts builds the block's alternatives over a store (created by the
 // job's Init; the pointer indirection lets the closure outlive job
 // construction).
-func Alts(storep **Store, cfg Config) []core.Alt {
-	cfg = cfg.withDefaults()
-	alts := make([]core.Alt, cfg.Alts)
+func (b *Block) Alts(storep **Store) []core.Alt {
+	alts := make([]core.Alt, b.cfg.Alts)
 	for i := range alts {
 		alt := i
 		alts[i] = core.Alt{
-			Name: fmt.Sprintf("txn-%d", alt+1),
-			Body: func(w *core.World) error { return RunOps(*storep, w, cfg, alt) },
-			Guard: func(w *core.World) (bool, error) {
-				return Validate(*storep, w, cfg, alt)
-			},
+			Name:  fmt.Sprintf("txn-%d", alt+1),
+			Body:  func(w *core.World) error { return b.run(*storep, w, alt) },
+			Guard: func(w *core.World) (bool, error) { return b.validate(*storep, w, alt) },
 		}
 	}
 	return alts
 }
 
-// CheckFinal verifies the committed store image against the oracle:
-// the winner page names the winner, and every contended page holds
-// exactly the value the winner's sequential replay produces. Returns
-// the winner index.
-func CheckFinal(cfg Config, final []uint64) (int, error) {
-	cfg = cfg.withDefaults()
+// CheckFinal verifies a committed store image against the sequential
+// oracle: the winner page names the winner, and every contended page
+// holds exactly the value the winner's writes, replayed over the initial
+// image, produce — what no-observable-losers demands of the surviving
+// store copy. It replays the block's recorded inputs (the image InitVals
+// kept, the winner's recorded stream) and generates afresh only what was
+// never recorded. Returns the winner index.
+func (b *Block) CheckFinal(final []uint64) (int, error) {
+	cfg := b.cfg
 	if len(final) != cfg.StoreKeys() {
 		return -1, fmt.Errorf("stm: final image has %d pages, want %d", len(final), cfg.StoreKeys())
 	}
@@ -233,7 +267,16 @@ func CheckFinal(cfg Config, final []uint64) (int, error) {
 		return -1, fmt.Errorf("stm: winner stamp %d out of range [1,%d]", stamp, cfg.Alts)
 	}
 	winner := int(stamp) - 1
-	want := Expected(cfg, winner)
+	want := slices.Clone(b.init)
+	if want == nil {
+		want = InitVals(cfg)
+	}
+	for _, op := range b.opsOf(winner) {
+		if !op.Read {
+			want[op.Key] = op.Val
+		}
+	}
+	want[cfg.winnerKey()] = stamp
 	for k := range want {
 		if final[k] != want[k] {
 			return -1, fmt.Errorf("stm: page %d holds %d, oracle wants %d (winner %d): a loser's write survived",
@@ -241,4 +284,10 @@ func CheckFinal(cfg Config, final []uint64) (int, error) {
 		}
 	}
 	return winner, nil
+}
+
+// CheckFinal is Block.CheckFinal with every input regenerated from
+// cfg.Seed: the oracle that trusts nothing a block recorded.
+func CheckFinal(cfg Config, final []uint64) (int, error) {
+	return NewBlock(cfg).CheckFinal(final)
 }
