@@ -47,6 +47,10 @@ const (
 	// already been cancelled — an elimination casualty, not a genuine
 	// guard failure.
 	OutcomeCancelled = "cancelled"
+	// OutcomeUnstarted: the child was eliminated before its body was
+	// entered, so it executed nothing — a process the kernel kills
+	// before scheduling it.
+	OutcomeUnstarted = "unstarted"
 )
 
 // AltProbe observes one RunAlt execution from the inside — the flight
@@ -67,8 +71,8 @@ type AltProbe interface {
 	// runtime overhead). pages is the copies this write performed.
 	ChildFault(pid ids.PID, pages int64, now time.Time)
 	// ChildExit fires when a child resolves; outcome is one of
-	// OutcomeWin, OutcomeGuardFail, OutcomeTooLate, OutcomeCancelled
-	// and copies its total COW page copies.
+	// OutcomeWin, OutcomeGuardFail, OutcomeTooLate, OutcomeCancelled,
+	// OutcomeUnstarted and copies its total COW page copies.
 	ChildExit(pid ids.PID, outcome string, now time.Time, copies int64)
 	// Committed fires after the winner's page map was adopted into the
 	// parent (selection phase).
@@ -258,8 +262,21 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		claim = func(cw *World) bool { return arb.Claim(cw.pid) }
 	}
 
-	// Phase 3: run the alternatives.
-	for k, i := range live {
+	// Phase 3: run the alternatives, the first one first. With fewer free
+	// cores than alternatives the one that runs first finishes first.
+	// Real mode readies the first alternative last, in the order 2, …, n,
+	// 1: Go runs the goroutine created last next on the creating thread
+	// (its run-next slot), so the first alternative takes the processor
+	// as soon as the parent parks in alt_wait, and the others wait in the
+	// run queue in block order for any idle thread to steal. Simulated
+	// mode spawns in block order and its scheduler starts them that way.
+	first := 0
+	if rt.realBE != nil {
+		first = 1
+	}
+	for j := range live {
+		k := (j + first) % len(live)
+		i := live[k]
 		alt, cw, idx := alts[i], children[k], i
 		// Spawned under the world's lock, as in spawnServerLoop: an
 		// elimination that finds no handle releases the pages itself,
@@ -378,13 +395,16 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		rt.chargeElimination(w.ctx, siblings)
 		rt.propagate(work)
 		if rt.realBE != nil {
-			// A kernel deschedules what it kills; the Go scheduler does the
-			// opposite. The parent and each block's winner hand the
-			// processor to one another through the scheduler's run-next
-			// slot, so eliminated losers sit in the run queue, still
-			// holding their forks of the parent's pages, until the time
-			// slice ends ~10 ms and many blocks later. One yield lets them
-			// run into the trap and exit before the parent goes on.
+			// A kernel deschedules what it kills; the Go scheduler keeps
+			// it queued. The first alternative runs from the run-next
+			// slot and its report wakes the parent into the same slot, so
+			// the losers are usually still in the run queue, never
+			// started, holding their forks of the parent's pages until
+			// the time slice ends ~10 ms and many blocks later. One yield
+			// lets them reach runAlternative, find themselves eliminated
+			// and exit without entering their bodies (a loser that had
+			// started stops at its next runtime call) before the parent
+			// goes on.
 			runtime.Gosched()
 		}
 	} else {
@@ -412,6 +432,17 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 // runAlternative is the child-side protocol: body, guard, synchronize.
 func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, claim ClaimFunc, done inbox) {
 	rep := childReport{idx: idx, w: cw}
+	if cw.eliminated.Load() {
+		// Eliminated while still in the run queue (a sibling committed
+		// first): like a process killed before it was ever scheduled, it
+		// executes nothing. eliminateOne already settled its status.
+		if opts.Probe != nil {
+			opts.Probe.ChildExit(cw.pid, OutcomeUnstarted, rt.be.now(), 0)
+		}
+		rep.err = ErrEliminated
+		done.put(rep)
+		return
+	}
 	err := alt.Body(cw)
 	if err == nil && alt.Guard != nil {
 		err = evalGuard(alt.Guard, cw)

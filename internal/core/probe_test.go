@@ -248,11 +248,16 @@ func TestChildExitCancelledOutcome(t *testing.T) {
 	defer rt.Shutdown(root)
 
 	probe := newTestProbe()
+	// The winner waits until the casualty's body has started: a child
+	// eliminated before that reports OutcomeUnstarted instead.
+	started := make(chan struct{})
 	res, err := root.RunAlt(Options{SyncElimination: true, Probe: probe},
 		Alt{Name: "winner", Body: func(w *World) error {
+			<-started
 			return w.WriteUint64(0, 1)
 		}},
 		Alt{Name: "casualty", Body: func(w *World) error {
+			close(started)
 			deadline := time.Now().Add(5 * time.Second)
 			for time.Now().Before(deadline) {
 				if w.Cancelled() {

@@ -152,11 +152,13 @@ func (fs *FileStore) Names() []string {
 	return out
 }
 
-// ReadAt reads from the committed contents of a file.
+// ReadAt reads from the committed contents of a file. The read holds
+// the store's lock, as View and Commit do: an address space is not safe
+// for concurrent use, and even a read fills its page caches.
 func (fs *FileStore) ReadAt(name string, buf []byte, off int64) error {
 	fs.mu.Lock()
+	defer fs.mu.Unlock()
 	f, ok := fs.files[name]
-	fs.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("device: no file %q", name)
 	}

@@ -2,6 +2,7 @@ package device
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"altrun/internal/ids"
@@ -51,7 +52,7 @@ type PageServer struct {
 	port   string
 	handle transport.Handle
 
-	served int
+	served atomic.Int64
 }
 
 // ServePort is the well-known port page servers bind.
@@ -76,7 +77,7 @@ func NewPageServer(ep transport.Endpoint, fs *FileStore) *PageServer {
 			if !isReq {
 				continue
 			}
-			s.served++
+			s.served.Add(1)
 			reply := PageReply{File: req.File, Page: req.Page}
 			ps := int64(s.fs.store.PageSize())
 			buf := make([]byte, ps)
@@ -94,7 +95,7 @@ func NewPageServer(ep transport.Endpoint, fs *FileStore) *PageServer {
 }
 
 // Served returns how many page requests the server has answered.
-func (s *PageServer) Served() int { return s.served }
+func (s *PageServer) Served() int { return int(s.served.Load()) }
 
 // Shutdown stops the server process.
 func (s *PageServer) Shutdown() { s.handle.Kill() }

@@ -205,7 +205,7 @@ func (w *Wave) ChildExit(pid ids.PID, outcome string, now time.Time, copies int6
 	switch outcome {
 	case core.OutcomeWin:
 		kind = EvWin
-	case core.OutcomeTooLate, core.OutcomeCancelled:
+	case core.OutcomeTooLate, core.OutcomeCancelled, core.OutcomeUnstarted:
 		kind = EvTooLate
 	}
 	b := w.locked()

@@ -14,9 +14,9 @@ import (
 //   - a per-alternative EWMA of observed child latency τ (winners and
 //     too-late finishers both count — a loser that completed still
 //     measured its alternative's cost);
-//   - per-alternative play/win/failure counts (spawns, commits, and
-//     observed guard failures) for bandit-style ranking and the
-//     controller's fall-through model;
+//   - per-alternative play/win/failure counts (alternatives that ran,
+//     commits, and observed guard failures) for bandit-style ranking and
+//     the controller's fall-through model;
 //   - a per-kind EWMA of the committed child's τ — the realized
 //     τ(C_best) the paper's PI denominator wants;
 //   - a per-kind EWMA of the obs-measured per-block overhead
@@ -52,7 +52,7 @@ type History struct {
 type altStat struct {
 	tau     float64 // EWMA child latency in ns (wins + too-late completions)
 	hasTau  bool
-	plays   int64  // times spawned into a wave
+	plays   int64  // times run in a wave (a child eliminated unstarted is no play)
 	wins    int64  // times committed
 	fails   int64  // observed guard/body failures
 	touched uint64 // kind-local use stamp for alt eviction
@@ -186,8 +186,9 @@ func (h *History) Record(kind, alt string, d time.Duration) {
 	k.hasWinnerTau = true
 }
 
-// RecordSpawn counts one play: the alternative entered a wave.
-func (h *History) RecordSpawn(kind, alt string) {
+// RecordPlay counts one play: the alternative ran in a wave. A child
+// eliminated before its body started is not one.
+func (h *History) RecordPlay(kind, alt string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.alt(h.kind(kind, true), alt, true).plays++
@@ -323,6 +324,13 @@ func (h *History) Predict(kind string, names []string) (mean, best, overhead tim
 // also preserve declaration order. This is the pure-exploitation
 // ordering the static pool uses; the adaptive controller orders
 // speculative waves with OrderUCB instead.
+//
+// The order is the order in which the alternatives run: a wave is
+// admitted in it, and core.RunAlt starts a block's first alternative
+// first, so with one free core the historically fastest alternative is
+// the one running. Never-observed alternatives stay last even though
+// they might be faster: putting them first would let a width-1 wave run
+// an alternative that never ends ahead of a known finisher.
 func (h *History) Order(kind string, names []string) []int {
 	idx := make([]int, len(names))
 	for i := range idx {

@@ -109,7 +109,7 @@ func TestOrderUCBTieBreakDeterministic(t *testing.T) {
 	// Identical statistics for every alternative: the stable sort must
 	// preserve declaration order on every call.
 	for _, n := range names {
-		h.RecordSpawn("tie", n)
+		h.RecordPlay("tie", n)
 		h.Record("tie", n, time.Millisecond)
 	}
 	for rep := 0; rep < 5; rep++ {
@@ -129,7 +129,7 @@ func TestOrderUCBConvergesUnderSkewedStream(t *testing.T) {
 	// slower; dud always loses and genuinely fails half its plays.
 	for i := 0; i < 50; i++ {
 		for _, n := range names {
-			h.RecordSpawn("skew", n)
+			h.RecordPlay("skew", n)
 		}
 		if i%10 == 0 {
 			h.Record("skew", "slowish", 4*time.Millisecond)

@@ -19,13 +19,13 @@ import (
 func dominantHistory() *History {
 	h := NewHistory()
 	for i := 0; i < 40; i++ {
-		h.RecordSpawn("dom", "a")
+		h.RecordPlay("dom", "a")
 		h.Record("dom", "a", time.Millisecond)
 	}
 	for i := 0; i < 5; i++ {
-		h.RecordSpawn("dom", "b")
+		h.RecordPlay("dom", "b")
 		h.RecordTooLate("dom", "b", 2500*time.Microsecond)
-		h.RecordSpawn("dom", "c")
+		h.RecordPlay("dom", "c")
 		h.RecordTooLate("dom", "c", 3*time.Millisecond)
 	}
 	h.RecordOverhead("dom", 200*time.Microsecond)
@@ -39,7 +39,7 @@ func uncertainHistory() *History {
 	h := NewHistory()
 	for _, name := range []string{"p0", "p1", "p2"} {
 		for i := 0; i < 10; i++ {
-			h.RecordSpawn("unc", name)
+			h.RecordPlay("unc", name)
 		}
 		for i := 0; i < 3; i++ {
 			h.Record("unc", name, 2*time.Millisecond)
@@ -121,8 +121,8 @@ func TestDecideDegreeRuleCutsUselessAlternatives(t *testing.T) {
 	// fall-through chain that almost never happens and never wins:
 	// its marginal gain is below one block overhead.
 	for i := 0; i < 20; i++ {
-		h.RecordSpawn("deg", "first")
-		h.RecordSpawn("deg", "second")
+		h.RecordPlay("deg", "first")
+		h.RecordPlay("deg", "second")
 	}
 	for i := 0; i < 14; i++ {
 		h.Record("deg", "first", time.Millisecond)
@@ -132,7 +132,7 @@ func TestDecideDegreeRuleCutsUselessAlternatives(t *testing.T) {
 		h.Record("deg", "second", 1200*time.Microsecond)
 	}
 	for i := 0; i < 10; i++ {
-		h.RecordSpawn("deg", "third")
+		h.RecordPlay("deg", "third")
 		h.RecordTooLate("deg", "third", 1500*time.Microsecond)
 	}
 	h.RecordOverhead("deg", 150*time.Microsecond)
