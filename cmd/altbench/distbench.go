@@ -41,7 +41,7 @@ import (
 // distLevelResult is one (nodes, mode) row.
 type distLevelResult struct {
 	Nodes        int                `json:"nodes"`
-	Mode         string             `json:"mode"` // "local", "consensus", or "consensus-batch"
+	Mode         string             `json:"mode"` // "local" or "consensus-batch"
 	Jobs         int                `json:"jobs"`
 	P50MS        float64            `json:"p50_ms"`
 	P95MS        float64            `json:"p95_ms"`
@@ -134,15 +134,13 @@ func distbenchJob(seq int) serve.Job {
 // Commit-arbiter modes A/B-ed per node count.
 const (
 	distModeLocal = "local"
-	distModeCons  = "consensus"       // one quorum round per claim
 	distModeBatch = "consensus-batch" // group commit: coalesced rounds
 )
 
-// runDistLevel runs one (nodes, mode) measurement. In the consensus
-// modes a voter runs on every fleet member and each job's block claims
-// a quorum from node 1 — per-claim ballots in distModeCons, coalesced
-// group-commit rounds in distModeBatch; crashVoter kills the last
-// member's voter once half the jobs are in.
+// runDistLevel runs one (nodes, mode) measurement. In distModeBatch a
+// voter runs on every fleet member and each job's block claims a quorum
+// from node 1 through its coalescer; crashVoter kills the last member's
+// voter once half the jobs are in.
 func runDistLevel(nodes, jobs int, mode string, crashVoter bool) (distLevelResult, error) {
 	res := distLevelResult{Nodes: nodes, Mode: mode}
 	consensusMode := mode != distModeLocal
@@ -173,18 +171,8 @@ func runDistLevel(nodes, jobs int, mode string, crashVoter bool) (distLevelResul
 		MaxDegree:  2,
 		QueueDepth: 2 * distbenchClients,
 	}
-	ccfg := consensus.Config{Net: fleet.Counters()}
-	switch mode {
-	case distModeCons:
-		cfg.NewClaim = func(job serve.Job, id uint64) core.ClaimFunc {
-			key := fmt.Sprintf("bench/%s/%d", job.Name, id)
-			cl := consensus.NewClaimant(key, eps[0], members, "", ccfg)
-			return func(w *core.World) bool {
-				return cl.Claim(transport.Background(), w.PID()).Won
-			}
-		}
-	case distModeBatch:
-		co := consensus.StartCoalescer(eps[0], members, "", ccfg)
+	if consensusMode {
+		co := consensus.StartCoalescer(eps[0], members, "", consensus.Config{Net: fleet.Counters()})
 		defer co.Stop()
 		cfg.NewClaim = func(job serve.Job, id uint64) core.ClaimFunc {
 			key := fmt.Sprintf("bench/%s/%d", job.Name, id)
@@ -791,13 +779,13 @@ func runDistbench(args []string) error {
 		jobs = 16
 	}
 
-	fmt.Println("distbench — local vs per-claim vs group-commit consensus over real TCP peer groups")
+	fmt.Println("distbench — local vs group-commit consensus over real TCP peer groups")
 	fmt.Printf("%-6s %-16s %6s %10s %10s %10s %12s %8s %10s %8s\n",
 		"nodes", "mode", "jobs", "p50 ms", "p95 ms", "mean ms", "blocks/s", "crashed", "msgs", "rounds")
 	var results []distLevelResult
 	local := map[int]float64{} // nodes → local-mode throughput
 	for _, nodes := range levels {
-		for _, mode := range []string{distModeLocal, distModeCons, distModeBatch} {
+		for _, mode := range []string{distModeLocal, distModeBatch} {
 			crash := mode != distModeLocal && nodes >= 3
 			res, err := runDistLevel(nodes, jobs, mode, crash)
 			if err != nil {

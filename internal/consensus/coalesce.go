@@ -9,21 +9,19 @@ import (
 	"altrun/internal/transport"
 )
 
-// Group commit. The per-claim protocol in consensus.go costs one full
-// quorum round per block: n VoteReqs, up to n replies, and n commit
-// announces, each a separate frame. Under the serve layer's load many
-// blocks commit concurrently on distinct keys, so those rounds can be
-// coalesced: a Coalescer is a per-node service that accumulates local
-// claims and submits them as ONE pipelined ballot round — a single
-// BallotReq carrying many keys. Voters answer each key independently
-// under the same per-key grant rule, so safety is untouched: the batch
-// is transport-level amortization, not a protocol change.
+// Group commit. Every claim goes through its node's Coalescer, a
+// per-node service that accumulates local claims and submits them as
+// pipelined ballot rounds — one BallotReq carrying every key that is
+// ready. Under the serve layer's load many blocks commit concurrently
+// on distinct keys and share a round; a lone claim is a round of one.
+// Voters answer each key independently under the per-key grant rule, so
+// the batch is transport-level amortization, not a protocol change.
 //
 // Decisions are per-claim and eager: a claim wins the moment ITS key
 // reaches quorum, not when the round completes, so a dead voter delays
 // nobody who already has a majority. Claims whose key fails a round
-// (vote split or winner elsewhere) release and retry with the same
-// deterministic PID-staggered backoff as the unbatched path.
+// (vote split or no quorum before the reply timeout) release and retry
+// after a deterministic PID-staggered backoff.
 //
 // A key is single-flight: the first local claim on it is its leader and
 // the only one that ever enters a BallotReq. Later local claims on the
@@ -35,11 +33,10 @@ import (
 // leader runs out of ballots undecided, the next follower still waiting
 // takes over as leader.
 //
-// Batching is self-clocking: while fewer than MaxInflight rounds are
-// outstanding, a flush happens as soon as claims are pending (plus an
-// optional BatchLinger wait to grow the batch); once the pipeline is
-// full, claims accumulate until a round completes — exactly the load
-// level where big batches form on their own.
+// Batching is self-clocking: while fewer than maxInflight rounds are
+// outstanding, a flush happens as soon as claims are pending; once the
+// pipeline is full, claims accumulate until a round completes — exactly
+// the load level where big batches form on their own.
 //
 // The Coalescer is a spawned transport proc with one mailbox; intake
 // (ClaimSubmit) and voter traffic (BallotReply) arrive as messages.
@@ -147,16 +144,16 @@ func (m BallotRelease) WireSize() int { return ballotClaimsSize(m.Claims) }
 // WireSize implements transport.WireSizer.
 func (m BallotCommit) WireSize() int { return ballotClaimsSize(m.Commits) }
 
-// Defaults for the group-commit knobs.
+// The pipeline's shape: at most maxInflight ballot rounds outstanding,
+// at most maxBatch claims per round.
 const (
-	DefaultMaxInflight = 4
-	DefaultMaxBatch    = 128
+	maxInflight = 4
+	maxBatch    = 128
 )
 
 // Coalescer is one node's group-commit service. Build one per daemon
 // and route every local claim through Claim; the service batches them
-// into pipelined quorum rounds against the same voters the unbatched
-// Claimant would consult.
+// into pipelined quorum rounds against the voters at votePort.
 type Coalescer struct {
 	ep       transport.Endpoint
 	members  []ids.NodeID // initial view; the live set is the proc's
@@ -229,8 +226,8 @@ func (co *Coalescer) claimDeadline() time.Duration {
 }
 
 // Claim routes one keyed claim through the coalescer, blocking the
-// calling process until the batched protocol decides it. Semantics
-// match Claimant.Claim: at most one Claim per key ever returns Won.
+// calling process until the batched protocol decides it. At most one
+// Claim per key ever returns Won.
 func (co *Coalescer) Claim(p transport.Proc, key string, pid ids.PID) Result {
 	replyPort := fmt.Sprintf("%s/claim/%s/%v", co.port, key, pid)
 	replies := co.ep.Bind(replyPort)
@@ -322,16 +319,15 @@ func (d *decidedKeys) put(key string, winner ids.PID) {
 // view and concurrent rounds never mix quorum definitions (two
 // majorities only intersect when drawn from the same member list).
 type coalRun struct {
-	co          *Coalescer
-	members     []ids.NodeID
-	quorum      int
-	epoch       int64
-	leaders     map[string]*batchClaim // undecided keys: the one claim in flight
-	pending     []*batchClaim          // leaders awaiting a round, one per key
-	rounds      map[int64]*batchRound
-	decided     decidedKeys
-	nextRound   int64
-	lingerUntil time.Time
+	co        *Coalescer
+	members   []ids.NodeID
+	quorum    int
+	epoch     int64
+	leaders   map[string]*batchClaim // undecided keys: the one claim in flight
+	pending   []*batchClaim          // leaders awaiting a round, one per key
+	rounds    map[int64]*batchRound
+	decided   decidedKeys
+	nextRound int64
 }
 
 func (r *coalRun) run(p transport.Proc, inbox transport.Mailbox) {
@@ -386,8 +382,8 @@ func (r *coalRun) submit(m ClaimSubmit) {
 		deadline: r.co.ep.Now().Add(r.co.claimDeadline()),
 	}
 	if winner, ok := r.decided.winner[c.key]; ok {
-		r.answer(c, winner, 0)
 		r.followed(1)
+		r.answer(c, winner, 0)
 		return
 	}
 	if leader := r.leaders[c.key]; leader != nil {
@@ -399,13 +395,10 @@ func (r *coalRun) submit(m ClaimSubmit) {
 }
 
 // nextWake returns the earliest pending deadline: a round's reply
-// timeout, a backoff retry, or the linger timer. Retries already due
-// are excluded — if they weren't flushed this iteration the pipeline
-// is full, and the wake-up that matters is a round completing.
+// timeout or a backoff retry. Retries already due are excluded — if
+// they weren't flushed this iteration the pipeline is full, and the
+// wake-up that matters is a round completing.
 func (r *coalRun) nextWake() (time.Time, bool) {
-	if len(r.rounds) == 0 && len(r.pending) == 0 {
-		return time.Time{}, false // the linger timer only runs over pending claims
-	}
 	var at time.Time
 	min := func(t time.Time) {
 		if !t.IsZero() && (at.IsZero() || t.Before(at)) {
@@ -421,7 +414,6 @@ func (r *coalRun) nextWake() (time.Time, bool) {
 			min(c.retryAt)
 		}
 	}
-	min(r.lingerUntil)
 	return at, !at.IsZero()
 }
 
@@ -437,30 +429,16 @@ func (r *coalRun) expire(now time.Time) {
 
 // flush starts rounds while the pipeline has room and claims are ready.
 func (r *coalRun) flush(now time.Time) {
-	for len(r.rounds) < r.co.cfg.MaxInflight {
+	for len(r.rounds) < maxInflight {
 		ready := r.takeReady(now)
 		if len(ready) == 0 {
-			r.lingerUntil = time.Time{}
 			return
 		}
-		if r.co.cfg.BatchLinger > 0 && len(ready) < r.co.cfg.MaxBatch {
-			if r.lingerUntil.IsZero() {
-				// First claims of a fresh batch: wait a linger for more.
-				r.lingerUntil = now.Add(r.co.cfg.BatchLinger)
-				r.putBack(ready)
-				return
-			}
-			if now.Before(r.lingerUntil) {
-				r.putBack(ready)
-				return
-			}
-		}
-		r.lingerUntil = time.Time{}
 		r.startRound(now, ready)
 	}
 }
 
-// takeReady removes up to MaxBatch due claims from pending. Only
+// takeReady removes up to maxBatch due claims from pending. Only
 // leaders are ever pending, so the batch holds each key at most once.
 func (r *coalRun) takeReady(now time.Time) []*batchClaim {
 	if len(r.pending) == 0 {
@@ -469,7 +447,7 @@ func (r *coalRun) takeReady(now time.Time) []*batchClaim {
 	var ready []*batchClaim
 	rest := r.pending[:0]
 	for _, c := range r.pending {
-		if len(ready) >= r.co.cfg.MaxBatch || c.retryAt.After(now) {
+		if len(ready) >= maxBatch || c.retryAt.After(now) {
 			rest = append(rest, c)
 			continue
 		}
@@ -477,12 +455,6 @@ func (r *coalRun) takeReady(now time.Time) []*batchClaim {
 	}
 	r.pending = rest
 	return ready
-}
-
-// putBack returns claims taken by takeReady to the pending list (linger
-// decided to wait).
-func (r *coalRun) putBack(claims []*batchClaim) {
-	r.pending = append(r.pending, claims...)
 }
 
 // startRound sends one batched ballot to every voter.
@@ -592,6 +564,7 @@ func (r *coalRun) onReply(m BallotReply) {
 func (r *coalRun) settle(c *batchClaim, winner ids.PID) {
 	delete(r.leaders, c.key)
 	r.decided.put(c.key, winner)
+	r.followed(len(c.followers))
 	// The leader goes last. Its answer is the one a block's commit waits
 	// on, and the Go scheduler runs the goroutine readied last next on
 	// this thread; one readied earlier is left for an idle thread to
@@ -601,7 +574,6 @@ func (r *coalRun) settle(c *batchClaim, winner ids.PID) {
 		r.answer(f, winner, 0)
 	}
 	r.answer(c, winner, c.attempts)
-	r.followed(len(c.followers))
 }
 
 // answer tells one claimant the outcome of its key: won if it is the
@@ -617,7 +589,9 @@ func (r *coalRun) answer(c *batchClaim, winner ids.PID, ballots int) {
 	r.co.ep.Send(c.reply, d)
 }
 
-// followed counts claims answered without a round of their own.
+// followed counts claims answered without a round of their own. It runs
+// before their answers go out, so a claimant that has its answer also
+// sees the count.
 func (r *coalRun) followed(n int) {
 	if nc := r.co.cfg.Net; nc != nil {
 		nc.ClaimsFollowed.Add(int64(n))
@@ -631,8 +605,8 @@ func (r *coalRun) failBallot(c *batchClaim, now time.Time) {
 		r.giveUp(c, now)
 		return
 	}
-	// Same deterministic stagger as the unbatched Claimant: lower PIDs
-	// retry sooner, breaking symmetric vote splits.
+	// Deterministic stagger: lower PIDs retry sooner, breaking
+	// symmetric vote splits between coalescers.
 	backoff := r.co.cfg.BackoffBase * time.Duration(c.attempts)
 	backoff += time.Duration(c.pid%16) * (r.co.cfg.BackoffBase / 4)
 	c.retryAt = now.Add(backoff)
@@ -700,8 +674,9 @@ func (r *coalRun) setView(m ViewUpdate) {
 	r.epoch = m.Epoch
 	r.members = append(r.members[:0], m.Members...)
 	r.quorum = len(r.members)/2 + 1
-	r.co.epoch.Store(r.epoch)
+	// Quorum first: a reader that sees the new epoch sees its quorum.
 	r.co.quorum.Store(int32(r.quorum))
+	r.co.epoch.Store(r.epoch)
 	for id, rd := range r.rounds {
 		if rd.epoch < r.epoch {
 			delete(r.rounds, id)

@@ -14,10 +14,10 @@ import (
 	"altrun/internal/transport/transporttest"
 )
 
-// The group-commit tests run over both fabrics via transporttest.Each,
-// like the per-claim protocol tests: a voter on every node, coalescers
-// where a test needs them, all on a per-test vote port so suites don't
-// share voter state.
+// The coalescer tests run over both fabrics via transporttest.Each,
+// like the Group tests: a voter on every node, coalescers where a test
+// needs them, all on a per-test vote port so suites don't share voter
+// state.
 
 func startVoters(f *transporttest.Fabric, port string) []*consensus.Voter {
 	var vs []*consensus.Voter
@@ -64,25 +64,80 @@ func TestCoalescerSingleClaimWins(t *testing.T) {
 	})
 }
 
+// gateOpen, sent to a gatedVoters tap, releases the ballots it holds.
+type gateOpen struct{}
+
+// gatedVoters starts a voter on every node behind a forwarding proc
+// bound to port that holds every BallotReq until open is called, so no
+// round can complete before then. stop kills the taps and the voters.
+func gatedVoters(f *transporttest.Fabric, port string) (open, stop func()) {
+	var voters []*consensus.Voter
+	var taps []transport.Handle
+	for _, ep := range f.Eps() {
+		ep := ep
+		behind := port + "/gated"
+		voters = append(voters, consensus.StartVoter(ep, behind))
+		inbox := ep.Bind(port)
+		taps = append(taps, ep.Spawn("vote-gate", func(p transport.Proc) {
+			var held []any
+			opened := false
+			for {
+				env, ok := inbox.Recv(p)
+				if !ok {
+					return
+				}
+				forward := []any{env.Payload}
+				switch env.Payload.(type) {
+				case gateOpen:
+					opened, forward, held = true, held, nil
+				case consensus.BallotReq:
+					if !opened {
+						held, forward = append(held, env.Payload), nil
+					}
+				}
+				for _, m := range forward {
+					ep.Send(transport.Addr{Node: ep.ID(), Port: behind}, m)
+				}
+			}
+		}))
+	}
+	open = func() {
+		for _, ep := range f.Eps() {
+			ep.Send(transport.Addr{Node: ep.ID(), Port: port}, gateOpen{})
+		}
+	}
+	return open, func() {
+		for _, h := range taps {
+			h.Kill()
+		}
+		stopAll(nil, voters)
+	}
+}
+
 // TestCoalescerBatchesConcurrentKeys is the point of the feature: many
 // concurrent claims on distinct keys must all win while sharing far
-// fewer quorum rounds than claims.
+// fewer quorum rounds than claims. Batches form where the pipeline is
+// full: with the voters' answers held back, the coalescer starts
+// exactly PipelineDepth rounds however many claims wait, and the rest
+// go out together once a round completes.
 func TestCoalescerBatchesConcurrentKeys(t *testing.T) {
 	transporttest.Each(t, 3, 7, func(t *testing.T, f *transporttest.Fabric) {
 		const port = "consensus/coal-batch/vote"
 		const claims = 12
 		nc := &trace.NetCounters{}
-		voters := startVoters(f, port)
-		// A linger long enough that all claims land in the first batch.
+		open, stopVoters := gatedVoters(f, port)
+		// No round may time out while the gate is shut.
 		co := consensus.StartCoalescer(f.Eps()[0], memberIDs(f), port, consensus.Config{
-			Net:         nc,
-			BatchLinger: 50 * time.Millisecond,
+			Net:          nc,
+			ReplyTimeout: 10 * time.Second,
 		})
 		var mu sync.Mutex
 		won, done := 0, 0
+		var entered atomic.Int64
 		for i := 0; i < claims; i++ {
 			i := i
 			f.Go("claimant", func(p transport.Proc) {
+				entered.Add(1)
 				r := co.Claim(p, fmt.Sprintf("k%d", i), ids.PID(100+int64(i)))
 				mu.Lock()
 				if r.Won {
@@ -92,17 +147,30 @@ func TestCoalescerBatchesConcurrentKeys(t *testing.T) {
 				last := done == claims
 				mu.Unlock()
 				if last {
-					stopAll([]*consensus.Coalescer{co}, voters)
+					co.Stop()
+					stopVoters()
 				}
 			})
 		}
+		var gated int64
+		f.Go("gatekeeper", func(p transport.Proc) {
+			for entered.Load() < claims || nc.BallotRounds.Load() < consensus.PipelineDepth {
+				p.Sleep(time.Millisecond)
+			}
+			p.Sleep(20 * time.Millisecond) // the last claims' intake
+			gated = nc.BallotRounds.Load()
+			open()
+		})
 		f.Run(t)
 		if won != claims {
 			t.Fatalf("winners = %d, want %d (distinct keys never conflict)", won, claims)
 		}
+		if gated != consensus.PipelineDepth {
+			t.Errorf("rounds started with the pipeline full = %d, want %d", gated, consensus.PipelineDepth)
+		}
 		rounds := nc.BallotRounds.Load()
-		if rounds < 1 || rounds >= claims {
-			t.Fatalf("ballot rounds = %d for %d claims, want coalescing (1 <= rounds < claims)", rounds, claims)
+		if rounds <= gated || rounds >= claims {
+			t.Fatalf("ballot rounds = %d for %d claims, want coalescing (%d < rounds < claims)", rounds, claims, gated)
 		}
 		if got := nc.BallotsCoalesced.Load(); got < claims {
 			t.Fatalf("ballots coalesced = %d, want >= %d", got, claims)
@@ -112,7 +180,7 @@ func TestCoalescerBatchesConcurrentKeys(t *testing.T) {
 
 // TestCoalescerAtMostOneWinnerSameKey runs contending claims on ONE key
 // through separate per-node coalescers: quorum intersection must admit
-// exactly one winner, exactly as in the unbatched protocol.
+// exactly one winner.
 func TestCoalescerAtMostOneWinnerSameKey(t *testing.T) {
 	transporttest.Each(t, 5, 7, func(t *testing.T, f *transporttest.Fabric) {
 		const port = "consensus/coal-contend/vote"
@@ -149,45 +217,6 @@ func TestCoalescerAtMostOneWinnerSameKey(t *testing.T) {
 		}
 		if winners != 1 {
 			t.Fatalf("winners = %d (results %+v), want exactly 1", winners, results)
-		}
-	})
-}
-
-// TestCoalescerInteropWithClaimant mixes the batched and unbatched
-// claim paths on one key: the batch is transport amortization, not a
-// protocol change, so the two must arbitrate correctly against each
-// other.
-func TestCoalescerInteropWithClaimant(t *testing.T) {
-	transporttest.Each(t, 3, 7, func(t *testing.T, f *transporttest.Fabric) {
-		const port = "consensus/coal-interop/vote"
-		voters := startVoters(f, port)
-		members := memberIDs(f)
-		co := consensus.StartCoalescer(f.Eps()[0], members, port, consensus.Config{})
-		cl := consensus.NewClaimant("shared", f.Eps()[1], members, port, consensus.Config{})
-		var mu sync.Mutex
-		var batched, plain consensus.Result
-		done := 0
-		finish := func() {
-			mu.Lock()
-			done++
-			last := done == 2
-			mu.Unlock()
-			if last {
-				stopAll([]*consensus.Coalescer{co}, voters)
-			}
-		}
-		f.Go("batched", func(p transport.Proc) {
-			batched = co.Claim(p, "shared", ids.PID(1))
-			finish()
-		})
-		f.Go("plain", func(p transport.Proc) {
-			plain = cl.Claim(p, ids.PID(2))
-			finish()
-		})
-		f.Run(t)
-		w1, w2 := batched.Won, plain.Won
-		if w1 == w2 {
-			t.Fatalf("want exactly one winner: batched=%+v plain=%+v", batched, plain)
 		}
 	})
 }
@@ -400,39 +429,37 @@ func TestCoalescerPromotesLiveFollower(t *testing.T) {
 		const port = "consensus/coal-promote/vote"
 		voters := startVoters(f, port)
 		// One claim's two ballots take 80+10+80 = 170 ms and its Claim
-		// waits 440 ms, so of four claims made together the first three
-		// lead in turn (until 170, 340, 510 ms), the third's Claim timing
-		// out under it, and the fourth times out without ever leading.
-		// PIDs are multiples of 16: no stagger on the backoff.
+		// waits 440 ms, so of four claims made 10 ms apart the first
+		// three lead in turn (until 170, 340, 510 ms), the third's Claim
+		// timing out under it (at 460), and the fourth times out (at 470)
+		// without ever leading. PIDs are multiples of 16: no stagger on
+		// the backoff.
+		nc := &trace.NetCounters{}
 		co := consensus.StartCoalescer(f.Eps()[0], memberIDs(f), port, consensus.Config{
 			ReplyTimeout: 80 * time.Millisecond,
 			BackoffBase:  10 * time.Millisecond,
 			MaxAttempts:  2,
+			Net:          nc,
 		})
 		f.T.Partition(1, 2)
 		f.T.Partition(1, 3)
-		var mu sync.Mutex
 		early := make([]consensus.Result, 4)
-		returned := 0
 		for i := range early {
 			i := i
 			f.Go("early", func(p transport.Proc) {
-				p.Sleep(time.Duration(i) * 5 * time.Millisecond) // fixes the order they queue in
-				r := co.Claim(p, "k", ids.PID(16*(i+1)))
-				mu.Lock()
-				early[i] = r
-				returned++
-				last := returned == len(early)
-				mu.Unlock()
-				if last {
-					// 455 ms: the third leader's last ballot went out at
-					// 430 and dies at 510. Heal in between.
-					p.Sleep(30 * time.Millisecond)
-					f.T.Heal(1, 2)
-					f.T.Heal(1, 3)
-				}
+				p.Sleep(time.Duration(i) * 10 * time.Millisecond) // fixes the order they queue in
+				early[i] = co.Claim(p, "k", ids.PID(16*(i+1)))
 			})
 		}
+		f.Go("healer", func(p transport.Proc) {
+			// Heal once the third leader's last ballot has gone out into
+			// the partition: the next round is the late claim's.
+			for nc.BallotRounds.Load() < 6 {
+				p.Sleep(time.Millisecond)
+			}
+			f.T.Heal(1, 2)
+			f.T.Heal(1, 3)
+		})
 		var late consensus.Result
 		f.Go("late", func(p transport.Proc) {
 			p.Sleep(400 * time.Millisecond) // parks behind the third leader

@@ -5,28 +5,35 @@
 // yielding "a fault-tolerant 0-1 semaphore for use in synchronization"
 // (§5.1.2).
 //
-// Protocol: one voter process per node. A claimant broadcasts a vote
-// request; each voter grants to at most one claimant at a time. A
-// claimant that assembles a majority of grants in one ballot commits
-// and announces the winner; one that cannot releases its votes, backs
-// off (staggered deterministically by PID), and retries. Voters that
-// have seen a commit reject every later request with the winner's
-// identity, which is how a late claimant learns it is "too late".
+// Protocol: one voter process per node and one Coalescer per claiming
+// node. A claim enters its node's coalescer, which ships it to every
+// voter inside a BallotReq round (one round may carry many keys). Each
+// voter grants a key to at most one claimant at a time. A claim whose
+// key assembles a majority of grants commits, and the coalescer
+// broadcasts a BallotCommit; one that cannot releases its votes with a
+// BallotRelease, backs off (staggered deterministically by PID), and
+// retries until MaxAttempts ballots are spent. Voters that have seen a
+// commit answer every later round with the winner's identity, which is
+// how a late claim learns it is "too late". Every round carries the
+// membership epoch it was built under, and a voter whose view is newer
+// refuses the whole round (see Voter.SetEpoch).
 //
-// Safety: a voter grants to one claimant at a time and locks permanently
-// once a commit is announced to it; two majorities intersect, so two
-// claimants can never both assemble one. Liveness under partition is
-// sacrificed deliberately: if no claimant can reach a majority the block
-// times out and fails — "the engineering tradeoff here is between
-// performance and reliability" (§3.2.1).
+// Safety: a voter grants a key to one claimant at a time and locks it
+// permanently once a commit is announced to it; two majorities of one
+// member list intersect, so two claimants can never both assemble one.
+// Liveness under partition is sacrificed deliberately: if no claimant
+// can reach a majority the block times out and fails — "the
+// engineering tradeoff here is between performance and reliability"
+// (§3.2.1).
 //
 // The package is written against transport.Endpoint only, so the same
-// voter and claimant code runs on the deterministic simulated cluster
+// voter and coalescer code runs on the deterministic simulated cluster
 // (experiments, E10) and on the real TCP transport (altserved peer
 // groups). Semaphores are named: a Voter multiplexes any number of
-// independent keys on one port, so a daemon runs one voter for all its
-// jobs, while a Group bundles per-node voters plus a single key for
-// the one-shot blocks the experiments race.
+// independent keys on one port, so a daemon runs one voter and one
+// coalescer for all its jobs, while a Group bundles per-node voters and
+// coalescers plus a single key for the one-shot blocks the experiments
+// race.
 package consensus
 
 import (
@@ -38,37 +45,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/trace"
 	"altrun/internal/transport"
-)
-
-// Message types exchanged by the protocol.
-type (
-	// VoteReq asks a voter for its vote on a keyed semaphore.
-	VoteReq struct {
-		Key      string
-		Claimant ids.PID
-		Ballot   int
-		Reply    transport.Addr
-	}
-	// VoteReply answers a VoteReq.
-	VoteReply struct {
-		Key     string
-		Voter   ids.NodeID
-		Ballot  int
-		Granted bool
-		// Winner is set when the voter knows a commit already happened.
-		Winner ids.PID
-	}
-	// Release returns a claimant's votes after a failed ballot.
-	Release struct {
-		Key      string
-		Claimant ids.PID
-		Ballot   int
-	}
-	// CommitAnnounce locks the key on the winner.
-	CommitAnnounce struct {
-		Key    string
-		Winner ids.PID
-	}
 )
 
 // Wire registration for every consensus message type — gob fallback and
@@ -83,17 +59,6 @@ type Config struct {
 	BackoffBase time.Duration
 	// MaxAttempts bounds ballots per claim; 0 means DefaultMaxAttempts.
 	MaxAttempts int
-	// MaxInflight bounds a Coalescer's concurrent ballot rounds (the
-	// pipeline depth); 0 means DefaultMaxInflight.
-	MaxInflight int
-	// MaxBatch bounds claims per coalesced round; 0 means
-	// DefaultMaxBatch.
-	MaxBatch int
-	// BatchLinger is how long a Coalescer holds a sub-MaxBatch flush
-	// open for more claims when the pipeline has room. 0 (the default)
-	// flushes immediately: under load the pipeline's backpressure forms
-	// batches on its own.
-	BatchLinger time.Duration
 	// Net, when set, receives one RTT observation per vote reply
 	// (ballot send → reply receipt), feeding /metrics quantiles.
 	Net *trace.NetCounters
@@ -116,12 +81,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxAttempts <= 0 {
 		c.MaxAttempts = DefaultMaxAttempts
 	}
-	if c.MaxInflight <= 0 {
-		c.MaxInflight = DefaultMaxInflight
-	}
-	if c.MaxBatch <= 0 {
-		c.MaxBatch = DefaultMaxBatch
-	}
 	return c
 }
 
@@ -143,12 +102,12 @@ type Voter struct {
 	port   string
 	handle transport.Handle
 
-	// epoch fences batched ballots during membership reconfiguration:
-	// a BallotReq stamped with an older epoch is answered Stale so the
+	// epoch fences ballot rounds during membership reconfiguration: a
+	// BallotReq stamped with an older epoch is answered Stale so the
 	// coalescer retries it under the current view's quorum size. The
 	// per-key grant rule itself is epoch-independent (safety never
-	// depended on the view), so singleton VoteReqs are left unfenced
-	// for compatibility with pre-membership peers.
+	// depended on the view); the fence keeps every round's majority
+	// drawn from one member list.
 	epoch atomic.Int64
 
 	mu   sync.Mutex
@@ -215,36 +174,10 @@ func (v *Voter) run(p transport.Proc, inbox transport.Mailbox) {
 			return
 		}
 		switch m := env.Payload.(type) {
-		case VoteReq:
-			reply := VoteReply{Key: m.Key, Voter: v.ep.ID(), Ballot: m.Ballot}
-			v.mu.Lock()
-			st := v.state(m.Key)
-			switch {
-			case st.winner.IsValid():
-				reply.Winner = st.winner
-			case !st.granted.IsValid() || st.granted == m.Claimant:
-				st.granted = m.Claimant
-				reply.Granted = true
-			}
-			v.mu.Unlock()
-			v.ep.Send(m.Reply, reply)
-		case Release:
-			v.mu.Lock()
-			st := v.state(m.Key)
-			if st.granted == m.Claimant {
-				st.granted = ids.None
-			}
-			v.mu.Unlock()
-		case CommitAnnounce:
-			v.mu.Lock()
-			st := v.state(m.Key)
-			st.winner = m.Winner
-			st.granted = ids.None
-			v.mu.Unlock()
 		case BallotReq:
-			// Group commit: one message, many keys, the SAME per-key
-			// grant rule as the singleton VoteReq — batching changes the
-			// framing, never the semantics.
+			// One message, many keys, each decided by the same per-key
+			// grant rule: batching changes the framing, never the
+			// semantics.
 			if e := v.epoch.Load(); m.Epoch < e {
 				// Epoch fence: this round predates the current
 				// membership view. Grant nothing — the coalescer fails
@@ -309,142 +242,32 @@ type Result struct {
 	Ballots int
 }
 
-// Claimant runs the claim side of one keyed semaphore from one
-// endpoint. It is cheap; build one per claim.
-type Claimant struct {
-	key      string
-	ep       transport.Endpoint
-	members  []ids.NodeID
-	votePort string
-	cfg      Config
-	quorum   int
-}
-
-// NewClaimant prepares a claim on the semaphore named key, voted on by
-// the voters at votePort ("" = DefaultVotePort) on members.
-func NewClaimant(key string, ep transport.Endpoint, members []ids.NodeID, votePort string, cfg Config) *Claimant {
-	if votePort == "" {
-		votePort = DefaultVotePort
-	}
-	return &Claimant{
-		key:      key,
-		ep:       ep,
-		members:  members,
-		votePort: votePort,
-		cfg:      cfg.withDefaults(),
-		quorum:   len(members)/2 + 1,
-	}
-}
-
-// Quorum returns the majority size.
-func (cl *Claimant) Quorum() int { return cl.quorum }
-
-// Claim runs the claim protocol on behalf of pid, blocking the calling
-// process. At most one Claim per key ever returns Won.
-func (cl *Claimant) Claim(p transport.Proc, pid ids.PID) Result {
-	replyPort := fmt.Sprintf("%s/reply/%s/%v", cl.votePort, cl.key, pid)
-	replies := cl.ep.Bind(replyPort)
-	defer cl.ep.Unbind(replyPort)
-	replyAddr := transport.Addr{Node: cl.ep.ID(), Port: replyPort}
-
-	res := Result{}
-	for attempt := 0; attempt < cl.cfg.MaxAttempts; attempt++ {
-		ballot := attempt
-		res.Ballots++
-		ballotStart := cl.ep.Now()
-		// Snapshot the transport's reconnect count: a reply whose round
-		// trip straddled a redial measures backoff, not protocol latency,
-		// and must not feed the RTT estimate.
-		retries0 := cl.cfg.Net.RetryCount()
-		for _, m := range cl.members {
-			cl.ep.Send(transport.Addr{Node: m, Port: cl.votePort}, VoteReq{
-				Key: cl.key, Claimant: pid, Ballot: ballot, Reply: replyAddr,
-			})
-		}
-		grants, answered := 0, 0
-		deadline := cl.ep.Now().Add(cl.cfg.ReplyTimeout)
-		for grants < cl.quorum && answered < len(cl.members) {
-			remain := deadline.Sub(cl.ep.Now())
-			if remain < 0 {
-				break
-			}
-			env, ok := replies.RecvTimeout(p, remain)
-			if !ok {
-				break
-			}
-			reply, isReply := env.Payload.(VoteReply)
-			if !isReply || reply.Key != cl.key || reply.Ballot != ballot {
-				continue // stale
-			}
-			cl.cfg.Net.ObserveRTTIfStable(cl.ep.Now().Sub(ballotStart), retries0)
-			answered++
-			if reply.Winner.IsValid() {
-				if reply.Winner == pid {
-					// Our own earlier commit announce (shouldn't happen —
-					// we return on commit) — treat as won.
-					res.Won = true
-					return res
-				}
-				res.TooLate = true
-				res.Winner = reply.Winner
-				cl.releaseAll(pid, ballot)
-				return res
-			}
-			if reply.Granted {
-				grants++
-			}
-		}
-		if grants >= cl.quorum {
-			for _, m := range cl.members {
-				cl.ep.Send(transport.Addr{Node: m, Port: cl.votePort},
-					CommitAnnounce{Key: cl.key, Winner: pid})
-			}
-			res.Won = true
-			return res
-		}
-		cl.releaseAll(pid, ballot)
-		// Deterministic stagger: lower PIDs retry sooner, breaking
-		// symmetric vote splits.
-		backoff := cl.cfg.BackoffBase * time.Duration(attempt+1)
-		backoff += time.Duration(pid%16) * (cl.cfg.BackoffBase / 4)
-		p.Sleep(backoff)
-	}
-	return res
-}
-
-func (cl *Claimant) releaseAll(pid ids.PID, ballot int) {
-	for _, m := range cl.members {
-		cl.ep.Send(transport.Addr{Node: m, Port: cl.votePort},
-			Release{Key: cl.key, Claimant: pid, Ballot: ballot})
-	}
-}
-
 // Group is a majority-consensus semaphore spanning a set of endpoints:
-// one voter per endpoint plus a single key, the shape the experiments
-// and the one-shot block tests use. name must be unique per fabric (it
-// namespaces the ports and is the semaphore key).
+// one voter and one coalescer per endpoint plus a single key, the shape
+// the experiments and the one-shot block tests use. name must be unique
+// per fabric (it namespaces the ports and is the semaphore key).
 type Group struct {
-	name    string
-	eps     []transport.Endpoint
-	members []ids.NodeID
-	cfg     Config
-	voters  []*Voter
-	quorum  int
-	ballots atomic.Int64 // total ballots run (for experiment accounting)
+	name       string
+	voters     []*Voter
+	coalescers []*Coalescer
+	quorum     int
+	ballots    atomic.Int64 // total ballots run (for experiment accounting)
 }
 
-// NewGroup spawns one voter process on each endpoint and returns the
-// group.
+// NewGroup spawns one voter process and one coalescer on each endpoint
+// and returns the group.
 func NewGroup(name string, eps []transport.Endpoint, cfg Config) *Group {
 	g := &Group{
 		name:   name,
-		eps:    eps,
-		cfg:    cfg.withDefaults(),
 		quorum: len(eps)/2 + 1,
 	}
-	for _, ep := range eps {
-		g.members = append(g.members, ep.ID())
+	members := make([]ids.NodeID, len(eps))
+	for i, ep := range eps {
+		members[i] = ep.ID()
 		g.voters = append(g.voters, StartVoter(ep, g.votePort()))
+	}
+	for _, ep := range eps {
+		g.coalescers = append(g.coalescers, StartCoalescer(ep, members, g.votePort(), cfg))
 	}
 	return g
 }
@@ -454,7 +277,8 @@ func (g *Group) votePort() string { return "consensus/" + g.name + "/vote" }
 // Quorum returns the majority size.
 func (g *Group) Quorum() int { return g.quorum }
 
-// Ballots returns the total number of ballots claimants have run.
+// Ballots returns the total number of ballots claims have run. A claim
+// answered from another local claim's round on the key ran none.
 func (g *Group) Ballots() int { return int(g.ballots.Load()) }
 
 // Winner returns the committed PID, if any voter has seen the commit.
@@ -467,9 +291,12 @@ func (g *Group) Winner() (ids.PID, bool) {
 	return ids.None, false
 }
 
-// Shutdown kills the voter processes. Call when the group is no longer
-// needed so the simulation can drain.
+// Shutdown kills the coalescer and voter processes. Call when the group
+// is no longer needed so the simulation can drain.
 func (g *Group) Shutdown() {
+	for _, co := range g.coalescers {
+		co.Stop()
+	}
 	for _, v := range g.voters {
 		v.Stop()
 	}
@@ -482,19 +309,16 @@ func (g *Group) CrashVoter(i int) {
 	}
 }
 
-// Claim runs the claim protocol on behalf of pid from endpoint ep,
-// blocking the calling process. At most one Claim per group ever
-// returns Won.
+// Claim runs the claim protocol on behalf of pid through the coalescer
+// on ep, which must be one of the group's endpoints, blocking the
+// calling process. At most one Claim per group ever returns Won.
 func (g *Group) Claim(p transport.Proc, ep transport.Endpoint, pid ids.PID) Result {
-	cl := &Claimant{
-		key:      g.name,
-		ep:       ep,
-		members:  g.members,
-		votePort: g.votePort(),
-		cfg:      g.cfg,
-		quorum:   g.quorum,
+	for _, co := range g.coalescers {
+		if co.ep.ID() == ep.ID() {
+			res := co.Claim(p, g.name, pid)
+			g.ballots.Add(int64(res.Ballots))
+			return res
+		}
 	}
-	res := cl.Claim(p, pid)
-	g.ballots.Add(int64(res.Ballots))
-	return res
+	panic(fmt.Sprintf("consensus: group %q has no endpoint %v", g.name, ep.ID()))
 }

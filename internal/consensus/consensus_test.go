@@ -196,21 +196,22 @@ func TestMessageLossEventuallyCommits(t *testing.T) {
 func TestContendersEventuallyResolve(t *testing.T) {
 	transporttest.Each(t, 3, 7, func(t *testing.T, f *transporttest.Fabric) {
 		// Many contenders on a small quorum: releases + staggered backoff
-		// must converge to exactly one winner.
+		// must converge to exactly one winner, and every loser must learn
+		// who it is.
 		g := consensus.NewGroup("test", f.Eps(), consensus.Config{})
 		eps := f.Eps()
-		var mu sync.Mutex
-		won := 0
-		done := 0
 		const claimants = 6
+		pids := make([]ids.PID, claimants)
+		results := make([]consensus.Result, claimants)
+		var mu sync.Mutex
+		done := 0
 		for i := 0; i < claimants; i++ {
 			i := i
+			pids[i] = ids.PID(10 + int64(i))
 			f.Go("claimant", func(p transport.Proc) {
-				r := g.Claim(p, eps[i%3], ids.PID(10+int64(i)))
+				r := g.Claim(p, eps[i%3], pids[i])
 				mu.Lock()
-				if r.Won {
-					won++
-				}
+				results[i] = r
 				done++
 				last := done == claimants
 				mu.Unlock()
@@ -220,11 +221,11 @@ func TestContendersEventuallyResolve(t *testing.T) {
 			})
 		}
 		f.Run(t)
-		if won != 1 {
-			t.Fatalf("winners = %d, want 1", won)
-		}
-		if g.Ballots() < claimants {
-			t.Fatalf("expected contention ballots, got %d", g.Ballots())
+		requireOneWinner(t, results, pids)
+		// Claims on one node share its coalescer's round on the key, so
+		// only each node's first claim runs ballots of its own.
+		if g.Ballots() < len(eps) {
+			t.Fatalf("ballots = %d, want at least one per claiming node (%d)", g.Ballots(), len(eps))
 		}
 	})
 }

@@ -128,26 +128,3 @@ func TestSetViewAbandonsStrandedRounds(t *testing.T) {
 		requireOneWinner(t, results, pids)
 	})
 }
-
-// The unbatched singleton path stays unfenced: a lone VoteReq claim
-// must still decide against voters fenced at a higher epoch, because
-// the per-key protocol carries no epoch (compatibility path).
-func TestSingletonClaimUnfenced(t *testing.T) {
-	transporttest.Each(t, 3, 19, func(t *testing.T, f *transporttest.Fabric) {
-		const port = "consensus/reconfig-singleton/vote"
-		voters := startVoters(f, port)
-		for _, v := range voters {
-			v.SetEpoch(9)
-		}
-		cl := consensus.NewClaimant("k", f.Eps()[0], memberIDs(f), port, fastCfg())
-		var res consensus.Result
-		f.Go("claimant", func(p transport.Proc) {
-			res = cl.Claim(p, ids.PID(7))
-			stopAll(nil, voters)
-		})
-		f.Run(t)
-		if !res.Won {
-			t.Fatalf("singleton claim lost against fenced voters: %+v", res)
-		}
-	})
-}

@@ -40,12 +40,12 @@ func deadAddr(t *testing.T) string {
 }
 
 // TestClaimRTTDroppedAcrossReconnect is the regression test for RTT
-// accounting over the real transport: a claim whose ballot overlaps a
-// reconnect (one dead peer forces dial retries) must not record the
-// inflated round trip. The fake voter delays its grant until the
-// claimant's transport has registered a retry, guaranteeing the reply
-// RTT straddles the reconnect; the sample must land in rtt_dropped,
-// leaving the EWMA and quantiles untouched.
+// accounting over the real transport: a claim whose ballot round
+// overlaps a reconnect (one dead peer forces dial retries) must not
+// record the inflated round trip. The fake voter delays its grant until
+// the coalescer's transport has registered a retry, guaranteeing the
+// reply RTT straddles the reconnect; the sample must land in
+// rtt_dropped, leaving the EWMA and quantiles untouched.
 func TestClaimRTTDroppedAcrossReconnect(t *testing.T) {
 	claimEP, claimNC := newTCPNode(t, 1)
 	voterEP, _ := newTCPNode(t, 2)
@@ -53,8 +53,8 @@ func TestClaimRTTDroppedAcrossReconnect(t *testing.T) {
 	claimEP.AddPeer(3, deadAddr(t)) // dead peer: dials fail, Retries climbs
 	voterEP.AddPeer(1, claimEP.Addr())
 
-	// Fake voter: grant, but only after the claimant's transport has
-	// recorded at least one reconnect attempt.
+	// Fake voter: grant every claim in the round, but only after the
+	// coalescer's transport has recorded at least one reconnect attempt.
 	inbox := voterEP.Bind(consensus.DefaultVotePort)
 	h := voterEP.Spawn("fake-voter", func(p transport.Proc) {
 		for {
@@ -62,7 +62,7 @@ func TestClaimRTTDroppedAcrossReconnect(t *testing.T) {
 			if !ok {
 				return
 			}
-			req, isReq := env.Payload.(consensus.VoteReq)
+			req, isReq := env.Payload.(consensus.BallotReq)
 			if !isReq {
 				continue
 			}
@@ -70,19 +70,22 @@ func TestClaimRTTDroppedAcrossReconnect(t *testing.T) {
 			for claimNC.RetryCount() == 0 && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			voterEP.Send(req.Reply, consensus.VoteReply{
-				Key: req.Key, Voter: voterEP.ID(), Ballot: req.Ballot, Granted: true,
-			})
+			reply := consensus.BallotReply{Round: req.Round, Voter: voterEP.ID(), Epoch: req.Epoch}
+			for _, c := range req.Claims {
+				reply.Votes = append(reply.Votes, consensus.BallotVote{Key: c.Key, Granted: true})
+			}
+			voterEP.Send(req.Reply, reply)
 		}
 	})
 	defer h.Kill()
 
-	cl := consensus.NewClaimant("rtt-test", claimEP, []ids.NodeID{2, 3}, "", consensus.Config{
+	co := consensus.StartCoalescer(claimEP, []ids.NodeID{2, 3}, "", consensus.Config{
 		ReplyTimeout: 2 * time.Second,
 		MaxAttempts:  1,
 		Net:          claimNC,
 	})
-	res := cl.Claim(transport.Background(), ids.PID(100))
+	defer co.Stop()
+	res := co.Claim(transport.Background(), "rtt-test", ids.PID(100))
 	if res.Won {
 		t.Fatalf("claim won without a quorum: %+v", res)
 	}
@@ -108,11 +111,12 @@ func TestClaimRTTRecordedWhenStable(t *testing.T) {
 	v := consensus.StartVoter(voterEP, "")
 	defer v.Stop()
 
-	cl := consensus.NewClaimant("rtt-ok", claimEP, []ids.NodeID{2}, "", consensus.Config{
+	co := consensus.StartCoalescer(claimEP, []ids.NodeID{2}, "", consensus.Config{
 		ReplyTimeout: 10 * time.Second,
 		Net:          claimNC,
 	})
-	res := cl.Claim(transport.Background(), ids.PID(100))
+	defer co.Stop()
+	res := co.Claim(transport.Background(), "rtt-ok", ids.PID(100))
 	if !res.Won {
 		t.Fatalf("single-voter claim must win: %+v", res)
 	}

@@ -41,13 +41,15 @@ func TestConsensusCancelWinnerRace(t *testing.T) {
 		}
 	}()
 
-	cfg := consensus.Config{ReplyTimeout: time.Second, BackoffBase: 5 * time.Millisecond, MaxAttempts: 4}
+	co := consensus.StartCoalescer(eps[0], members, "", consensus.Config{
+		ReplyTimeout: time.Second, BackoffBase: 5 * time.Millisecond, MaxAttempts: 4,
+	})
+	defer co.Stop()
 
 	for i := 0; i < 25; i++ {
 		key := fmt.Sprintf("race/%d", i)
-		cl := consensus.NewClaimant(key, eps[0], members, "", cfg)
 		claim := func(w *World) bool {
-			return cl.Claim(transport.Background(), w.PID()).Won
+			return co.Claim(transport.Background(), key, w.PID()).Won
 		}
 
 		rt := New(Config{PageSize: 64})

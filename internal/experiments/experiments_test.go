@@ -234,8 +234,21 @@ func TestE10ConsensusShape(t *testing.T) {
 			t.Errorf("nodes=%d crashes=%d: committed=%v, want %v",
 				row.Nodes, row.Crashes, row.Committed, wantCommit)
 		}
-		if row.Committed && row.Nodes > 1 && row.Latency <= 0 {
-			t.Errorf("nodes=%d: zero latency", row.Nodes)
+		// A committed claim takes one ballot: one round trip on the HP
+		// network, none when the only voter is local. A claim without a
+		// quorum runs its MaxAttempts = 3 ballots, each ending at the
+		// 200 ms reply timeout, and backs off (100 ms, then 150 ms for
+		// PID 100) only between them: giving up costs no final backoff.
+		wantLatency, wantBallots := 20*time.Millisecond, 1
+		switch {
+		case !row.Committed:
+			wantLatency, wantBallots = 850*time.Millisecond, 3
+		case row.Nodes == 1:
+			wantLatency = 0
+		}
+		if row.Latency != wantLatency || row.Ballots != wantBallots {
+			t.Errorf("nodes=%d crashes=%d: %v after %d ballots, want %v after %d",
+				row.Nodes, row.Crashes, row.Latency, row.Ballots, wantLatency, wantBallots)
 		}
 	}
 	_ = res.Format()

@@ -1,7 +1,7 @@
 // Package codec is the single wire-registration point for every
-// protocol message that crosses the transport fabric: consensus votes
-// and batched ballots, checkpoint ships (full and delta), and the
-// netfs page protocol. Each type is registered twice — with gob, the
+// protocol message that crosses the transport fabric: consensus ballot
+// rounds, checkpoint ships (full and delta), the netfs page protocol
+// and membership gossip. Each type is registered twice — with gob, the
 // version-0 fallback framing, and with transport.RegisterWire, the
 // hand-rolled version-1 binary codec used on the hot path.
 //
@@ -18,7 +18,8 @@
 // which is also why transport itself must never import it.
 //
 // Tag space: 1 is claimed by transport for []byte; 2..99 are protocol
-// messages assigned here; 200..255 are reserved for applications —
+// messages assigned here (2..5 stay reserved: see the tag list);
+// 200..255 are reserved for applications —
 // 200/201 stay reserved for the retired load-query protocol, 202/203
 // carry the stm and choo job specs for typed rfork forwarding. The app
 // specs self-register from their own packages (see apps.go for why),
@@ -37,12 +38,11 @@ import (
 	"altrun/internal/transport"
 )
 
-// Wire tags for protocol messages (transport.TagBytes = 1).
+// Wire tags for protocol messages (transport.TagBytes = 1). Tags 2..5
+// were the retired per-claim consensus messages (VoteReq, VoteReply,
+// Release, CommitAnnounce); they stay reserved so a new message type
+// can't collide with old peers on the wire.
 const (
-	TagVoteReq        byte = 2
-	TagVoteReply      byte = 3
-	TagRelease        byte = 4
-	TagCommitAnnounce byte = 5
 	TagBallotReq      byte = 6
 	TagBallotReply    byte = 7
 	TagBallotRelease  byte = 8
@@ -65,10 +65,6 @@ const (
 func init() {
 	// Gob fallback registration (version-0 frames, and any payload
 	// wrapped in a type the binary codec does not know).
-	gob.Register(consensus.VoteReq{})
-	gob.Register(consensus.VoteReply{})
-	gob.Register(consensus.Release{})
-	gob.Register(consensus.CommitAnnounce{})
 	gob.Register(consensus.BallotReq{})
 	gob.Register(consensus.BallotReply{})
 	gob.Register(consensus.BallotRelease{})
@@ -146,78 +142,6 @@ func readControl(r *transport.WireReader) map[string]int64 {
 }
 
 func registerConsensus() {
-	reg(TagVoteReq, consensus.VoteReq{},
-		func(p any, dst []byte) []byte {
-			m := p.(consensus.VoteReq)
-			dst = transport.AppendString(dst, m.Key)
-			dst = transport.AppendVarint(dst, int64(m.Claimant))
-			dst = transport.AppendVarint(dst, int64(m.Ballot))
-			return appendAddr(dst, m.Reply)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := consensus.VoteReq{
-				Key:      r.String(),
-				Claimant: ids.PID(r.Varint()),
-				Ballot:   int(r.Varint()),
-				Reply:    readAddr(r),
-			}
-			return m, r.Err()
-		})
-	reg(TagVoteReply, consensus.VoteReply{},
-		func(p any, dst []byte) []byte {
-			m := p.(consensus.VoteReply)
-			dst = transport.AppendString(dst, m.Key)
-			dst = transport.AppendUvarint(dst, uint64(m.Voter))
-			dst = transport.AppendVarint(dst, int64(m.Ballot))
-			granted := byte(0)
-			if m.Granted {
-				granted = 1
-			}
-			dst = append(dst, granted)
-			return transport.AppendVarint(dst, int64(m.Winner))
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := consensus.VoteReply{
-				Key:    r.String(),
-				Voter:  ids.NodeID(r.Uvarint()),
-				Ballot: int(r.Varint()),
-			}
-			m.Granted = r.Uvarint() != 0
-			m.Winner = ids.PID(r.Varint())
-			return m, r.Err()
-		})
-	reg(TagRelease, consensus.Release{},
-		func(p any, dst []byte) []byte {
-			m := p.(consensus.Release)
-			dst = transport.AppendString(dst, m.Key)
-			dst = transport.AppendVarint(dst, int64(m.Claimant))
-			return transport.AppendVarint(dst, int64(m.Ballot))
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := consensus.Release{
-				Key:      r.String(),
-				Claimant: ids.PID(r.Varint()),
-				Ballot:   int(r.Varint()),
-			}
-			return m, r.Err()
-		})
-	reg(TagCommitAnnounce, consensus.CommitAnnounce{},
-		func(p any, dst []byte) []byte {
-			m := p.(consensus.CommitAnnounce)
-			dst = transport.AppendString(dst, m.Key)
-			return transport.AppendVarint(dst, int64(m.Winner))
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := consensus.CommitAnnounce{
-				Key:    r.String(),
-				Winner: ids.PID(r.Varint()),
-			}
-			return m, r.Err()
-		})
 	reg(TagBallotReq, consensus.BallotReq{},
 		func(p any, dst []byte) []byte {
 			m := p.(consensus.BallotReq)

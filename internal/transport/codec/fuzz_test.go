@@ -1,6 +1,8 @@
 package codec_test
 
 import (
+	"bytes"
+	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -17,9 +19,11 @@ import (
 // input: malformed or truncated frames return an error — never a panic
 // — and any frame that decodes must survive a re-encode/re-decode
 // round trip unchanged (the codec is a fixed point on its own output).
-// The checked-in corpus under testdata/fuzz seeds every registered
-// frame shape in both the binary and gob encodings; regenerate it with
-// `go run gen_corpus.go` after adding a message type.
+// Every registered frame shape is seeded in the binary and the gob
+// (version 0x00) encodings, plus truncations of the binary frame. The
+// checked-in corpus under testdata/fuzz is a fixed set of older inputs,
+// kept as regression seeds: its seed-01..04 frames carry the retired
+// tags 2..5, which must now be rejected cleanly.
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, env := range codec.SeedEnvelopes() {
 		body, _, err := transport.AppendEnvelope(nil, env)
@@ -30,7 +34,18 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		// Truncations of a valid frame are the interesting malformed
 		// inputs: every length prefix gets a chance to run past the end.
 		f.Add(body[:len(body)/2])
+		f.Add(body[:len(body)*2/3])
 		f.Add(body[:len(body)-1])
+
+		var gobFrame bytes.Buffer
+		gobFrame.WriteByte(0x00)
+		if err := gob.NewEncoder(&gobFrame).Encode(&env); err != nil {
+			f.Fatal(err)
+		}
+		if _, err := transport.DecodeEnvelope(gobFrame.Bytes()); err != nil {
+			f.Fatalf("%T: gob frame does not decode: %v", env.Payload, err)
+		}
+		f.Add(gobFrame.Bytes())
 	}
 	f.Add([]byte{})
 	f.Add([]byte{0x00})       // empty gob stream

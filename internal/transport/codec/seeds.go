@@ -24,28 +24,15 @@ func RegisterSeed(env transport.Envelope) {
 
 // SeedEnvelopes returns one exemplar envelope per registered frame
 // shape, with strings and byte payloads exercising every
-// length-prefixed field. The fuzz harness seeds from it and
-// gen_corpus.go writes its encodings into testdata/fuzz as the
-// checked-in corpus; add an entry here when registering a new message
-// type (application packages contribute theirs through RegisterSeed).
+// length-prefixed field. The fuzz harness seeds from it in every
+// encoding; add an entry here when registering a new message type
+// (application packages contribute theirs through RegisterSeed).
 func SeedEnvelopes() []transport.Envelope {
 	addr := func(n ids.NodeID, port string) transport.Addr {
 		return transport.Addr{Node: n, Port: port}
 	}
 	base := []transport.Envelope{
 		{From: 1, To: addr(2, "inbox"), Payload: []byte("raw bytes payload")},
-		{From: 1, To: addr(2, "consensus/vote"), Payload: consensus.VoteReq{
-			Key: "job/1/7", Claimant: ids.PID(100), Ballot: 2, Reply: addr(1, "consensus/claim/7"),
-		}},
-		{From: 2, To: addr(1, "consensus/claim/7"), Payload: consensus.VoteReply{
-			Key: "job/1/7", Voter: 2, Ballot: 2, Granted: true, Winner: ids.PID(100),
-		}},
-		{From: 1, To: addr(2, "consensus/vote"), Payload: consensus.Release{
-			Key: "job/1/7", Claimant: ids.PID(100), Ballot: 2,
-		}},
-		{From: 1, To: addr(2, "consensus/vote"), Payload: consensus.CommitAnnounce{
-			Key: "job/1/7", Winner: ids.PID(100),
-		}},
 		{From: 3, To: addr(1, "consensus/vote"), Payload: consensus.BallotReq{
 			Round: 9, Epoch: 4, Reply: addr(3, "consensus/vote/batch"),
 			Claims: []consensus.BallotClaim{

@@ -9,9 +9,11 @@
 //
 //   - internal/cluster: the deterministic simulated cluster. Every
 //     experiment (E5, E10, ...) runs on it, bit-for-bit reproducibly.
-//   - TCP (this package): a real transport with length-prefixed gob
-//     framing, per-peer reconnect with backoff, and connect/send
-//     timeouts, used by cmd/altserved peer groups and distbench.
+//   - TCP (this package): a real transport with length-prefixed frames
+//     in the binary codec of wire.go (gob as the fallback for payload
+//     types with no registered codec), per-peer reconnect with backoff,
+//     and connect/send timeouts, used by cmd/altserved peer groups and
+//     distbench.
 //
 // consensus, checkpoint shipping (rfork), and the network paged-file
 // device are written against these interfaces only, so the same

@@ -12,8 +12,8 @@ import (
 )
 
 // The hot-path wire format. Per-frame gob encoders dominate the
-// distributed commit cost at scale: every VoteReq/VoteReply pays a
-// gob.NewEncoder allocation plus reflection, and a shipped checkpoint
+// distributed commit cost at scale: every ballot request and reply pays
+// a gob.NewEncoder allocation plus reflection, and a shipped checkpoint
 // page is copied through a bytes.Buffer. This file replaces that with a
 // hand-rolled length-prefixed binary encoding for registered payload
 // types, pooled frame buffers, and a single conn.Write per frame. A
