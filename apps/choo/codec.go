@@ -1,7 +1,6 @@
 package choo
 
 import (
-	"encoding/gob"
 	"reflect"
 
 	"altrun/internal/transport"
@@ -14,7 +13,6 @@ import (
 // must not depend on.
 
 func init() {
-	gob.Register(ProgSpec{})
 	transport.RegisterWire(transport.WireCodec{
 		Tag:    codec.TagChooProgSpec,
 		Type:   reflect.TypeOf(ProgSpec{}),

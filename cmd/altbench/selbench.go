@@ -38,10 +38,8 @@ type selBenchResult struct {
 	EliminationsPerSec float64 `json:"eliminations_per_sec,omitempty"`
 }
 
-// selContendedResult is one arm of the locked-vs-lock-free A/B at
-// 64-way commit contention.
+// selContendedResult is one row of the 64-way commit-contention run.
 type selContendedResult struct {
-	Impl         string  `json:"impl"` // "lockfree" or "locked"
 	LiveWorlds   int     `json:"live_worlds"`
 	P50Ns        float64 `json:"p50_ns"`
 	P99Ns        float64 `json:"p99_ns"`
@@ -54,18 +52,16 @@ type selBenchReport struct {
 	BaselineCommit string           `json:"baseline_commit"`
 	Baseline       []selBenchResult `json:"baseline"`
 	Results        []selBenchResult `json:"results"`
-	// Contended is the 64-way commit-contention A/B: the same workload
-	// on the lock-free registry (default) and the RWMutex baseline
-	// (core.Config.LockedRegistry).
+	// Contended is the 64-way commit-contention run, one row per
+	// bystander population.
 	Contended []selContendedResult `json:"contended_64way,omitempty"`
 	// MutexProfileReadPath is "clean" when a full mutex profile of the
-	// contended lock-free run contains no registry/alias/epoch/proc/
-	// router read-path frame — the zero-mutex-acquisition check.
+	// contended run contains no registry/alias/epoch/proc/router
+	// read-path frame — the zero-mutex-acquisition check.
 	MutexProfileReadPath string `json:"mutex_profile_read_path,omitempty"`
 	// SubscribersPerResolution is the mean affected-set size observed
 	// across the run — the quantity commit cost now scales with.
 	SubscribersPerResolution float64 `json:"subscribers_per_resolution"`
-	ShardContention          int64   `json:"registry_shard_contention"`
 }
 
 // selBaseline holds the pre-index numbers (same benchmark bodies, run
@@ -182,12 +178,8 @@ const selContendWidth = 64
 // wall time, which on a small machine is dominated by scheduling the
 // 64-way goroutine fan-out rather than the selection path under test.
 // blocks/s is aggregate over the whole run.
-func benchContendedCommit(live, blocksPerWorker int, locked bool) (selContendedResult, error) {
-	impl := "lockfree"
-	if locked {
-		impl = "locked"
-	}
-	rt := core.New(core.Config{LockedRegistry: locked})
+func benchContendedCommit(live, blocksPerWorker int) (selContendedResult, error) {
+	rt := core.New(core.Config{})
 	if err := populateBystanders(rt, live); err != nil {
 		return selContendedResult{}, err
 	}
@@ -253,7 +245,6 @@ func benchContendedCommit(live, blocksPerWorker int, locked bool) (selContendedR
 		return float64(all[idx].Nanoseconds())
 	}
 	return selContendedResult{
-		Impl:         impl,
 		LiveWorlds:   live,
 		P50Ns:        pct(0.50),
 		P99Ns:        pct(0.99),
@@ -272,8 +263,8 @@ var readPathSites = []string{
 	"epoch.(*Domain).Pin",
 	"epoch.Guard.Unpin",
 	").Get", // epoch.(*Map[...]).Get — scoped by the epoch package check below
-	"lfRegistry).world",
-	"lfRegistry).appendSubscribers",
+	"core.(*registry).world",
+	"core.(*registry).appendSubscribers",
 	"core.(*Runtime).split",
 	"core.(*Runtime).appendCopies",
 	"proc.(*Table).Status",
@@ -297,14 +288,14 @@ func isReadPathSite(name string) bool {
 	return false
 }
 
-// assertLockFreeReadPath runs a contended workload on the lock-free
-// runtime with full mutex profiling and fails if any contended-mutex
-// event was held by a read-path function. The contention site is the
-// innermost non-sync/non-runtime frame of each profile record.
+// assertLockFreeReadPath runs a contended workload with full mutex
+// profiling and fails if any contended-mutex event was held by a
+// read-path function. The contention site is the innermost
+// non-sync/non-runtime frame of each profile record.
 func assertLockFreeReadPath() (string, error) {
 	old := runtime.SetMutexProfileFraction(1)
 	defer runtime.SetMutexProfileFraction(old)
-	if _, err := benchContendedCommit(100, 50, false); err != nil {
+	if _, err := benchContendedCommit(100, 50); err != nil {
 		return "", err
 	}
 	var records []runtime.BlockProfileRecord
@@ -353,7 +344,6 @@ func runSelbench(args []string) error {
 	fs := flag.NewFlagSet("selbench", flag.ContinueOnError)
 	out := fs.String("o", "BENCH_sel.json", "output JSON path ('-' for stdout only)")
 	quick := fs.Bool("quick", false, "CI smoke mode: small world counts, one iteration")
-	abGate := fs.Float64("abgate", 0, "fail unless lock-free contended p50 <= gate × locked p50 (0 = report only)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -393,41 +383,16 @@ func runSelbench(args []string) error {
 			fmt.Sprintf("EliminationThroughput/live=%d", live), res.NsPerOp, res.AllocsPerOp, res.BytesPerOp, res.EliminationsPerSec)
 	}
 
-	// 64-way contention A/B: the same commit workload on the lock-free
-	// registry and the RWMutex baseline.
 	var contended []selContendedResult
-	fmt.Printf("\n%d-way contended commit (A/B: lock-free vs locked registry)\n", selContendWidth)
-	fmt.Printf("%-10s %12s %14s %14s %14s\n", "impl", "live", "p50 µs", "p99 µs", "blocks/s")
+	fmt.Printf("\n%d-way contended commit\n", selContendWidth)
+	fmt.Printf("%12s %14s %14s %14s\n", "live", "p50 µs", "p99 µs", "blocks/s")
 	for _, live := range contendedCounts {
-		for _, locked := range []bool{false, true} {
-			r, err := benchContendedCommit(live, blocksPerWorker, locked)
-			if err != nil {
-				return fmt.Errorf("contended live=%d locked=%v: %w", live, locked, err)
-			}
-			contended = append(contended, r)
-			fmt.Printf("%-10s %12d %14.1f %14.1f %14.0f\n",
-				r.Impl, r.LiveWorlds, r.P50Ns/1e3, r.P99Ns/1e3, r.BlocksPerSec)
+		r, err := benchContendedCommit(live, blocksPerWorker)
+		if err != nil {
+			return fmt.Errorf("contended live=%d: %w", live, err)
 		}
-	}
-	if *abGate > 0 {
-		for _, live := range contendedCounts {
-			var lf, lk float64
-			for _, r := range contended {
-				if r.LiveWorlds != live {
-					continue
-				}
-				if r.Impl == "lockfree" {
-					lf = r.P50Ns
-				} else {
-					lk = r.P50Ns
-				}
-			}
-			if lk > 0 && lf > *abGate*lk {
-				return fmt.Errorf("A/B gate failed at live=%d: lock-free p50 %.0fns > %.2f × locked p50 %.0fns",
-					live, lf, *abGate, lk)
-			}
-		}
-		fmt.Printf("A/B gate passed: lock-free p50 <= %.2f × locked p50 at every point\n", *abGate)
+		contended = append(contended, r)
+		fmt.Printf("%12d %14.1f %14.1f %14.0f\n", r.LiveWorlds, r.P50Ns/1e3, r.P99Ns/1e3, r.BlocksPerSec)
 	}
 
 	// The zero-mutex-acquisition check on the lock-free read path.
@@ -439,12 +404,11 @@ func runSelbench(args []string) error {
 
 	// Selection counters from a dedicated traced run: the affected-set
 	// size per resolution is the quantity commit cost scales with.
-	subsPerRes, contention, err := measureSelCounters()
+	subsPerRes, err := measureSelCounters()
 	if err != nil {
 		return err
 	}
 	fmt.Printf("\nsubscribers visited per resolution: %.2f (affected set; live-set scan would be ≫)\n", subsPerRes)
-	fmt.Printf("registry shard contention events: %d\n", contention)
 
 	// Flat-commit check: the headline claim is O(affected-set)
 	// selection, so flag a regression right in the tool.
@@ -466,20 +430,19 @@ func runSelbench(args []string) error {
 		Contended:                contended,
 		MutexProfileReadPath:     mutexVerdict,
 		SubscribersPerResolution: subsPerRes,
-		ShardContention:          contention,
 	})
 }
 
 // measureSelCounters runs a fixed workload (100 blocks of width 4 among
 // 1000 bystanders) and reads the runtime's selection counters.
-func measureSelCounters() (subsPerResolution float64, contention int64, err error) {
+func measureSelCounters() (subsPerResolution float64, err error) {
 	rt := core.New(core.Config{})
 	if err := populateBystanders(rt, 1000); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	root, err := rt.NewRootWorld("root", 64*1024)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	for i := 0; i < 100; i++ {
 		alts := make([]core.Alt, 4)
@@ -487,12 +450,12 @@ func measureSelCounters() (subsPerResolution float64, contention int64, err erro
 			alts[j] = core.Alt{Name: "alt", Body: func(w *core.World) error { return nil }}
 		}
 		if _, err := root.RunAlt(core.Options{SyncElimination: true}, alts...); err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 	}
 	sel := rt.SelStats()
 	if sel.Resolutions == 0 {
-		return 0, sel.ShardContention, nil
+		return 0, nil
 	}
-	return float64(sel.SubscribersVisited) / float64(sel.Resolutions), sel.ShardContention, nil
+	return float64(sel.SubscribersVisited) / float64(sel.Resolutions), nil
 }

@@ -228,6 +228,11 @@ func clusterFromTransport(tcp *transport.TCP, members []ids.NodeID, nc *trace.Ne
 // pool.
 func (c *clusterState) start(pool *serve.Pool) {
 	c.pool = pool
+	// Bind the rfork ports before anything can advertise this node: a
+	// frame reaching an unbound port is dropped, and its sender, whose
+	// Send succeeded, never runs the job locally instead.
+	rforkIn := c.tcp.Bind(checkpoint.RForkPort)
+	ctlIn := c.tcp.Bind(checkpoint.RForkCtlPort)
 	c.agent = membership.Start(c.tcp, membership.Config{
 		SelfAddr:      c.tcp.Addr(),
 		Static:        c.staticPeers,
@@ -247,9 +252,9 @@ func (c *clusterState) start(pool *serve.Pool) {
 		Counters: c.mc,
 		Logf:     log.Printf,
 	})
-	c.rforkSvc = c.tcp.Spawn("rfork-svc", c.serveRFork)
+	c.rforkSvc = c.tcp.Spawn("rfork-svc", func(p transport.Proc) { c.serveRFork(p, rforkIn) })
 	c.ctlSvc = c.tcp.Spawn("rfork-ctl", func(p transport.Proc) {
-		checkpoint.ServeNaks(p, c.tcp.Bind(checkpoint.RForkCtlPort), c.shipper)
+		checkpoint.ServeNaks(p, ctlIn, c.shipper)
 	})
 }
 
@@ -338,8 +343,7 @@ func (c *clusterState) newClaim(job serve.Job, id uint64) core.ClaimFunc {
 // base — the Receiver reconstructs all three (NAKing deltas whose base
 // it lacks). The request is re-read from the restored space and the job
 // admitted to the local pool under this node's own consensus key.
-func (c *clusterState) serveRFork(p transport.Proc) {
-	inbox := c.tcp.Bind(checkpoint.RForkPort)
+func (c *clusterState) serveRFork(p transport.Proc, inbox transport.Mailbox) {
 	for {
 		env, ok := inbox.Recv(p)
 		if !ok {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"altrun/internal/checkpoint"
 	"altrun/internal/core"
 	"altrun/internal/ids"
 	"altrun/internal/obs"
@@ -325,4 +326,38 @@ func TestClusterRForkForwarding(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 	t.Fatal("no peer completed the forwarded job")
+}
+
+// TestRForkPortsBoundWhenStartReturns: a peer may ship an rfork the
+// moment start returns. Its sender sees Send succeed and never falls
+// back to running the job locally, so a frame that reached an unbound
+// port would lose the job: both rfork ports must be bound by then.
+func TestRForkPortsBoundWhenStartReturns(t *testing.T) {
+	tcp, err := transport.NewTCP(transport.TCPOptions{Node: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cs := clusterFromTransport(tcp, []ids.NodeID{1}, tcp.Counters())
+	pool, err := serve.NewPool(serve.Config{
+		Workers: 1, SpecTokens: 2, QueueDepth: 4,
+		Runtime:  core.New(core.Config{}),
+		NewClaim: cs.newClaim,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := pool.Close(ctx); err != nil {
+			t.Errorf("pool close: %v", err)
+		}
+		cs.close()
+	})
+	cs.start(pool)
+	for _, port := range []string{checkpoint.RForkPort, checkpoint.RForkCtlPort} {
+		if !tcp.Send(transport.Addr{Node: 1, Port: port}, []byte("probe")) {
+			t.Errorf("send to own %q port right after start was dropped", port)
+		}
+	}
 }

@@ -56,7 +56,6 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteCounter(bw, "altrun_sel_resolutions_total", "Selection resolutions processed.", float64(m.Selection.Resolutions))
 	obs.WriteCounter(bw, "altrun_sel_subscribers_visited_total", "Subscriber worlds visited during selection.", float64(m.Selection.SubscribersVisited))
 	obs.WriteCounter(bw, "altrun_sel_eliminations_total", "Worlds eliminated by selection.", float64(m.Selection.Eliminations))
-	obs.WriteCounter(bw, "altrun_sel_shard_contention_total", "Registry shard lock contention events.", float64(m.Selection.ShardContention))
 	obs.WriteCounter(bw, "altrun_sel_alias_fast_path_total", "Alias resolutions served by the fast path.", float64(m.Selection.AliasFastPath))
 	obs.WriteCounter(bw, "altrun_sel_alias_walks_total", "Alias chain walks.", float64(m.Selection.AliasWalks))
 
@@ -90,8 +89,7 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 		obs.WriteCounter(bw, "altrun_ballot_rounds_total", "Batched quorum rounds started by the coalescer.", float64(c.Net.BallotRounds))
 		obs.WriteCounter(bw, "altrun_ballots_coalesced_total", "Claims carried inside batched quorum rounds.", float64(c.Net.BallotsCoalesced))
 		obs.WriteCounter(bw, "altrun_claims_followed_total", "Claims answered from their key's leader or the decided-key cache, without a round.", float64(c.Net.ClaimsFollowed))
-		obs.WriteCounter(bw, "altrun_codec_frames_total", "Frames encoded on the binary fast path.", float64(c.Net.CodecFrames))
-		obs.WriteCounter(bw, "altrun_codec_fallbacks_total", "Frames that fell back to gob encoding.", float64(c.Net.CodecFallbacks))
+		obs.WriteCounter(bw, "altrun_codec_frames_total", "Frames encoded on the binary wire.", float64(c.Net.CodecFrames))
 		obs.WriteCounter(bw, "altrun_rfork_full_ships_total", "Full checkpoint images shipped.", float64(c.Net.FullShips))
 		obs.WriteCounter(bw, "altrun_rfork_delta_ships_total", "Delta checkpoint images shipped.", float64(c.Net.DeltaShips))
 		obs.WriteCounter(bw, "altrun_rfork_full_ship_bytes_total", "Bytes shipped as full images.", float64(c.Net.FullShipBytes))

@@ -47,9 +47,9 @@ import (
 	"altrun/internal/transport"
 )
 
-// Wire registration for every consensus message type — gob fallback and
-// the hand-rolled binary codec alike — lives in internal/transport/codec
-// so the sim and TCP fabrics share one registration point.
+// Wire registration for every consensus message type — its hand-rolled
+// binary codec — lives in internal/transport/codec so the sim and TCP
+// fabrics share one registration point.
 
 // Config tunes the claim protocol.
 type Config struct {

@@ -159,7 +159,11 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	if w.ctx == nil {
 		return Result{}, fmt.Errorf("core: RunAlt outside a running world body")
 	}
-	if w.eliminated.Load() {
+	// A cancelled parent starts no block. Checked here, not only in
+	// alt_wait: alt_wait takes a queued child report before it looks at
+	// the cancellation, so a child that wins before the parent waits
+	// would otherwise commit into a cancelled root.
+	if w.eliminated.Load() || w.Cancelled() {
 		return Result{}, ErrEliminated
 	}
 	start := rt.be.now()

@@ -101,3 +101,49 @@ func TestRealCancelWinnerRace(t *testing.T) {
 		}
 	}
 }
+
+// slowSetupProbe holds the parent between spawning its children and
+// entering alt_wait, long enough for an instant child to claim the
+// block and report first.
+type slowSetupProbe struct{ *testProbe }
+
+func (p slowSetupProbe) SetupDone(now time.Time, spawned int) {
+	time.Sleep(20 * time.Millisecond)
+	p.testProbe.SetupDone(now, spawned)
+}
+
+// TestCancelledRootNeverCommits: a block started on a root whose Cancel
+// has already run is abandoned, even when its child wins the claim and
+// reports before the parent waits for it. The parent's state must not
+// absorb the child's write.
+func TestCancelledRootNeverCommits(t *testing.T) {
+	rt := realRT(t)
+	root, err := rt.NewRootWorld("main", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.Cancel()
+	probe := slowSetupProbe{newTestProbe()}
+	_, err = root.RunAlt(Options{Probe: probe},
+		Alt{Name: "instant", Body: func(w *World) error {
+			return w.WriteAt([]byte("won"), 0)
+		}})
+	if !errors.Is(err, ErrEliminated) {
+		t.Fatalf("block on cancelled root err = %v, want ErrEliminated", err)
+	}
+	if probe.committed != 0 {
+		t.Fatalf("cancelled root committed child %v", probe.committed)
+	}
+	buf := make([]byte, 3)
+	if err := root.ReadAt(buf, 0); err != nil {
+		t.Fatal(err)
+	}
+	if string(buf) == "won" {
+		t.Fatal("cancelled root absorbed the child's write")
+	}
+	rt.Wait()
+	rt.Shutdown(root)
+	if n := rt.LiveWorlds(); n != 0 {
+		t.Fatalf("LiveWorlds = %d, want 0", n)
+	}
+}

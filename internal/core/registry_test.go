@@ -11,29 +11,17 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/msg"
 	"altrun/internal/proc"
-	"altrun/internal/trace"
 )
 
 // Unit tests for the world registry — the world map and the
 // predicate-subscription index — and for split-receiver alias
-// resolution over it. Every test runs against both registry
-// implementations — the lock-free default and the RWMutex baseline —
-// since they must be observably identical.
+// resolution over it.
 
-// eachRegistry runs fn as a subtest per registry implementation.
-func eachRegistry(t *testing.T, fn func(t *testing.T, mk func() worldRegistry)) {
+// eachRegistry runs fn on a fresh registry as a subtest named
+// "lockfree", which keeps the tests' names stable.
+func eachRegistry(t *testing.T, fn func(t *testing.T, mk func() *registry)) {
 	t.Helper()
-	for _, impl := range []struct {
-		name   string
-		locked bool
-	}{{"lockfree", false}, {"locked", true}} {
-		locked := impl.locked
-		t.Run(impl.name, func(t *testing.T) {
-			fn(t, func() worldRegistry {
-				return newRegistry(&trace.SelCounters{}, locked)
-			})
-		})
-	}
+	t.Run("lockfree", func(t *testing.T) { fn(t, newRegistry) })
 }
 
 func pidsOf(ws []*World) []ids.PID {
@@ -46,7 +34,7 @@ func pidsOf(ws []*World) []ids.PID {
 }
 
 func TestRegistryAddRemoveWorld(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
+	eachRegistry(t, func(t *testing.T, mk func() *registry) {
 		r := mk()
 		// Spread worlds across every shard (PIDs 1..64 cover all 16
 		// stripes four times over).
@@ -79,7 +67,7 @@ func TestRegistryAddRemoveWorld(t *testing.T) {
 }
 
 func TestRegistrySubscriptionIndex(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
+	eachRegistry(t, func(t *testing.T, mk func() *registry) {
 		r := mk()
 		subject := ids.PID(100)
 		other := ids.PID(101)
@@ -126,20 +114,12 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 	})
 }
 
-// eachRuntime runs fn as a subtest per registry implementation, on a
-// whole runtime: alias resolution spans the process table and the world
-// registry, so it is tested where it lives.
+// eachRuntime runs fn on a whole runtime, as a subtest named like
+// eachRegistry's: alias resolution spans the process table and the
+// world registry, so it is tested where it lives.
 func eachRuntime(t *testing.T, fn func(t *testing.T, rt *Runtime)) {
 	t.Helper()
-	for _, impl := range []struct {
-		name   string
-		locked bool
-	}{{"lockfree", false}, {"locked", true}} {
-		locked := impl.locked
-		t.Run(impl.name, func(t *testing.T) {
-			fn(t, New(Config{PageSize: 64, LockedRegistry: locked}))
-		})
-	}
+	t.Run("lockfree", func(t *testing.T) { fn(t, New(Config{PageSize: 64})) })
 }
 
 // retire ends a bodiless test world the way an elimination would.
@@ -371,7 +351,7 @@ func TestAliasLinearizability(t *testing.T) {
 // is the reclamation safety net for the epoch-based tables (a recycled
 // table still being probed is a detected race).
 func TestRegistryConcurrentReadersWriters(t *testing.T) {
-	eachRegistry(t, func(t *testing.T, mk func() worldRegistry) {
+	eachRegistry(t, func(t *testing.T, mk func() *registry) {
 		r := mk()
 		const (
 			pids    = 128

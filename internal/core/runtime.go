@@ -76,10 +76,6 @@ type Config struct {
 	// trace.Log.Dropped). 0 keeps the log unbounded — the mode
 	// experiments want; long-running daemons should set a cap.
 	TraceCap int
-	// LockedRegistry selects the legacy RWMutex-sharded world registry
-	// instead of the lock-free default — the A/B baseline selbench
-	// compares against (see registry.go).
-	LockedRegistry bool
 }
 
 // SimConfig configures a simulated runtime.
@@ -93,9 +89,6 @@ type SimConfig struct {
 	Trace bool
 	// TraceCap bounds the trace log as in Config.TraceCap.
 	TraceCap int
-	// LockedRegistry selects the legacy registry as in
-	// Config.LockedRegistry.
-	LockedRegistry bool
 }
 
 // WorldObserver observes world registration and unregistration — the
@@ -131,10 +124,9 @@ type Runtime struct {
 	console *device.Console
 
 	// reg is the sharded world registry: live worlds and the predicate
-	// subscription index (see registry.go; lock-free by default, RWMutex
-	// baseline behind Config.LockedRegistry). sel counts the
+	// subscription index (see registry.go). sel counts the
 	// selection-path work.
-	reg worldRegistry
+	reg *registry
 	sel trace.SelCounters
 
 	// propPool recycles propagation queues so elimination cascades are
@@ -183,7 +175,7 @@ type propQueue struct {
 // New returns a real-mode runtime.
 func New(cfg Config) *Runtime {
 	be := newRealBackend(cfg.Clock)
-	rt := newRuntime(page.NewStore(cfg.PageSize), cfg.Trace, cfg.TraceCap, cfg.LockedRegistry)
+	rt := newRuntime(page.NewStore(cfg.PageSize), cfg.Trace, cfg.TraceCap)
 	rt.be = be
 	rt.realBE = be
 	rt.finishInit()
@@ -197,7 +189,7 @@ func NewSim(cfg SimConfig) *Runtime {
 		cpus = cfg.CPUs
 	}
 	eng := sim.New(cpus)
-	rt := newRuntime(page.NewStore(cfg.Profile.PageSize), cfg.Trace, cfg.TraceCap, cfg.LockedRegistry)
+	rt := newRuntime(page.NewStore(cfg.Profile.PageSize), cfg.Trace, cfg.TraceCap)
 	rt.be = &simBackend{e: eng}
 	rt.eng = eng
 	profile := cfg.Profile
@@ -206,9 +198,8 @@ func NewSim(cfg SimConfig) *Runtime {
 	return rt
 }
 
-func newRuntime(store *page.Store, traced bool, traceCap int, lockedReg bool) *Runtime {
-	rt := &Runtime{store: store}
-	rt.reg = newRegistry(&rt.sel, lockedReg)
+func newRuntime(store *page.Store, traced bool, traceCap int) *Runtime {
+	rt := &Runtime{store: store, reg: newRegistry()}
 	rt.propPool.New = func() any {
 		return &propQueue{items: make([]propEvent, 0, 64)}
 	}

@@ -136,8 +136,8 @@ type Peer struct {
 	Addr string
 }
 
-// Protocol messages. Wire registration (gob fallback + binary codec)
-// lives in internal/transport/codec, next to consensus and checkpoint.
+// Protocol messages. Wire registration (the binary codec) lives in
+// internal/transport/codec, next to consensus and checkpoint.
 type (
 	// Ping probes a member directly; the target answers Ack to Reply.
 	Ping struct {

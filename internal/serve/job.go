@@ -135,6 +135,10 @@ type task struct {
 
 	submitted time.Time
 	done      chan struct{}
+	// sampled is set by the worker running the task when the flight
+	// recorder samples it: done then closes only after the timeline is
+	// recorded, not when the result is.
+	sampled bool
 }
 
 func (t *task) setStatus(s Status) {
@@ -148,20 +152,6 @@ func (t *task) state() (Status, JobResult) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.status, t.res
-}
-
-// finish moves the task to a terminal state exactly once.
-func (t *task) finish(res JobResult) {
-	t.mu.Lock()
-	if t.status.Terminal() {
-		t.mu.Unlock()
-		return
-	}
-	t.status = res.Status
-	t.res = res
-	t.mu.Unlock()
-	t.cancel()
-	close(t.done)
 }
 
 // Ticket is the caller's handle on a submitted job.

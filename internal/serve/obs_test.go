@@ -222,3 +222,38 @@ func TestRecorderFailedJob(t *testing.T) {
 		t.Fatalf("failed timeline = %q/%q", tl.Status, tl.Winner)
 	}
 }
+
+// TestTimelineReadableWhenWaitReturns: a sampled job's ticket resolves
+// only once its timeline is recorded, even when the job's Cleanup is
+// slow — a caller that reads the timeline right after Wait must find
+// it, with the phase decomposition still summing to the wall time.
+func TestTimelineReadableWhenWaitReturns(t *testing.T) {
+	rec := obs.NewRecorder(obs.Config{SampleRate: 1})
+	p := newTestPool(t, Config{Workers: 1, SpecTokens: 4, Recorder: rec})
+	tk, err := p.Submit(Job{
+		Kind: "slow-cleanup",
+		Alts: []core.Alt{{Name: "only", Body: func(w *core.World) error {
+			return w.WriteUint64(0, 1)
+		}}},
+		Cleanup: func(*core.World) { time.Sleep(30 * time.Millisecond) },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if res, err := tk.Wait(ctx); err != nil || res.Status != StatusDone {
+		t.Fatalf("res=%+v err=%v", res, err)
+	}
+	tl, ok := rec.Timeline(tk.ID())
+	if !ok {
+		t.Fatalf("no timeline for job %d when Wait returned", tk.ID())
+	}
+	if tl.Status != "done" {
+		t.Fatalf("timeline status %q, want done", tl.Status)
+	}
+	if sum := tl.Setup + tl.Runtime + tl.Selection + tl.Sched; sum != tl.Wall {
+		t.Fatalf("phases %v+%v+%v+%v = %v, wall %v",
+			tl.Setup, tl.Runtime, tl.Selection, tl.Sched, sum, tl.Wall)
+	}
+}

@@ -311,7 +311,8 @@ func (p *Pool) Close(ctx context.Context) error {
 }
 
 // finishTask applies a terminal result exactly once, stamping elapsed
-// time and counters.
+// time and counters, and resolves the ticket — unless the task is
+// sampled, whose ticket runTask resolves once the timeline is recorded.
 func (p *Pool) finishTask(t *task, res JobResult) {
 	t.mu.Lock()
 	if t.status.Terminal() {
@@ -323,7 +324,9 @@ func (p *Pool) finishTask(t *task, res JobResult) {
 	t.res = res
 	t.mu.Unlock()
 	t.cancel()
-	close(t.done)
+	if !t.sampled {
+		close(t.done)
+	}
 	switch res.Status {
 	case StatusDone:
 		p.counters.JobsCompleted.Add(1)
@@ -372,6 +375,11 @@ func (p *Pool) runTask(t *task) {
 	var predMean, predBest, predOvh time.Duration
 	decision := "static"
 	if br != nil {
+		// The first defer, so it runs last: after Cleanup and the root's
+		// Shutdown, and after finishTask recorded the result. The ticket
+		// resolves only then, so Wait never returns before the timeline
+		// exists.
+		t.sampled = true
 		defer func() {
 			st, res := t.state()
 			br.Finish(obs.Outcome{
@@ -382,6 +390,7 @@ func (p *Pool) runTask(t *task) {
 				PredictedBest:     predBest,
 				PredictedOverhead: predOvh,
 			})
+			close(t.done)
 		}()
 	}
 

@@ -1,7 +1,6 @@
 package stm
 
 import (
-	"encoding/gob"
 	"math"
 	"reflect"
 
@@ -16,7 +15,6 @@ import (
 // itself: any binary that can build the job can decode its frame.
 
 func init() {
-	gob.Register(TxnSpec{})
 	transport.RegisterWire(transport.WireCodec{
 		Tag:    codec.TagStmTxnSpec,
 		Type:   reflect.TypeOf(TxnSpec{}),

@@ -43,8 +43,10 @@ type NetCounters struct {
 	BallotsCoalesced atomic.Int64
 	ClaimsFollowed   atomic.Int64
 
-	// Wire-codec accounting: frames encoded with the hand-rolled binary
-	// codec vs frames that fell back to gob (unregistered payload type).
+	// CodecFrames counts frames encoded on the binary wire.
+	// CodecFallbacks always reads 0: the wire has no fallback encoding
+	// (an unregistered payload type is not sent). It stays because the
+	// benchmark of record derives codec.fallback_frac from it.
 	CodecFrames    atomic.Int64
 	CodecFallbacks atomic.Int64
 

@@ -247,8 +247,9 @@ type SelCounters struct {
 	SubscribersVisited atomic.Int64
 	// Eliminations counts worlds eliminated by cascades.
 	Eliminations atomic.Int64
-	// ShardContention counts registry lock acquisitions that found the
-	// shard already held and had to block.
+	// ShardContention always reads 0: the world registry's read path
+	// takes no lock. It stays because the benchmark of record reports
+	// core.shard_contention_per_kblock from it.
 	ShardContention atomic.Int64
 	// AliasFastPath counts sends whose destination had no alias entry
 	// and skipped the alias walk entirely.

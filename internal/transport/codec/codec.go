@@ -1,9 +1,9 @@
 // Package codec is the single wire-registration point for every
 // protocol message that crosses the transport fabric: consensus ballot
 // rounds, checkpoint ships (full and delta), the netfs page protocol
-// and membership gossip. Each type is registered twice — with gob, the
-// version-0 fallback framing, and with transport.RegisterWire, the
-// hand-rolled version-1 binary codec used on the hot path.
+// and membership gossip. Each type registers its hand-rolled binary
+// codec with transport.RegisterWire; a type with no codec cannot cross
+// the TCP wire at all.
 //
 // Centralizing the registrations here (instead of init functions
 // scattered across consensus, checkpoint, and device) means the sim
@@ -12,7 +12,7 @@
 //
 //	import _ "altrun/internal/transport/codec"
 //
-// — speaks the complete protocol vocabulary on both wires. Protocol
+// — speaks the complete protocol vocabulary on both fabrics. Protocol
 // packages themselves stay registration-free and depend only on
 // transport; this package closes the loop by depending on all of them,
 // which is also why transport itself must never import it.
@@ -27,7 +27,6 @@
 package codec
 
 import (
-	"encoding/gob"
 	"reflect"
 
 	"altrun/internal/checkpoint"
@@ -63,26 +62,6 @@ const (
 )
 
 func init() {
-	// Gob fallback registration (version-0 frames, and any payload
-	// wrapped in a type the binary codec does not know).
-	gob.Register(consensus.BallotReq{})
-	gob.Register(consensus.BallotReply{})
-	gob.Register(consensus.BallotRelease{})
-	gob.Register(consensus.BallotCommit{})
-	gob.Register(consensus.ClaimSubmit{})
-	gob.Register(consensus.ClaimDecision{})
-	gob.Register(checkpoint.ShipFull{})
-	gob.Register(checkpoint.ShipDelta{})
-	gob.Register(checkpoint.ShipNak{})
-	gob.Register(checkpoint.BaseInvalidate{})
-	gob.Register(device.PageRequest{})
-	gob.Register(device.PageReply{})
-	gob.Register(membership.Ping{})
-	gob.Register(membership.PingReq{})
-	gob.Register(membership.Ack{})
-	gob.Register(membership.Gossip{})
-	gob.Register(membership.EpochChange{})
-
 	registerConsensus()
 	registerCheckpoint()
 	registerNetfs()
@@ -422,7 +401,7 @@ func appendUpdates(dst []byte, us []membership.Update) []byte {
 		dst = transport.AppendUvarint(dst, uint64(u.Node))
 		dst = transport.AppendString(dst, u.Addr)
 		dst = transport.AppendVarint(dst, u.Incarnation)
-		dst = append(dst, byte(u.Status))
+		dst = transport.AppendUvarint(dst, uint64(u.Status))
 		dst = transport.AppendVarint(dst, u.Seq)
 		dst = transport.AppendVarint(dst, int64(u.Load))
 	}

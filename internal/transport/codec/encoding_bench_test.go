@@ -10,16 +10,25 @@ import (
 	"altrun/internal/consensus"
 	"altrun/internal/ids"
 	"altrun/internal/transport"
-
-	_ "altrun/internal/transport/codec"
+	"altrun/internal/transport/codec"
 )
 
 // Gob-vs-binary codec benchmarks for the two hot frame shapes: a
 // batched ballot (group commit's control message) and a delta checkpoint
-// ship (rfork's data message). The gob path reproduces what the seed
-// transport did per frame — a fresh gob.NewEncoder into a buffer — and
-// the binary path is what encodeFrame does now. Numbers live in
-// EXPERIMENTS.md ("Wire codec").
+// ship (rfork's data message). The gob path reproduces the per-frame
+// encoding the transport used before the binary codec — a fresh
+// gob.NewEncoder into a buffer — and the binary path is what
+// encodeFrame does. Numbers live in EXPERIMENTS.md ("Wire codec").
+//
+// Gob is only a reference here: the transport no longer speaks it, so
+// these tests register the payload types with gob themselves and decode
+// gob frames with encoding/gob directly.
+
+func init() {
+	for _, env := range codec.SeedEnvelopes() {
+		gob.Register(env.Payload)
+	}
+}
 
 // benchBallotEnv is a 32-claim BallotReq, a realistic group-commit
 // batch under load.
@@ -68,8 +77,8 @@ func benchDeltaEnv() transport.Envelope {
 	}
 }
 
-// gobFrameBody reproduces the seed's per-frame encoding: version byte
-// then a fresh gob stream of the whole envelope.
+// gobFrameBody reproduces the retired per-frame encoding: version byte
+// 0x00, then a fresh gob stream of the whole envelope.
 func gobFrameBody(env transport.Envelope) []byte {
 	var buf bytes.Buffer
 	buf.WriteByte(0x00)
@@ -77,6 +86,13 @@ func gobFrameBody(env transport.Envelope) []byte {
 		panic(err)
 	}
 	return buf.Bytes()
+}
+
+// gobDecodeFrame is gobFrameBody's inverse, in encoding/gob alone.
+func gobDecodeFrame(body []byte) (transport.Envelope, error) {
+	var env transport.Envelope
+	err := gob.NewDecoder(bytes.NewReader(body[1:])).Decode(&env)
+	return env, err
 }
 
 func binaryFrameBody(b *testing.B, env transport.Envelope) []byte {
@@ -116,11 +132,11 @@ func benchEncodeBinary(b *testing.B, env transport.Envelope) {
 	b.SetBytes(int64(len(dst)))
 }
 
-func benchDecode(b *testing.B, body []byte) {
+func benchDecode(b *testing.B, body []byte, decode func([]byte) (transport.Envelope, error)) {
 	b.ReportAllocs()
 	b.SetBytes(int64(len(body)))
 	for i := 0; i < b.N; i++ {
-		if _, err := transport.DecodeEnvelope(body); err != nil {
+		if _, err := decode(body); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -128,22 +144,28 @@ func benchDecode(b *testing.B, body []byte) {
 
 func BenchmarkEncodeBallotGob(b *testing.B)    { benchEncodeGob(b, benchBallotEnv()) }
 func BenchmarkEncodeBallotBinary(b *testing.B) { benchEncodeBinary(b, benchBallotEnv()) }
-func BenchmarkDecodeBallotGob(b *testing.B)    { benchDecode(b, gobFrameBody(benchBallotEnv())) }
-func BenchmarkDecodeBallotBinary(b *testing.B) { benchDecode(b, binaryFrameBody(b, benchBallotEnv())) }
+func BenchmarkDecodeBallotGob(b *testing.B) {
+	benchDecode(b, gobFrameBody(benchBallotEnv()), gobDecodeFrame)
+}
+func BenchmarkDecodeBallotBinary(b *testing.B) {
+	benchDecode(b, binaryFrameBody(b, benchBallotEnv()), transport.DecodeEnvelope)
+}
 
 func BenchmarkEncodeShipDeltaGob(b *testing.B)    { benchEncodeGob(b, benchDeltaEnv()) }
 func BenchmarkEncodeShipDeltaBinary(b *testing.B) { benchEncodeBinary(b, benchDeltaEnv()) }
-func BenchmarkDecodeShipDeltaGob(b *testing.B)    { benchDecode(b, gobFrameBody(benchDeltaEnv())) }
+func BenchmarkDecodeShipDeltaGob(b *testing.B) {
+	benchDecode(b, gobFrameBody(benchDeltaEnv()), gobDecodeFrame)
+}
 func BenchmarkDecodeShipDeltaBinary(b *testing.B) {
-	benchDecode(b, binaryFrameBody(b, benchDeltaEnv()))
+	benchDecode(b, binaryFrameBody(b, benchDeltaEnv()), transport.DecodeEnvelope)
 }
 
-// TestBinaryRoundTripMatchesGob pins the two paths to the same
-// semantics: what the binary codec decodes must equal what gob decodes
+// TestBinaryRoundTripMatchesGob pins the binary codec to gob as a
+// reference: what the binary codec decodes must equal what gob decodes
 // for the same envelope.
 func TestBinaryRoundTripMatchesGob(t *testing.T) {
 	for _, env := range []transport.Envelope{benchBallotEnv(), benchDeltaEnv()} {
-		gobEnv, err := transport.DecodeEnvelope(gobFrameBody(env))
+		gobEnv, err := gobDecodeFrame(gobFrameBody(env))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,8 +1,6 @@
 package codec_test
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"testing"
 
@@ -19,11 +17,13 @@ import (
 // input: malformed or truncated frames return an error — never a panic
 // — and any frame that decodes must survive a re-encode/re-decode
 // round trip unchanged (the codec is a fixed point on its own output).
-// Every registered frame shape is seeded in the binary and the gob
-// (version 0x00) encodings, plus truncations of the binary frame. The
-// checked-in corpus under testdata/fuzz is a fixed set of older inputs,
-// kept as regression seeds: its seed-01..04 frames carry the retired
-// tags 2..5, which must now be rejected cleanly.
+// Every registered frame shape is seeded in the binary encoding, plus
+// truncations of it, and in the retired gob framing (version 0x00),
+// which must now be rejected like any unknown version. The checked-in
+// corpus under testdata/fuzz is a fixed set of older inputs, kept as
+// regression seeds: its seed-01..04 frames carry the retired tags 2..5
+// and its seed-*-gob frames the retired version 0x00; both must now be
+// rejected cleanly.
 func FuzzDecodeEnvelope(f *testing.F) {
 	for _, env := range codec.SeedEnvelopes() {
 		body, _, err := transport.AppendEnvelope(nil, env)
@@ -37,18 +37,14 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		f.Add(body[:len(body)*2/3])
 		f.Add(body[:len(body)-1])
 
-		var gobFrame bytes.Buffer
-		gobFrame.WriteByte(0x00)
-		if err := gob.NewEncoder(&gobFrame).Encode(&env); err != nil {
-			f.Fatal(err)
+		gobFrame := gobFrameBody(env)
+		if _, err := transport.DecodeEnvelope(gobFrame); err == nil {
+			f.Fatalf("%T: gob frame decoded; version 0x00 must be rejected", env.Payload)
 		}
-		if _, err := transport.DecodeEnvelope(gobFrame.Bytes()); err != nil {
-			f.Fatalf("%T: gob frame does not decode: %v", env.Payload, err)
-		}
-		f.Add(gobFrame.Bytes())
+		f.Add(gobFrame)
 	}
 	f.Add([]byte{})
-	f.Add([]byte{0x00})       // empty gob stream
+	f.Add([]byte{0x00})       // retired gob version, empty stream
 	f.Add([]byte{0x01})       // binary frame with no tag
 	f.Add([]byte{0x01, 0xFF}) // unknown tag
 	f.Add([]byte{0x42})       // unknown version
@@ -58,14 +54,12 @@ func FuzzDecodeEnvelope(f *testing.F) {
 		if err != nil {
 			return // malformed input rejected cleanly: the contract held
 		}
-		body, binary, err := transport.AppendEnvelope(nil, env)
+		if data[0] != 0x01 {
+			t.Fatalf("frame version %d decoded", data[0])
+		}
+		body, _, err := transport.AppendEnvelope(nil, env)
 		if err != nil {
 			t.Fatalf("decoded envelope failed to re-encode: %v (%+v)", err, env)
-		}
-		if !binary {
-			// Gob-only payload (nothing registered): no binary round trip
-			// to check.
-			return
 		}
 		env2, err := transport.DecodeEnvelope(body)
 		if err != nil {

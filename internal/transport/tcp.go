@@ -15,8 +15,7 @@ import (
 
 // TCP is the real transport: one per process, representing that
 // process's node. Frames are length-prefixed, hand-rolled binary for
-// registered hot types with a gob fallback (see wire.go); each peer
-// gets a
+// registered payload types (see wire.go); each peer gets a
 // dedicated writer goroutine with reconnect-and-backoff, so sends
 // never block protocol code and stay FIFO per peer. Fault injection
 // (partition, drop rate) is applied at this node's edges, which is
@@ -428,14 +427,13 @@ func (t *TCP) readConn(conn net.Conn) {
 }
 
 // encodeFrame renders env as a 4-byte big-endian length + versioned
-// body (binary codec for registered payload types, gob otherwise) into
-// a pooled buffer. The caller owns the returned buffer and must hand it
+// binary body into a pooled buffer. The caller owns the returned buffer and must hand it
 // to putFrame exactly once, after the frame's final disposition (the
 // writer retries frames across reconnects, so "written once" is not
-// "done with"). nc gets the codec-path accounting; nil skips it.
+// "done with"). nc counts the frame; nil skips it.
 func encodeFrame(env Envelope, nc *trace.NetCounters) (*[]byte, error) {
 	bp := getFrame()
-	out, binaryPath, err := AppendEnvelope(*bp, env)
+	out, _, err := AppendEnvelope(*bp, env)
 	if err != nil {
 		putFrame(bp)
 		return nil, err
@@ -448,11 +446,7 @@ func encodeFrame(env Envelope, nc *trace.NetCounters) (*[]byte, error) {
 	}
 	binary.BigEndian.PutUint32(out[:4], uint32(body))
 	if nc != nil {
-		if binaryPath {
-			nc.CodecFrames.Add(1)
-		} else {
-			nc.CodecFallbacks.Add(1)
-		}
+		nc.CodecFrames.Add(1)
 	}
 	return bp, nil
 }

@@ -1,6 +1,8 @@
 package transport
 
 import (
+	"bytes"
+	"encoding/binary"
 	"io"
 	"net"
 	"sync/atomic"
@@ -18,6 +20,16 @@ func recvOne(t *testing.T, mb Mailbox, d time.Duration) Envelope {
 		t.Fatal("expected a message")
 	}
 	return env
+}
+
+// num is message i of a stream: fixed width, so every frame of the
+// stream has the same size.
+func num(i int) []byte { return binary.BigEndian.AppendUint32(nil, uint32(i)) }
+
+// payloadIs reports whether env carries exactly the bytes want.
+func payloadIs(env Envelope, want []byte) bool {
+	b, ok := env.Payload.([]byte)
+	return ok && bytes.Equal(b, want)
 }
 
 func newPair(t *testing.T) (*TCP, *TCP) {
@@ -40,11 +52,11 @@ func newPair(t *testing.T) (*TCP, *TCP) {
 func TestTCPSendReceive(t *testing.T) {
 	a, b := newPair(t)
 	mb := b.Bind("inbox")
-	if !a.Send(Addr{Node: 2, Port: "inbox"}, "hello") {
+	if !a.Send(Addr{Node: 2, Port: "inbox"}, []byte("hello")) {
 		t.Fatal("send failed")
 	}
 	env := recvOne(t, mb, 5*time.Second)
-	if env.From != ids.NodeID(1) || env.Payload != "hello" {
+	if env.From != ids.NodeID(1) || !payloadIs(env, []byte("hello")) {
 		t.Fatalf("env = %+v", env)
 	}
 	if a.Counters().Snapshot().BytesSent == 0 {
@@ -57,13 +69,13 @@ func TestTCPFIFOPerPeer(t *testing.T) {
 	mb := b.Bind("inbox")
 	const n = 200
 	for i := 0; i < n; i++ {
-		if !a.Send(Addr{Node: 2, Port: "inbox"}, i) {
+		if !a.Send(Addr{Node: 2, Port: "inbox"}, num(i)) {
 			t.Fatalf("send %d failed", i)
 		}
 	}
 	for i := 0; i < n; i++ {
 		env := recvOne(t, mb, 5*time.Second)
-		if env.Payload != i {
+		if !payloadIs(env, num(i)) {
 			t.Fatalf("message %d arrived as %v (order broken)", i, env.Payload)
 		}
 	}
@@ -84,7 +96,7 @@ func TestTCPSameNodeDelivery(t *testing.T) {
 func TestTCPUnboundPortDrops(t *testing.T) {
 	a, b := newPair(t)
 	before := a.Counters().Snapshot().Dropped
-	a.Send(Addr{Node: 2, Port: "nobody-home"}, "lost")
+	a.Send(Addr{Node: 2, Port: "nobody-home"}, []byte("lost"))
 	deadline := time.Now().Add(5 * time.Second)
 	for b.Counters().Snapshot().Dropped == before {
 		if time.Now().After(deadline) {
@@ -103,8 +115,8 @@ func TestTCPPartitionCutsBothDirections(t *testing.T) {
 	a, b := fleet.Members()[0], fleet.Members()[1]
 	amb, bmb := a.Bind("in"), b.Bind("in")
 	fleet.Partition(1, 2)
-	a.Send(Addr{Node: 2, Port: "in"}, "x")
-	b.Send(Addr{Node: 1, Port: "in"}, "y")
+	a.Send(Addr{Node: 2, Port: "in"}, []byte("x"))
+	b.Send(Addr{Node: 1, Port: "in"}, []byte("y"))
 	if _, ok := bmb.RecvTimeout(Background(), 200*time.Millisecond); ok {
 		t.Error("partitioned a->b delivered")
 	}
@@ -112,10 +124,10 @@ func TestTCPPartitionCutsBothDirections(t *testing.T) {
 		t.Error("partitioned b->a delivered")
 	}
 	fleet.Heal(1, 2)
-	if !a.Send(Addr{Node: 2, Port: "in"}, "again") {
+	if !a.Send(Addr{Node: 2, Port: "in"}, []byte("again")) {
 		t.Fatal("post-heal send failed")
 	}
-	if env := recvOne(t, bmb, 5*time.Second); env.Payload != "again" {
+	if env := recvOne(t, bmb, 5*time.Second); !payloadIs(env, []byte("again")) {
 		t.Fatalf("env = %+v", env)
 	}
 }
@@ -133,7 +145,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	addr := b.Addr()
 	a.AddPeer(2, addr)
 	mb := b.Bind("in")
-	if !a.Send(Addr{Node: 2, Port: "in"}, "one") {
+	if !a.Send(Addr{Node: 2, Port: "in"}, []byte("one")) {
 		t.Fatal("send failed")
 	}
 	recvOne(t, mb, 5*time.Second)
@@ -143,7 +155,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 	// FIFO, not exactly-once), so stream messages until one lands: the
 	// writer must have redialled for that to happen.
 	b.Close()
-	a.Send(Addr{Node: 2, Port: "in"}, "down") // likely lost; kicks the writer
+	a.Send(Addr{Node: 2, Port: "in"}, []byte("down")) // likely lost; kicks the writer
 	time.Sleep(50 * time.Millisecond)
 	b2, err := NewTCP(TCPOptions{Node: 2, Listen: addr})
 	if err != nil {
@@ -159,7 +171,7 @@ func TestTCPReconnectAfterPeerRestart(t *testing.T) {
 			case <-stop:
 				return
 			case <-time.After(20 * time.Millisecond):
-				a.Send(Addr{Node: 2, Port: "in"}, i)
+				a.Send(Addr{Node: 2, Port: "in"}, num(i))
 			}
 		}
 	}()
@@ -232,20 +244,20 @@ func TestTCPBatchCutByRedial(t *testing.T) {
 		<-queued
 		conn, err := dial(addr, timeout)
 		if dials.Add(1) == 1 && err == nil {
-			probe, _ := encodeFrame(Envelope{From: 1, To: Addr{Node: 2, Port: "inbox"}, Payload: 0}, nil)
+			probe, _ := encodeFrame(Envelope{From: 1, To: Addr{Node: 2, Port: "inbox"}, Payload: num(0)}, nil)
 			conn = &cutConn{Conn: conn, budget: len(*probe) * 5 / 2}
 		}
 		return conn, err
 	}
 	a.AddPeer(2, b.Addr())
 	for i := 0; i < frames; i++ {
-		if !a.Send(Addr{Node: 2, Port: "inbox"}, i) {
+		if !a.Send(Addr{Node: 2, Port: "inbox"}, num(i)) {
 			t.Fatalf("send %d failed", i)
 		}
 	}
 	close(queued)
 	for i := 0; i < frames; i++ {
-		if env := recvOne(t, mb, 5*time.Second); env.Payload != i {
+		if env := recvOne(t, mb, 5*time.Second); !payloadIs(env, num(i)) {
 			t.Fatalf("message %d arrived as %v: a frame was lost, repeated or reordered", i, env.Payload)
 		}
 	}

@@ -10,8 +10,8 @@
 //   - internal/cluster: the deterministic simulated cluster. Every
 //     experiment (E5, E10, ...) runs on it, bit-for-bit reproducibly.
 //   - TCP (this package): a real transport with length-prefixed frames
-//     in the binary codec of wire.go (gob as the fallback for payload
-//     types with no registered codec), per-peer reconnect with backoff,
+//     in the binary codec of wire.go (a payload type with no registered
+//     codec is not sent), per-peer reconnect with backoff,
 //     and connect/send timeouts, used by cmd/altserved peer groups and
 //     distbench.
 //
@@ -21,7 +21,6 @@
 package transport
 
 import (
-	"encoding/gob"
 	"fmt"
 	"time"
 
@@ -150,16 +149,6 @@ func PayloadSize(payload any) int {
 		// small fixed-size structs.
 		return 64
 	}
-}
-
-func init() {
-	// Common payload shapes crossing the real transport; protocol
-	// packages register their own message structs.
-	gob.Register([]byte(nil))
-	gob.Register("")
-	gob.Register(0)
-	gob.Register(int64(0))
-	gob.Register(Addr{})
 }
 
 // background is the Proc for callers not running under any scheduler

@@ -2,7 +2,6 @@ package transport
 
 import (
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"reflect"
@@ -11,36 +10,30 @@ import (
 	"altrun/internal/ids"
 )
 
-// The hot-path wire format. Per-frame gob encoders dominate the
-// distributed commit cost at scale: every ballot request and reply pays
-// a gob.NewEncoder allocation plus reflection, and a shipped checkpoint
-// page is copied through a bytes.Buffer. This file replaces that with a
-// hand-rolled length-prefixed binary encoding for registered payload
-// types, pooled frame buffers, and a single conn.Write per frame. A
-// version byte keeps gob as the fallback for unregistered types, so
-// protocol code never has to care which path a payload takes.
+// The wire format: a hand-rolled length-prefixed binary encoding for
+// registered payload types, pooled frame buffers, and a single
+// conn.Write per frame. The encoding is total over what may cross the
+// wire: a payload type with no registered codec is an encode error, so
+// the sender sees Send return false instead of a peer decoding a shape
+// it may not know.
 //
 // Frame layout (after the 4-byte big-endian body length):
 //
-//	[ver] ...
-//	ver 0x00: gob stream of the whole Envelope (the legacy format)
-//	ver 0x01: [tag][from uvarint][to.Node uvarint][to.Port string][payload]
+//	[ver 0x01][tag][from uvarint][to.Node uvarint][to.Port string][payload]
 //
-// The payload encoding is the registered codec's own; decoded byte
-// slices may alias the received frame buffer (which is never reused),
-// so checkpoint pages cross the receive path without a copy.
+// Any other version byte is rejected. The payload encoding is the
+// registered codec's own; decoded byte slices may alias the received
+// frame buffer (which is never reused), so checkpoint pages cross the
+// receive path without a copy.
 //
 // Registration is centralized in internal/transport/codec: protocol
-// packages (consensus, checkpoint, device) get their gob registration
-// AND their binary codec from that one package, so the sim and TCP
-// fabrics cannot drift. The transport itself registers only []byte —
-// the raw-bytes shape every fabric test uses.
+// packages (consensus, checkpoint, device) get their binary codec from
+// that one package, so the sim and TCP fabrics cannot drift. The
+// transport itself registers only []byte — the raw-bytes shape every
+// fabric test uses.
 
-// Frame version bytes.
-const (
-	wireVerGob    = 0x00
-	wireVerBinary = 0x01
-)
+// wireVersion is the frame version byte.
+const wireVersion = 0x01
 
 func init() {
 	// The transport's own hot shape: raw bytes (fabric tests, legacy
@@ -235,22 +228,19 @@ func (r *WireReader) String() string { return string(r.Bytes()) }
 // Envelope framing.
 
 // AppendEnvelope appends env's frame body (everything after the 4-byte
-// length prefix) to dst. binaryPath reports whether the registered
-// binary codec was used (false = gob fallback).
+// length prefix) to dst. A payload type with no registered codec is an
+// error. binaryPath is true whenever err is nil: there is no other
+// encoding any more, and the result stays for callers that assert it.
 func AppendEnvelope(dst []byte, env Envelope) (out []byte, binaryPath bool, err error) {
-	if c, ok := wireForPayload(env.Payload); ok {
-		dst = append(dst, wireVerBinary, c.Tag)
-		dst = AppendUvarint(dst, uint64(env.From))
-		dst = AppendUvarint(dst, uint64(env.To.Node))
-		dst = AppendString(dst, env.To.Port)
-		return c.Append(env.Payload, dst), true, nil
+	c, ok := wireForPayload(env.Payload)
+	if !ok {
+		return nil, false, fmt.Errorf("transport: no wire codec registered for %T", env.Payload)
 	}
-	dst = append(dst, wireVerGob)
-	w := appendWriter{buf: &dst}
-	if err := gob.NewEncoder(&w).Encode(&env); err != nil {
-		return nil, false, err
-	}
-	return dst, false, nil
+	dst = append(dst, wireVersion, c.Tag)
+	dst = AppendUvarint(dst, uint64(env.From))
+	dst = AppendUvarint(dst, uint64(env.To.Node))
+	dst = AppendString(dst, env.To.Port)
+	return c.Append(env.Payload, dst), true, nil
 }
 
 // DecodeEnvelope parses a frame body produced by AppendEnvelope.
@@ -259,63 +249,31 @@ func DecodeEnvelope(body []byte) (Envelope, error) {
 	if len(body) == 0 {
 		return Envelope{}, ErrWireTruncated
 	}
-	switch body[0] {
-	case wireVerGob:
-		var env Envelope
-		if err := gob.NewDecoder(&sliceReader{data: body[1:]}).Decode(&env); err != nil {
-			return Envelope{}, fmt.Errorf("transport: gob frame: %w", err)
-		}
-		return env, nil
-	case wireVerBinary:
-		if len(body) < 2 {
-			return Envelope{}, ErrWireTruncated
-		}
-		c, ok := wireForTag(body[1])
-		if !ok {
-			return Envelope{}, fmt.Errorf("transport: unknown wire tag %d", body[1])
-		}
-		r := NewWireReader(body[2:])
-		var env Envelope
-		env.From = ids.NodeID(r.Uvarint())
-		env.To.Node = ids.NodeID(r.Uvarint())
-		env.To.Port = r.String()
-		if err := r.Err(); err != nil {
-			return Envelope{}, err
-		}
-		payload, err := c.Decode(r.data)
-		if err != nil {
-			return Envelope{}, fmt.Errorf("transport: tag %d payload: %w", body[1], err)
-		}
-		env.Payload = payload
-		return env, nil
-	default:
+	if body[0] != wireVersion {
 		return Envelope{}, fmt.Errorf("transport: unknown frame version %d", body[0])
 	}
-}
-
-// appendWriter adapts append-to-slice as an io.Writer for the gob
-// fallback, so even that path reuses the pooled frame buffer.
-type appendWriter struct{ buf *[]byte }
-
-func (w *appendWriter) Write(p []byte) (int, error) {
-	*w.buf = append(*w.buf, p...)
-	return len(p), nil
-}
-
-// sliceReader is a minimal io.Reader over a byte slice (avoids the
-// bytes.NewReader allocation on the gob fallback decode path).
-type sliceReader struct{ data []byte }
-
-func (r *sliceReader) Read(p []byte) (int, error) {
-	if len(r.data) == 0 {
-		return 0, errEOF
+	if len(body) < 2 {
+		return Envelope{}, ErrWireTruncated
 	}
-	n := copy(p, r.data)
-	r.data = r.data[n:]
-	return n, nil
+	c, ok := wireForTag(body[1])
+	if !ok {
+		return Envelope{}, fmt.Errorf("transport: unknown wire tag %d", body[1])
+	}
+	r := NewWireReader(body[2:])
+	var env Envelope
+	env.From = ids.NodeID(r.Uvarint())
+	env.To.Node = ids.NodeID(r.Uvarint())
+	env.To.Port = r.String()
+	if err := r.Err(); err != nil {
+		return Envelope{}, err
+	}
+	payload, err := c.Decode(r.data)
+	if err != nil {
+		return Envelope{}, fmt.Errorf("transport: tag %d payload: %w", body[1], err)
+	}
+	env.Payload = payload
+	return env, nil
 }
-
-var errEOF = errors.New("EOF")
 
 // ---------------------------------------------------------------------
 // Frame buffer pool (encode side only; receive buffers are owned by the
