@@ -6,9 +6,10 @@
 //	altbench             # run everything
 //	altbench -run e3,e4  # run a subset
 //	altbench -list       # list experiments
-//	altbench membench    # real COW microbenchmarks → BENCH_mem.json
+//	altbench selbench    # selection path under contention → BENCH_sel.json
+//	altbench obsbench    # flight recorder off vs on → BENCH_obs.json
+//	altbench adaptbench  # static vs adaptive speculation → BENCH_adapt.json
 //	altbench distbench   # local vs consensus commit over TCP → BENCH_dist.json
-//	altbench stmbench    # contended-store STM cost-of-concurrency → BENCH_stm.json
 //
 // All experiments run in the deterministic simulator; output is
 // reproducible across machines.
@@ -70,54 +71,20 @@ func wrap[T interface{ Format() string }](f func() (T, error)) func() (string, e
 }
 
 func main() {
-	if len(os.Args) > 1 && os.Args[1] == "membench" {
-		if err := runMembench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench membench:", err)
-			os.Exit(1)
-		}
-		return
+	subcommands := map[string]func([]string) error{
+		"selbench":   runSelbench,
+		"obsbench":   runObsbench,
+		"adaptbench": runAdaptbench,
+		"distbench":  runDistbench,
 	}
-	if len(os.Args) > 1 && os.Args[1] == "selbench" {
-		if err := runSelbench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench selbench:", err)
-			os.Exit(1)
+	if len(os.Args) > 1 {
+		if sub, ok := subcommands[os.Args[1]]; ok {
+			if err := sub(os.Args[2:]); err != nil {
+				fmt.Fprintf(os.Stderr, "altbench %s: %v\n", os.Args[1], err)
+				os.Exit(1)
+			}
+			return
 		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "servebench" {
-		if err := runServebench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench servebench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "obsbench" {
-		if err := runObsbench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench obsbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "adaptbench" {
-		if err := runAdaptbench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench adaptbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "stmbench" {
-		if err := runStmbench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench stmbench:", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if len(os.Args) > 1 && os.Args[1] == "distbench" {
-		if err := runDistbench(os.Args[2:]); err != nil {
-			fmt.Fprintln(os.Stderr, "altbench distbench:", err)
-			os.Exit(1)
-		}
-		return
 	}
 	run := flag.String("run", "all", "comma-separated experiment ids (e1..e14) or 'all'")
 	list := flag.Bool("list", false, "list experiments and exit")

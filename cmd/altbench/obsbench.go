@@ -2,24 +2,63 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"sync"
 	"time"
 
+	"altrun/internal/core"
 	"altrun/internal/obs"
 	"altrun/internal/serve"
 )
 
 // obsbench measures the flight recorder's cost: the same closed-loop
-// servebench workload is run with the recorder off and with it on at
-// the default 1/64 sampling rate, interleaved best-of-N so machine
-// noise cancels. The report proves the two claims the obs subsystem
+// servebench workload (servebenchJob below) is run with the recorder
+// off and with it on at the default 1/64 sampling rate, interleaved
+// best-of-N so machine noise cancels. The report proves the two claims the obs subsystem
 // makes: throughput regresses < 5%, and every sampled block's
 // setup/runtime/selection/sched spans sum exactly to its wall time.
 //
 // Usage: altbench obsbench [-quick] [-o BENCH_obs.json] [-trace-out t.json]
+
+// servebenchMaxDegree caps per-job speculation width in the benchmark.
+const servebenchMaxDegree = 3
+
+// servebenchJob builds the synthetic block: three alternatives of
+// distinct costs, all correct, so the fastest admitted one commits.
+// Every seventh job fault-injects the fast alternative, forcing the
+// pool onto its lazy-spawn path.
+func servebenchJob(seq int) serve.Job {
+	work := func(d time.Duration, fail bool) func(w *core.World) error {
+		return func(w *core.World) error {
+			deadline := time.Now().Add(d)
+			for time.Now().Before(deadline) {
+				if w.Cancelled() {
+					return errors.New("cancelled")
+				}
+				time.Sleep(200 * time.Microsecond)
+			}
+			if fail {
+				return errors.New("injected fault")
+			}
+			return w.WriteUint64(0, uint64(seq))
+		}
+	}
+	faulty := seq%7 == 0
+	return serve.Job{
+		Kind: "servebench",
+		Name: fmt.Sprintf("synthetic-%d", seq),
+		Alts: []core.Alt{
+			{Name: "fast", Body: work(time.Millisecond, faulty)},
+			{Name: "medium", Body: work(2*time.Millisecond, false)},
+			{Name: "slow", Body: work(4*time.Millisecond, false)},
+		},
+		SpaceSize: 4096,
+		Deadline:  30 * time.Second,
+	}
+}
 
 // obsRunResult is one configuration's best observed run.
 type obsRunResult struct {

@@ -9,8 +9,9 @@ import (
 )
 
 // Shared JSON-report plumbing for the real-benchmark subcommands
-// (membench, selbench, servebench): every BENCH_*.json document carries
-// the same generation header and is written the same way.
+// (selbench, obsbench, adaptbench, distbench): every BENCH_*.json
+// document carries the same generation header and is written the same
+// way.
 
 // reportMeta is the header every benchmark report shares. Embed it
 // first so the fields lead the JSON document.

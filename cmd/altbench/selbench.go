@@ -254,11 +254,11 @@ func benchContendedCommit(live, blocksPerWorker int) (selContendedResult, error)
 
 // readPathSites are the lock-free read-path functions that must never
 // be a mutex-contention *site* (the function that held the contended
-// lock): the commit path's alias resolution, registry lookup,
-// subscriber snapshot, process status, and router lookup take zero
-// mutexes by construction. Writer-side functions (epoch.Map Set/Update/
-// Delete, addWorld, Register, Mailbox.Put) legitimately hold mutexes
-// and are not in this list.
+// lock): the commit path's alias resolution, registry lookup (which
+// also resolves every send's receiver), subscriber snapshot and process
+// status take zero mutexes by construction. Writer-side functions
+// (epoch.Map Set/Update/Delete, addWorld, proc Register) legitimately
+// hold mutexes and are not in this list.
 var readPathSites = []string{
 	"epoch.(*Domain).Pin",
 	"epoch.Guard.Unpin",
@@ -270,7 +270,6 @@ var readPathSites = []string{
 	"proc.(*Table).Status",
 	"proc.(*Table).AppendChildren",
 	"proc.(*Table).lookup",
-	"msg.(*Router).lookup",
 }
 
 // isReadPathSite reports whether name is one of the functions that by

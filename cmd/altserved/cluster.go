@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log"
+	"net"
 	"sort"
 	"strconv"
 	"strings"
@@ -56,22 +57,33 @@ const (
 // peerSpec maps node IDs to cluster listen addresses ("1=host:port,...").
 type peerSpec map[ids.NodeID]string
 
+// parsePeers parses a -peers/-join spec. It refuses a node named twice
+// and an address without a port, naming the entry's 1-based position.
 func parsePeers(s string) (peerSpec, error) {
 	spec := peerSpec{}
-	for _, part := range strings.Split(s, ",") {
+	for i, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		if part == "" {
 			continue
 		}
+		pos := i + 1
 		id, addr, ok := strings.Cut(part, "=")
 		if !ok {
-			return nil, fmt.Errorf("peer %q: want <node>=<host:port>", part)
+			return nil, fmt.Errorf("peer %d %q: want <node>=<host:port>", pos, part)
 		}
 		n, err := strconv.ParseInt(strings.TrimSpace(id), 10, 32)
 		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("peer %q: bad node id", part)
+			return nil, fmt.Errorf("peer %d %q: bad node id", pos, part)
 		}
-		spec[ids.NodeID(n)] = strings.TrimSpace(addr)
+		node := ids.NodeID(n)
+		if _, dup := spec[node]; dup {
+			return nil, fmt.Errorf("peer %d %q: node %d named twice", pos, part, n)
+		}
+		addr = strings.TrimSpace(addr)
+		if _, port, err := net.SplitHostPort(addr); err != nil || port == "" {
+			return nil, fmt.Errorf("peer %d %q: want <node>=<host:port>", pos, part)
+		}
+		spec[node] = addr
 	}
 	if len(spec) == 0 {
 		return nil, fmt.Errorf("empty peer spec %q", s)

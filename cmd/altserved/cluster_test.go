@@ -141,6 +141,44 @@ func getMetrics(t *testing.T, url string) metricsView {
 	return m
 }
 
+// TestParsePeersRejectsMalformed: a -peers/-join spec that names a node
+// twice (which would silently shrink the group and its quorum) or gives
+// an address no dialer can use is refused, and the error names the
+// offending entry; well-formed specs still parse.
+func TestParsePeersRejectsMalformed(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want string // substring of the error; "" means the spec is valid
+	}{
+		{"1=a:1,2=b:2", ""},
+		{" 1 = 127.0.0.1:17101 , 2=[::1]:17102,", ""},
+		{"1=a:1,1=b:2", `peer 2 "1=b:2": node 1 named twice`},
+		{"1=", `peer 1 "1="`},
+		{"2=,3=x:1", `peer 1 "2="`},
+		{"2=x:1,3=", `peer 2 "3="`},
+		{"1=localhost", `peer 1 "1=localhost"`},
+		{"1=localhost:", `peer 1 "1=localhost:"`},
+		{"1=a:1,x=b:2", `peer 2 "x=b:2": bad node id`},
+		{"1", `peer 1 "1"`},
+		{",", "empty peer spec"},
+	} {
+		spec, err := parsePeers(tc.spec)
+		if tc.want == "" {
+			if err != nil {
+				t.Errorf("parsePeers(%q) = %v, want it accepted", tc.spec, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("parsePeers(%q) = %v, want an error containing %q", tc.spec, spec, tc.want)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("parsePeers(%q) error %q, want it to contain %q", tc.spec, err, tc.want)
+		}
+	}
+}
+
 // TestClusterDynamicJoin: a singleton seed started with -peers and two
 // joiners started with -join converge to one 3-member view with quorum
 // 2, and a job submitted to the last joiner commits through the

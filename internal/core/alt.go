@@ -257,11 +257,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 
 	claim := opts.Claim
 	if claim == nil {
-		if box := rt.claimFactory.Load(); box != nil {
-			claim = box.f(w)
-		}
-	}
-	if claim == nil {
 		arb := &arbiter.Local{}
 		claim = func(cw *World) bool { return arb.Claim(cw.pid) }
 	}

@@ -95,71 +95,3 @@ func TestConsensusCancelWinnerRace(t *testing.T) {
 		}
 	}
 }
-
-// TestClaimFactoryDefault verifies SetClaimFactory supplies the commit
-// arbiter for blocks that pass no explicit Options.Claim, and that an
-// explicit Claim still wins over the factory.
-func TestClaimFactoryDefault(t *testing.T) {
-	rt := New(Config{PageSize: 64})
-	var factoryCalls, claimCalls int
-	var mu sync.Mutex
-	rt.SetClaimFactory(func(parent *World) ClaimFunc {
-		mu.Lock()
-		factoryCalls++
-		mu.Unlock()
-		var once sync.Once
-		won := false
-		return func(w *World) bool {
-			mu.Lock()
-			claimCalls++
-			mu.Unlock()
-			once.Do(func() { won = true })
-			ok := won
-			won = false
-			return ok
-		}
-	})
-	root, err := rt.NewRootWorld("main", 1024)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rt.Shutdown(root)
-	if _, err := root.RunAlt(Options{},
-		Alt{Name: "a", Body: func(w *World) error { return nil }},
-	); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	fc, cc := factoryCalls, claimCalls
-	mu.Unlock()
-	if fc != 1 || cc == 0 {
-		t.Fatalf("factory consulted %d times (want 1), claim called %d times (want >0)", fc, cc)
-	}
-
-	// An explicit Options.Claim bypasses the factory.
-	explicit := 0
-	if _, err := root.RunAlt(Options{Claim: func(w *World) bool { explicit++; return true }},
-		Alt{Name: "b", Body: func(w *World) error { return nil }},
-	); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	fc2 := factoryCalls
-	mu.Unlock()
-	if fc2 != fc || explicit == 0 {
-		t.Fatalf("explicit claim: factory calls %d -> %d, explicit %d", fc, fc2, explicit)
-	}
-
-	// Removing the factory restores the built-in local arbiter.
-	rt.SetClaimFactory(nil)
-	if _, err := root.RunAlt(Options{},
-		Alt{Name: "c", Body: func(w *World) error { return nil }},
-	); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	if factoryCalls != fc2 {
-		t.Fatalf("factory consulted after removal")
-	}
-	mu.Unlock()
-}

@@ -136,36 +136,11 @@ type Runtime struct {
 	// observer, when set, is notified of world registration and
 	// unregistration (see WorldObserver).
 	observer atomic.Pointer[worldObserverBox]
-
-	// claimFactory, when set, supplies the default commit arbiter for
-	// alternative blocks that don't pass an explicit Options.Claim —
-	// e.g. a distributed majority-consensus claim (§3.2.1). It is
-	// consulted once per RunAlt with the parent world.
-	claimFactory atomic.Pointer[claimFactoryBox]
 }
 
 // worldObserverBox wraps the observer interface so it can live in an
 // atomic.Pointer.
 type worldObserverBox struct{ o WorldObserver }
-
-// claimFactoryBox wraps a claim factory so it can live in an
-// atomic.Pointer.
-type claimFactoryBox struct {
-	f func(parent *World) ClaimFunc
-}
-
-// SetClaimFactory installs (or, with nil, removes) the runtime-wide
-// default commit arbiter. Blocks that pass Options.Claim are
-// unaffected. The factory receives the parent world of each block and
-// returns the ClaimFunc its children race through; returning nil falls
-// back to the built-in local arbiter.
-func (rt *Runtime) SetClaimFactory(f func(parent *World) ClaimFunc) {
-	if f == nil {
-		rt.claimFactory.Store(nil)
-		return
-	}
-	rt.claimFactory.Store(&claimFactoryBox{f: f})
-}
 
 // propQueue is a reusable propagation work queue.
 type propQueue struct {
@@ -392,7 +367,6 @@ func (rt *Runtime) registerWorld(w *World) {
 		o.WorldRegistered(w.pid, w.obsSpec)
 	}
 	rt.reg.addWorld(w)
-	rt.router.Register(w)
 	for _, p := range w.subPIDs {
 		st := rt.procs.Status(p)
 		if !st.Terminal() || st == proc.Forked {
@@ -415,11 +389,10 @@ func (rt *Runtime) registerWorld(w *World) {
 	}
 }
 
-// unregisterWorld removes w from the registry, its subscription
-// buckets, and the router.
+// unregisterWorld removes w from the registry and its subscription
+// buckets.
 func (rt *Runtime) unregisterWorld(w *World) {
 	rt.reg.removeWorld(w)
-	rt.router.Unregister(w.pid)
 	w.mu.Lock()
 	seen := w.obsSeen
 	w.obsSeen = false
@@ -491,6 +464,17 @@ func (rt *Runtime) Copies(pid ids.PID) []*World {
 	return rt.appendCopies(nil, pid)
 }
 
+// deliver resolves pid in the registry and hands data to the router for
+// the accept/ignore/split decision. A pid with no live world is
+// msg.ErrUnknownReceiver.
+func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.PID, data any) error {
+	w := rt.reg.world(pid)
+	if w == nil {
+		return msg.ErrUnknownReceiver
+	}
+	return rt.router.Send(sender, senderPreds, w, data)
+}
+
 // sendFrom routes data from a sender (with predicate snapshot) to dest,
 // expanding split-receiver aliases. The overwhelmingly common case —
 // dest never split — is one status load on top of the router send.
@@ -499,13 +483,7 @@ func (rt *Runtime) Copies(pid ids.PID) []*World {
 func (rt *Runtime) sendFrom(sender ids.PID, senderPreds *predicate.Set, dest ids.PID, data any) error {
 	if !rt.split(dest) {
 		rt.sel.AliasFastPath.Add(1)
-		if err := rt.router.Send(sender, senderPreds, dest, data); err != nil {
-			if errors.Is(err, msg.ErrUnknownReceiver) {
-				return msg.ErrUnknownReceiver
-			}
-			return err
-		}
-		return nil
+		return rt.deliver(sender, senderPreds, dest, data)
 	}
 	rt.sel.AliasWalks.Add(1)
 	var buf [8]*World
@@ -515,7 +493,7 @@ func (rt *Runtime) sendFrom(sender ids.PID, senderPreds *predicate.Set, dest ids
 	}
 	var firstErr error
 	for _, t := range targets {
-		if err := rt.router.Send(sender, senderPreds, t.pid, data); err != nil {
+		if err := rt.deliver(sender, senderPreds, t.pid, data); err != nil {
 			if errors.Is(err, msg.ErrUnknownReceiver) {
 				continue // target died between expansion and send
 			}

@@ -172,7 +172,7 @@ func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
 		for _, copyPID := range []ids.PID{assume.pid, deny.pid} {
 			// Ignore unknown-receiver errors: a copy may already have
 			// been contradicted and eliminated.
-			_ = rt.router.Send(m.Sender, m.SenderPredicates, copyPID, m.Data)
+			_ = rt.deliver(m.Sender, m.SenderPredicates, copyPID, m.Data)
 		}
 	}
 

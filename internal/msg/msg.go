@@ -11,23 +11,23 @@
 // assumes it does not (and never sees it). The split itself — cloning a
 // blocked process — is performed by the Receiver implementation (the
 // core runtime forks the world's COW address space); this package only
-// decides and dispatches.
+// decides and dispatches. It keeps no record of who is live: the caller
+// resolves a destination to its Receiver (the core runtime looks it up
+// in its world registry) and hands that to Send.
 package msg
 
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"altrun/internal/epoch"
 	"altrun/internal/ids"
 	"altrun/internal/predicate"
 	"altrun/internal/trace"
 )
 
-// ErrUnknownReceiver is returned when the destination is not registered.
+// ErrUnknownReceiver is returned when the destination is not live.
 var ErrUnknownReceiver = errors.New("msg: unknown receiver")
 
 // Message is the three-part message of §3.4.1.
@@ -59,8 +59,9 @@ type Receiver interface {
 	Deliver(m Message)
 	// Split replaces the receiver with two copies: the assume-copy
 	// (predicates `assume`) which must receive m, and the deny-copy
-	// (predicates `deny`) which must not. The implementation registers
-	// the copies with the router and unregisters itself.
+	// (predicates `deny`) which must not. The implementation makes the
+	// copies live, where its callers resolve receivers, and retires
+	// itself.
 	Split(assume, deny *predicate.Set, m Message) error
 }
 
@@ -73,18 +74,11 @@ type Stats struct {
 	Splits   int
 }
 
-// Router dispatches messages to registered receivers. It is safe for
-// concurrent use. The send path takes no lock at all: receiver lookup
-// is a pinned probe of an epoch-reclaimed table (internal/epoch) and
-// the sequence/decision counters are atomics, so concurrent senders —
-// even to the same receiver — never serialize in the router.
+// Router decides and dispatches messages to the Receiver its caller
+// resolved. It is safe for concurrent use. The send path takes no lock
+// at all — the sequence/decision counters are atomics — so concurrent
+// senders, even to the same receiver, never serialize in the router.
 type Router struct {
-	dom *epoch.Domain
-	// receivers maps PID → boxed Receiver. The box exists because the
-	// epoch map stores pointers-to-V and an interface value is not
-	// addressable on its own.
-	receivers *epoch.Map[recvBox]
-
 	seq      atomic.Int64
 	sent     atomic.Int64
 	accepted atomic.Int64
@@ -95,49 +89,10 @@ type Router struct {
 	log *trace.Log
 }
 
-// recvBox is an immutable box around one registered receiver.
-type recvBox struct{ rcv Receiver }
-
-// NewRouter returns an empty router. now supplies trace timestamps
-// (virtual or wall time); log may be nil.
+// NewRouter returns a router. now supplies trace timestamps (virtual or
+// wall time); log may be nil.
 func NewRouter(now func() time.Time, log *trace.Log) *Router {
-	d := epoch.NewDomain()
-	return &Router{
-		dom:       d,
-		receivers: epoch.NewMap[recvBox](d),
-		now:       now,
-		log:       log,
-	}
-}
-
-// Register makes rcv addressable. Re-registering a PID replaces the
-// previous receiver.
-func (r *Router) Register(rcv Receiver) {
-	r.receivers.Set(rcv.PID(), &recvBox{rcv: rcv})
-}
-
-// Unregister removes the receiver for pid.
-func (r *Router) Unregister(pid ids.PID) {
-	r.receivers.Delete(pid)
-}
-
-// lookup returns the receiver for pid, or nil. Lock-free.
-func (r *Router) lookup(pid ids.PID) Receiver {
-	if pid <= 0 {
-		return nil
-	}
-	g := r.dom.Pin()
-	b := r.receivers.Get(pid)
-	g.Unpin()
-	if b == nil {
-		return nil
-	}
-	return b.rcv
-}
-
-// Registered reports whether pid is addressable.
-func (r *Router) Registered(pid ids.PID) bool {
-	return r.lookup(pid) != nil
+	return &Router{now: now, log: log}
 }
 
 // Stats returns a snapshot of the delivery counters.
@@ -151,15 +106,16 @@ func (r *Router) Stats() Stats {
 }
 
 // Send routes data from the sender (with predicate set senderPred) to
-// pid, applying the accept/ignore/split rule. The message carries
+// rcv, applying the accept/ignore/split rule; a nil rcv (the caller
+// found nobody live) is ErrUnknownReceiver. The message carries
 // senderPred itself — sets are immutable, so one may be shared by any
 // number of sends (a fan-out to split copies). The receiver's set is
 // read once per send.
-func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, data any) error {
-	rcv := r.lookup(dest)
+func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, rcv Receiver, data any) error {
 	if rcv == nil {
-		return fmt.Errorf("%w: %v", ErrUnknownReceiver, dest)
+		return ErrUnknownReceiver
 	}
+	dest := rcv.PID()
 	m := Message{
 		Seq:              r.seq.Add(1),
 		Sender:           sender,
@@ -211,83 +167,4 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, dest ids.PID, d
 		}
 		return nil
 	}
-}
-
-// Mailbox is a simple unbounded FIFO queue usable as a Receiver's
-// delivery buffer in real (goroutine) mode. It is safe for concurrent
-// use.
-type Mailbox struct {
-	mu     sync.Mutex
-	queue  []Message
-	notify chan struct{}
-}
-
-// NewMailbox returns an empty mailbox.
-func NewMailbox() *Mailbox {
-	return &Mailbox{notify: make(chan struct{}, 1)}
-}
-
-// Put enqueues m.
-func (b *Mailbox) Put(m Message) {
-	b.mu.Lock()
-	b.queue = append(b.queue, m)
-	b.mu.Unlock()
-	select {
-	case b.notify <- struct{}{}:
-	default:
-	}
-}
-
-// Len returns the queue length.
-func (b *Mailbox) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.queue)
-}
-
-// TryGet dequeues a message if one is available.
-func (b *Mailbox) TryGet() (Message, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if len(b.queue) == 0 {
-		return Message{}, false
-	}
-	m := b.queue[0]
-	b.queue = b.queue[1:]
-	return m, true
-}
-
-// Get dequeues a message, blocking until one arrives, the timer (if
-// timeout >= 0) fires, or cancel is closed. ok is false on timeout or
-// cancellation.
-func (b *Mailbox) Get(timeout time.Duration, cancel <-chan struct{}) (Message, bool) {
-	var timer *time.Timer
-	var timeC <-chan time.Time
-	if timeout >= 0 {
-		timer = time.NewTimer(timeout)
-		defer timer.Stop()
-		timeC = timer.C
-	}
-	for {
-		if m, ok := b.TryGet(); ok {
-			return m, true
-		}
-		select {
-		case <-b.notify:
-		case <-timeC:
-			return Message{}, false
-		case <-cancel:
-			return Message{}, false
-		}
-	}
-}
-
-// Drain returns and removes all queued messages (used when splitting a
-// receiver: the pending queue is duplicated into both copies).
-func (b *Mailbox) Drain() []Message {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	out := b.queue
-	b.queue = nil
-	return out
 }

@@ -41,8 +41,7 @@ func newRouter() *Router {
 func TestSendAccept(t *testing.T) {
 	r := newRouter()
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
-	r.Register(rcv)
-	if err := r.Send(ids.PID(1), predicate.New(), ids.PID(2), "hello"); err != nil {
+	if err := r.Send(ids.PID(1), predicate.New(), rcv, "hello"); err != nil {
 		t.Fatal(err)
 	}
 	if len(rcv.delivered) != 1 || rcv.delivered[0].Data != "hello" {
@@ -66,11 +65,9 @@ func TestSendTakesOneSnapshotEach(t *testing.T) {
 	r := newRouter()
 	accept := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, []int64{5}, nil)}
 	split := &fakeReceiver{pid: ids.PID(3), preds: predicate.New()}
-	r.Register(accept)
-	r.Register(split)
 	senderPred := mustPred(t, []int64{5}, nil)
 	for _, rcv := range []*fakeReceiver{accept, split} {
-		if err := r.Send(ids.PID(1), senderPred, rcv.pid, "x"); err != nil {
+		if err := r.Send(ids.PID(1), senderPred, rcv, "x"); err != nil {
 			t.Fatal(err)
 		}
 		if rcv.snapshots != 1 {
@@ -93,8 +90,7 @@ func TestSendIgnoreConflicting(t *testing.T) {
 	r := newRouter()
 	// Receiver assumes p7 fails; sender assumes p7 completes.
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, nil, []int64{7})}
-	r.Register(rcv)
-	if err := r.Send(ids.PID(1), mustPred(t, []int64{7}, nil), ids.PID(2), "x"); err != nil {
+	if err := r.Send(ids.PID(1), mustPred(t, []int64{7}, nil), rcv, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if len(rcv.delivered) != 0 {
@@ -108,9 +104,8 @@ func TestSendIgnoreConflicting(t *testing.T) {
 func TestSendSplit(t *testing.T) {
 	r := newRouter()
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
-	r.Register(rcv)
 	sender := ids.PID(9)
-	if err := r.Send(sender, mustPred(t, []int64{9}, nil), ids.PID(2), "spec"); err != nil {
+	if err := r.Send(sender, mustPred(t, []int64{9}, nil), rcv, "spec"); err != nil {
 		t.Fatal(err)
 	}
 	if len(rcv.splits) != 1 {
@@ -134,10 +129,9 @@ func TestSendSplitImpossibleIgnores(t *testing.T) {
 	// sender (pid 9) assumes p3 completes AND receiver assumes 9 fails.
 	rp := mustPred(t, nil, []int64{9})
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: rp}
-	r.Register(rcv)
 	// Sender set {must 4}: no conflict with {cant 9}, not implied → Split;
 	// but assume-world needs must(9) which contradicts cant(9).
-	if err := r.Send(ids.PID(9), mustPred(t, []int64{4}, nil), ids.PID(2), "x"); err != nil {
+	if err := r.Send(ids.PID(9), mustPred(t, []int64{4}, nil), rcv, "x"); err != nil {
 		t.Fatal(err)
 	}
 	if len(rcv.splits) != 0 || len(rcv.delivered) != 0 {
@@ -151,43 +145,30 @@ func TestSendSplitImpossibleIgnores(t *testing.T) {
 func TestSendSplitErrorPropagates(t *testing.T) {
 	r := newRouter()
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New(), splitErr: errors.New("boom")}
-	r.Register(rcv)
-	err := r.Send(ids.PID(9), mustPred(t, []int64{9}, nil), ids.PID(2), "x")
+	err := r.Send(ids.PID(9), mustPred(t, []int64{9}, nil), rcv, "x")
 	if err == nil {
 		t.Fatal("split error must propagate")
 	}
 }
 
+// TestUnknownReceiver: a destination the caller could not resolve is
+// refused before anything is counted or traced.
 func TestUnknownReceiver(t *testing.T) {
 	r := newRouter()
-	err := r.Send(ids.PID(1), predicate.New(), ids.PID(42), "x")
+	err := r.Send(ids.PID(1), predicate.New(), nil, "x")
 	if !errors.Is(err, ErrUnknownReceiver) {
 		t.Fatalf("err = %v", err)
 	}
-}
-
-func TestRegisterUnregister(t *testing.T) {
-	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
-	r.Register(rcv)
-	if !r.Registered(ids.PID(2)) {
-		t.Fatal("must be registered")
-	}
-	r.Unregister(ids.PID(2))
-	if r.Registered(ids.PID(2)) {
-		t.Fatal("must be unregistered")
-	}
-	if err := r.Send(ids.PID(1), predicate.New(), ids.PID(2), "x"); err == nil {
-		t.Fatal("send to unregistered must fail")
+	if st := r.Stats(); st != (Stats{}) {
+		t.Fatalf("stats = %+v, want none counted", st)
 	}
 }
 
 func TestSeqMonotonic(t *testing.T) {
 	r := newRouter()
 	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
-	r.Register(rcv)
 	for i := 0; i < 5; i++ {
-		if err := r.Send(ids.PID(1), predicate.New(), ids.PID(2), i); err != nil {
+		if err := r.Send(ids.PID(1), predicate.New(), rcv, i); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -213,85 +194,4 @@ func mustPred(t *testing.T, must, cant []int64) *predicate.Set {
 		}
 	}
 	return s
-}
-
-func TestMailboxFIFO(t *testing.T) {
-	b := NewMailbox()
-	for i := 0; i < 3; i++ {
-		b.Put(Message{Seq: int64(i)})
-	}
-	if b.Len() != 3 {
-		t.Fatalf("Len = %d", b.Len())
-	}
-	for i := 0; i < 3; i++ {
-		m, ok := b.TryGet()
-		if !ok || m.Seq != int64(i) {
-			t.Fatalf("TryGet %d = %+v, %v", i, m, ok)
-		}
-	}
-	if _, ok := b.TryGet(); ok {
-		t.Fatal("empty TryGet must fail")
-	}
-}
-
-func TestMailboxGetBlocksUntilPut(t *testing.T) {
-	b := NewMailbox()
-	done := make(chan Message, 1)
-	go func() {
-		m, ok := b.Get(-1, nil)
-		if ok {
-			done <- m
-		}
-	}()
-	time.Sleep(10 * time.Millisecond)
-	b.Put(Message{Seq: 42})
-	select {
-	case m := <-done:
-		if m.Seq != 42 {
-			t.Fatalf("got %+v", m)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Get did not wake")
-	}
-}
-
-func TestMailboxGetTimeout(t *testing.T) {
-	b := NewMailbox()
-	start := time.Now()
-	_, ok := b.Get(20*time.Millisecond, nil)
-	if ok {
-		t.Fatal("expected timeout")
-	}
-	if time.Since(start) < 15*time.Millisecond {
-		t.Fatal("returned too early")
-	}
-}
-
-func TestMailboxGetCancel(t *testing.T) {
-	b := NewMailbox()
-	cancel := make(chan struct{})
-	done := make(chan bool, 1)
-	go func() {
-		_, ok := b.Get(-1, cancel)
-		done <- ok
-	}()
-	close(cancel)
-	select {
-	case ok := <-done:
-		if ok {
-			t.Fatal("cancelled Get must report !ok")
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("cancel did not unblock Get")
-	}
-}
-
-func TestMailboxDrain(t *testing.T) {
-	b := NewMailbox()
-	b.Put(Message{Seq: 1})
-	b.Put(Message{Seq: 2})
-	drained := b.Drain()
-	if len(drained) != 2 || b.Len() != 0 {
-		t.Fatalf("drained %d, remaining %d", len(drained), b.Len())
-	}
 }

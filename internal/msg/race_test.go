@@ -16,9 +16,10 @@ import (
 // worlds — organized into sibling groups whose members are mutually
 // exclusive — hammer a splitting receiver lineage through the lock-free
 // send path. The receiver implementation mirrors the core runtime's
-// split contract in miniature: register the assume/deny copies,
-// unregister the split copy, and the senders fan out to every live
-// copy, as core's alias walk does.
+// split contract in miniature: make the assume/deny copies live, retire
+// the split copy, and the senders fan out to every live copy, as core's
+// alias walk does. Like core, the harness keeps the live index and
+// resolves each destination just before sending to it.
 //
 // Invariants checked after the storm:
 //   - counter conservation: every send was decided exactly once
@@ -66,7 +67,7 @@ func (c *raceCopy) Split(assume, deny *predicate.Set, m Message) error {
 	c.mu.Unlock()
 	if wasDead {
 		// A concurrent sender already split this copy; its successors
-		// are registered and will decide this sender's later messages.
+		// are live and will decide this sender's later messages.
 		c.h.drops.Add(1)
 		return nil
 	}
@@ -90,15 +91,24 @@ func (h *raceHarness) addCopy(preds *predicate.Set) *raceCopy {
 	h.live[c.pid] = c
 	h.all = append(h.all, c)
 	h.mu.Unlock()
-	h.r.Register(c)
 	return c
 }
 
 func (h *raceHarness) remove(pid ids.PID) {
-	h.r.Unregister(pid)
 	h.mu.Lock()
 	delete(h.live, pid)
 	h.mu.Unlock()
+}
+
+// lookup resolves pid to its live copy, or to a nil Receiver once the
+// copy has split.
+func (h *raceHarness) lookup(pid ids.PID) Receiver {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if c := h.live[pid]; c != nil {
+		return c
+	}
+	return nil
 }
 
 // livePIDs snapshots the live copy set for one fan-out round.
@@ -133,7 +143,7 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < perSender; i++ {
 			for _, pid := range h.livePIDs() {
-				err := h.r.Send(sender, preds, pid, i)
+				err := h.r.Send(sender, preds, h.lookup(pid), i)
 				if err != nil && !errors.Is(err, ErrUnknownReceiver) {
 					t.Errorf("send from %v to %v: %v", sender, pid, err)
 				}

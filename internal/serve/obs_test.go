@@ -101,7 +101,7 @@ func TestRecorderObservesJobs(t *testing.T) {
 	}
 }
 
-// TestCountersConcurrentUnderLoad drives a 64-way servebench-style
+// TestCountersConcurrentUnderLoad drives a 64-way closed-loop
 // workload while reader goroutines continuously snapshot every counter
 // surface — pool stats (PoolCounters), runtime selection stats
 // (SelCounters), transport counters (NetCounters), and the flight

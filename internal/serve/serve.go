@@ -41,8 +41,9 @@
 //	t, _ := pool.Submit(serve.Job{Name: "q1", Alts: alts, Extract: read})
 //	res, _ := t.Wait(ctx)
 //
-// cmd/altserved wraps the pool in an HTTP daemon; cmd/altbench
-// servebench drives it closed-loop and records latency/throughput.
+// cmd/altserved wraps the pool in an HTTP daemon; the benchmark of
+// record's race_cpu workload (bench/) drives it closed-loop and records
+// latency/throughput.
 package serve
 
 import "errors"

@@ -70,6 +70,7 @@ func TestBlockCommitMatchesOracle(t *testing.T) {
 	}
 
 	before := rt.MsgStats()
+	elimBefore := rt.SelStats().Eliminations
 	var storep = store
 	res, err := root.RunAlt(core.Options{SyncElimination: true}, NewBlock(cfg).Alts(&storep)...)
 	if err != nil {
@@ -96,6 +97,10 @@ func TestBlockCommitMatchesOracle(t *testing.T) {
 	if after.Ignored <= before.Ignored {
 		t.Fatalf("no ignored messages: %d -> %d (losers' writes must be ignored by conflicting copies)",
 			before.Ignored, after.Ignored)
+	}
+	if elimAfter := rt.SelStats().Eliminations; elimAfter <= elimBefore {
+		t.Fatalf("no eliminations: %d -> %d (the commit must eliminate the store copies that assumed a loser)",
+			elimBefore, elimAfter)
 	}
 
 	if err := store.Close(); err != nil {
