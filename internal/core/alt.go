@@ -204,11 +204,15 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 
 	// Phase 2: build child worlds (setup overhead, charged to the
 	// blocked parent). children is indexed by live slot k; reports
-	// carry the original alternative index. Every child's set is derived
-	// from one snapshot of the parent's.
+	// carry the original alternative index. A child is published but not
+	// activated: every child's set is derived on first use from one
+	// snapshot of the parent's set and the block's PIDs, and a child that
+	// never communicates never subscribes to its siblings' fates — the
+	// block eliminates them directly (§3.2.1).
 	children := make([]*World, len(live))
-	parentPreds := w.Predicates()
-	sibPIDs := make([]ids.PID, 0, len(pids))
+	w.mu.Lock()
+	parentPreds := w.predsLocked()
+	w.mu.Unlock()
 	for k, i := range live {
 		var (
 			space *mem.AddressSpace
@@ -225,27 +229,20 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 			space, err = w.space.Fork()
 		}
 		if err != nil {
-			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
-		}
-		sibPIDs = append(append(sibPIDs[:0], pids[:k]...), pids[k+1:]...)
-		preds, err := parentPreds.WithComplete(pids[k])
-		if err == nil {
-			preds, err = preds.WithFail(sibPIDs...)
-		}
-		if err != nil {
+			rt.abortSpawn(children[:k], pids[k:])
 			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
 		}
 		cw := &World{
-			rt:         rt,
-			pid:        pids[k],
-			name:       alts[i].Name,
-			space:      space,
-			preds:      preds,
-			box:        rt.be.newInbox(),
-			ownedSpace: true,
-			probe:      opts.Probe,
+			rt:          rt,
+			pid:         pids[k],
+			name:        alts[i].Name,
+			space:       space,
+			spawnParent: parentPreds,
+			spawnPIDs:   pids,
+			ownedSpace:  true,
+			probe:       opts.Probe,
 		}
-		rt.registerWorld(cw)
+		rt.publishWorld(cw)
 		children[k] = cw
 		if rt.log != nil {
 			rt.log.Addf(start, trace.KindSpawn, cw.pid, "alt %d of %v", i+1, w.pid)
@@ -426,6 +423,20 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		Runtime:      winnerAt.Sub(setupDone),
 		Selection:    end.Sub(winnerAt),
 	}, nil
+}
+
+// abortSpawn unwinds a block whose setup failed: the children already
+// built are eliminated, which releases their forked pages, and the
+// PIDs never built are resolved as failed, so no process of the block
+// stays Running in the parent's child index.
+func (rt *Runtime) abortSpawn(built []*World, unbuilt []ids.PID) {
+	work := eliminations(built)
+	for _, p := range unbuilt {
+		if rt.procs.SetStatus(p, proc.Failed) == nil {
+			work = append(work, propEvent{resolvePID: p, completed: false})
+		}
+	}
+	rt.propagate(work)
 }
 
 // runAlternative is the child-side protocol: body, guard, synchronize.

@@ -15,10 +15,16 @@ import (
 //   - a predicate-subscription index: assumed PID → the worlds whose
 //     predicate sets mention it. A resolution event visits exactly its
 //     subscribers; worlds with no stake in the resolved process are
-//     never touched. Subscriptions are established at registration
-//     (a world's assumption *universe* is fixed then — resolution only
-//     ever removes assumptions, §3.4.2) and torn down at
-//     unregistration or when the subject PID itself resolves.
+//     never touched. A world is published in the map at registration
+//     but subscribes only when it activates (Runtime.activate): at
+//     registration for roots, servers and split copies, and on first
+//     use — a send, a receive, a delivery, console access — for an
+//     alternative-block child, whose own siblings its block eliminates
+//     directly. Its assumption *universe* is fixed at activation
+//     (resolution only ever removes assumptions, §3.4.2); the
+//     subscriptions are torn down at unregistration or when the subject
+//     PID itself resolves. A child that never communicates never
+//     subscribes.
 //
 // Where a split receiver's messages go (§3.4.2) is not recorded here:
 // the copies are the forked original's children in the process table,
@@ -83,12 +89,19 @@ func (r *registry) shardFor(pid ids.PID) *regShard {
 	return &r.shards[uint64(pid)&(regShardCount-1)]
 }
 
-// addWorld publishes w and subscribes it to every PID in w.subPIDs
-// (fixed before the call — written once, at registration, before the
-// world is visible to anyone).
+// addWorld publishes w in the world map.
 func (r *registry) addWorld(w *World) {
 	r.shardFor(w.pid).worlds.Set(w.pid, w)
-	for _, p := range w.subPIDs {
+}
+
+// removeWorld unpublishes w.
+func (r *registry) removeWorld(w *World) {
+	r.shardFor(w.pid).worlds.Delete(w.pid)
+}
+
+// subscribe adds w to the subscription bucket of every PID in pids.
+func (r *registry) subscribe(w *World, pids []ids.PID) {
+	for _, p := range pids {
 		r.shardFor(p).subs.Update(p, func(old *subBucket) *subBucket {
 			if old == nil {
 				b := subBucket{w}
@@ -107,11 +120,10 @@ func (r *registry) addWorld(w *World) {
 	}
 }
 
-// removeWorld unpublishes w and tears down its subscriptions. Buckets
-// already dropped (their PID resolved) are skipped.
-func (r *registry) removeWorld(w *World) {
-	r.shardFor(w.pid).worlds.Delete(w.pid)
-	for _, p := range w.subPIDs {
+// unsubscribe removes w from the subscription bucket of every PID in
+// pids. Buckets already dropped (their PID resolved) are skipped.
+func (r *registry) unsubscribe(w *World, pids []ids.PID) {
+	for _, p := range pids {
 		r.shardFor(p).subs.Update(p, func(old *subBucket) *subBucket {
 			if old == nil {
 				return nil // bucket already dropped (its PID resolved)

@@ -24,6 +24,18 @@ func eachRegistry(t *testing.T, fn func(t *testing.T, mk func() *registry)) {
 	t.Run("lockfree", func(t *testing.T) { fn(t, newRegistry) })
 }
 
+// join publishes w and subscribes it to w.subPIDs, as registration
+// followed by activation does; leave undoes both.
+func join(r *registry, w *World) {
+	r.addWorld(w)
+	r.subscribe(w, w.subPIDs)
+}
+
+func leave(r *registry, w *World) {
+	r.removeWorld(w)
+	r.unsubscribe(w, w.subPIDs)
+}
+
 func pidsOf(ws []*World) []ids.PID {
 	out := make([]ids.PID, len(ws))
 	for i, w := range ws {
@@ -75,7 +87,7 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 		b := &World{pid: 2, subPIDs: []ids.PID{subject, other}}
 		c := &World{pid: 3, subPIDs: []ids.PID{other}}
 		for _, w := range []*World{a, b, c} {
-			r.addWorld(w)
+			join(r, w)
 		}
 
 		got := pidsOf(r.appendSubscribers(nil, subject))
@@ -95,7 +107,7 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 		}
 
 		// Removing a world removes it from every bucket it was in.
-		r.removeWorld(b)
+		leave(r, b)
 		got = pidsOf(r.appendSubscribers(nil, subject))
 		if len(got) != 1 || got[0] != 1 {
 			t.Fatalf("subscribers(%v) after remove = %v, want [1]", subject, got)
@@ -107,7 +119,7 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 		if got := r.appendSubscribers(nil, subject); len(got) != 0 {
 			t.Fatalf("subscribers(%v) after drop = %v, want empty", subject, got)
 		}
-		r.removeWorld(a) // a was subscribed to the dropped bucket
+		leave(r, a) // a was subscribed to the dropped bucket
 		if r.world(a.pid) != nil {
 			t.Fatal("removeWorld failed after dropBucket")
 		}
@@ -360,7 +372,7 @@ func TestRegistryConcurrentReadersWriters(t *testing.T) {
 		)
 		// Anchors that stay registered for the whole run.
 		for pid := ids.PID(10_000); pid < 10_000+16; pid++ {
-			r.addWorld(&World{pid: pid, subPIDs: []ids.PID{9999}})
+			join(r, &World{pid: pid, subPIDs: []ids.PID{9999}})
 		}
 		stop := make(chan struct{})
 		var rg sync.WaitGroup
@@ -400,10 +412,10 @@ func TestRegistryConcurrentReadersWriters(t *testing.T) {
 					for pid := base; pid < base+pids/4; pid++ {
 						w := &World{pid: pid, subPIDs: []ids.PID{9999, pid + 50_000}}
 						ws = append(ws, w)
-						r.addWorld(w)
+						join(r, w)
 					}
 					for _, w := range ws {
-						r.removeWorld(w)
+						leave(r, w)
 					}
 				}
 			}(wtr)

@@ -301,7 +301,6 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
-		box:        rt.be.newInbox(),
 		ownedSpace: true,
 		ctx:        &realCtx{clk: rt.realBE.clk, cancel: h.cancel},
 		handle:     h,
@@ -322,7 +321,6 @@ func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *Wo
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
-		box:        rt.be.newInbox(),
 		ownedSpace: true,
 	}
 	rt.registerWorld(w)
@@ -340,34 +338,75 @@ func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *Wo
 	return w
 }
 
-// registerWorld makes w resolvable and addressable, and subscribes it
-// to the fate of every PID its predicate set mentions. The subscription
-// list is fixed here: after registration a predicate set only ever
-// shrinks (resolution removes satisfied assumptions, §3.4.2), so the
-// index stays a superset of the world's live assumptions until it is
-// unregistered.
+// registerWorld publishes w and activates it at once: roots, servers
+// and split copies are built with their predicate set and communicate
+// from the start.
+func (rt *Runtime) registerWorld(w *World) {
+	rt.publishWorld(w)
+	rt.activate(w)
+}
+
+// publishWorld makes w resolvable and addressable: an elimination
+// cascade or a send can reach it from here on. A RunAlt child stops
+// here until it activates.
+func (rt *Runtime) publishWorld(w *World) {
+	// A RunAlt child has no set yet; it assumes its own completion.
+	w.obsSpec = w.preds == nil || w.preds.Unresolved()
+	if o := rt.worldObserver(); o != nil {
+		// Mark and notify before publishing: once w is visible anyone may
+		// eliminate it (as may its activation's catch-up), and its
+		// unregistration must pair with, and follow, this registration.
+		w.obsSeen = true
+		o.WorldRegistered(w.pid, w.obsSpec)
+	}
+	rt.reg.addWorld(w)
+}
+
+// activate builds w's inbox and subscribes w to the fate of every PID
+// its predicate set mentions, once. The subscription list is fixed
+// here: from now on the set only ever shrinks (resolution removes
+// satisfied assumptions, §3.4.2), so the index stays a superset of the
+// world's live assumptions until it is unregistered. Before a RunAlt
+// child activates, its own block eliminates it directly (§3.2.1), and an
+// ancestor's elimination reaches it through the process table's child
+// index.
 //
-// After publishing, registerWorld catches up on assumptions that
-// resolved while w was being built (e.g. a split copy whose sender was
-// eliminated between performSplit's status check and here). Every
-// resolver sets the proc status terminal *before* snapshotting
+// After subscribing, activate catches up on assumptions that resolved
+// before: a child's set is derived from its parent's set as it was
+// when the block was entered, and a split copy's sender may have been
+// eliminated between performSplit's status check and its registration.
+// Every resolver sets the proc status terminal *before* snapshotting
 // subscribers, and we add w to the index *before* reading statuses, so
 // each resolution reaches w at least one way: through the index (w was
 // visible at the snapshot) or through this catch-up (the status was
 // terminal by the time we look). Double delivery is harmless —
 // resolving a PID a set no longer mentions is a no-op.
-func (rt *Runtime) registerWorld(w *World) {
-	w.subPIDs = w.preds.AppendPIDs(w.subPIDs[:0])
-	w.obsSpec = w.preds.Unresolved()
-	if o := rt.worldObserver(); o != nil {
-		// Mark and notify before publishing: once w is visible anyone may
-		// eliminate it (as may the catch-up below), and its unregistration
-		// must pair with, and follow, this registration.
-		w.obsSeen = true
-		o.WorldRegistered(w.pid, w.obsSpec)
+//
+// Subscriptions are published under w.mu, where unregisterWorld marks
+// the world gone: an activation racing the unregistration either
+// subscribes first, and the unregistration tears it down, or finds the
+// world gone and subscribes nothing.
+func (rt *Runtime) activate(w *World) {
+	if w.activated.Load() {
+		return
 	}
-	rt.reg.addWorld(w)
-	for _, p := range w.subPIDs {
+	w.mu.Lock()
+	if w.activated.Load() {
+		w.mu.Unlock()
+		return
+	}
+	preds := w.predsLocked()
+	if w.box == nil {
+		w.box = rt.be.newInbox()
+	}
+	if !w.unregistered {
+		w.subPIDs = preds.AppendPIDs(nil)
+		rt.reg.subscribe(w, w.subPIDs)
+	}
+	subs := w.subPIDs
+	w.activated.Store(true)
+	w.mu.Unlock()
+	for _, p := range subs {
 		st := rt.procs.Status(p)
 		if !st.Terminal() || st == proc.Forked {
 			continue // unresolved (a fork's copies carry its obligations)
@@ -394,9 +433,12 @@ func (rt *Runtime) registerWorld(w *World) {
 func (rt *Runtime) unregisterWorld(w *World) {
 	rt.reg.removeWorld(w)
 	w.mu.Lock()
+	w.unregistered = true
+	subs := w.subPIDs
 	seen := w.obsSeen
 	w.obsSeen = false
 	w.mu.Unlock()
+	rt.reg.unsubscribe(w, subs)
 	if seen {
 		if o := rt.worldObserver(); o != nil {
 			o.WorldUnregistered(w.pid, w.obsSpec)
@@ -472,6 +514,7 @@ func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.P
 	if w == nil {
 		return msg.ErrUnknownReceiver
 	}
+	// The router reads w's Predicates, which activates it.
 	return rt.router.Send(sender, senderPreds, w, data)
 }
 

@@ -40,7 +40,6 @@ func registerBodiless(rt *Runtime, parent ids.PID, name string, preds *predicate
 		name:       name,
 		space:      mem.New(rt.store, 4096),
 		preds:      preds,
-		box:        rt.be.newInbox(),
 		ownedSpace: true,
 		isServer:   server,
 	}

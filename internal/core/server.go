@@ -43,7 +43,6 @@ func (rt *Runtime) SpawnServer(name string, spaceSize int64, handler Handler) *W
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
-		box:        rt.be.newInbox(),
 		ownedSpace: true,
 		isServer:   true,
 		serverFn:   handler,
@@ -223,7 +222,6 @@ func (rt *Runtime) cloneServer(w *World, name string, preds *predicate.Set) *Wor
 		name:       name,
 		space:      space,
 		preds:      preds,
-		box:        rt.be.newInbox(),
 		ownedSpace: true,
 		isServer:   true,
 		serverFn:   w.serverFn,

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"altrun/internal/ids"
 	"altrun/internal/msg"
+	"altrun/internal/proc"
 	"altrun/internal/trace"
 )
 
@@ -172,11 +174,15 @@ func TestStressConcurrentSelectionInvariants(t *testing.T) {
 }
 
 // TestStressContradictionChainsTerminate eliminates losers that are in
-// the middle of nested alternative blocks, so each elimination
-// contradicts the predicates of an in-flight subtree and the cascade
-// must walk it to quiescence. The test's only liberal resource is time:
-// if a chain ever fails to terminate, rt.Wait() hangs and the watchdog
-// fails the test.
+// the middle of nested alternative blocks, so each elimination must
+// walk an in-flight subtree to quiescence. The nested losers' children
+// never subscribe to their block's fates; they are eliminated through
+// the child cascade, and every one of them must be, each round. Each
+// inner child first messages a server, whose split copies assume the
+// sender's whole predicate set: the outer commit and the cascade must
+// contradict those copies away. The test's only liberal resource is
+// time: if a chain ever fails to terminate, rt.Wait() hangs and the
+// watchdog fails the test.
 func TestStressContradictionChainsTerminate(t *testing.T) {
 	const rounds = 8
 
@@ -184,6 +190,25 @@ func TestStressContradictionChainsTerminate(t *testing.T) {
 	root, err := rt.NewRootWorld("main", 1024)
 	if err != nil {
 		t.Fatal(err)
+	}
+
+	// The server records, per round, which inner children's messages a
+	// copy of it has handled (always an assume-copy: a sender's first
+	// message splits the lineage).
+	var seenMu sync.Mutex
+	seen := make([]map[ids.PID]bool, rounds)
+	for r := range seen {
+		seen[r] = make(map[ids.PID]bool)
+	}
+	srv := rt.SpawnServer("log", 1024, func(w *World, m msg.Message) {
+		seenMu.Lock()
+		seen[m.Data.(int)][m.Sender] = true
+		seenMu.Unlock()
+	})
+	handled := func(r int) int {
+		seenMu.Lock()
+		defer seenMu.Unlock()
+		return len(seen[r])
 	}
 
 	// Bystander churn while cascades run: registration and subscription
@@ -214,24 +239,43 @@ func TestStressContradictionChainsTerminate(t *testing.T) {
 	go func() {
 		defer close(done)
 		for r := 0; r < rounds; r++ {
+			inner := newTestProbe() // records every inner child
+			innerBody := func(g *World) error {
+				// Resend until a copy has handled a message of this
+				// round: a message that reaches a copy while it hands
+				// its queue over to its own split copies can be lost.
+				for handled(r) == 0 {
+					if err := g.Send(srv.PID(), r); err != nil {
+						return err
+					}
+					g.Sleep(time.Millisecond) // cancel-aware
+				}
+				g.Sleep(30 * time.Second)
+				return nil
+			}
 			slowInner := func(w *World) error {
 				// A nested block whose children are alive when the
 				// outer winner eliminates this subtree.
-				_, err := w.RunAlt(Options{},
-					Alt{Name: "inner-a", Body: func(g *World) error {
-						g.Sleep(10 * time.Second) // cancel-aware
-						return nil
-					}},
-					Alt{Name: "inner-b", Body: func(g *World) error {
-						g.Sleep(10 * time.Second)
-						return nil
-					}},
+				_, err := w.RunAlt(Options{Probe: inner},
+					Alt{Name: "inner-a", Body: innerBody},
+					Alt{Name: "inner-b", Body: innerBody},
 				)
 				return err
 			}
 			res, err := root.RunAlt(Options{SyncElimination: r%2 == 0},
 				Alt{Name: "fast", Body: func(w *World) error {
-					w.Sleep(2 * time.Millisecond)
+					// Win only once the server has split on an inner
+					// child's message: the assume-copy that handled it
+					// assumes this alternative fails, so the commit must
+					// contradict it.
+					deadline := time.Now().Add(10 * time.Second)
+					for handled(r) == 0 {
+						if time.Now().After(deadline) {
+							t.Errorf("round %d: the server handled no inner child's message", r)
+							break
+						}
+						time.Sleep(100 * time.Microsecond)
+					}
 					return w.WriteUint64(0, uint64(r+1))
 				}},
 				Alt{Name: "nested-1", Body: slowInner},
@@ -245,9 +289,40 @@ func TestStressContradictionChainsTerminate(t *testing.T) {
 				t.Errorf("round %d: winner %q, want fast", r, res.Name)
 				return
 			}
+			inner.mu.Lock()
+			spawned := append([]ids.PID(nil), inner.spawned...)
+			inner.mu.Unlock()
+			// fast waited for an inner child, so at least one nested
+			// block ran; the other may have lost before it started.
+			if len(spawned) < 2 {
+				t.Errorf("round %d: %d inner children spawned, want 2 or 4", r, len(spawned))
+				return
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for _, p := range spawned {
+				for rt.procs.Status(p) != proc.Eliminated {
+					if time.Now().After(deadline) {
+						t.Errorf("round %d: inner child %v is %v, want eliminated", r, p, rt.procs.Status(p))
+						return
+					}
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
 		}
 		close(stopChurn)
 		churnWG.Wait()
+		// Every sender is dead, so the split copies settle to one.
+		deadline := time.Now().Add(30 * time.Second)
+		for len(rt.Copies(srv.PID())) != 1 {
+			if time.Now().After(deadline) {
+				t.Errorf("server copies never settled: %d live", len(rt.Copies(srv.PID())))
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		for _, cw := range rt.Copies(srv.PID()) {
+			rt.Shutdown(cw)
+		}
 		rt.Wait() // every eliminated subtree must unwind
 	}()
 
@@ -257,8 +332,8 @@ func TestStressContradictionChainsTerminate(t *testing.T) {
 		t.Fatal("contradiction cascade did not terminate: rt.Wait() hung")
 	}
 
-	// The cascades genuinely exercised contradiction chains: each
-	// eliminated nested loser's children were contradicted away.
+	// The cascades genuinely exercised contradiction chains: the server
+	// copies that assumed an eliminated sender were contradicted away.
 	if n := rt.Log().Count(trace.KindContradiction); n == 0 {
 		t.Error("no contradiction events recorded; cascade path untested")
 	}

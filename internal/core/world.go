@@ -21,13 +21,17 @@ import (
 // A World's state methods must be called only from its own executing
 // body. Predicates and routing metadata are internally synchronized
 // because the message layer reads them from other worlds' contexts.
+//
+// The multiple-worlds machinery — the predicate set, its subscriptions
+// and the inbox — matters only once a world communicates (§3.4), so an
+// alternative's world builds it on first use (see Runtime.activate).
 type World struct {
 	rt    *Runtime
 	pid   ids.PID
 	name  string
 	space *mem.AddressSpace
 	ctx   execCtx
-	box   inbox
+	box   inbox // built at activation
 
 	handle procHandle
 
@@ -39,26 +43,42 @@ type World struct {
 	// and Shutdown set that too).
 	eliminated atomic.Bool
 
+	// activated is set once the world has built its inbox and published
+	// its subscriptions (Runtime.activate). Written under mu; read
+	// lock-free by the activation fast path.
+	activated atomic.Bool
+
 	// subPIDs lists the PIDs the world's predicate set mentioned at
-	// registration — the subscription record the registry's predicate
-	// index keys on. Written once by registerWorld (before the world is
-	// visible to other goroutines), read at unregistration.
+	// activation — the subscription record the registry's predicate
+	// index keys on. Written under mu by the activation that publishes
+	// the subscriptions, read under mu by the unregistration that tears
+	// them down, and never changed in between.
 	subPIDs []ids.PID
 
 	// obsSpec records whether the world was speculative at registration
 	// — the flag both observer callbacks report, so a gauge of live
 	// speculative worlds pairs up even though predicates resolve while
-	// the world is live. Written once by registerWorld.
+	// the world is live. Written once by publishWorld.
 	obsSpec bool
 	// obsSeen is true while a delivered WorldRegistered awaits its
 	// WorldUnregistered (guarded by mu).
 	obsSeen bool
 
-	mu         sync.Mutex
-	preds      *predicate.Set
-	deferred   []string // deferred console output (source ops)
-	terminated bool
-	ownedSpace bool // false once the parent adopted it (winner)
+	mu sync.Mutex
+	// preds is the world's assumption set. A RunAlt child starts with
+	// none: spawnParent (the parent's set when the block was entered) and
+	// spawnPIDs (the block's alternatives, this world among them) are
+	// what predsLocked derives it from on first use, and are dropped
+	// then.
+	preds       *predicate.Set
+	spawnParent *predicate.Set
+	spawnPIDs   []ids.PID
+	// unregistered is set by unregisterWorld: an activation after it
+	// publishes no subscriptions, so none outlives the world.
+	unregistered bool
+	deferred     []string // deferred console output (source ops)
+	terminated   bool
+	ownedSpace   bool // false once the parent adopted it (winner)
 	// noBody marks a world with a cancellation handle but no spawned
 	// goroutine (a NewRootWorld root): no exit path will release its
 	// space, so Shutdown must.
@@ -88,13 +108,42 @@ func (w *World) Size() int64 { return w.space.Size() }
 // Runtime returns the owning runtime.
 func (w *World) Runtime() *Runtime { return w.rt }
 
-// Predicates returns the world's current assumption set (msg.Receiver).
+// Predicates returns the world's current assumption set (msg.Receiver),
+// activating the world: the router reads it to decide a delivery.
 // Sets are immutable, so the pointer is a snapshot: a later resolution
 // replaces w's set and leaves this one as it was.
 func (w *World) Predicates() *predicate.Set {
+	w.rt.activate(w)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return w.preds
+}
+
+// predsLocked returns w's assumption set, deriving a RunAlt child's on
+// first use: the parent's assumptions, plus "I complete, my siblings
+// don't" (§3.3). w.mu must be held.
+func (w *World) predsLocked() *predicate.Set {
+	if w.preds != nil {
+		return w.preds
+	}
+	var sibArr [8]ids.PID
+	sibs := sibArr[:0]
+	for _, p := range w.spawnPIDs {
+		if p != w.pid {
+			sibs = append(sibs, p)
+		}
+	}
+	preds, err := w.spawnParent.WithComplete(w.pid)
+	if err == nil {
+		preds, err = preds.WithFail(sibs...)
+	}
+	if err != nil {
+		// The block's PIDs were registered after the parent's set was
+		// taken, so the set cannot already mention them.
+		panic(errors.Join(errors.New("core: deriving a child's predicates"), err))
+	}
+	w.preds, w.spawnParent, w.spawnPIDs = preds, nil, nil
+	return preds
 }
 
 // Speculative reports whether the world still runs under unresolved
@@ -102,7 +151,7 @@ func (w *World) Predicates() *predicate.Set {
 func (w *World) Speculative() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return w.preds.Unresolved()
+	return w.predsLocked().Unresolved()
 }
 
 // applyResolution applies pid's fate to the predicate set, replacing
@@ -111,7 +160,7 @@ func (w *World) Speculative() bool {
 func (w *World) applyResolution(pid ids.PID, completed bool) (predicate.Outcome, bool) {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	preds, out := w.preds.Resolve(pid, completed)
+	preds, out := w.predsLocked().Resolve(pid, completed)
 	w.preds = preds
 	return out, out == predicate.Simplified && !preds.Unresolved()
 }
@@ -320,16 +369,20 @@ func (w *World) Cancel() {
 // Send routes data to the world dest, stamping the message with this
 // world's current predicate set, shared rather than copied.
 // Destinations that have split are fanned out to their live copies.
+// The first Send activates the world, and its catch-up may find that
+// the world is already dead.
 func (w *World) Send(dest ids.PID, data any) error {
+	preds := w.Predicates()
 	if w.eliminated.Load() {
 		return ErrEliminated
 	}
-	return w.rt.sendFrom(w.pid, w.Predicates(), dest, data)
+	return w.rt.sendFrom(w.pid, preds, dest, data)
 }
 
 // Recv dequeues the next accepted message. timeout < 0 waits forever;
 // ok is false on timeout or cancellation.
 func (w *World) Recv(timeout time.Duration) (msg.Message, bool) {
+	w.rt.activate(w)
 	for {
 		v, ok := w.box.get(w.ctx, timeout)
 		if !ok {
@@ -343,7 +396,8 @@ func (w *World) Recv(timeout time.Duration) (msg.Message, bool) {
 	}
 }
 
-// Deliver enqueues an accepted message (msg.Receiver).
+// Deliver enqueues an accepted message (msg.Receiver). The router read
+// w's Predicates to decide it, which activated w and built its inbox.
 func (w *World) Deliver(m msg.Message) { w.box.put(m) }
 
 // Split implements msg.Receiver: servers enqueue a split request
@@ -366,6 +420,7 @@ func (w *World) Split(assume, deny *predicate.Set, m msg.Message) error {
 // world wins its block ("actually performing the updates made by
 // C_best, e.g., writing checks or bottling beer", §4.3).
 func (w *World) WriteConsole(line string) error {
+	w.rt.activate(w)
 	w.mu.Lock()
 	speculative := w.preds.Unresolved()
 	if speculative {
@@ -380,6 +435,7 @@ func (w *World) WriteConsole(line string) error {
 // ReadConsole reads buffered console input position index; buffering
 // makes speculative reads idempotent (§6).
 func (w *World) ReadConsole(index int) (string, error) {
+	w.rt.activate(w)
 	return w.rt.console.Read(w.pid, index)
 }
 
@@ -400,7 +456,7 @@ func (w *World) inheritDeferred(winner *World) {
 	winner.mu.Unlock()
 	w.mu.Lock()
 	w.deferred = append(w.deferred, lines...)
-	resolved := !w.preds.Unresolved()
+	resolved := !w.predsLocked().Unresolved()
 	w.mu.Unlock()
 	if resolved {
 		w.flushDeferred()
@@ -411,7 +467,7 @@ func (w *World) inheritDeferred(winner *World) {
 // longer speculative.
 func (w *World) flushDeferred() {
 	w.mu.Lock()
-	if w.preds.Unresolved() || len(w.deferred) == 0 {
+	if w.predsLocked().Unresolved() || len(w.deferred) == 0 {
 		w.mu.Unlock()
 		return
 	}
