@@ -105,8 +105,9 @@ func TestSequentialBaselineThroughPool(t *testing.T) {
 // must not weaken its oracle. Blocks of the benchmark's stm stream race
 // all four alternatives through the store — for at least 20 seeds, and
 // on until every alternative has won at least 5 blocks. Each seed runs
-// one block per alternative, spawned last (Go runs the newest goroutine
-// first, so it usually wins; nothing forces it). For every block:
+// one block per alternative, placed first in the block's order (real-mode
+// RunAlt runs the first alternative first, so it usually wins; nothing
+// forces it). For every block:
 //   - every guard that ran read exactly GenOps' stream, the winner's
 //     included;
 //   - Extract's result passes istm.CheckFinal, which regenerates every
@@ -123,8 +124,8 @@ func TestExtractMatchesIndependentOracle(t *testing.T) {
 		}
 		spec := istm.TxnSpec{TxnID: seed, Keys: 8, Alts: alts, Ops: 10, ReadFrac: 0.5, Zipf: 1.2, Seed: seed}
 		cfg := spec.Config()
-		for last := 0; last < alts; last++ {
-			block, out := runChecked(t, spec, last)
+		for first := 0; first < alts; first++ {
+			block, out := runChecked(t, spec, first)
 			blocks++
 			wins[out.Winner]++
 			final := append(append([]uint64(nil), out.Pages...), uint64(out.Winner)+1)
@@ -160,12 +161,12 @@ func TestExtractMatchesIndependentOracle(t *testing.T) {
 	t.Logf("%d blocks, wins per alternative %v", blocks, wins)
 }
 
-// runChecked runs spec's block with alternative last spawned last and
+// runChecked runs spec's block with alternative first placed first and
 // returns the block and Extract's result, having checked that every
 // guard read its body's stream. A block in which no alternative could
 // commit (all lost a reply: ROADMAP item 1, a liveness failure this
 // test does not measure) is run again.
-func runChecked(t *testing.T, spec istm.TxnSpec, last int) (*istm.Block, Result) {
+func runChecked(t *testing.T, spec istm.TxnSpec, first int) (*istm.Block, Result) {
 	t.Helper()
 	const attempts = 3
 	cfg := spec.Config()
@@ -192,7 +193,7 @@ func runChecked(t *testing.T, spec istm.TxnSpec, last int) (*istm.Block, Result)
 				return ok, err
 			}
 		}
-		out, committed, err := runJobDirect(job, last)
+		out, committed, err := runJobDirect(job, first)
 		if err != nil {
 			lastErr = err
 			continue
@@ -213,9 +214,9 @@ func runChecked(t *testing.T, spec istm.TxnSpec, last int) (*istm.Block, Result)
 }
 
 // runJobDirect runs job as the serve pool would, on its own runtime,
-// with alternative last spawned last, and returns Extract's result and
+// with alternative first placed first, and returns Extract's result and
 // the index of the alternative that committed.
-func runJobDirect(job serve.Job, last int) (Result, int, error) {
+func runJobDirect(job serve.Job, first int) (Result, int, error) {
 	rt := core.New(core.Config{})
 	root, err := rt.NewRootWorld("root", 4<<10)
 	if err != nil {
@@ -227,14 +228,13 @@ func runJobDirect(job serve.Job, last int) (Result, int, error) {
 	if err := job.Init(root); err != nil {
 		return Result{}, -1, err
 	}
-	order := make([]int, 0, len(job.Alts))
-	wave := make([]core.Alt, 0, len(job.Alts))
+	order := append(make([]int, 0, len(job.Alts)), first)
+	wave := append(make([]core.Alt, 0, len(job.Alts)), job.Alts[first])
 	for i := range job.Alts {
-		if i != last {
+		if i != first {
 			order, wave = append(order, i), append(wave, job.Alts[i])
 		}
 	}
-	order, wave = append(order, last), append(wave, job.Alts[last])
 	res, err := root.RunAlt(core.Options{SyncElimination: true}, wave...)
 	if err != nil {
 		return Result{}, -1, err

@@ -55,7 +55,7 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		workers      = flag.Int("workers", 0, "concurrent jobs (0 = max(4, GOMAXPROCS))")
-		specTokens   = flag.Int("spec-tokens", 0, "speculation budget: max live speculative worlds (0 = 2×workers)")
+		specTokens   = flag.Int("spec-tokens", 0, "speculation budget: max live speculative worlds (0 = one per core)")
 		maxDegree    = flag.Int("max-degree", 4, "max alternatives raced at once per job")
 		queueDepth   = flag.Int("queue", 256, "admission queue depth")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-job deadline (0 = none)")

@@ -402,6 +402,7 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 			// started stops at its next runtime call) before the parent
 			// goes on.
 			runtime.Gosched()
+			awaitSelfTerminated(w, children, ww, done, reports)
 		}
 	} else {
 		rt.be.spawn("reaper", func(ctx execCtx) {
@@ -437,6 +438,33 @@ func (rt *Runtime) abortSpawn(built []*World, unbuilt []ids.PID) {
 		}
 	}
 	rt.propagate(work)
+}
+
+// awaitSelfTerminated waits for the report of every loser that
+// terminated itself (a failed guard or a refused claim) before the
+// commit's elimination reached it. Such a loser unregisters on its own
+// goroutine, before it reports; waiting keeps SyncElimination's promise
+// that no loser is registered when RunAlt returns, so a caller that
+// frees one speculation token per alternative never sees more live
+// speculative worlds than tokens. reports counts the reports already
+// taken, the winner's included; the others came from such losers. An
+// eliminated loser's report does not count.
+func awaitSelfTerminated(w *World, children []*World, winner *World, done inbox, reports int) {
+	pending := 1 - reports
+	for _, c := range children {
+		if c != winner && !c.eliminated.Load() {
+			pending++
+		}
+	}
+	for pending > 0 {
+		v, ok := done.get(w.ctx, -1)
+		if !ok {
+			return
+		}
+		if rep, isReport := v.(childReport); isReport && !rep.w.eliminated.Load() {
+			pending--
+		}
+	}
 }
 
 // runAlternative is the child-side protocol: body, guard, synchronize.

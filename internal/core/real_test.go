@@ -3,10 +3,12 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"altrun/internal/ids"
 	"altrun/internal/msg"
 )
 
@@ -231,4 +233,50 @@ func TestRealDeferredConsole(t *testing.T) {
 		t.Fatalf("console = %v", out)
 	}
 	rt.Wait()
+}
+
+// liveSpecCounter is a WorldObserver that counts live speculative
+// worlds, as serve's speculation gauge does.
+type liveSpecCounter struct{ live atomic.Int64 }
+
+func (c *liveSpecCounter) WorldRegistered(_ ids.PID, spec bool) {
+	if spec {
+		c.live.Add(1)
+	}
+}
+
+func (c *liveSpecCounter) WorldUnregistered(_ ids.PID, spec bool) {
+	if spec {
+		c.live.Add(-1)
+	}
+}
+
+// TestSyncEliminationUnregistersLosersFirst: with SyncElimination no
+// loser is still registered when RunAlt returns. Both alternatives
+// finish at once, so a loser often finds its claim refused and
+// terminates itself while the winner commits; the commit's elimination
+// then finds it already terminated, and its unregistration runs on the
+// loser's own goroutine.
+func TestSyncEliminationUnregistersLosersFirst(t *testing.T) {
+	if runtime.GOMAXPROCS(0) < 2 {
+		t.Skip("the race needs two processors")
+	}
+	rt := New(Config{})
+	var c liveSpecCounter
+	rt.SetWorldObserver(&c)
+	root, err := rt.NewRootWorld("root", 1024)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rt.Shutdown(root)
+	done := func(*World) error { return nil }
+	for b := 0; b < 5000; b++ {
+		if _, err := root.RunAlt(Options{SyncElimination: true},
+			Alt{Name: "a", Body: done}, Alt{Name: "b", Body: done}, Alt{Name: "c", Body: done}); err != nil {
+			t.Fatalf("block %d: %v", b, err)
+		}
+		if n := c.live.Load(); n != 0 {
+			t.Fatalf("block %d: %d speculative worlds still registered after RunAlt returned", b, n)
+		}
+	}
 }

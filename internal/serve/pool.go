@@ -21,7 +21,12 @@ type Config struct {
 	// (default max(4, GOMAXPROCS)).
 	Workers int
 	// SpecTokens is the speculation budget: the machine-wide bound on
-	// live speculative worlds (default 2×Workers).
+	// live speculative worlds (default GOMAXPROCS at NewPool: one token
+	// per core, so a saturated box falls through to one alternative at
+	// a time instead of time-slicing losers against the winner). An
+	// explicit budget is honoured as given, even above the core count:
+	// an alternative blocked in a sleep or I/O holds its token without
+	// using a core.
 	SpecTokens int
 	// MaxDegree caps how many alternatives one job races at once
 	// (default 4); Job.MaxDegree may lower it per job.
@@ -61,7 +66,7 @@ func (c Config) withDefaults() Config {
 		c.Workers = max(4, runtime.GOMAXPROCS(0))
 	}
 	if c.SpecTokens <= 0 {
-		c.SpecTokens = 2 * c.Workers
+		c.SpecTokens = runtime.GOMAXPROCS(0)
 	}
 	if c.MaxDegree <= 0 {
 		c.MaxDegree = 4
@@ -324,9 +329,8 @@ func (p *Pool) finishTask(t *task, res JobResult) {
 	t.res = res
 	t.mu.Unlock()
 	t.cancel()
-	if !t.sampled {
-		close(t.done)
-	}
+	// Count the job before its waiter wakes, so Stats read after Wait
+	// includes it.
 	switch res.Status {
 	case StatusDone:
 		p.counters.JobsCompleted.Add(1)
@@ -336,6 +340,9 @@ func (p *Pool) finishTask(t *task, res JobResult) {
 		p.counters.JobsCancelled.Add(1)
 	default:
 		p.counters.JobsFailed.Add(1)
+	}
+	if !t.sampled {
+		close(t.done)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,6 +126,52 @@ func TestBudgetEnforced(t *testing.T) {
 	eventually(t, 5*time.Second, "all speculative worlds retired", func() bool {
 		return p.Stats().SpecLive == 0
 	})
+}
+
+// TestDefaultBudgetIsOneTokenPerCore: a pool that sets no SpecTokens gets
+// one token per core, an explicit budget is kept as given (no clamp to
+// the core count), and GOMAXPROCS concurrent CPU-bound degree-2 jobs on
+// the default budget never hold more live speculative worlds than there
+// are cores, yet every one of them commits.
+func TestDefaultBudgetIsOneTokenPerCore(t *testing.T) {
+	cores := runtime.GOMAXPROCS(0)
+	if got := newTestPool(t, Config{SpecTokens: 8}).Stats().SpecTokens; got != 8 {
+		t.Fatalf("explicit SpecTokens 8: pool reports %d", got)
+	}
+	p := newTestPool(t, Config{})
+	if got := p.Stats().SpecTokens; got != cores {
+		t.Fatalf("default SpecTokens = %d, want GOMAXPROCS = %d", got, cores)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const rounds = 10
+	for r := 0; r < rounds; r++ {
+		tickets := make([]*Ticket, cores)
+		for i := range tickets {
+			tk, err := p.Submit(Job{Kind: "burn", Name: fmt.Sprintf("burn-%d-%d", r, i), MaxDegree: 2,
+				Alts: []core.Alt{busyAlt("fast", time.Millisecond), busyAlt("slow", 3*time.Millisecond)}})
+			if err != nil {
+				t.Fatalf("submit: %v", err)
+			}
+			tickets[i] = tk
+		}
+		for i, tk := range tickets {
+			res, err := tk.Wait(ctx)
+			if err != nil {
+				t.Fatalf("round %d job %d: %v", r, i, err)
+			}
+			if res.Status != StatusDone {
+				t.Fatalf("round %d job %d: status %v (err %v), want done", r, i, res.Status, res.Err)
+			}
+		}
+	}
+	st := p.Stats()
+	if st.SpecHighWater > int64(cores) {
+		t.Fatalf("live speculative worlds peaked at %d on %d cores", st.SpecHighWater, cores)
+	}
+	if want := int64(rounds * cores); st.JobsCompleted != want {
+		t.Fatalf("JobsCompleted = %d, want %d", st.JobsCompleted, want)
+	}
 }
 
 // TestDeadlineFreesWorlds is the acceptance test for deadline teardown:
