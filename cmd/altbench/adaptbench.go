@@ -170,7 +170,7 @@ func runAdaptLoop(clients, warmup, jobsPerClient int, adaptive bool,
 		MaxDegree:  servebenchMaxDegree,
 		QueueDepth: 2 * clients,
 		Recorder:   obs.NewRecorder(obs.Config{}),
-		Adapt:      serve.AdaptConfig{Enabled: adaptive},
+		Adapt:      adaptive,
 	})
 	if err != nil {
 		return fail(err)

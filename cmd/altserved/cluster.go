@@ -110,7 +110,6 @@ type clusterState struct {
 	staticPeers    []membership.Peer
 	seedPeers      []membership.Peer
 	gossipInterval time.Duration
-	suspicionMult  int
 
 	// Backpressure-aware rfork placement: per-peer inflight window,
 	// reset whenever a fresher gossiped load hint arrives.
@@ -159,7 +158,6 @@ type clusterOptions struct {
 	join           peerSpec // seed addresses; nil on the static path
 	listen         string   // cluster listen address (join path; static takes it from peers)
 	gossipInterval time.Duration
-	suspicionMult  int
 }
 
 // newClusterState brings up the transport endpoint and voter. On the
@@ -207,7 +205,6 @@ func newClusterState(opts clusterOptions) (*clusterState, error) {
 	c.staticPeers = static
 	c.seedPeers = seeds
 	c.gossipInterval = opts.gossipInterval
-	c.suspicionMult = opts.suspicionMult
 	return c, nil
 }
 
@@ -250,7 +247,6 @@ func (c *clusterState) start(pool *serve.Pool) {
 		Static:        c.staticPeers,
 		Join:          c.seedPeers,
 		ProbeInterval: c.gossipInterval,
-		SuspicionMult: c.suspicionMult,
 		Load: func() int32 {
 			st := pool.Stats()
 			return int32(st.Running + st.Queued)
@@ -366,6 +362,9 @@ func (c *clusterState) serveRFork(p transport.Proc, inbox transport.Mailbox) {
 		// skipping the checkpoint-image restore the JSON path needs.
 		switch spec := env.Payload.(type) {
 		case istm.TxnSpec:
+			if spec.Validate() != nil {
+				continue // counts a peer chose; nothing is built from them
+			}
 			if _, err := c.pool.Submit(appstm.JobFromSpec(spec)); err == nil {
 				c.rforksIn.Add(1)
 			}

@@ -190,7 +190,6 @@ func TestClusterDynamicJoin(t *testing.T) {
 		node:           1,
 		peers:          peerSpec{1: "127.0.0.1:0"},
 		gossipInterval: 25 * time.Millisecond,
-		suspicionMult:  5,
 	})
 	nodes := []*clusterNode{seed}
 	for _, id := range []ids.NodeID{2, 3} {
@@ -199,7 +198,6 @@ func TestClusterDynamicJoin(t *testing.T) {
 			join:           peerSpec{1: seed.state.tcp.Addr()},
 			listen:         "127.0.0.1:0",
 			gossipInterval: 25 * time.Millisecond,
-			suspicionMult:  5,
 		}))
 	}
 
@@ -351,15 +349,18 @@ func TestClusterRForkForwarding(t *testing.T) {
 	// the two nodes' timelines join on one key.
 	for time.Now().Before(deadline) {
 		for _, nd := range nodes[1:] {
-			if nd.state.rforksIn.Load() == 0 || nd.pool.Stats().JobsCompleted == 0 {
+			// A job is counted completed before its sampled timeline is
+			// recorded, so wait for the timeline too.
+			recent := nd.rec.Recent()
+			if nd.state.rforksIn.Load() == 0 || nd.pool.Stats().JobsCompleted == 0 || len(recent) == 0 {
 				continue
 			}
-			for _, tl := range nd.rec.Recent() {
+			for _, tl := range recent {
 				if strings.HasPrefix(tl.TraceID, "n1-r") {
 					return
 				}
 			}
-			t.Fatalf("forwarded job ran without the origin stitch ID: %+v", nd.rec.Recent())
+			t.Fatalf("forwarded job ran without the origin stitch ID: %+v", recent)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

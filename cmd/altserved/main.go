@@ -66,18 +66,10 @@ func main() {
 		join         = flag.String("join", "", `membership seeds as "1=host:port,..." — join the group dynamically instead of listing every peer`)
 		clusterAddr  = flag.String("cluster-addr", "127.0.0.1:0", "cluster transport listen address (used with -join; -peers carries its own)")
 		gossipIval   = flag.Duration("gossip-interval", 250*time.Millisecond, "membership probe/gossip period")
-		suspMult     = flag.Int("suspicion-mult", 5, "suspicion timeout, as a multiple of the gossip interval")
 		obsRate      = flag.Int("obs-rate", obs.DefaultSampleRate, "flight recorder sampling: record 1 in N blocks (0 = off)")
 		obsKeep      = flag.Int("obs-keep", obs.DefaultKeep, "flight recorder retention: recent timelines kept for /debug/blocks")
 		obsDir       = flag.String("obs-dir", "", "write each sampled block's Chrome trace JSON into this directory")
-
-		adapt         = flag.Bool("adapt", false, "adaptive speculation controller: per-job sequential/speculate decisions, degree, bandit ordering, budget resizing")
-		adaptPI       = flag.Float64("adapt-pi-threshold", 1.0, "predicted-PI floor below which a job runs sequentially")
-		adaptUCB      = flag.Float64("adapt-ucb", 0.5, "bandit exploration constant for spawn ordering (0 = pure exploitation)")
-		adaptMinWins  = flag.Int64("adapt-min-wins", 5, "committed blocks a kind needs before sequential execution is allowed")
-		adaptExplore  = flag.Int("adapt-explore-every", 64, "force full-degree speculation every Nth decision per kind (0 = never)")
-		adaptResize   = flag.Duration("adapt-resize-interval", 2*time.Second, "how often the speculation token budget is reconsidered (0 = fixed)")
-		adaptMaxToken = flag.Int("adapt-max-tokens", 0, "upper bound for budget resizing (0 = 4×spec-tokens)")
+		adapt        = flag.Bool("adapt", false, "adaptive speculation controller: per-job sequential/speculate decisions, degree and bandit ordering")
 	)
 	flag.Parse()
 	var cluster *clusterState
@@ -94,7 +86,6 @@ func main() {
 			node:           ids.NodeID(*node),
 			listen:         *clusterAddr,
 			gossipInterval: *gossipIval,
-			suspicionMult:  *suspMult,
 		}
 		var err error
 		if *peers != "" {
@@ -134,15 +125,7 @@ func main() {
 		DefaultDeadline: *deadline,
 		Runtime:         core.New(core.Config{Trace: true, TraceCap: *traceCap}),
 		Recorder:        rec,
-		Adapt: serve.AdaptConfig{
-			Enabled:        *adapt,
-			PIThreshold:    *adaptPI,
-			UCBExploration: *adaptUCB,
-			MinKindWins:    *adaptMinWins,
-			ExploreEvery:   *adaptExplore,
-			ResizeInterval: *adaptResize,
-			MaxTokens:      *adaptMaxToken,
-		},
+		Adapt:           *adapt,
 	}
 	if cluster != nil {
 		cfg.NewClaim = cluster.newClaim

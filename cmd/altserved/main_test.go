@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -16,6 +17,13 @@ import (
 )
 
 func testServer(t *testing.T) (*httptest.Server, *serve.Pool) {
+	t.Helper()
+	return testServerAdapt(t, false)
+}
+
+// testServerAdapt is testServer with the adaptive controller switched
+// on or off.
+func testServerAdapt(t *testing.T, adapt bool) (*httptest.Server, *serve.Pool) {
 	t.Helper()
 	// Rate-1 recorder: every job is sampled, so the /debug/blocks and
 	// /metrics obs assertions are deterministic.
@@ -27,6 +35,7 @@ func testServer(t *testing.T) (*httptest.Server, *serve.Pool) {
 		DefaultDeadline: 30 * time.Second,
 		Runtime:         core.New(core.Config{Trace: true, TraceCap: 1024}),
 		Recorder:        rec,
+		Adapt:           adapt,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -124,17 +133,32 @@ func TestSubmitPrologAndPoll(t *testing.T) {
 }
 
 func TestSubmitBadRequests(t *testing.T) {
-	ts, _ := testServer(t)
-	for _, req := range []submitRequest{
-		{Kind: "unknown"},
-		{Kind: "sort"},                    // no input
-		{Kind: "prolog"},                  // no query
-		{Kind: "prolog", Query: "likes("}, // parse error
+	ts, pool := testServer(t)
+	for _, tc := range []struct {
+		req  submitRequest
+		want string // in the error, when set
+	}{
+		{req: submitRequest{Kind: "unknown"}},
+		{req: submitRequest{Kind: "sort"}},                    // no input
+		{req: submitRequest{Kind: "prolog"}},                  // no query
+		{req: submitRequest{Kind: "prolog", Query: "likes("}}, // parse error
+		// stm counts over the spec caps are refused before any block
+		// is built from them.
+		{submitRequest{Kind: "stm", Alts: 1_000_000_000}, "alts"},
+		{submitRequest{Kind: "stm", Ops: 1 << 30}, "ops"},
+		{submitRequest{Kind: "stm", Keys: 1 << 40}, "keys"},
+		{submitRequest{Kind: "stm", Alts: -1}, "alts"},
 	} {
-		resp, v := postJSON(t, ts.URL+"/jobs", req)
+		resp, v := postJSON(t, ts.URL+"/jobs", tc.req)
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("kind %q: status = %d, body %+v", req.Kind, resp.StatusCode, v)
+			t.Fatalf("%+v: status = %d, body %+v", tc.req, resp.StatusCode, v)
 		}
+		if !strings.Contains(v.Error, tc.want) {
+			t.Fatalf("%+v: error %q does not name %q", tc.req, v.Error, tc.want)
+		}
+	}
+	if got := pool.Stats().JobsSubmitted; got != 0 {
+		t.Fatalf("jobs submitted = %d, want 0", got)
 	}
 }
 

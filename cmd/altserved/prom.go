@@ -31,10 +31,11 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteCounter(bw, "altrun_budget_waits_total", "Waves that blocked waiting for speculation tokens.", float64(m.Pool.TokenWaits))
 	obs.WriteGauge(bw, "altrun_jobs_queued", "Jobs waiting for a worker.", float64(m.Pool.Queued))
 	obs.WriteGauge(bw, "altrun_jobs_running", "Jobs executing now.", float64(m.Pool.Running))
+	obs.WriteGauge(bw, "altrun_spec_tokens_capacity", "Speculation budget capacity.", float64(m.Pool.SpecTokens))
 	obs.WriteGauge(bw, "altrun_spec_tokens_in_use", "Speculation tokens held.", float64(m.Pool.TokensInUse))
 	obs.WriteGauge(bw, "altrun_spec_high_water", "Max concurrent speculative worlds seen.", float64(m.Pool.SpecHighWater))
 
-	// Adaptive speculation controller decisions and budget resizing.
+	// Adaptive speculation controller decisions.
 	if m.Policy.Enabled {
 		obs.WriteGauge(bw, "altrun_policy_enabled", "Adaptive speculation controller on.", 1)
 	} else {
@@ -44,11 +45,8 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteCounter(bw, "altrun_policy_sequential_total", "Jobs run sequentially (predicted PI below threshold).", float64(m.Policy.SeqDecisions))
 	obs.WriteCounter(bw, "altrun_policy_speculate_total", "Jobs run speculatively by decision.", float64(m.Policy.SpecDecisions))
 	obs.WriteCounter(bw, "altrun_policy_explore_total", "Forced full-degree explore ticks.", float64(m.Policy.ExploreDecisions))
-	obs.WriteCounter(bw, "altrun_policy_budget_grows_total", "Speculation budget grow steps.", float64(m.Policy.BudgetGrows))
-	obs.WriteCounter(bw, "altrun_policy_budget_shrinks_total", "Speculation budget shrink steps.", float64(m.Policy.BudgetShrinks))
 	obs.WriteCounter(bw, "altrun_history_evictions_total", "History (kind, alt) entries evicted by the caps.", float64(m.Policy.HistoryEvictions))
 	obs.WriteGauge(bw, "altrun_policy_mean_degree", "Mean chosen speculation degree.", m.Policy.MeanDegree)
-	obs.WriteGauge(bw, "altrun_spec_tokens_capacity", "Current speculation budget capacity.", float64(m.Policy.SpecTokens))
 	obs.WriteGauge(bw, "altrun_history_kinds", "Job kinds retained in the history.", float64(m.Policy.HistoryKinds))
 
 	// Selection (predicate-propagation) counters — satellite: these and

@@ -206,7 +206,11 @@ func buildJobKind(req submitRequest) (serve.Job, error) {
 		}
 		return approlog.QueryJob(db, req.Query, approlog.OrConfig{}, 0, deadline)
 	case "stm":
-		return appstm.JobFromSpec(stmSpecFrom(req)), nil
+		spec := stmSpecFrom(req)
+		if err := spec.Validate(); err != nil {
+			return serve.Job{}, err
+		}
+		return appstm.JobFromSpec(spec), nil
 	case "choo":
 		if req.Program == "" {
 			return serve.Job{}, errors.New("choo job needs a program")
@@ -233,10 +237,19 @@ func viewOf(id uint64, tk *serve.Ticket) jobView {
 	return v
 }
 
+// maxSubmitBytes bounds a POST /jobs body: a prolog or choo program is
+// read and parsed whole, so its size is capped before decoding.
+const maxSubmitBytes = 1 << 20
+
 func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req submitRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
+	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes)).Decode(&req); err != nil {
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeError(w, code, fmt.Errorf("bad request body: %w", err))
 		return
 	}
 	job, err := buildJob(req)

@@ -18,45 +18,21 @@ import (
 // blocking. Under contention jobs therefore degrade gracefully toward
 // sequential execution instead of queueing for full-width waves.
 //
-// The capacity is resizable at runtime (the adaptive controller grows
-// it when waves block on tokens at full capacity and shrinks it toward
-// the observed high-water when demand falls). Growing adds tokens;
-// shrinking drains whatever is free and books the shortfall as debt
-// that Release retires before returning tokens to the pool, so a
-// shrink never blocks and never strands a live wave.
+// The capacity is fixed at construction: Config.SpecTokens, one token
+// per core unless the operator names a number.
 type Budget struct {
-	tokens chan struct{} // buffered to maxCap; len = free tokens
+	tokens chan struct{} // cap = capacity; len = free tokens
 
 	mu        sync.Mutex
-	capacity  int // current logical capacity
-	maxCap    int // channel buffer bound; Resize clamps to [1, maxCap]
-	debt      int // tokens to retire on Release after a shrink
 	inUse     int
-	highWater int // all-time
-	windowHW  int // since last TakeWindowHighWater
+	highWater int
 	waits     int64
 }
 
-// NewBudget returns a budget with the given token capacity (minimum 1)
-// and no resize headroom.
+// NewBudget returns a budget with the given token capacity (minimum 1).
 func NewBudget(capacity int) *Budget {
-	return NewBudgetWithMax(capacity, capacity)
-}
-
-// NewBudgetWithMax returns a budget with the given starting capacity
-// that can later be resized up to maxCap tokens.
-func NewBudgetWithMax(capacity, maxCap int) *Budget {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if maxCap < capacity {
-		maxCap = capacity
-	}
-	b := &Budget{
-		tokens:   make(chan struct{}, maxCap),
-		capacity: capacity,
-		maxCap:   maxCap,
-	}
+	capacity = max(1, capacity)
+	b := &Budget{tokens: make(chan struct{}, capacity)}
 	for i := 0; i < capacity; i++ {
 		b.tokens <- struct{}{}
 	}
@@ -105,79 +81,24 @@ func (b *Budget) note(n int) {
 	if b.inUse > b.highWater {
 		b.highWater = b.inUse
 	}
-	if b.inUse > b.windowHW {
-		b.windowHW = b.inUse
-	}
 	b.mu.Unlock()
 }
 
-// Release returns n tokens to the pool. If a shrink left the budget in
-// debt, released tokens retire the debt first instead of re-entering
-// the pool.
+// Release returns n tokens to the pool.
 func (b *Budget) Release(n int) {
 	if n <= 0 {
 		return
 	}
 	b.mu.Lock()
 	b.inUse -= n
-	pay := min(b.debt, n)
-	b.debt -= pay
 	b.mu.Unlock()
-	for i := 0; i < n-pay; i++ {
+	for i := 0; i < n; i++ {
 		b.tokens <- struct{}{}
 	}
 }
 
-// Resize sets the logical capacity, clamped to [1, maxCap]. Growing
-// releases fresh tokens (after retiring any outstanding debt);
-// shrinking drains whatever is currently free and books the rest as
-// debt, so it never blocks on live waves. Returns the capacity
-// actually in effect.
-func (b *Budget) Resize(capacity int) int {
-	if capacity < 1 {
-		capacity = 1
-	}
-	if capacity > b.maxCap {
-		capacity = b.maxCap
-	}
-	b.mu.Lock()
-	delta := capacity - b.capacity
-	b.capacity = capacity
-	var add int
-	if delta > 0 {
-		pay := min(b.debt, delta)
-		b.debt -= pay
-		add = delta - pay
-	} else if delta < 0 {
-		shed := -delta
-		drained := 0
-	drain:
-		for drained < shed {
-			select {
-			case <-b.tokens:
-				drained++
-			default:
-				break drain // pool empty; remainder becomes debt
-			}
-		}
-		b.debt += shed - drained
-	}
-	b.mu.Unlock()
-	for i := 0; i < add; i++ {
-		b.tokens <- struct{}{}
-	}
-	return capacity
-}
-
-// Capacity returns the current logical pool size.
-func (b *Budget) Capacity() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.capacity
-}
-
-// MaxCapacity returns the bound Resize can grow the pool to.
-func (b *Budget) MaxCapacity() int { return b.maxCap }
+// Capacity returns the pool size.
+func (b *Budget) Capacity() int { return cap(b.tokens) }
 
 // InUse returns the tokens currently held.
 func (b *Budget) InUse() int {
@@ -191,16 +112,6 @@ func (b *Budget) HighWater() int {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.highWater
-}
-
-// TakeWindowHighWater returns the maximum tokens held at once since the
-// previous call, and resets the window to the current in-use level.
-func (b *Budget) TakeWindowHighWater() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	hw := b.windowHW
-	b.windowHW = b.inUse
-	return hw
 }
 
 // Waits returns how many acquisitions found the pool exhausted and had

@@ -80,95 +80,3 @@ func TestBudgetMinimumCapacity(t *testing.T) {
 		t.Fatalf("Capacity = %d, want 1", b.Capacity())
 	}
 }
-
-func TestBudgetResizeGrow(t *testing.T) {
-	b := NewBudgetWithMax(2, 8)
-	if got := b.Resize(6); got != 6 {
-		t.Fatalf("resize = %d, want 6", got)
-	}
-	got, err := b.Acquire(context.Background(), 8)
-	if err != nil || got != 6 {
-		t.Fatalf("acquire after grow = %d, %v, want all 6 tokens", got, err)
-	}
-}
-
-func TestBudgetResizeClamps(t *testing.T) {
-	b := NewBudgetWithMax(2, 4)
-	if got := b.Resize(100); got != 4 {
-		t.Fatalf("oversized resize = %d, want clamp to max 4", got)
-	}
-	if got := b.Resize(0); got != 1 {
-		t.Fatalf("undersized resize = %d, want clamp to 1", got)
-	}
-	if got := b.MaxCapacity(); got != 4 {
-		t.Fatalf("max capacity = %d, want 4", got)
-	}
-}
-
-func TestBudgetShrinkBooksDebt(t *testing.T) {
-	b := NewBudgetWithMax(4, 8)
-	got, err := b.Acquire(context.Background(), 4)
-	if err != nil || got != 4 {
-		t.Fatalf("acquire = %d, %v", got, err)
-	}
-
-	// Shrink with every token in use: nothing free to drain, so the
-	// whole reduction becomes debt and the shrink does not block.
-	if got := b.Resize(2); got != 2 {
-		t.Fatalf("resize = %d, want 2", got)
-	}
-
-	// Releasing one token retires debt instead of refilling the pool.
-	b.Release(1)
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := b.Acquire(ctx, 1); err == nil {
-		t.Fatal("token available while shrink debt outstanding")
-	}
-
-	// The remaining releases retire the last debt and refill to the new
-	// capacity: exactly 2 tokens can be taken.
-	b.Release(3)
-	if got := b.InUse(); got != 0 {
-		t.Fatalf("in use = %d, want 0", got)
-	}
-	got, err = b.Acquire(context.Background(), 8)
-	if err != nil || got != 2 {
-		t.Fatalf("acquire after refill = %d, %v, want the shrunk capacity 2", got, err)
-	}
-}
-
-func TestBudgetGrowRetiresDebtFirst(t *testing.T) {
-	b := NewBudgetWithMax(4, 8)
-	if _, err := b.Acquire(context.Background(), 4); err != nil {
-		t.Fatal(err)
-	}
-	b.Resize(1) // 3 tokens of debt, none free
-	b.Resize(3) // grow by 2: retires 2 debt, still no free tokens
-
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := b.Acquire(ctx, 1); err == nil {
-		t.Fatal("token available while debt outstanding after partial grow")
-	}
-	b.Release(4) // retires the last debt, refills 3
-	got, err := b.Acquire(context.Background(), 8)
-	if err != nil || got != 3 {
-		t.Fatalf("acquire = %d, %v, want the grown capacity 3", got, err)
-	}
-}
-
-func TestBudgetWindowHighWater(t *testing.T) {
-	b := NewBudget(4)
-	if _, err := b.Acquire(context.Background(), 3); err != nil {
-		t.Fatal(err)
-	}
-	b.Release(2)
-	if got := b.TakeWindowHighWater(); got != 3 {
-		t.Fatalf("window high-water = %d, want 3", got)
-	}
-	// The window resets to the current in-use level, not zero.
-	if got := b.TakeWindowHighWater(); got != 1 {
-		t.Fatalf("reset window high-water = %d, want the live in-use 1", got)
-	}
-}

@@ -25,96 +25,43 @@
 //     speculative world costs;
 //  3. the spawn order: a UCB bandit over win rate and winner latency
 //     (History.OrderUCB), so a regressed favourite loses its slot and a
-//     rarely-tried alternative occasionally gets one;
-//  4. the global speculation token budget: grown when waves block on
-//     tokens at full capacity, shrunk toward the observed high-water
-//     when the pool stops filling it.
+//     rarely-tried alternative occasionally gets one.
 //
-// Every ExploreEvery-th decision per kind is an explore tick: the job
-// speculates at full degree whatever the PI says, refreshing the
+// Every adaptExploreEvery-th decision per kind is an explore tick: the
+// job speculates at full degree whatever the PI says, refreshing the
 // statistics a sequential steady state would otherwise starve.
+//
+// The policy is fixed: Config.Adapt switches it on, and its parameters
+// are the constants below, not options. The token budget is not the
+// controller's to change; it is what Config.SpecTokens says.
 package serve
 
 import (
-	"math"
-	"sync"
 	"sync/atomic"
 	"time"
 )
 
-// AdaptConfig tunes the adaptive speculation controller.
-type AdaptConfig struct {
-	// Enabled turns the controller on; zero-value keeps the static
-	// policy (fixed degree, pure-EWMA ordering).
-	Enabled bool
-	// PIThreshold is the predicted-PI floor for speculating (default 1:
-	// speculate only when it is predicted to beat sequential).
-	PIThreshold float64
-	// UCBExploration is the bandit's exploration constant c (default
-	// 0.5; 0 = pure exploitation).
-	UCBExploration float64
-	// MinKindWins is how many committed blocks a kind needs before the
-	// controller trusts its statistics enough to force sequential
-	// execution (default 5; cold kinds always speculate).
-	MinKindWins int64
-	// WinShareFloor is the historical win share at which an alternative
-	// counts as a genuine contender in the degree rule (default 0.1).
-	WinShareFloor float64
-	// OverheadPrior seeds the per-block overhead estimate until the
-	// flight recorder has summarized real blocks (default 150µs).
-	OverheadPrior time.Duration
-	// ExploreEvery forces every Nth decision per kind to speculate at
-	// full degree (default 64; 0 disables explore ticks).
-	ExploreEvery int
-	// ResizeInterval is how often the token budget is reconsidered
-	// (default 2s; 0 disables resizing).
-	ResizeInterval time.Duration
-	// MinTokens / MaxTokens bound budget resizing (defaults: half and
-	// 4× the pool's SpecTokens).
-	MinTokens int
-	MaxTokens int
-}
-
-func (c AdaptConfig) withDefaults(specTokens int) AdaptConfig {
-	if c.PIThreshold <= 0 {
-		c.PIThreshold = 1
-	}
-	if c.UCBExploration < 0 {
-		c.UCBExploration = 0
-	} else if c.UCBExploration == 0 {
-		c.UCBExploration = 0.5
-	}
-	if c.MinKindWins <= 0 {
-		c.MinKindWins = 5
-	}
-	if c.WinShareFloor <= 0 {
-		c.WinShareFloor = 0.1
-	}
-	if c.OverheadPrior <= 0 {
-		c.OverheadPrior = 150 * time.Microsecond
-	}
-	if c.ExploreEvery < 0 {
-		c.ExploreEvery = 0
-	} else if c.ExploreEvery == 0 {
-		c.ExploreEvery = 64
-	}
-	if c.ResizeInterval == 0 {
-		c.ResizeInterval = 2 * time.Second
-	}
-	if c.MinTokens <= 0 {
-		c.MinTokens = max(1, specTokens/2)
-	}
-	if c.MaxTokens <= 0 {
-		c.MaxTokens = 4 * specTokens
-	}
-	if c.MaxTokens < specTokens {
-		c.MaxTokens = specTokens
-	}
-	if c.MinTokens > c.MaxTokens {
-		c.MinTokens = c.MaxTokens
-	}
-	return c
-}
+// The controller's fixed parameters.
+const (
+	// adaptPIThreshold is the predicted-PI floor for speculating: a
+	// kind runs sequentially only when racing is predicted to lose.
+	adaptPIThreshold = 1.0
+	// adaptUCB is the bandit's exploration constant c.
+	adaptUCB = 0.5
+	// adaptMinKindWins is how many committed blocks a kind needs before
+	// the controller trusts its statistics enough to force sequential
+	// execution; cold kinds always speculate.
+	adaptMinKindWins = 5
+	// adaptWinShareFloor is the historical win share at which an
+	// alternative counts as a genuine contender in the degree rule.
+	adaptWinShareFloor = 0.1
+	// adaptOverheadPrior seeds the per-block overhead estimate until the
+	// flight recorder has summarized real blocks.
+	adaptOverheadPrior = 150 * time.Microsecond
+	// adaptExploreEvery forces every Nth decision per kind to speculate
+	// at full degree.
+	adaptExploreEvery = 64
+)
 
 // decisionKind labels what the controller chose for a job.
 type decisionKind uint8
@@ -152,82 +99,30 @@ type Decision struct {
 	PredMean, PredBest, PredOverhead time.Duration
 }
 
-// Controller is the adaptive speculation policy engine. All knobs are
-// atomically settable so an operator (or the -race stress test) can
-// flip them concurrently with a live job stream.
+// Controller is the adaptive speculation policy engine. A pool builds
+// one only when Config.Adapt is set; a nil *Controller is the static
+// policy.
 type Controller struct {
 	hist *History
 
-	enabled     atomic.Bool
-	piThreshold atomicFloat
-	ucbC        atomicFloat
-	winShare    atomicFloat
-	ovhPrior    atomic.Int64 // ns
-	minWins     atomic.Int64
-	exploreN    atomic.Int64
+	// exploreEvery is adaptExploreEvery; tests shorten it.
+	exploreEvery uint64
 
 	seqDecisions     atomic.Int64
 	specDecisions    atomic.Int64
 	exploreDecisions atomic.Int64
 	degreeSum        atomic.Int64
 	decisions        atomic.Int64
-
-	// Budget resize state.
-	resizeEvery time.Duration
-	minTokens   int
-	maxTokens   int
-	grows       atomic.Int64
-	shrinks     atomic.Int64
-	resizeMu    sync.Mutex
-	lastResize  time.Time
-	lastWaits   int64
 }
 
-// NewController builds a controller over the pool's history.
-func NewController(cfg AdaptConfig, hist *History) *Controller {
-	c := &Controller{
-		hist:        hist,
-		resizeEvery: cfg.ResizeInterval,
-		minTokens:   cfg.MinTokens,
-		maxTokens:   cfg.MaxTokens,
-		lastResize:  time.Now(),
-	}
-	c.enabled.Store(cfg.Enabled)
-	c.piThreshold.Store(cfg.PIThreshold)
-	c.ucbC.Store(cfg.UCBExploration)
-	c.winShare.Store(cfg.WinShareFloor)
-	c.ovhPrior.Store(int64(cfg.OverheadPrior))
-	c.minWins.Store(cfg.MinKindWins)
-	c.exploreN.Store(int64(cfg.ExploreEvery))
-	return c
+// newController builds a controller over the pool's history.
+func newController(hist *History) *Controller {
+	return &Controller{hist: hist, exploreEvery: adaptExploreEvery}
 }
 
-// Enabled reports whether the controller is making decisions.
-func (c *Controller) Enabled() bool { return c != nil && c.enabled.Load() }
-
-// SetEnabled flips the controller on or off at runtime.
-func (c *Controller) SetEnabled(on bool) { c.enabled.Store(on) }
-
-// SetPIThreshold adjusts the speculate/sequential PI floor at runtime.
-func (c *Controller) SetPIThreshold(v float64) {
-	if v > 0 {
-		c.piThreshold.Store(v)
-	}
-}
-
-// SetUCBExploration adjusts the bandit exploration constant at runtime.
-func (c *Controller) SetUCBExploration(v float64) {
-	if v >= 0 {
-		c.ucbC.Store(v)
-	}
-}
-
-// SetExploreEvery adjusts the explore-tick period at runtime (0 off).
-func (c *Controller) SetExploreEvery(n int) {
-	if n >= 0 {
-		c.exploreN.Store(int64(n))
-	}
-}
+// Enabled reports whether the controller is making decisions: whether
+// it exists.
+func (c *Controller) Enabled() bool { return c != nil }
 
 // Decide picks the execution plan for one job: whether to speculate,
 // how wide, and in what order. maxDegree is the job's effective degree
@@ -236,7 +131,7 @@ func (c *Controller) Decide(kind string, names []string, maxDegree int) Decision
 	if maxDegree < 1 {
 		maxDegree = 1
 	}
-	ovh := float64(c.ovhPrior.Load())
+	ovh := float64(adaptOverheadPrior)
 	mean, best, measuredOvh, ok := c.hist.Predict(kind, names)
 	if measuredOvh > 0 {
 		ovh = float64(measuredOvh)
@@ -250,13 +145,12 @@ func (c *Controller) Decide(kind string, names []string, maxDegree int) Decision
 	// Explore tick: every Nth decision per kind speculates at full
 	// degree whatever the statistics say, so a sequential steady state
 	// keeps refreshing the data it is built on.
-	exploreEvery := c.exploreN.Load()
-	explore := exploreEvery > 0 && c.hist.decisionOrdinal(kind)%uint64(exploreEvery) == 0
+	explore := c.hist.decisionOrdinal(kind)%c.exploreEvery == 0
 
-	if !ok || c.hist.winsOf(kind) < c.minWins.Load() || explore {
+	if !ok || c.hist.winsOf(kind) < adaptMinKindWins || explore {
 		// Cold start (or explore): not enough history to justify
 		// suppressing speculation — run wide and learn.
-		order, _ := c.hist.OrderUCB(kind, names, c.ucbC.Load())
+		order, _ := c.hist.OrderUCB(kind, names, adaptUCB)
 		d.Order = order
 		d.Degree = maxDegree
 		d.Kind = decideSpeculate
@@ -267,7 +161,7 @@ func (c *Controller) Decide(kind string, names []string, maxDegree int) Decision
 		return d
 	}
 
-	order, views := c.hist.OrderUCB(kind, names, c.ucbC.Load())
+	order, views := c.hist.OrderUCB(kind, names, adaptUCB)
 
 	// Expected latency of the sequential-alternatives baseline: run the
 	// ranked-first alternative; on failure fall through to the next,
@@ -291,7 +185,7 @@ func (c *Controller) Decide(kind string, names []string, maxDegree int) Decision
 	// the two estimates actually differ by — and must persist across
 	// consecutive decisions, so one EWMA noise dip cannot flap a
 	// healthy speculative kind into sequential fall-through.
-	wantSeq := d.PredPI < c.piThreshold.Load() && spec-seq > 0.5*ovh
+	wantSeq := d.PredPI < adaptPIThreshold && spec-seq > 0.5*ovh
 	if c.hist.noteSeqSignal(kind, wantSeq) >= 2 {
 		// Speculation predicted not to pay: the paper's sequential
 		// baseline. Order by pure exploitation — with one alternative
@@ -307,14 +201,13 @@ func (c *Controller) Decide(kind string, names []string, maxDegree int) Decision
 	// gain (fall-through mass it absorbs, plus its claim on genuinely
 	// uncertain wins) exceeds the marginal overhead of another
 	// speculative world.
-	shareFloor := c.winShare.Load()
 	degree := 1
 	failMass = views[order[0]].failRate
 	tauBest := views[order[0]].tau
 	for k := 1; k < len(order) && degree < maxDegree; k++ {
 		v := views[order[k]]
 		gain := failMass * (v.tau + ovh)
-		if v.winShare >= shareFloor {
+		if v.winShare >= adaptWinShareFloor {
 			gain += v.winShare * tauBest
 		}
 		if gain <= ovh {
@@ -345,94 +238,39 @@ func (c *Controller) note(kind string, d decisionKind, degree int) {
 	c.hist.noteDecision(kind, d)
 }
 
-// MaybeResize reconsiders the speculation token budget: grown when
-// waves block on tokens with the pool at capacity (throttling real
-// demand), shrunk toward the observed high-water when the window never
-// filled it. Cheap when called often — it no-ops until ResizeInterval
-// has elapsed.
-func (c *Controller) MaybeResize(b *Budget, now time.Time) {
-	if c.resizeEvery <= 0 || !c.enabled.Load() {
-		return
-	}
-	c.resizeMu.Lock()
-	defer c.resizeMu.Unlock()
-	if now.Sub(c.lastResize) < c.resizeEvery {
-		return
-	}
-	c.lastResize = now
-	waits := b.Waits()
-	dWaits := waits - c.lastWaits
-	c.lastWaits = waits
-	capacity := b.Capacity()
-	hw := b.TakeWindowHighWater()
-	switch {
-	case dWaits > 0 && hw >= capacity && capacity < c.maxTokens:
-		// Saturated and blocking: admit more speculation.
-		grown := min(c.maxTokens, capacity+max(1, capacity/4))
-		b.Resize(grown)
-		c.grows.Add(1)
-	case dWaits == 0 && hw < capacity && capacity > c.minTokens:
-		// Oversized: tighten the bound toward what was actually used,
-		// one step at a time so a burst can still grow it back.
-		target := max(c.minTokens, max(hw, capacity-max(1, capacity/4)))
-		if target < capacity {
-			b.Resize(target)
-			c.shrinks.Add(1)
-		}
-	}
-}
-
 // PolicyStats is the controller's aggregate view for /metrics.
 type PolicyStats struct {
 	Enabled          bool    `json:"enabled"`
-	PIThreshold      float64 `json:"pi_threshold"`
-	UCBExploration   float64 `json:"ucb_exploration"`
 	Decisions        int64   `json:"decisions"`
 	SeqDecisions     int64   `json:"seq_decisions"`
 	SpecDecisions    int64   `json:"spec_decisions"`
 	ExploreDecisions int64   `json:"explore_decisions"`
 	MeanDegree       float64 `json:"mean_degree"`
-	BudgetGrows      int64   `json:"budget_grows"`
-	BudgetShrinks    int64   `json:"budget_shrinks"`
-	SpecTokens       int     `json:"spec_tokens"`
 	HistoryKinds     int     `json:"history_kinds"`
 	HistoryEvictions int64   `json:"history_evictions"`
 	OverheadEWMAUS   float64 `json:"overhead_ewma_us"`
 }
 
-// Stats snapshots the controller against the budget it manages.
-// Nil-safe: a nil controller returns a zero (disabled) view.
-func (c *Controller) Stats(b *Budget) PolicyStats {
+// Stats snapshots the controller's counters. Nil-safe: a nil
+// controller returns a zero (disabled) view.
+func (c *Controller) Stats() PolicyStats {
 	if c == nil {
 		return PolicyStats{}
 	}
 	s := PolicyStats{
-		Enabled:          c.enabled.Load(),
-		PIThreshold:      c.piThreshold.Load(),
-		UCBExploration:   c.ucbC.Load(),
+		Enabled:          true,
 		Decisions:        c.decisions.Load(),
 		SeqDecisions:     c.seqDecisions.Load(),
 		SpecDecisions:    c.specDecisions.Load(),
 		ExploreDecisions: c.exploreDecisions.Load(),
-		BudgetGrows:      c.grows.Load(),
-		BudgetShrinks:    c.shrinks.Load(),
 		HistoryKinds:     c.hist.Kinds(),
 		HistoryEvictions: c.hist.Evictions(),
 	}
 	if s.Decisions > 0 {
 		s.MeanDegree = float64(c.degreeSum.Load()) / float64(s.Decisions)
 	}
-	if b != nil {
-		s.SpecTokens = b.Capacity()
-	}
 	if ovh, ok := c.hist.Overhead(""); ok {
 		s.OverheadEWMAUS = float64(ovh) / float64(time.Microsecond)
 	}
 	return s
 }
-
-// atomicFloat is an atomically settable float64 knob.
-type atomicFloat struct{ bits atomic.Uint64 }
-
-func (f *atomicFloat) Store(v float64) { f.bits.Store(math.Float64bits(v)) }
-func (f *atomicFloat) Load() float64   { return math.Float64frombits(f.bits.Load()) }

@@ -53,7 +53,7 @@ func uncertainHistory() *History {
 }
 
 func newTestController(h *History) *Controller {
-	return NewController(AdaptConfig{Enabled: true}.withDefaults(8), h)
+	return newController(h)
 }
 
 func TestDecideColdStartSpeculatesFullDegree(t *testing.T) {
@@ -149,8 +149,8 @@ func TestDecideDegreeRuleCutsUselessAlternatives(t *testing.T) {
 
 func TestDecideExploreTickRefreshesStatistics(t *testing.T) {
 	h := dominantHistory()
-	cfg := AdaptConfig{Enabled: true, ExploreEvery: 4}.withDefaults(8)
-	c := NewController(cfg, h)
+	c := newController(h)
+	c.exploreEvery = 4
 	names := []string{"a", "b", "c"}
 
 	var kinds []decisionKind
@@ -178,74 +178,12 @@ func TestDecideExploreTickRefreshesStatistics(t *testing.T) {
 	}
 }
 
-func TestMaybeResizeGrowsUnderPressure(t *testing.T) {
-	cfg := AdaptConfig{Enabled: true, ResizeInterval: time.Second, MinTokens: 2, MaxTokens: 16}.withDefaults(4)
-	c := NewController(cfg, NewHistory())
-	b := NewBudgetWithMax(4, 16)
-
-	// Saturate the pool and record a blocked acquisition.
-	if got, err := b.Acquire(context.Background(), 4); err != nil || got != 4 {
-		t.Fatalf("acquire = %d, %v", got, err)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
-	defer cancel()
-	if _, err := b.Acquire(ctx, 1); err == nil {
-		t.Fatal("acquire on an exhausted pool should have blocked until ctx expiry")
-	}
-
-	c.MaybeResize(b, time.Now().Add(2*time.Second))
-	if got := b.Capacity(); got != 5 {
-		t.Fatalf("capacity after pressured resize = %d, want 5 (4 + 4/4)", got)
-	}
-	if c.grows.Load() != 1 {
-		t.Fatalf("grows = %d, want 1", c.grows.Load())
-	}
-}
-
-func TestMaybeResizeShrinksTowardHighWater(t *testing.T) {
-	cfg := AdaptConfig{Enabled: true, ResizeInterval: time.Second, MinTokens: 2, MaxTokens: 16}.withDefaults(8)
-	c := NewController(cfg, NewHistory())
-	b := NewBudgetWithMax(8, 16)
-
-	// Use only 2 of 8 tokens, no waits: the window high-water is 2.
-	if got, err := b.Acquire(context.Background(), 2); err != nil || got != 2 {
-		t.Fatalf("acquire = %d, %v", got, err)
-	}
-	b.Release(2)
-
-	c.MaybeResize(b, time.Now().Add(2*time.Second))
-	if got := b.Capacity(); got != 6 {
-		t.Fatalf("capacity after idle resize = %d, want 6 (one 8/4 step toward the high-water)", got)
-	}
-	if c.shrinks.Load() != 1 {
-		t.Fatalf("shrinks = %d, want 1", c.shrinks.Load())
-	}
-
-	// Repeated idle windows keep stepping down but never below MinTokens.
-	for i := 0; i < 10; i++ {
-		c.MaybeResize(b, time.Now().Add(time.Duration(4+i)*time.Second))
-	}
-	if got := b.Capacity(); got != 2 {
-		t.Fatalf("capacity after sustained idling = %d, want MinTokens 2", got)
-	}
-}
-
-func TestMaybeResizeNoOpWithinInterval(t *testing.T) {
-	cfg := AdaptConfig{Enabled: true, ResizeInterval: time.Hour}.withDefaults(4)
-	c := NewController(cfg, NewHistory())
-	b := NewBudgetWithMax(4, 16)
-	c.MaybeResize(b, time.Now())
-	if got := b.Capacity(); got != 4 {
-		t.Fatalf("capacity changed to %d within the resize interval", got)
-	}
-}
-
 func TestPolicyStatsNilController(t *testing.T) {
 	var c *Controller
 	if c.Enabled() {
 		t.Fatal("nil controller reports enabled")
 	}
-	if s := c.Stats(nil); s.Enabled || s.Decisions != 0 {
+	if s := c.Stats(); s.Enabled || s.Decisions != 0 {
 		t.Fatalf("nil controller stats = %+v, want zero view", s)
 	}
 }
@@ -256,7 +194,7 @@ func TestPolicyStatsNilController(t *testing.T) {
 // stop speculating on it.
 func TestAdaptivePoolSequentialOnDominantKind(t *testing.T) {
 	p, err := NewPool(Config{Workers: 4, SpecTokens: 8, MaxDegree: 3, QueueDepth: 8,
-		Adapt: AdaptConfig{Enabled: true}})
+		Adapt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,33 +257,34 @@ func TestAdaptivePoolSequentialOnDominantKind(t *testing.T) {
 	}
 }
 
-// TestControllerKnobFlipRace drives a 64-way job stream while flipping
-// every runtime knob concurrently — the -race CI stress for the atomic
-// knob plumbing.
-func TestControllerKnobFlipRace(t *testing.T) {
-	p, err := NewPool(Config{Workers: 4, SpecTokens: 8, MaxDegree: 3, QueueDepth: 64,
-		Adapt: AdaptConfig{Enabled: true, ResizeInterval: time.Millisecond}})
+// TestAdaptiveConcurrentSubmitRace drives a 64-way job stream over four
+// kinds through an adaptive pool while a reader snapshots the policy and
+// pool counters — the -race CI stress for the controller's decision
+// path and its counters. Every job must commit, and the controller must
+// have decided each one exactly once.
+func TestAdaptiveConcurrentSubmitRace(t *testing.T) {
+	p, err := NewPool(Config{Workers: 4, SpecTokens: 8, MaxDegree: 3, QueueDepth: 64, Adapt: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer p.Close(context.Background())
 
 	stop := make(chan struct{})
-	var flip sync.WaitGroup
-	flip.Add(1)
+	var reader sync.WaitGroup
+	reader.Add(1)
 	go func() {
-		defer flip.Done()
-		ctl := p.Controller()
-		for i := 0; ; i++ {
+		defer reader.Done()
+		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			ctl.SetEnabled(i%3 != 0)
-			ctl.SetPIThreshold(0.5 + float64(i%4)*0.25)
-			ctl.SetUCBExploration(float64(i % 3))
-			ctl.SetExploreEvery(i % 8)
+			if s := p.PolicyStats(); !s.Enabled {
+				t.Error("adaptive pool reports the controller disabled")
+				return
+			}
+			_ = p.Stats()
 			time.Sleep(50 * time.Microsecond)
 		}
 	}()
@@ -383,11 +322,17 @@ func TestControllerKnobFlipRace(t *testing.T) {
 	}
 	wg.Wait()
 	close(stop)
-	flip.Wait()
+	reader.Wait()
 	if t.Failed() {
 		return
 	}
 	if got := p.Stats().JobsCompleted; got != 256 {
 		t.Fatalf("jobs completed = %d, want 256", got)
+	}
+	if got := p.PolicyStats().Decisions; got != 256 {
+		t.Fatalf("decisions = %d, want one per job (256)", got)
+	}
+	if got := p.Stats().TokensInUse; got != 0 {
+		t.Fatalf("tokens in use after the stream = %d, want 0", got)
 	}
 }

@@ -36,9 +36,6 @@ type Config struct {
 	QueueDepth int
 	// DefaultDeadline applies to jobs that set none (0 = unbounded).
 	DefaultDeadline time.Duration
-	// DefaultSpaceSize is the root-world size for jobs that set none
-	// (default 64 KiB).
-	DefaultSpaceSize int64
 	// Runtime, when non-nil, is the real-mode runtime to execute on;
 	// the pool installs itself as its world observer. Nil builds a
 	// private runtime.
@@ -53,13 +50,14 @@ type Config struct {
 	// the paper's setup/runtime/selection decomposition and measured vs
 	// predicted PI (predictions come from the pool's EWMA history).
 	Recorder *obs.Recorder
-	// Adapt configures the adaptive speculation controller (policy.go):
-	// per-job sequential-vs-speculative decisions, degree selection,
-	// bandit spawn ordering, and token-budget resizing. The zero value
-	// keeps the static policy; the controller can also be flipped on at
-	// runtime via Pool.Controller().SetEnabled.
-	Adapt AdaptConfig
+	// Adapt turns on the adaptive speculation controller (policy.go):
+	// per-job sequential-vs-speculative decisions, degree selection and
+	// bandit spawn ordering. False keeps the static policy.
+	Adapt bool
 }
+
+// defaultSpaceSize is the root-world size for jobs that set none.
+const defaultSpaceSize = 64 << 10
 
 func (c Config) withDefaults() Config {
 	if c.Workers <= 0 {
@@ -74,10 +72,6 @@ func (c Config) withDefaults() Config {
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 256
 	}
-	if c.DefaultSpaceSize <= 0 {
-		c.DefaultSpaceSize = 64 << 10
-	}
-	c.Adapt = c.Adapt.withDefaults(c.SpecTokens)
 	return c
 }
 
@@ -102,7 +96,7 @@ type Pool struct {
 	rt     *core.Runtime
 	budget *Budget
 	hist   *History
-	ctl    *Controller
+	ctl    *Controller // nil: the static policy
 
 	counters trace.PoolCounters
 	running  atomic.Int64
@@ -133,12 +127,14 @@ func NewPool(cfg Config) (*Pool, error) {
 	p := &Pool{
 		cfg:    cfg,
 		rt:     rt,
-		budget: NewBudgetWithMax(cfg.SpecTokens, cfg.Adapt.MaxTokens),
+		budget: NewBudget(cfg.SpecTokens),
 		hist:   NewHistory(),
 		queue:  make(chan *task, cfg.QueueDepth),
 		tasks:  make(map[uint64]*task),
 	}
-	p.ctl = NewController(cfg.Adapt, p.hist)
+	if cfg.Adapt {
+		p.ctl = newController(p.hist)
+	}
 	// Close the PI feedback loop: every sampled block's measured
 	// overhead (setup+selection+sched) feeds the history's per-kind
 	// overhead EWMA, which both the controller's decisions and the
@@ -168,15 +164,8 @@ func (p *Pool) History() *History { return p.hist }
 // Recorder returns the pool's flight recorder (nil when not recording).
 func (p *Pool) Recorder() *obs.Recorder { return p.cfg.Recorder }
 
-// Controller returns the adaptive speculation controller (never nil;
-// disabled unless Config.Adapt.Enabled or SetEnabled(true)).
-func (p *Pool) Controller() *Controller { return p.ctl }
-
-// Budget returns the pool's speculation token budget.
-func (p *Pool) Budget() *Budget { return p.budget }
-
 // PolicyStats snapshots the adaptive controller's decision counters.
-func (p *Pool) PolicyStats() PolicyStats { return p.ctl.Stats(p.budget) }
+func (p *Pool) PolicyStats() PolicyStats { return p.ctl.Stats() }
 
 // WorldRegistered implements core.WorldObserver: it meters the live
 // speculative worlds the budget must bound.
@@ -372,10 +361,6 @@ func (p *Pool) runTask(t *task) {
 		return
 	}
 
-	// Budget resize tick: cheap no-op until the controller's interval
-	// elapses (and always a no-op with the controller disabled).
-	p.ctl.MaybeResize(p.budget, time.Now())
-
 	// Flight recorder: nil-safe throughout — br is nil for unsampled
 	// jobs (or without a recorder) and every obs call below no-ops.
 	br := p.cfg.Recorder.StartBlock(j.Kind, j.Name, t.id, j.TraceID)
@@ -403,7 +388,7 @@ func (p *Pool) runTask(t *task) {
 
 	spaceSize := j.SpaceSize
 	if spaceSize <= 0 {
-		spaceSize = p.cfg.DefaultSpaceSize
+		spaceSize = defaultSpaceSize
 	}
 	root, err := p.rt.NewRootWorld("job:"+j.Name, spaceSize)
 	if err != nil {

@@ -28,8 +28,8 @@
 // and, when sequential fall-through is predicted faster, runs the
 // block one alternative per wave instead of racing; otherwise it
 // bounds the wave width by marginal gain and orders spawns with a UCB
-// bandit. It also resizes the global token budget against observed
-// demand. Enable with Config.Adapt.
+// bandit. It never changes the token budget, which stays what
+// Config.SpecTokens says. Enable with Config.Adapt.
 //
 // Per-job deadlines and client cancellation are wired directly into
 // sibling elimination: cancelling a job cancels its root world, which

@@ -2,6 +2,7 @@ package stm
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -167,5 +168,28 @@ func TestSequentialDegreeOne(t *testing.T) {
 	}
 	if err := store.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+func TestTxnSpecValidate(t *testing.T) {
+	ok := []TxnSpec{
+		{},
+		{Keys: 8, Alts: 4, Ops: 10},
+		{Keys: MaxKeys, Alts: MaxAlts, Ops: MaxOps},
+	}
+	for _, s := range ok {
+		if err := s.Validate(); err != nil {
+			t.Fatalf("%+v: %v", s, err)
+		}
+	}
+	for field, s := range map[string]TxnSpec{
+		"alts": {Alts: 1_000_000_000},
+		"ops":  {Ops: MaxOps + 1},
+		"keys": {Keys: -1},
+	} {
+		err := s.Validate()
+		if err == nil || !strings.Contains(err.Error(), field) {
+			t.Fatalf("%+v: error %v, want one naming %q", s, err, field)
+		}
 	}
 }

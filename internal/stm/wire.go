@@ -1,5 +1,7 @@
 package stm
 
+import "fmt"
+
 // TxnSpec is the wire form of one STM transaction job — everything a
 // peer needs to rebuild the block deterministically (codec tag 202).
 // rfork forwards it typed instead of re-marshalling the HTTP request,
@@ -33,4 +35,34 @@ func (t TxnSpec) Config() Config {
 		AbortEvery: t.AbortEvery,
 		Seed:       t.Seed,
 	}.withDefaults()
+}
+
+// Bounds on a spec from outside the process (an HTTP request or an
+// rfork frame): a block allocates per alternative, per operation and per
+// key, so each count is capped before anything is built from it.
+const (
+	// MaxAlts matches serve's per-kind history cap (serve.DefaultMaxAlts).
+	MaxAlts = 64
+	// MaxOps bounds one alternative's transaction length.
+	MaxOps = 1024
+	// MaxKeys bounds the store's contended sink pages.
+	MaxKeys = 4096
+)
+
+// Validate reports the first count outside [0, cap], naming its
+// request field. Zero keeps Config's default.
+func (t TxnSpec) Validate() error {
+	for _, f := range []struct {
+		name     string
+		val, cap int
+	}{
+		{"keys", t.Keys, MaxKeys},
+		{"alts", t.Alts, MaxAlts},
+		{"ops", t.Ops, MaxOps},
+	} {
+		if f.val < 0 || f.val > f.cap {
+			return fmt.Errorf("stm spec: %s %d out of range [0, %d]", f.name, f.val, f.cap)
+		}
+	}
+	return nil
 }
