@@ -2,11 +2,15 @@ package stm
 
 import (
 	"errors"
+	"math"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"altrun/internal/core"
+	"altrun/internal/msg"
 )
 
 // newRoot builds a real-mode runtime and a root world for driving
@@ -174,7 +178,7 @@ func TestSequentialDegreeOne(t *testing.T) {
 func TestTxnSpecValidate(t *testing.T) {
 	ok := []TxnSpec{
 		{},
-		{Keys: 8, Alts: 4, Ops: 10},
+		{Keys: 8, Alts: 4, Ops: 10, ReadFrac: 0.5, Zipf: 1.2},
 		{Keys: MaxKeys, Alts: MaxAlts, Ops: MaxOps},
 	}
 	for _, s := range ok {
@@ -186,10 +190,61 @@ func TestTxnSpecValidate(t *testing.T) {
 		"alts": {Alts: 1_000_000_000},
 		"ops":  {Ops: MaxOps + 1},
 		"keys": {Keys: -1},
+		// A +Inf zipf never leaves math/rand's Zipf sampler.
+		"zipf":      {Zipf: math.Inf(1)},
+		"read_frac": {ReadFrac: math.NaN()},
 	} {
 		err := s.Validate()
 		if err == nil || !strings.Contains(err.Error(), field) {
 			t.Fatalf("%+v: error %v, want one naming %q", s, err, field)
 		}
+	}
+}
+
+// TestGuardReadOrderDeterministic: a guard reads its writes back in key
+// order, winner page last, so two guards over the same block make the
+// same round-trips in the same order — a seed replays them exactly.
+func TestGuardReadOrderDeterministic(t *testing.T) {
+	rt, root := newRoot(t)
+	cfg := Config{Keys: 64, Alts: 2, Ops: 64, ReadFrac: 0, Seed: 5}.withDefaults()
+	var (
+		mu    sync.Mutex
+		reads []int
+	)
+	srv := rt.SpawnServer("recording-store", int64(cfg.StoreKeys())*8, func(w *core.World, m msg.Message) {
+		if r, ok := m.Data.(ReadReq); ok {
+			mu.Lock()
+			reads = append(reads, r.Key)
+			mu.Unlock()
+		}
+		storeHandler(w, m)
+	})
+	store := &Store{rt: rt, pid: srv.PID(), keys: cfg.StoreKeys()}
+	b := NewBlock(cfg)
+	const alt = 1
+	if err := b.run(store, root, alt); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var seqs [2][]int
+	for i := range seqs {
+		mu.Lock()
+		reads = nil
+		mu.Unlock()
+		if ok, err := b.validate(store, root, alt); !ok || err != nil {
+			t.Fatalf("guard %d: ok=%v err=%v", i, ok, err)
+		}
+		mu.Lock()
+		seqs[i] = reads
+		mu.Unlock()
+	}
+	if !slices.Equal(seqs[0], seqs[1]) {
+		t.Fatalf("two guards over one block read different key sequences:\n%v\n%v", seqs[0], seqs[1])
+	}
+	keys := seqs[0]
+	if len(keys) < 16 || !slices.IsSorted(keys) || keys[len(keys)-1] != cfg.winnerKey() {
+		t.Fatalf("guard read %v: want the written keys ascending, then the winner page %d", keys, cfg.winnerKey())
+	}
+	if err := store.Close(); err != nil {
+		t.Fatalf("close: %v", err)
 	}
 }

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -78,13 +79,14 @@ type Op struct {
 	Val uint64
 }
 
-// rngPool recycles generators: a math/rand source is 4.9 KB, and a block
-// asks for one per alternative it runs and one for its initial image.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles generators: a source's register is 4.9 KB, and a
+// block asks for one per alternative it runs and one for its initial
+// image. Seeding one costs only the words later drawn from it.
+var rngPool = sync.Pool{New: func() any { return rand.New(new(source)) }}
 
 // seededRand returns a pooled generator in exactly the state
-// rand.New(rand.NewSource(seed)) starts in (Seed rebuilds the whole
-// source and drops buffered bytes). Return it with rngPool.Put.
+// rand.New(rand.NewSource(seed)) starts in (Seed resets the source and
+// drops buffered bytes). Return it with rngPool.Put.
 func seededRand(seed int64) *rand.Rand {
 	rng := rngPool.Get().(*rand.Rand)
 	rng.Seed(seed)
@@ -139,10 +141,10 @@ func (c Config) aborts(alt int) bool {
 
 // Block is one transaction block's inputs, each derived from Seed once:
 // the initial image its store is seeded with, and every alternative's
-// op stream. Generating a stream re-seeds a 4.9 KB generator, so the
-// body generates its stream, the guard reads it back, and the block's
-// check replays the winner's recorded stream over the recorded image
-// instead of generating either again.
+// op stream. The body generates its stream, the guard reads it back,
+// and the block's check replays the winner's recorded stream over the
+// recorded image instead of generating either again (a regeneration
+// costs about 2 µs, most of it Zipf's exp and log).
 //
 // ops[i] is written by alternative i's body and read by its guard, on
 // the body's goroutine; CheckFinal reads the winner's slot after the
@@ -212,26 +214,37 @@ func (b *Block) run(s *Store, w *core.World, alt int) error {
 // store copy consistent with this world. Every key the transaction
 // wrote — and the winner stamp — must read back as the last value this
 // alternative wrote; a mismatch means the message layer routed a
-// sibling's conflicting write into our copy.
+// sibling's conflicting write into our copy. Keys are read in ascending
+// order, so a seed replays the guard's round-trips exactly.
 func (b *Block) validate(s *Store, w *core.World, alt int) (bool, error) {
 	cfg := b.cfg
-	last := make(map[int]uint64)
-	for _, op := range b.opsOf(alt) {
-		if !op.Read {
-			last[op.Key] = op.Val
-		}
-	}
-	last[cfg.winnerKey()] = uint64(alt) + 1
-	for key, want := range last {
-		got, err := s.Read(w, key, cfg.ReadTimeout)
+	var buf [16]Op // a stm_spec-sized guard reads from the stack
+	// The winner page sits above every contended key, so it reads last.
+	want := append(lastWrites(buf[:0], b.opsOf(alt)), Op{Key: cfg.winnerKey(), Val: uint64(alt) + 1})
+	for _, op := range want {
+		got, err := s.Read(w, op.Key, cfg.ReadTimeout)
 		if err != nil {
 			return false, err
 		}
-		if got != want {
-			return false, fmt.Errorf("stm: alt %d key %d read %d, want own write %d", alt, key, got, want)
+		if got != op.Val {
+			return false, fmt.Errorf("stm: alt %d key %d read %d, want own write %d", alt, op.Key, got, op.Val)
 		}
 	}
 	return true, nil
+}
+
+// lastWrites appends to dst the final write to each key ops writes,
+// sorted by key.
+func lastWrites(dst, ops []Op) []Op {
+	writes := dst
+	for i := len(ops) - 1; i >= 0; i-- {
+		if !ops[i].Read {
+			writes = append(writes, ops[i])
+		}
+	}
+	// Newest first within a key, so Compact keeps each key's last value.
+	slices.SortStableFunc(writes, func(a, b Op) int { return cmp.Compare(a.Key, b.Key) })
+	return slices.CompactFunc(writes, func(a, b Op) bool { return a.Key == b.Key })
 }
 
 // Alts builds the block's alternatives over a store (created by the

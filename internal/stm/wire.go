@@ -1,6 +1,9 @@
 package stm
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // TxnSpec is the wire form of one STM transaction job — everything a
 // peer needs to rebuild the block deterministically (codec tag 202).
@@ -49,8 +52,10 @@ const (
 	MaxKeys = 4096
 )
 
-// Validate reports the first count outside [0, cap], naming its
-// request field. Zero keeps Config's default.
+// Validate reports the first count outside [0, cap], or the first
+// non-finite fraction, naming its request field. Zero keeps Config's
+// default. A +Inf zipf would spin math/rand's Zipf sampler forever,
+// before the body's first cancellation check.
 func (t TxnSpec) Validate() error {
 	for _, f := range []struct {
 		name     string
@@ -62,6 +67,17 @@ func (t TxnSpec) Validate() error {
 	} {
 		if f.val < 0 || f.val > f.cap {
 			return fmt.Errorf("stm spec: %s %d out of range [0, %d]", f.name, f.val, f.cap)
+		}
+	}
+	for _, f := range []struct {
+		name string
+		val  float64
+	}{
+		{"read_frac", t.ReadFrac},
+		{"zipf", t.Zipf},
+	} {
+		if math.IsNaN(f.val) || math.IsInf(f.val, 0) {
+			return fmt.Errorf("stm spec: %s %v is not finite", f.name, f.val)
 		}
 	}
 	return nil
