@@ -56,7 +56,7 @@ type selBenchReport struct {
 	// bystander population.
 	Contended []selContendedResult `json:"contended_64way,omitempty"`
 	// MutexProfileReadPath is "clean" when a full mutex profile of the
-	// contended run contains no registry/alias/epoch/proc/router
+	// contended run contains no registry/epoch/proc/router
 	// read-path frame — the zero-mutex-acquisition check.
 	MutexProfileReadPath string `json:"mutex_profile_read_path,omitempty"`
 	// SubscribersPerResolution is the mean affected-set size observed
@@ -254,7 +254,7 @@ func benchContendedCommit(live, blocksPerWorker int) (selContendedResult, error)
 
 // readPathSites are the lock-free read-path functions that must never
 // be a mutex-contention *site* (the function that held the contended
-// lock): the commit path's alias resolution, registry lookup (which
+// lock): registry lookup (which
 // also resolves every send's receiver), subscriber snapshot and process
 // status take zero mutexes by construction. Writer-side functions
 // (epoch.Map Set/Update/Delete, addWorld, proc Register) legitimately
@@ -265,8 +265,6 @@ var readPathSites = []string{
 	").Get", // epoch.(*Map[...]).Get — scoped by the epoch package check below
 	"core.(*registry).world",
 	"core.(*registry).appendSubscribers",
-	"core.(*Runtime).split",
-	"core.(*Runtime).appendCopies",
 	"proc.(*Table).Status",
 	"proc.(*Table).AppendChildren",
 	"proc.(*Table).lookup",

@@ -54,8 +54,6 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteCounter(bw, "altrun_sel_resolutions_total", "Selection resolutions processed.", float64(m.Selection.Resolutions))
 	obs.WriteCounter(bw, "altrun_sel_subscribers_visited_total", "Subscriber worlds visited during selection.", float64(m.Selection.SubscribersVisited))
 	obs.WriteCounter(bw, "altrun_sel_eliminations_total", "Worlds eliminated by selection.", float64(m.Selection.Eliminations))
-	obs.WriteCounter(bw, "altrun_sel_alias_fast_path_total", "Alias resolutions served by the fast path.", float64(m.Selection.AliasFastPath))
-	obs.WriteCounter(bw, "altrun_sel_alias_walks_total", "Alias chain walks.", float64(m.Selection.AliasWalks))
 
 	// Message routing.
 	obs.WriteCounter(bw, "altrun_msgs_sent_total", "Messages submitted to the router.", float64(m.Messages.Sent))

@@ -1,11 +1,12 @@
 // Worlds: the paper's multiple-worlds message layer (§3.4.2) in
 // action. Two speculative alternatives both message a shared inventory
-// server before either has won. Each first contact forces the server
-// to split into an assume-copy (the message happened) and a deny-copy
-// (it didn't). When the race resolves, predicate resolution eliminates
-// every copy whose assumptions turned out false — the surviving
-// timeline reflects exactly the winner's order, as if it had been the
-// only one.
+// server before either has won. Each first contact splits a version of
+// the server: the version itself goes on assuming the message did not
+// happen, and a new version, forked from it, assumes it did and takes
+// it. All versions live in the server's one receive loop. When the race
+// resolves, predicate resolution eliminates every version whose
+// assumptions turned out false — the surviving timeline reflects
+// exactly the winner's order, as if it had been the only one.
 //
 // Run with: go run ./examples/worlds
 package main
@@ -66,7 +67,7 @@ func main() {
 
 		// Two fulfilment strategies race; each RESERVES A UNIT while
 		// still speculative. The server cannot know which strategy
-		// will win — so it forks a world per possibility.
+		// will win — so it forks a version per possibility.
 		res, err := w.RunAlt(altrun.Options{SyncElimination: true},
 			altrun.Alt{Name: "same-day-courier", Body: func(cw *altrun.World) error {
 				if err := cw.Send(inventory.PID(), "reserve"); err != nil {
@@ -98,18 +99,16 @@ func main() {
 		}
 		reply, ok := w.Recv(time.Minute)
 		if !ok {
-			log.Fatal("no reply from surviving inventory copy")
+			log.Fatal("no reply from surviving inventory version")
 		}
 		fmt.Printf("surviving stock: %d units (5 - the winner's single reservation)\n", reply.Data)
 
 		st := rt.MsgStats()
-		fmt.Printf("\nmessage layer: %d sent, %d accepted, %d ignored (dead worlds), %d splits\n",
+		fmt.Printf("\nmessage layer: %d sent (one per send), %d accepted, %d ignored (dead worlds), %d splits (decided per version)\n",
 			st.Sent, st.Accepted, st.Ignored, st.Splits)
-		fmt.Printf("server copies alive: %d (one timeline)\n", len(rt.Copies(inventory.PID())))
+		fmt.Printf("server versions alive: %d (one timeline)\n", len(rt.Copies(inventory.PID())))
 
-		for _, cw := range rt.Copies(inventory.PID()) {
-			rt.Shutdown(cw)
-		}
+		rt.Shutdown(inventory) // the receive loop and every version
 	})
 	if err := rt.Run(); err != nil {
 		log.Fatal(err)

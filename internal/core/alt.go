@@ -503,8 +503,7 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 			}
 			opts.Probe.ChildExit(cw.pid, outcome, rt.be.now(), cw.CopiedPages())
 		}
-		if cw.markTerminated() {
-			rt.procs.SetStatus(cw.pid, proc.Failed) //nolint:errcheck
+		if cw.terminate(proc.Failed) {
 			rt.unregisterWorld(cw)
 			rt.propagate([]propEvent{{resolvePID: cw.pid, completed: false}})
 		}
@@ -524,8 +523,7 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		if opts.Probe != nil {
 			opts.Probe.ChildExit(cw.pid, OutcomeTooLate, rt.be.now(), cw.CopiedPages())
 		}
-		if cw.markTerminated() {
-			rt.procs.SetStatus(cw.pid, proc.Eliminated) //nolint:errcheck
+		if cw.terminate(proc.Eliminated) {
 			rt.unregisterWorld(cw)
 			rt.propagate([]propEvent{{resolvePID: cw.pid, completed: false}})
 		}

@@ -264,3 +264,29 @@ func TestRealCascadeAcrossTwoStores(t *testing.T) {
 	}
 	rt.Wait()
 }
+
+// TestRealContendedRoundsKeepWinnerWrites is the lost-write regression
+// test: many contended rounds against one long-lived server, each
+// checked like TestRealContendedPagesWinnerImage. A message queued for a
+// version while it splits must reach the side that assumes its sender;
+// dropping one leaves a page holding a loser's or the previous round's
+// value once the writer wins.
+func TestRealContendedRoundsKeepWinnerWrites(t *testing.T) {
+	rt := realRT(t)
+	srv := rt.SpawnServer("pages", (pageKeys+1)*8, pageServer(t))
+	root, err := rt.NewRootWorld("main", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const alts, rounds = 4, 250
+	for round := 1; round <= rounds; round++ {
+		res := runContendedBlock(t, root, srv.PID(), round, alts)
+		settleToOneCopy(t, rt, srv.PID(), fmt.Sprintf("round %d", round))
+		checkWinnerImage(t, root, srv.PID(), round, alts, res.Index)
+	}
+	rt.Shutdown(srv)
+	rt.Wait()
+	if n := rt.LiveWorlds(); n != 1 { // the root
+		t.Fatalf("%d worlds live after shutdown, want the root only", n)
+	}
+}

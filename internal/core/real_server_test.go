@@ -167,3 +167,82 @@ func TestRealServerManySequentialClients(t *testing.T) {
 	rt.Shutdown(srv)
 	rt.Wait()
 }
+
+// TestOnlyTheLoopReleasesVersionPages: a version eliminated, or a server
+// shut down, while a handler runs on it keeps its pages until the
+// handler returns; the loop then releases them — an eliminated version's
+// without waiting for another message.
+func TestOnlyTheLoopReleasesVersionPages(t *testing.T) {
+	rt := realRT(t)
+	entered, release := make(chan *World, 1), make(chan struct{})
+	srv := rt.SpawnServer("held", 64, func(w *World, m msg.Message) {
+		if m.Data != "hold" {
+			return
+		}
+		entered <- w
+		<-release
+		if _, err := w.ReadUint64(0); err != nil {
+			handlerErr(t, "read after release", err)
+		}
+	})
+	owned := func(w *World) bool {
+		w.mu.Lock()
+		defer w.mu.Unlock()
+		return w.ownedSpace
+	}
+	root, err := rt.NewRootWorld("main", 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var held *World
+	lose := make(chan struct{})
+	_, err = root.RunAlt(Options{SyncElimination: true},
+		Alt{Name: "winner", Body: func(cw *World) error {
+			held = <-entered // the loser's version is inside its handler
+			close(lose)
+			return nil
+		}},
+		Alt{Name: "loser", Body: func(cw *World) error {
+			if err := cw.Send(srv.PID(), "hold"); err != nil {
+				return err
+			}
+			<-lose // a sender dead before its message is decided is ignored
+			return errors.New("loses")
+		}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for !held.eliminated.Load() {
+		if time.Now().After(deadline) {
+			t.Fatal("the loser's version was never eliminated")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if _, err := held.space.ReadUint64(0); err != nil || !owned(held) {
+		t.Fatalf("eliminated version's pages under its running handler: %v, owned %v", err, owned(held))
+	}
+	release <- struct{}{}
+	for owned(held) {
+		if time.Now().After(deadline) {
+			t.Fatal("the loop never released the eliminated version's pages")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
+	if err := root.Send(srv.PID(), "hold"); err != nil {
+		t.Fatal(err)
+	}
+	held = <-entered
+	rt.Shutdown(srv)
+	if _, err := held.space.ReadUint64(0); err != nil || !owned(held) {
+		t.Fatalf("shut-down version's pages under its running handler: %v, owned %v", err, owned(held))
+	}
+	release <- struct{}{}
+	rt.Shutdown(root)
+	rt.Wait()
+	if owned(held) {
+		t.Fatal("the loop ended without releasing the last version's pages")
+	}
+}

@@ -26,6 +26,7 @@ package core
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -136,6 +137,11 @@ type Runtime struct {
 	// observer, when set, is notified of world registration and
 	// unregistration (see WorldObserver).
 	observer atomic.Pointer[worldObserverBox]
+
+	// servers maps a running server's address to its receive loop, for
+	// the sends that find no live world under it: the version that holds
+	// the address may be gone while the server runs on.
+	servers sync.Map // ids.PID → *server
 }
 
 // worldObserverBox wraps the observer interface so it can live in an
@@ -257,8 +263,8 @@ func (rt *Runtime) LiveWorlds() int { return len(rt.reg.snapshotWorlds()) }
 func (rt *Runtime) MsgStats() msg.Stats { return rt.router.Stats() }
 
 // SelStats returns the selection-path counters: resolutions applied,
-// subscribers visited (the affected sets), eliminations, registry
-// shard contention, and alias fast-path hits.
+// subscribers visited (the affected sets), eliminations and registry
+// shard contention.
 func (rt *Runtime) SelStats() trace.SelSnapshot { return rt.sel.Snapshot() }
 
 // Now returns the runtime's current time (virtual in sim mode).
@@ -338,9 +344,9 @@ func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *Wo
 	return w
 }
 
-// registerWorld publishes w and activates it at once: roots, servers
-// and split copies are built with their predicate set and communicate
-// from the start.
+// registerWorld publishes w and activates it at once: roots and server
+// versions are built with their predicate set and communicate from the
+// start.
 func (rt *Runtime) registerWorld(w *World) {
 	rt.publishWorld(w)
 	rt.activate(w)
@@ -362,9 +368,11 @@ func (rt *Runtime) publishWorld(w *World) {
 	rt.reg.addWorld(w)
 }
 
-// activate builds w's inbox and subscribes w to the fate of every PID
+// activate builds w's inbox (a server version has none: its messages
+// come through its server's loop) and subscribes w to the fate of every PID
 // its predicate set mentions, once. The subscription list is fixed
-// here: from now on the set only ever shrinks (resolution removes
+// here (but for a server version's deny side, see rebase): from now on
+// the set only ever shrinks (resolution removes
 // satisfied assumptions, §3.4.2), so the index stays a superset of the
 // world's live assumptions until it is unregistered. Before a RunAlt
 // child activates, its own block eliminates it directly (§3.2.1), and an
@@ -373,8 +381,8 @@ func (rt *Runtime) publishWorld(w *World) {
 //
 // After subscribing, activate catches up on assumptions that resolved
 // before: a child's set is derived from its parent's set as it was
-// when the block was entered, and a split copy's sender may have been
-// eliminated between performSplit's status check and its registration.
+// when the block was entered, and a forked version's sender may have
+// been eliminated since its loop folded in the fates it knew.
 // Every resolver sets the proc status terminal *before* snapshotting
 // subscribers, and we add w to the index *before* reading statuses, so
 // each resolution reaches w at least one way: through the index (w was
@@ -396,7 +404,7 @@ func (rt *Runtime) activate(w *World) {
 		return
 	}
 	preds := w.predsLocked()
-	if w.box == nil {
+	if w.box == nil && w.srv == nil {
 		w.box = rt.be.newInbox()
 	}
 	if !w.unregistered {
@@ -406,10 +414,38 @@ func (rt *Runtime) activate(w *World) {
 	subs := w.subPIDs
 	w.activated.Store(true)
 	w.mu.Unlock()
-	for _, p := range subs {
+	rt.catchUp(w, subs)
+}
+
+// rebase replaces the set of w, an activated server version, with preds
+// — the deny side of a split, which assumes more than w did — and moves
+// w's subscriptions to the PIDs preds mentions, under w.mu as activate
+// publishes them. It then catches up as activate does, which also
+// re-resolves what preds, derived from an older snapshot of w's set,
+// may still mention.
+func (rt *Runtime) rebase(w *World, preds *predicate.Set) {
+	w.mu.Lock()
+	w.preds = preds
+	if !w.unregistered {
+		old := w.subPIDs
+		w.subPIDs = preds.AppendPIDs(nil)
+		rt.reg.subscribe(w, w.subPIDs)
+		rt.reg.unsubscribe(w, slices.DeleteFunc(old, func(p ids.PID) bool {
+			return slices.Contains(w.subPIDs, p)
+		}))
+	}
+	subs := w.subPIDs
+	w.mu.Unlock()
+	rt.catchUp(w, subs)
+}
+
+// catchUp applies to w the fates among pids that are already decided,
+// eliminating w if one contradicts it.
+func (rt *Runtime) catchUp(w *World, pids []ids.PID) {
+	for _, p := range pids {
 		st := rt.procs.Status(p)
-		if !st.Terminal() || st == proc.Forked {
-			continue // unresolved (a fork's copies carry its obligations)
+		if !st.Terminal() {
+			continue
 		}
 		outcome, nowResolved := w.applyResolution(p, st.Succeeded())
 		switch outcome {
@@ -450,102 +486,79 @@ func (rt *Runtime) worldByPID(pid ids.PID) *World {
 	return rt.reg.world(pid)
 }
 
-// split reports whether pid was replaced by split copies (§3.4.2: "two
-// copies of the receiver are created"). Lock-free; the guard in front of
-// every send's copy walk.
-func (rt *Runtime) split(pid ids.PID) bool {
-	return rt.procs.Status(pid) == proc.Forked
-}
-
-// appendCopies appends the live server worlds that stand in for the
-// split receiver dest. A split registers its copies as the original's
-// children in the process table before the original turns Forked, so the
-// alias graph is the child index below Forked nodes: follow it down to
-// the registered leaves. The table retires a lineage's edges when its
-// last copy ends; the walk then finds nothing, as it does when every
-// copy is dead. The caller has already established split(dest).
-func (rt *Runtime) appendCopies(buf []*World, dest ids.PID) []*World {
-	var stackArr [16]ids.PID
-	stack := rt.procs.AppendChildren(stackArr[:0], dest)
-	for len(stack) > 0 {
-		p := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if !rt.split(p) {
-			if w := rt.reg.world(p); w != nil {
-				// isServer: a handler may have run a block of its own,
-				// whose losers are the original's children too until they
-				// are reaped.
-				if w.isServer {
-					buf = append(buf, w)
-				}
-				continue
-			}
-			// Not registered: it ended — or it forked since the check
-			// above (a fork turns Forked before it is unregistered), and
-			// then its copies are the targets.
-			if !rt.split(p) {
-				continue
-			}
-		}
-		stack = rt.procs.AppendChildren(stack, p)
-	}
-	return buf
-}
-
-// Copies returns the live worlds reachable from pid through
-// split-receiver aliases — pid's own world if it never split, else the
-// surviving copies. Experiment harnesses use it to audit and shut down
-// server trees.
+// Copies returns the live versions of the server pid addresses (its
+// address or any live version's PID), in order, or pid's own world if it
+// is no server. Experiment harnesses use it to audit server state.
 func (rt *Runtime) Copies(pid ids.PID) []*World {
-	if !rt.split(pid) {
-		if w := rt.reg.world(pid); w != nil {
-			return []*World{w}
+	w, s := rt.lookup(pid)
+	if s == nil {
+		if w == nil {
+			return nil
 		}
+		return []*World{w}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	var live []*World
+	for _, v := range s.versions {
+		if !v.Terminated() {
+			live = append(live, v)
+		}
+	}
+	return live
+}
+
+// lookup resolves pid to its live world, or to the receive loop of the
+// server it addresses (then w may be nil).
+func (rt *Runtime) lookup(pid ids.PID) (w *World, s *server) {
+	if w = rt.reg.world(pid); w != nil {
+		return w, w.srv
+	}
+	if v, ok := rt.servers.Load(pid); ok {
+		return nil, v.(*server)
+	}
+	return nil, nil
+}
+
+// deliver routes data from a sender (with predicate snapshot) to pid. A
+// server's message is one enqueue on its loop, which decides it for
+// every version; any other world is resolved in the registry and handed
+// to the router for the accept/ignore decision. A pid with no live world
+// is msg.ErrUnknownReceiver, and one that would have to split to take
+// the message is ErrNotServer.
+func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.PID, data any) error {
+	w, s := rt.lookup(pid)
+	if s != nil {
+		s.box.put(rt.router.Stamp(sender, senderPreds, pid, data))
 		return nil
 	}
-	return rt.appendCopies(nil, pid)
-}
-
-// deliver resolves pid in the registry and hands data to the router for
-// the accept/ignore/split decision. A pid with no live world is
-// msg.ErrUnknownReceiver.
-func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.PID, data any) error {
-	w := rt.reg.world(pid)
 	if w == nil {
 		return msg.ErrUnknownReceiver
 	}
-	// The router reads w's Predicates, which activates it.
-	return rt.router.Send(sender, senderPreds, w, data)
+	rcvPred := w.Predicates() // activates w, building its inbox
+	m := rt.router.Stamp(sender, senderPreds, pid, data)
+	switch d, _, _ := rt.decideFor(pid, rcvPred, m); d {
+	case predicate.Accept:
+		w.box.put(m)
+	case predicate.Split:
+		return ErrNotServer
+	}
+	return nil
 }
 
-// sendFrom routes data from a sender (with predicate snapshot) to dest,
-// expanding split-receiver aliases. The overwhelmingly common case —
-// dest never split — is one status load on top of the router send.
-// senderPreds is handed to the router as is and shared, read-only, by
-// every copy the message fans out to.
-func (rt *Runtime) sendFrom(sender ids.PID, senderPreds *predicate.Set, dest ids.PID, data any) error {
-	if !rt.split(dest) {
-		rt.sel.AliasFastPath.Add(1)
-		return rt.deliver(sender, senderPreds, dest, data)
+// decideFor asks the router what a receiver holding rcvPred does with m,
+// against m's sending predicate with the fates decided since it was
+// taken folded in: a message sent while a commit's cascade is still on
+// its way to its sender must not look more speculative than it is. The
+// fates are read after rcvPred was: every fate the receiver's set has
+// taken in is then in the sender's too, so a receiver that assumed the
+// sender and everything it assumed still finds them implied.
+func (rt *Runtime) decideFor(rcv ids.PID, rcvPred *predicate.Set, m msg.Message) (predicate.Decision, *predicate.Set, *predicate.Set) {
+	senderPred, live := rt.normalizePreds(m.SenderPredicates)
+	if !live {
+		senderPred = nil // the sender's world is dead: an ignore
 	}
-	rt.sel.AliasWalks.Add(1)
-	var buf [8]*World
-	targets := rt.appendCopies(buf[:0], dest)
-	if len(targets) == 0 {
-		return msg.ErrUnknownReceiver
-	}
-	var firstErr error
-	for _, t := range targets {
-		if err := rt.deliver(sender, senderPreds, t.pid, data); err != nil {
-			if errors.Is(err, msg.ErrUnknownReceiver) {
-				continue // target died between expansion and send
-			}
-			if firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	return firstErr
+	return rt.router.Decide(rcv, rcvPred, senderPred, m)
 }
 
 // propEvent is a unit of work for the propagation engine: either an
@@ -622,13 +635,19 @@ func (rt *Runtime) propagate(events []propEvent) {
 // eliminateOne terminates one world; reports false if it was already
 // terminated. Space pages are released by the world's own exit path.
 func (rt *Runtime) eliminateOne(w *World) bool {
-	if !w.markTerminated() {
+	w.mu.Lock()
+	if w.terminated {
+		w.mu.Unlock()
 		return false
 	}
-	// The trap: from here on the world's own runtime calls refuse.
+	// As in terminate, and with the trap set in the same step: from here
+	// on the world's own runtime calls refuse, and a concurrent
+	// elimination that finds it terminated finds it eliminated.
+	w.terminated = true
 	w.eliminated.Store(true)
+	rt.procs.SetStatus(w.pid, proc.Eliminated) //nolint:errcheck // terminated was ours to set
+	w.mu.Unlock()
 	rt.sel.Eliminations.Add(1)
-	_ = rt.procs.SetStatus(w.pid, proc.Eliminated)
 	rt.unregisterWorld(w)
 	w.mu.Lock()
 	h := w.handle
@@ -637,7 +656,10 @@ func (rt *Runtime) eliminateOne(w *World) bool {
 	if h != nil {
 		h.kill()
 	}
-	if h == nil || noBody {
+	if w.srv != nil {
+		// A server version: its loop releases the pages, woken by a nil.
+		w.srv.box.put(nil)
+	} else if h == nil || noBody {
 		// Not spawned yet (or a bodiless root): nobody else will
 		// release its pages. If a spawn is racing us, it observes the
 		// terminated flag after setting the handle and kills it

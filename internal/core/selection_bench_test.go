@@ -7,7 +7,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/mem"
 	"altrun/internal/predicate"
-	"altrun/internal/proc"
 )
 
 // registerBenchWorld registers a minimal world carrying the given
@@ -24,39 +23,16 @@ func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []id
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return registerBodiless(rt, ids.None, name, preds, false)
-}
-
-// registerCopy registers a bodiless split copy of the server world orig
-// (its child in the process table, as cloneServer makes it).
-func registerCopy(rt *Runtime, orig *World, name string) *World {
-	return registerBodiless(rt, orig.pid, name, predicate.New(), true)
-}
-
-func registerBodiless(rt *Runtime, parent ids.PID, name string, preds *predicate.Set, server bool) *World {
 	w := &World{
 		rt:         rt,
-		pid:        rt.procs.Register(parent, name),
+		pid:        rt.procs.Register(ids.None, name),
 		name:       name,
 		space:      mem.New(rt.store, 4096),
 		preds:      preds,
 		ownedSpace: true,
-		isServer:   server,
 	}
 	rt.registerWorld(w)
 	return w
-}
-
-// forkInto replaces orig with two registered copies in performSplit's
-// publish order: copies registered, edge visible, original unregistered.
-func forkInto(tb testing.TB, rt *Runtime, orig *World) (assume, deny *World) {
-	assume = registerCopy(rt, orig, orig.name+"+")
-	deny = registerCopy(rt, orig, orig.name+"-")
-	if err := rt.procs.SetStatus(orig.pid, proc.Forked); err != nil {
-		tb.Fatal(err)
-	}
-	rt.unregisterWorld(orig)
-	return assume, deny
 }
 
 // BenchmarkPropagateScaling measures the cost of one predicate
@@ -90,54 +66,9 @@ func BenchmarkPropagateScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkAliasResolve measures destination expansion on the send
-// path. The overwhelmingly common case is a destination that never
-// split; it must not pay for the split machinery.
-func BenchmarkAliasResolve(b *testing.B) {
-	b.Run("direct", func(b *testing.B) {
-		rt := New(Config{})
-		w := registerBenchWorld(b, rt, "dest", nil, nil)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if rt.split(w.pid) || rt.reg.world(w.pid) == nil {
-				b.Fatal("an unsplit, registered destination did not resolve to itself")
-			}
-		}
-	})
-	b.Run("split2", func(b *testing.B) {
-		rt := New(Config{})
-		orig := registerBenchWorld(b, rt, "orig", nil, nil)
-		forkInto(b, rt, orig)
-		var buf [8]*World
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := rt.appendCopies(buf[:0], orig.pid); len(got) != 2 {
-				b.Fatalf("resolved %d targets, want 2", len(got))
-			}
-		}
-	})
-	b.Run("chain4", func(b *testing.B) {
-		rt := New(Config{})
-		orig := registerBenchWorld(b, rt, "orig", nil, nil)
-		// Two generations of splits: orig -> (g1a, g1b); g1a -> (g2a, g2b).
-		g1a, _ := forkInto(b, rt, orig)
-		forkInto(b, rt, g1a)
-		var buf [8]*World
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if got := rt.appendCopies(buf[:0], orig.pid); len(got) != 3 {
-				b.Fatalf("resolved %d targets, want 3", len(got))
-			}
-		}
-	})
-}
-
-// BenchmarkSendNoAlias measures the whole per-send runtime path for an
-// unsplit destination (predicate snapshot, alias check, router
-// dispatch) — the message-layer fast path.
+// BenchmarkSendNoAlias measures the whole per-send runtime path for a
+// destination that is no server (predicate snapshot, registry lookup,
+// router dispatch) — the message-layer fast path.
 func BenchmarkSendNoAlias(b *testing.B) {
 	rt := New(Config{})
 	sender := registerBenchWorld(b, rt, "sender", nil, nil)

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 
 	"altrun/internal/ids"
 	"altrun/internal/mem"
@@ -11,32 +13,46 @@ import (
 	"altrun/internal/trace"
 )
 
-// Handler processes one accepted message against the server's world
-// state. All durable server state must live in the world's address
-// space: that is what makes the server splittable (§3.4.2) — a blocked
-// receiver's continuation is "return from receive", so two COW copies
-// of its address space, both re-entering the receive loop, are exactly
+// Handler processes one accepted message against one version of the
+// server's state. All durable server state must live in the world's
+// address space: that is what makes the server splittable (§3.4.2) — a
+// blocked receiver's continuation is "return from receive", so two COW
+// copies of its address space that share that continuation are exactly
 // the two receiver copies the paper creates.
 type Handler func(w *World, m msg.Message)
 
-// splitRequest is the control item the router enqueues when a message
-// needs the receiver to fork (processed between handler invocations so
-// state is never duplicated mid-update).
-type splitRequest struct {
-	assume *predicate.Set
-	deny   *predicate.Set
-	m      msg.Message
+// server is one receive loop: the FIFO inbox of a server PID and the
+// ordered versions of the server's state. A version is a *World — its
+// own PID, predicate set and page table — with no goroutine or inbox of
+// its own: the loop decides each dequeued message once for every live
+// version (spec/altcommit.tla's atomic Send(a)), and only the loop
+// touches or releases a version's pages.
+type server struct {
+	pid     ids.PID
+	name    string
+	handler Handler
+	box     inbox
+
+	mu sync.Mutex
+	// versions is the loop's list, in creation order: the loop appends a
+	// fork and drops versions that ended; others read it under mu.
+	versions []*World
+	stopped  bool
+	handle   procHandle
 }
 
 // SpawnServer creates a message-driven world: handler runs once per
-// accepted message. Messages from speculative senders that the server
-// has made no assumptions about split the server into an assume-copy
-// and a deny-copy (§3.4.2); when the sender's fate resolves, exactly
-// one copy survives. Returns the server's world (its PID is its
-// address; messages sent to it after a split fan out to its live
-// copies).
+// message a version of the server accepts. A message from a speculative
+// sender that a version has made no assumptions about splits that
+// version into a deny side, which keeps its PID, and an assume side, a
+// new version with a fresh PID that takes the message (§3.4.2); when the
+// sender's fate resolves, exactly one of the two survives. Returns the
+// server's first version. Its PID is the server's address for as long as
+// the server runs: a send to it, or to any live version's PID, is one
+// enqueue on the server's loop, decided there for every live version.
 func (rt *Runtime) SpawnServer(name string, spaceSize int64, handler Handler) *World {
 	pid := rt.procs.Register(ids.None, name)
+	s := &server{pid: pid, name: name, handler: handler, box: rt.be.newInbox()}
 	w := &World{
 		rt:         rt,
 		pid:        pid,
@@ -44,146 +60,129 @@ func (rt *Runtime) SpawnServer(name string, spaceSize int64, handler Handler) *W
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
 		ownedSpace: true,
-		isServer:   true,
-		serverFn:   handler,
+		srv:        s,
 	}
+	s.versions = []*World{w}
+	rt.servers.Store(pid, s)
 	rt.registerWorld(w)
-	rt.spawnServerLoop(w)
+	// The handle is published under the lock Shutdown reads it with, and
+	// the loop's first reap takes it too: a Shutdown either kills the
+	// loop or stops it before it waits.
+	s.mu.Lock()
+	s.handle = rt.be.spawn(name, func(ctx execCtx) {
+		defer rt.endServer(s)
+		w.ctx = ctx
+		rt.serve(s, ctx)
+	})
+	s.mu.Unlock()
 	return w
 }
 
-// spawnServerLoop starts (or restarts, for split copies) the receive
-// loop.
-func (rt *Runtime) spawnServerLoop(w *World) {
-	// The handle is published under the lock the loop's first Terminated
-	// check takes: a Shutdown or elimination never finds a running loop
-	// without a handle (it would release the pages under the handler).
-	w.mu.Lock()
-	handle := rt.be.spawn(w.name, func(ctx execCtx) {
-		w.ctx = ctx
-		defer w.exitCleanup()
-		rt.serverLoop(w)
-	})
-	w.handle = handle
-	dead := w.terminated
-	w.mu.Unlock()
-	if dead {
-		// Eliminated before the handle existed (a registration-time
-		// contradiction): the loop must not outlive the world.
-		handle.kill()
-	}
-}
-
-// serverLoop drains the inbox: data messages go to the handler; a
-// split request replaces this server with two copies and ends the
-// loop.
-func (rt *Runtime) serverLoop(w *World) {
-	for {
-		v, ok := w.box.get(w.ctx, -1)
-		if !ok || w.Terminated() {
-			// Killed (eliminated or runtime shutdown). The terminated
-			// check matters when messages were queued before the kill
-			// landed: an eliminated copy's handler must never run —
-			// its effects could never be observed anyway (§3.4.2), and
-			// its pages may already be released.
-			return
+// serve is the receive loop; it returns when the server is shut down or
+// every version is gone. Versions forked while a message is decided are
+// not asked about it again: the assume side has taken it and the deny
+// side is the version that split.
+func (rt *Runtime) serve(s *server, ctx execCtx) {
+	for rt.reap(s) > 0 {
+		item, ok := s.box.get(ctx, -1)
+		m, isMsg := item.(msg.Message)
+		if !ok || !isMsg {
+			continue // killed, or a wake (nil) left by an elimination
 		}
-		switch item := v.(type) {
-		case msg.Message:
-			w.serverFn(w, item)
-		case splitRequest:
-			if rt.performSplit(w, item) {
-				return
-			}
+		for i, n := 0, len(s.versions); i < n; i++ {
+			rt.decide(s, s.versions[i], m)
 		}
 	}
 }
 
-// performSplit replaces w with an assume-copy and a deny-copy. It runs
-// in w's own context, between handler invocations. Because the request
-// was queued, the world may have moved on since the router decided:
-// the sender may have resolved, or the server's own predicates may
-// have changed. performSplit therefore re-decides against current
-// state; it reports false when no split happened (message handled
-// directly, or dropped) so the loop continues.
-func (rt *Runtime) performSplit(w *World, req splitRequest) bool {
-	senderPreds, live := rt.normalizePreds(req.m.SenderPredicates)
-	if !live {
-		return false // the sender's assumptions already failed: dead-world message
+// decide asks the router what version v does with m and does it.
+func (rt *Runtime) decide(s *server, v *World, m msg.Message) {
+	if v.Terminated() {
+		return // eliminated since the reap: its handler must never run
 	}
-	switch rt.procs.Status(req.m.Sender) {
-	case proc.Failed, proc.Eliminated:
-		return false // sender's world is dead
-	case proc.Completed:
-		// complete(sender) is now TRUE: accept without assumptions.
-		w.serverFn(w, req.m)
-		return false
-	}
-	current := w.Predicates()
-	switch predicate.Decide(current, senderPreds) {
+	d, assume, deny := rt.decideFor(v.pid, v.Predicates(), m)
+	switch d {
 	case predicate.Accept:
-		w.serverFn(w, req.m)
-		return false
-	case predicate.Ignore:
-		return false
+		s.handler(v, m)
+	case predicate.Split:
+		if nv := rt.fork(s, v, assume, deny, m.Sender); !nv.Terminated() {
+			s.handler(nv, m)
+		}
 	}
-	assumeSet, denySet, err := predicate.SplitWorlds(current, senderPreds, req.m.Sender)
+}
+
+// fork splits version v on a message from sender: v keeps its PID and
+// takes the deny set, and a new version with a fresh PID, v's page table
+// forked (O(1), copy-on-write), takes the assume set and is returned.
+func (rt *Runtime) fork(s *server, v *World, assume, deny *predicate.Set, sender ids.PID) *World {
+	rt.chargeFork(v.ctx, v.space.ResidentPages())
+	space, err := v.space.Fork()
 	if err != nil {
-		return false // cannot coherently assume either outcome
+		// Only the loop releases a version's pages, and v is still listed.
+		panic(fmt.Errorf("core: split fork: %w", err))
 	}
-	req.assume, req.deny = assumeSet, denySet
-
-	pending := w.box.drain()
-
-	// Publish order: the copies are registered (as w's children, which is
-	// what makes them its alias targets), then the edge becomes visible
-	// (w turns Forked), and only after the queue has been re-routed does
-	// the original leave the registry.
-	assume := rt.cloneServer(w, w.name+"+", req.assume)
-	deny := rt.cloneServer(w, w.name+"-", req.deny)
-	if !w.markTerminated() {
-		// w was eliminated or shut down while it was splitting, so it
-		// never turns Forked and nothing can reach its copies: they end
-		// with it.
-		rt.Shutdown(assume)
-		rt.Shutdown(deny)
-		return true
+	nv := &World{
+		rt:         rt,
+		pid:        rt.procs.Register(ids.None, s.name),
+		name:       s.name,
+		space:      space,
+		preds:      assume,
+		ownedSpace: true,
+		srv:        s,
+		ctx:        v.ctx,
 	}
-	rt.procs.SetStatus(w.pid, proc.Forked) //nolint:errcheck // terminated was ours to set
-
-	// The triggering message goes to the assume-copy only: accepting it
-	// is precisely what the extra assumptions buy (§3.4.2).
-	assume.box.put(req.m)
-
-	// Re-route anything else that was queued: each copy re-decides
-	// under its own predicates (the assume-copy implies everything the
-	// original accepted; the deny-copy may now ignore some).
-	for _, item := range pending {
-		var m msg.Message
-		switch it := item.(type) {
-		case msg.Message:
-			m = it
-		case splitRequest:
-			m = it.m
-		default:
-			continue
-		}
-		for _, copyPID := range []ids.PID{assume.pid, deny.pid} {
-			// Ignore unknown-receiver errors: a copy may already have
-			// been contradicted and eliminated.
-			_ = rt.deliver(m.Sender, m.SenderPredicates, copyPID, m.Data)
-		}
-	}
-
-	rt.unregisterWorld(w)
+	rt.registerWorld(nv)
+	rt.rebase(v, deny)
+	s.mu.Lock()
+	s.versions = append(s.versions, nv) // a Shutdown since leaves it to endServer
+	s.mu.Unlock()
 	if rt.log != nil {
-		rt.log.Addf(rt.be.now(), trace.KindWorldSplit, w.pid,
-			"split into %v (assume) and %v (deny) on message from %v",
-			assume.pid, deny.pid, req.m.Sender)
+		rt.log.Addf(rt.be.now(), trace.KindWorldSplit, v.pid,
+			"split on message from %v: %v keeps the deny side, %v assumes", sender, v.pid, nv.pid)
 	}
-	rt.spawnServerLoop(assume)
-	rt.spawnServerLoop(deny)
-	return true
+	return nv
+}
+
+// reap drops the versions that ended from the loop's list, releases
+// their pages, and returns how many are left.
+func (rt *Runtime) reap(s *server) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.stopped {
+		return 0
+	}
+	s.versions = slices.DeleteFunc(s.versions, func(v *World) bool {
+		if !v.Terminated() {
+			return false
+		}
+		v.discardSpace()
+		return true
+	})
+	return len(s.versions)
+}
+
+// endServer runs when the loop returns: every version left ends and its
+// pages are released.
+func (rt *Runtime) endServer(s *server) {
+	s.mu.Lock()
+	s.stopped = true
+	vs := s.versions
+	s.versions = nil
+	s.mu.Unlock()
+	rt.servers.Delete(s.pid)
+	for _, v := range vs {
+		rt.endVersion(v)
+		v.discardSpace()
+	}
+}
+
+// endVersion ends a live version the way Shutdown ends a world: its PID
+// completes, no predicate resolution is propagated, and it leaves the
+// registry. Its pages are the loop's to release.
+func (rt *Runtime) endVersion(v *World) {
+	if v.terminate(proc.Completed) {
+		rt.unregisterWorld(v)
+	}
 }
 
 // normalizePreds derives from a predicate snapshot the set with every
@@ -193,8 +192,8 @@ func (rt *Runtime) normalizePreds(s *predicate.Set) (*predicate.Set, bool) {
 	var buf [16]ids.PID
 	for _, p := range s.AppendPIDs(buf[:0]) {
 		st := rt.procs.Status(p)
-		if !st.Terminal() || st == proc.Forked {
-			continue // unresolved (a fork's copies carry its obligations)
+		if !st.Terminal() {
+			continue
 		}
 		var out predicate.Outcome
 		if s, out = s.Resolve(p, st.Succeeded()); out == predicate.Contradicted {
@@ -204,41 +203,35 @@ func (rt *Runtime) normalizePreds(s *predicate.Set) (*predicate.Set, bool) {
 	return s, true
 }
 
-// cloneServer builds one split copy: COW-forked space, given predicate
-// set, same handler.
-func (rt *Runtime) cloneServer(w *World, name string, preds *predicate.Set) *World {
-	rt.chargeFork(w.ctx, w.space.ResidentPages())
-	space, err := w.space.Fork()
-	if err != nil {
-		// Fork of a live table cannot fail unless the world is already
-		// released, which performSplit's single-threaded discipline
-		// prevents.
-		panic(fmt.Errorf("core: split fork: %w", err))
-	}
-	pid := rt.procs.Register(w.pid, name)
-	cw := &World{
-		rt:         rt,
-		pid:        pid,
-		name:       name,
-		space:      space,
-		preds:      preds,
-		ownedSpace: true,
-		isServer:   true,
-		serverFn:   w.serverFn,
-	}
-	rt.registerWorld(cw)
-	return cw
-}
-
 // Shutdown kills a server or root world (e.g., at the end of an
 // experiment so a simulation can drain, or when a service-pool job
 // retires its root world). It is not an elimination: no predicate
-// resolution is triggered, and the world's pages are released.
+// resolution is triggered, and the world's pages are released. Shutting
+// down any version of a server ends the server: its loop and every
+// version.
 func (rt *Runtime) Shutdown(w *World) {
-	if !w.markTerminated() {
+	if s := w.srv; s != nil {
+		s.mu.Lock()
+		if s.stopped {
+			s.mu.Unlock()
+			return
+		}
+		s.stopped = true
+		vs := slices.Clone(s.versions)
+		h := s.handle
+		s.mu.Unlock()
+		rt.servers.Delete(s.pid)
+		for _, v := range vs {
+			rt.endVersion(v)
+		}
+		if h != nil {
+			h.kill() // the loop releases the pages on its way out
+		}
 		return
 	}
-	rt.procs.SetStatus(w.pid, proc.Completed) //nolint:errcheck
+	if !w.terminate(proc.Completed) {
+		return
+	}
 	rt.unregisterWorld(w)
 	w.mu.Lock()
 	h := w.handle

@@ -10,6 +10,7 @@ import (
 	"altrun/internal/mem"
 	"altrun/internal/msg"
 	"altrun/internal/predicate"
+	"altrun/internal/proc"
 	"altrun/internal/sim"
 )
 
@@ -84,8 +85,9 @@ type World struct {
 	// space, so Shutdown must.
 	noBody bool
 
-	isServer bool
-	serverFn Handler
+	// srv is the receive loop of a server version (nil for any other
+	// world).
+	srv *server
 
 	// probe, when non-nil, receives this world's COW fault events;
 	// RunAlt sets it on the children of probed blocks before their
@@ -93,8 +95,6 @@ type World struct {
 	// goroutine).
 	probe AltProbe
 }
-
-var _ msg.Receiver = (*World)(nil)
 
 // PID returns the world's process identifier.
 func (w *World) PID() ids.PID { return w.pid }
@@ -108,8 +108,8 @@ func (w *World) Size() int64 { return w.space.Size() }
 // Runtime returns the owning runtime.
 func (w *World) Runtime() *Runtime { return w.rt }
 
-// Predicates returns the world's current assumption set (msg.Receiver),
-// activating the world: the router reads it to decide a delivery.
+// Predicates returns the world's current assumption set, activating the
+// world: a delivery is decided against it.
 // Sets are immutable, so the pointer is a snapshot: a later resolution
 // replaces w's set and leaves this one as it was.
 func (w *World) Predicates() *predicate.Set {
@@ -174,6 +174,23 @@ func (w *World) markTerminated() bool {
 		return false
 	}
 	w.terminated = true
+	return true
+}
+
+// terminate flips the terminated flag and moves w's PID to the terminal
+// status st in one step under w.mu; reports false if already set. An
+// elimination that finds w terminated returns at once, leaving the
+// cascade to this caller, so w's fate must be readable by then: a
+// message's sending predicate is brought up to date from statuses
+// (Runtime.decideFor).
+func (w *World) terminate(st proc.Status) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.terminated {
+		return false
+	}
+	w.terminated = true
+	w.rt.procs.SetStatus(w.pid, st) //nolint:errcheck // terminated was ours to set
 	return true
 }
 
@@ -367,47 +384,31 @@ func (w *World) Cancel() {
 // ---------------------------------------------------------------------
 
 // Send routes data to the world dest, stamping the message with this
-// world's current predicate set, shared rather than copied.
-// Destinations that have split are fanned out to their live copies.
-// The first Send activates the world, and its catch-up may find that
-// the world is already dead.
+// world's current predicate set, shared rather than copied. A message
+// to a server is decided by its loop for every live version. The first
+// Send activates the world, and its catch-up may find that the world is
+// already dead.
 func (w *World) Send(dest ids.PID, data any) error {
 	preds := w.Predicates()
 	if w.eliminated.Load() {
 		return ErrEliminated
 	}
-	return w.rt.sendFrom(w.pid, preds, dest, data)
+	return w.rt.deliver(w.pid, preds, dest, data)
 }
 
 // Recv dequeues the next accepted message. timeout < 0 waits forever;
-// ok is false on timeout or cancellation.
+// ok is false on timeout or cancellation, and at once for a server
+// version, whose messages come through its handler.
 func (w *World) Recv(timeout time.Duration) (msg.Message, bool) {
 	w.rt.activate(w)
-	for {
-		v, ok := w.box.get(w.ctx, timeout)
-		if !ok {
-			return msg.Message{}, false
-		}
-		if m, isMsg := v.(msg.Message); isMsg {
-			return m, true
-		}
-		// Control items (split requests) are only queued to servers;
-		// skip defensively.
+	if w.box == nil {
+		return msg.Message{}, false
 	}
-}
-
-// Deliver enqueues an accepted message (msg.Receiver). The router read
-// w's Predicates to decide it, which activated w and built its inbox.
-func (w *World) Deliver(m msg.Message) { w.box.put(m) }
-
-// Split implements msg.Receiver: servers enqueue a split request
-// processed between handler invocations; other worlds cannot be split.
-func (w *World) Split(assume, deny *predicate.Set, m msg.Message) error {
-	if !w.isServer {
-		return ErrNotServer
+	v, ok := w.box.get(w.ctx, timeout)
+	if !ok {
+		return msg.Message{}, false
 	}
-	w.box.put(splitRequest{assume: assume, deny: deny, m: m})
-	return nil
+	return v.(msg.Message), true
 }
 
 // ---------------------------------------------------------------------

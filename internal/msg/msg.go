@@ -8,17 +8,15 @@
 // they conflict, it is ignored; if the receiver would have to make
 // further assumptions, the receiver is split into two copies — one that
 // assumes the sender completes (and accepts the message) and one that
-// assumes it does not (and never sees it). The split itself — cloning a
-// blocked process — is performed by the Receiver implementation (the
-// core runtime forks the world's COW address space); this package only
-// decides and dispatches. It keeps no record of who is live: the caller
-// resolves a destination to its Receiver (the core runtime looks it up
-// in its world registry) and hands that to Send.
+// assumes it does not (and never sees it). This package only stamps and
+// decides: it keeps no record of who is live, and the split itself —
+// forking a server's version in its receive loop — is the core
+// runtime's. The caller stamps a message with Stamp and asks Decide
+// once per receiver copy, with the copy's set read first.
 package msg
 
 import (
 	"errors"
-	"fmt"
 	"sync/atomic"
 	"time"
 
@@ -38,8 +36,8 @@ type Message struct {
 	Sender ids.PID
 	// SenderPredicates is the sending predicate: the sender's
 	// assumptions at send time. Sets are immutable, so the sender's
-	// current set is the snapshot, and copies of a split receiver share
-	// it.
+	// current set is the snapshot, and every copy of a split receiver
+	// decides against the same one.
 	SenderPredicates *predicate.Set
 	// Dest identifies the destination process (control information).
 	Dest ids.PID
@@ -47,26 +45,10 @@ type Message struct {
 	Data any
 }
 
-// Receiver is a process that can accept messages. The core runtime's
-// worlds implement it.
-type Receiver interface {
-	// PID returns the receiver's process identifier.
-	PID() ids.PID
-	// Predicates returns the receiver's current assumption set. The
-	// router reads it at delivery time.
-	Predicates() *predicate.Set
-	// Deliver enqueues an accepted message.
-	Deliver(m Message)
-	// Split replaces the receiver with two copies: the assume-copy
-	// (predicates `assume`) which must receive m, and the deny-copy
-	// (predicates `deny`) which must not. The implementation makes the
-	// copies live, where its callers resolve receivers, and retires
-	// itself.
-	Split(assume, deny *predicate.Set, m Message) error
-}
-
 // Stats counts delivery decisions; the worlds experiment (E13) reports
-// them.
+// them. Sent counts stamped messages, one per send however many copies
+// of a split receiver decide it; the other three count decisions, one
+// per copy.
 type Stats struct {
 	Sent     int
 	Accepted int
@@ -74,10 +56,10 @@ type Stats struct {
 	Splits   int
 }
 
-// Router decides and dispatches messages to the Receiver its caller
-// resolved. It is safe for concurrent use. The send path takes no lock
-// at all — the sequence/decision counters are atomics — so concurrent
-// senders, even to the same receiver, never serialize in the router.
+// Router stamps messages and decides them for the receivers its caller
+// resolved. It is safe for concurrent use. It takes no lock at all —
+// the sequence/decision counters are atomics — so concurrent senders,
+// even to the same receiver, never serialize in the router.
 type Router struct {
 	seq      atomic.Int64
 	sent     atomic.Int64
@@ -105,17 +87,12 @@ func (r *Router) Stats() Stats {
 	}
 }
 
-// Send routes data from the sender (with predicate set senderPred) to
-// rcv, applying the accept/ignore/split rule; a nil rcv (the caller
-// found nobody live) is ErrUnknownReceiver. The message carries
-// senderPred itself — sets are immutable, so one may be shared by any
-// number of sends (a fan-out to split copies). The receiver's set is
-// read once per send.
-func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, rcv Receiver, data any) error {
-	if rcv == nil {
-		return ErrUnknownReceiver
-	}
-	dest := rcv.PID()
+// Stamp makes the message data from the sender (with predicate set
+// senderPred) to dest: it assigns the sequence number, counts the send
+// and traces it. The message carries senderPred itself — sets are
+// immutable, so one may be shared by any number of messages. The caller
+// queues the message and decides it later with Decide.
+func (r *Router) Stamp(sender ids.PID, senderPred *predicate.Set, dest ids.PID, data any) Message {
 	m := Message{
 		Seq:              r.seq.Add(1),
 		Sender:           sender,
@@ -124,47 +101,51 @@ func (r *Router) Send(sender ids.PID, senderPred *predicate.Set, rcv Receiver, d
 		Data:             data,
 	}
 	r.sent.Add(1)
-	// Every trace site tests the log first: with tracing off no argument
-	// is evaluated (no clock read, no boxing).
-	log := r.log
-	if log != nil {
-		log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, m.SenderPredicates)
+	if r.log != nil {
+		r.log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, senderPred)
 	}
+	return m
+}
 
-	rcvPred := rcv.Predicates()
-	switch predicate.Decide(rcvPred, m.SenderPredicates) {
+// Decide applies the accept/ignore/split rule to m for the receiver
+// copy rcv, which holds the set rcvPred, and counts and traces the
+// decision. senderPred is the set to decide against — m's sending
+// predicate, possibly with fates that have resolved since folded in —
+// or nil when one of its assumptions is already known false: a message
+// from a dead world, ignored. On Split it returns the copies' sets: the
+// assume-copy takes m, the deny-copy does not. A split no set can
+// express is an ignore (the sender's world is already dead from the
+// receiver's perspective).
+func (r *Router) Decide(rcv ids.PID, rcvPred, senderPred *predicate.Set, m Message) (d predicate.Decision, assume, deny *predicate.Set) {
+	d, why := predicate.Ignore, "sender dead"
+	if senderPred != nil {
+		d, why = predicate.Decide(rcvPred, senderPred), "conflicting worlds"
+	}
+	if d == predicate.Split {
+		var err error
+		if assume, deny, err = predicate.SplitWorlds(rcvPred, senderPred, m.Sender); err != nil {
+			d, why = predicate.Ignore, "split impossible: "+err.Error()
+		}
+	}
+	kind := trace.KindMsgIgnore
+	switch d {
 	case predicate.Accept:
 		r.accepted.Add(1)
-		if log != nil {
-			log.Addf(r.now(), trace.KindMsgAccept, dest, "seq %d from %v", m.Seq, sender)
-		}
-		rcv.Deliver(m)
-		return nil
-	case predicate.Ignore:
-		r.ignored.Add(1)
-		if log != nil {
-			log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (conflicting worlds)", m.Seq, sender)
-		}
-		return nil
-	default: // Split
-		assume, deny, err := predicate.SplitWorlds(rcvPred, m.SenderPredicates, sender)
-		if err != nil {
-			// The receiver cannot coherently assume either outcome;
-			// treat as ignore (the sender's world is already dead from
-			// the receiver's perspective).
-			r.ignored.Add(1)
-			if log != nil {
-				log.Addf(r.now(), trace.KindMsgIgnore, dest, "seq %d from %v (split impossible: %v)", m.Seq, sender, err)
-			}
-			return nil
-		}
+		kind = trace.KindMsgAccept
+	case predicate.Split:
 		r.splits.Add(1)
-		if log != nil {
-			log.Addf(r.now(), trace.KindMsgSplit, dest, "seq %d from %v", m.Seq, sender)
-		}
-		if err := rcv.Split(assume, deny, m); err != nil {
-			return fmt.Errorf("split receiver %v: %w", dest, err)
-		}
-		return nil
+		kind = trace.KindMsgSplit
+	default:
+		r.ignored.Add(1)
 	}
+	// Every trace site tests the log first: with tracing off no argument
+	// is evaluated (no clock read, no boxing).
+	if r.log != nil {
+		if kind == trace.KindMsgIgnore {
+			r.log.Addf(r.now(), kind, rcv, "seq %d from %v (%s)", m.Seq, m.Sender, why)
+		} else {
+			r.log.Addf(r.now(), kind, rcv, "seq %d from %v", m.Seq, m.Sender)
+		}
+	}
+	return d, assume, deny
 }

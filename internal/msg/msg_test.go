@@ -1,7 +1,7 @@
 package msg
 
 import (
-	"errors"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,46 +10,18 @@ import (
 	"altrun/internal/trace"
 )
 
-// fakeReceiver records deliveries and splits.
-type fakeReceiver struct {
-	pid       ids.PID
-	preds     *predicate.Set
-	delivered []Message
-	splits    []struct{ assume, deny *predicate.Set }
-	splitErr  error
-	snapshots int // Predicates calls: each one takes a world's lock
-}
-
-func (f *fakeReceiver) PID() ids.PID { return f.pid }
-func (f *fakeReceiver) Predicates() *predicate.Set {
-	f.snapshots++
-	return f.preds
-}
-func (f *fakeReceiver) Deliver(m Message) { f.delivered = append(f.delivered, m) }
-func (f *fakeReceiver) Split(assume, deny *predicate.Set, m Message) error {
-	if f.splitErr != nil {
-		return f.splitErr
-	}
-	f.splits = append(f.splits, struct{ assume, deny *predicate.Set }{assume, deny})
-	return nil
-}
-
 func newRouter() *Router {
 	return NewRouter(func() time.Time { return time.Unix(0, 0) }, trace.NewLog())
 }
 
 func TestSendAccept(t *testing.T) {
 	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
-	if err := r.Send(ids.PID(1), predicate.New(), rcv, "hello"); err != nil {
-		t.Fatal(err)
-	}
-	if len(rcv.delivered) != 1 || rcv.delivered[0].Data != "hello" {
-		t.Fatalf("delivered = %v", rcv.delivered)
-	}
-	m := rcv.delivered[0]
-	if m.Sender != ids.PID(1) || m.Dest != ids.PID(2) || m.Seq == 0 {
+	m := r.Stamp(ids.PID(1), predicate.New(), ids.PID(2), "hello")
+	if m.Sender != ids.PID(1) || m.Dest != ids.PID(2) || m.Seq == 0 || m.Data != "hello" {
 		t.Fatalf("control info wrong: %+v", m)
+	}
+	if d, _, _ := r.Decide(m.Dest, predicate.New(), m.SenderPredicates, m); d != predicate.Accept {
+		t.Fatalf("decision = %v, want accept", d)
 	}
 	st := r.Stats()
 	if st.Sent != 1 || st.Accepted != 1 || st.Ignored != 0 || st.Splits != 0 {
@@ -58,29 +30,23 @@ func TestSendAccept(t *testing.T) {
 }
 
 // TestSendTakesOneSnapshotEach: the sender's set is the caller's
-// snapshot and travels as given — no copy per send, so a fan-out to
-// split copies shares one — and the receiver is asked for its set once
-// per send, whatever the decision (the split path used to ask twice).
+// snapshot and travels as given — no copy per send, so every version of
+// a split receiver decides against one — and a split's sets are its
+// own: the shared snapshot is untouched.
 func TestSendTakesOneSnapshotEach(t *testing.T) {
 	r := newRouter()
-	accept := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, []int64{5}, nil)}
-	split := &fakeReceiver{pid: ids.PID(3), preds: predicate.New()}
 	senderPred := mustPred(t, []int64{5}, nil)
-	for _, rcv := range []*fakeReceiver{accept, split} {
-		if err := r.Send(ids.PID(1), senderPred, rcv, "x"); err != nil {
-			t.Fatal(err)
-		}
-		if rcv.snapshots != 1 {
-			t.Fatalf("receiver %v was snapshotted %d times for one send, want 1", rcv.pid, rcv.snapshots)
-		}
-	}
-	if len(accept.delivered) != 1 || accept.delivered[0].SenderPredicates != senderPred {
+	m := r.Stamp(ids.PID(1), senderPred, ids.PID(3), "x")
+	if m.SenderPredicates != senderPred {
 		t.Fatal("the message must carry the snapshot it was given")
 	}
-	if len(split.splits) != 1 || !split.splits[0].assume.MustComplete(ids.PID(5)) {
-		t.Fatalf("split from the single snapshot = %+v", split.splits)
+	if d, _, _ := r.Decide(ids.PID(2), mustPred(t, []int64{5}, nil), m.SenderPredicates, m); d != predicate.Accept {
+		t.Fatalf("implied receiver decision = %v, want accept", d)
 	}
-	// What the split made is its own: the shared snapshot is untouched.
+	d, assume, _ := r.Decide(ids.PID(3), predicate.New(), m.SenderPredicates, m)
+	if d != predicate.Split || !assume.MustComplete(ids.PID(5)) {
+		t.Fatalf("split from the single snapshot = %v %v", d, assume)
+	}
 	if senderPred.MustComplete(ids.PID(1)) || senderPred.Len() != 1 {
 		t.Fatalf("sender snapshot mutated by the split: %v", senderPred)
 	}
@@ -89,93 +55,88 @@ func TestSendTakesOneSnapshotEach(t *testing.T) {
 func TestSendIgnoreConflicting(t *testing.T) {
 	r := newRouter()
 	// Receiver assumes p7 fails; sender assumes p7 completes.
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: mustPred(t, nil, []int64{7})}
-	if err := r.Send(ids.PID(1), mustPred(t, []int64{7}, nil), rcv, "x"); err != nil {
-		t.Fatal(err)
-	}
-	if len(rcv.delivered) != 0 {
-		t.Fatal("conflicting message must be ignored")
+	m := r.Stamp(ids.PID(1), mustPred(t, []int64{7}, nil), ids.PID(2), "x")
+	if d, _, _ := r.Decide(m.Dest, mustPred(t, nil, []int64{7}), m.SenderPredicates, m); d != predicate.Ignore {
+		t.Fatalf("conflicting message decision = %v, want ignore", d)
 	}
 	if st := r.Stats(); st.Ignored != 1 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestSendSplit: Decide returns the two copies' sets for a receiver
+// that must make a further assumption, and counts one split; a message
+// stamped once is counted sent once however many copies decide it.
 func TestSendSplit(t *testing.T) {
 	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
+	rcv := predicate.New()
 	sender := ids.PID(9)
-	if err := r.Send(sender, mustPred(t, []int64{9}, nil), rcv, "spec"); err != nil {
-		t.Fatal(err)
+	m := r.Stamp(sender, mustPred(t, []int64{9}, nil), ids.PID(2), "spec")
+	d, assume, deny := r.Decide(ids.PID(2), rcv, m.SenderPredicates, m)
+	if d != predicate.Split {
+		t.Fatalf("decision = %v, want split", d)
 	}
-	if len(rcv.splits) != 1 {
-		t.Fatalf("splits = %d, want 1", len(rcv.splits))
+	if !assume.MustComplete(sender) || !deny.CantComplete(sender) {
+		t.Fatalf("split sets wrong: assume=%v deny=%v", assume, deny)
 	}
-	sp := rcv.splits[0]
-	if !sp.assume.MustComplete(sender) || !sp.deny.CantComplete(sender) {
-		t.Fatalf("split sets wrong: assume=%v deny=%v", sp.assume, sp.deny)
+	// The two copies decide the sender's next message: one accepts, one
+	// ignores.
+	m2 := r.Stamp(sender, m.SenderPredicates, ids.PID(2), "again")
+	if d, _, _ := r.Decide(ids.PID(2), assume, m2.SenderPredicates, m2); d != predicate.Accept {
+		t.Fatalf("assume-copy decision = %v, want accept", d)
 	}
-	if st := r.Stats(); st.Splits != 1 {
+	if d, _, _ := r.Decide(ids.PID(2), deny, m2.SenderPredicates, m2); d != predicate.Ignore {
+		t.Fatalf("deny-copy decision = %v, want ignore", d)
+	}
+	if st := r.Stats(); st != (Stats{Sent: 2, Accepted: 1, Ignored: 1, Splits: 1}) {
 		t.Fatalf("stats = %+v", st)
+	}
+	// A dead sender's message is ignored without looking at the sets.
+	if d, _, _ := r.Decide(ids.PID(2), rcv, nil, m2); d != predicate.Ignore {
+		t.Fatalf("dead sender's message decision = %v, want ignore", d)
 	}
 }
 
 func TestSendSplitImpossibleIgnores(t *testing.T) {
 	r := newRouter()
-	// Receiver already assumes the *sender* fails, but the sender's set
-	// itself is empty → Decide says Split (empty doesn't conflict? No:
-	// receiver has cant(sender); sender set empty ⊆ receiver → Accept).
-	// Build a genuine impossible split: receiver assumes p3 fails,
-	// sender (pid 9) assumes p3 completes AND receiver assumes 9 fails.
-	rp := mustPred(t, nil, []int64{9})
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: rp}
-	// Sender set {must 4}: no conflict with {cant 9}, not implied → Split;
-	// but assume-world needs must(9) which contradicts cant(9).
-	if err := r.Send(ids.PID(9), mustPred(t, []int64{4}, nil), rcv, "x"); err != nil {
-		t.Fatal(err)
+	// Receiver assumes the sender (pid 9) fails; the sender's set {must
+	// 4} neither conflicts with that nor is implied → Split, but the
+	// assume-world would need must(9), which contradicts cant(9).
+	m := r.Stamp(ids.PID(9), mustPred(t, []int64{4}, nil), ids.PID(2), "x")
+	if d, _, _ := r.Decide(m.Dest, mustPred(t, nil, []int64{9}), m.SenderPredicates, m); d != predicate.Ignore {
+		t.Fatalf("impossible split decision = %v, want ignore", d)
 	}
-	if len(rcv.splits) != 0 || len(rcv.delivered) != 0 {
-		t.Fatal("impossible split must be ignored")
-	}
-	if st := r.Stats(); st.Ignored != 1 {
+	if st := r.Stats(); st.Ignored != 1 || st.Splits != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
 
+// TestSendSplitErrorPropagates: the reason a split was impossible is
+// not swallowed — the ignore's trace event carries it.
 func TestSendSplitErrorPropagates(t *testing.T) {
 	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New(), splitErr: errors.New("boom")}
-	err := r.Send(ids.PID(9), mustPred(t, []int64{9}, nil), rcv, "x")
-	if err == nil {
-		t.Fatal("split error must propagate")
+	m := r.Stamp(ids.PID(9), mustPred(t, []int64{4}, nil), ids.PID(2), "x")
+	r.Decide(m.Dest, mustPred(t, nil, []int64{9}), m.SenderPredicates, m)
+	var detail string
+	for _, e := range r.log.Events() {
+		if e.Kind == trace.KindMsgIgnore {
+			detail = e.Detail
+		}
 	}
-}
-
-// TestUnknownReceiver: a destination the caller could not resolve is
-// refused before anything is counted or traced.
-func TestUnknownReceiver(t *testing.T) {
-	r := newRouter()
-	err := r.Send(ids.PID(1), predicate.New(), nil, "x")
-	if !errors.Is(err, ErrUnknownReceiver) {
-		t.Fatalf("err = %v", err)
-	}
-	if st := r.Stats(); st != (Stats{}) {
-		t.Fatalf("stats = %+v, want none counted", st)
+	if !strings.Contains(detail, "split impossible") || !strings.Contains(detail, "contradiction") {
+		t.Fatalf("ignore traced as %q, want the split error", detail)
 	}
 }
 
 func TestSeqMonotonic(t *testing.T) {
 	r := newRouter()
-	rcv := &fakeReceiver{pid: ids.PID(2), preds: predicate.New()}
+	var prev int64
 	for i := 0; i < 5; i++ {
-		if err := r.Send(ids.PID(1), predicate.New(), rcv, i); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for i := 1; i < len(rcv.delivered); i++ {
-		if rcv.delivered[i].Seq <= rcv.delivered[i-1].Seq {
+		m := r.Stamp(ids.PID(1), predicate.New(), ids.PID(2), i)
+		if m.Seq <= prev {
 			t.Fatal("sequence numbers must increase")
 		}
+		prev = m.Seq
 	}
 }
 

@@ -1,9 +1,7 @@
 package msg
 
 import (
-	"errors"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,112 +12,28 @@ import (
 
 // Concurrent-sender router test (run with -race): many speculative
 // worlds — organized into sibling groups whose members are mutually
-// exclusive — hammer a splitting receiver lineage through the lock-free
-// send path. The receiver implementation mirrors the core runtime's
-// split contract in miniature: make the assume/deny copies live, retire
-// the split copy, and the senders fan out to every live copy, as core's
-// alias walk does. Like core, the harness keeps the live index and
-// resolves each destination just before sending to it.
+// exclusive — stamp messages for one splitting receiver through the
+// lock-free send path, and one receive loop decides each message for
+// every live copy in order, the way the core runtime's server loop
+// does: an accept delivers, a split leaves the copy on the deny side and
+// adds an assume-copy, with the copy's history forked, that takes the
+// message.
 //
 // Invariants checked after the storm:
-//   - counter conservation: every send was decided exactly once
-//     (Sent == Accepted + Ignored + Splits);
-//   - copy conservation: every counted split produced exactly two
-//     copies (split chains terminate — no lost or duplicated lineage);
+//   - counter conservation: every stamp counted once as sent, and every
+//     message decided exactly once per copy live when it was dequeued;
+//   - copy conservation: every counted split produced exactly one new
+//     copy;
 //   - consistency: a copy only ever delivered messages its predicate
 //     set accepts — and therefore never messages from two different
 //     members of the same sibling group (that would be an observable
-//     pair of mutually exclusive alternatives).
-
-type raceHarness struct {
-	r      *Router
-	pidSeq atomic.Int64
-	drops  atomic.Int64 // Split calls that lost to a concurrent split
-
-	mu   sync.Mutex
-	live map[ids.PID]*raceCopy
-	all  []*raceCopy
-}
+//     pair of mutually exclusive alternatives);
+//   - the winner's writes survive: a copy that assumes a sender
+//     completes holds every message that sender sent, in send order.
 
 type raceCopy struct {
-	h     *raceHarness
-	pid   ids.PID
-	preds *predicate.Set
-
-	mu        sync.Mutex
-	dead      bool
+	preds     *predicate.Set
 	delivered []Message
-}
-
-func (c *raceCopy) PID() ids.PID               { return c.pid }
-func (c *raceCopy) Predicates() *predicate.Set { return c.preds }
-
-func (c *raceCopy) Deliver(m Message) {
-	c.mu.Lock()
-	c.delivered = append(c.delivered, m)
-	c.mu.Unlock()
-}
-
-func (c *raceCopy) Split(assume, deny *predicate.Set, m Message) error {
-	c.mu.Lock()
-	wasDead := c.dead
-	c.dead = true
-	c.mu.Unlock()
-	if wasDead {
-		// A concurrent sender already split this copy; its successors
-		// are live and will decide this sender's later messages.
-		c.h.drops.Add(1)
-		return nil
-	}
-	a := c.h.addCopy(assume)
-	d := c.h.addCopy(deny)
-	// The pending message is re-decided against both fresh copies, the
-	// way the runtime duplicates a split server's mailbox: the assume
-	// copy accepts it, the deny copy's predicates contradict it.
-	for _, nc := range []*raceCopy{a, d} {
-		if predicate.Decide(nc.preds, m.SenderPredicates) == predicate.Accept {
-			nc.Deliver(m)
-		}
-	}
-	c.h.remove(c.pid)
-	return nil
-}
-
-func (h *raceHarness) addCopy(preds *predicate.Set) *raceCopy {
-	c := &raceCopy{h: h, pid: ids.PID(h.pidSeq.Add(1)), preds: preds}
-	h.mu.Lock()
-	h.live[c.pid] = c
-	h.all = append(h.all, c)
-	h.mu.Unlock()
-	return c
-}
-
-func (h *raceHarness) remove(pid ids.PID) {
-	h.mu.Lock()
-	delete(h.live, pid)
-	h.mu.Unlock()
-}
-
-// lookup resolves pid to its live copy, or to a nil Receiver once the
-// copy has split.
-func (h *raceHarness) lookup(pid ids.PID) Receiver {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if c := h.live[pid]; c != nil {
-		return c
-	}
-	return nil
-}
-
-// livePIDs snapshots the live copy set for one fan-out round.
-func (h *raceHarness) livePIDs() []ids.PID {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	pids := make([]ids.PID, 0, len(h.live))
-	for pid := range h.live {
-		pids = append(pids, pid)
-	}
-	return pids
 }
 
 func TestConcurrentSendersSplitLineage(t *testing.T) {
@@ -128,26 +42,20 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 		siblings  = 3 // mutually exclusive alternatives per block
 		committed = 3 // resolved senders with empty predicate sets
 		perSender = 40
+		senders   = groups*siblings + committed
 	)
-	h := &raceHarness{
-		r:    NewRouter(time.Now, trace.NewLog()),
-		live: map[ids.PID]*raceCopy{},
-	}
-	h.addCopy(predicate.New()) // the root copy, no assumptions
+	r := NewRouter(time.Now, trace.NewLog())
+	const dest = ids.PID(1)
+	queue := make(chan Message, senders*perSender)
 
-	// senderPID spaces sender ids well away from copy pids.
+	// senderPID spaces sender ids well away from the receiver's.
 	senderPID := func(g, s int) ids.PID { return ids.PID(10_000 + g*100 + s) }
 
 	var wg sync.WaitGroup
 	storm := func(sender ids.PID, preds *predicate.Set) {
 		defer wg.Done()
 		for i := 0; i < perSender; i++ {
-			for _, pid := range h.livePIDs() {
-				err := h.r.Send(sender, preds, h.lookup(pid), i)
-				if err != nil && !errors.Is(err, ErrUnknownReceiver) {
-					t.Errorf("send from %v to %v: %v", sender, pid, err)
-				}
-			}
+			queue <- r.Stamp(sender, preds, dest, i)
 		}
 	}
 	for g := 0; g < groups; g++ {
@@ -168,42 +76,81 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 		wg.Add(1)
 		go storm(ids.PID(20_000+c), predicate.New())
 	}
-	wg.Wait()
 
-	st := h.r.Stats()
-	if st.Sent != st.Accepted+st.Ignored+st.Splits {
-		t.Fatalf("counters leak: %+v", st)
+	// The receive loop.
+	copies := []*raceCopy{{preds: predicate.New()}}
+	decisions := 0
+	loopDone := make(chan struct{})
+	go func() {
+		defer close(loopDone)
+		for m := range queue {
+			for _, c := range copies[:len(copies):len(copies)] {
+				decisions++
+				switch d, assume, deny := r.Decide(dest, c.preds, m.SenderPredicates, m); d {
+				case predicate.Accept:
+					c.delivered = append(c.delivered, m)
+				case predicate.Split:
+					nc := &raceCopy{preds: assume, delivered: append(append([]Message(nil), c.delivered...), m)}
+					c.preds = deny
+					copies = append(copies, nc)
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(queue)
+	<-loopDone
+
+	st := r.Stats()
+	if st.Sent != senders*perSender {
+		t.Fatalf("sent = %d, want %d", st.Sent, senders*perSender)
+	}
+	if st.Accepted+st.Ignored+st.Splits != decisions {
+		t.Fatalf("counters leak: %+v for %d decisions", st, decisions)
 	}
 	if st.Splits == 0 {
 		t.Fatalf("no splits under %d speculative senders: %+v", groups*siblings, st)
 	}
-	h.mu.Lock()
-	total := len(h.all)
-	h.mu.Unlock()
-	if want := 1 + 2*(st.Splits-int(h.drops.Load())); total != want {
-		t.Fatalf("%d copies for %d splits (%d dropped): want %d — split chain lost or duplicated a lineage",
-			total, st.Splits, h.drops.Load(), want)
+	if want := 1 + st.Splits; len(copies) != want {
+		t.Fatalf("%d copies for %d splits, want %d", len(copies), st.Splits, want)
 	}
 
-	for _, c := range h.all {
-		c.mu.Lock()
-		delivered := c.delivered
-		c.mu.Unlock()
+	for _, c := range copies {
 		groupSender := map[int]ids.PID{}
-		for _, m := range delivered {
+		next := map[ids.PID]int{}
+		for _, m := range c.delivered {
 			if predicate.Decide(c.preds, m.SenderPredicates) != predicate.Accept {
-				t.Fatalf("copy %v (preds %v) delivered a message its predicates reject: from %v preds %v",
-					c.pid, c.preds, m.Sender, m.SenderPredicates)
+				t.Fatalf("copy (preds %v) delivered a message its predicates reject: from %v preds %v",
+					c.preds, m.Sender, m.SenderPredicates)
 			}
-			if m.Sender < 10_000 || m.Sender >= 20_000 {
+			if m.Data != next[m.Sender] {
+				t.Fatalf("copy (preds %v) took message %v from %v, want %d: per-sender order broken",
+					c.preds, m.Data, m.Sender, next[m.Sender])
+			}
+			next[m.Sender]++
+			if m.Sender >= 20_000 {
 				continue // committed sender: consistent with every copy
 			}
 			g := (int(m.Sender) - 10_000) / 100
 			if prev, seen := groupSender[g]; seen && prev != m.Sender {
-				t.Fatalf("copy %v observed two mutually exclusive alternatives of block %d: %v and %v",
-					c.pid, g, prev, m.Sender)
+				t.Fatalf("copy (preds %v) observed two mutually exclusive alternatives of block %d: %v and %v",
+					c.preds, g, prev, m.Sender)
 			}
 			groupSender[g] = m.Sender
+		}
+		for g := 0; g < groups; g++ {
+			for s := 0; s < siblings; s++ {
+				if p := senderPID(g, s); c.preds.MustComplete(p) && next[p] != perSender {
+					t.Fatalf("copy (preds %v) assumes %v but holds %d of its %d messages",
+						c.preds, p, next[p], perSender)
+				}
+			}
+		}
+		for k := 0; k < committed; k++ {
+			if p := ids.PID(20_000 + k); next[p] != perSender {
+				t.Fatalf("copy (preds %v) holds %d of committed sender %v's %d messages",
+					c.preds, next[p], p, perSender)
+			}
 		}
 	}
 }

@@ -21,12 +21,8 @@
 // The child index is live-only. A child leaves its parent's index on its
 // terminal transition, so an index holds what an elimination cascade can
 // still reach and costs what the parent has running now, not what it
-// ever ran. One kind of terminal node stays: a Forked process remains in
-// its parent's index for as long as its own index is non-empty, because
-// its children are the split copies messages for it must reach (§3.4.2)
-// — the index restricted to Forked parents is the split-receiver alias
-// graph, and it retires upward when the last copy of a lineage ends.
-// Roots (parent ids.None) are in no index: nothing cascades from None.
+// ever ran. Roots (parent ids.None) are in no index: nothing cascades
+// from None.
 package proc
 
 import (
@@ -56,11 +52,6 @@ const (
 	Failed
 	// Eliminated: a sibling won; this process was killed (§3.2.1).
 	Eliminated
-	// Forked: the process was superseded by two copies of itself by the
-	// multiple-worlds message layer (§3.4.2). For predicate resolution
-	// it is neither a completion nor a failure: its copies carry its
-	// obligations forward.
-	Forked
 )
 
 var statusNames = map[Status]string{
@@ -69,7 +60,6 @@ var statusNames = map[Status]string{
 	Completed:  "completed",
 	Failed:     "failed",
 	Eliminated: "eliminated",
-	Forked:     "forked",
 }
 
 // String renders the status.
@@ -82,7 +72,7 @@ func (s Status) String() string {
 
 // Terminal reports whether the status is final.
 func (s Status) Terminal() bool {
-	return s == Completed || s == Failed || s == Eliminated || s == Forked
+	return s == Completed || s == Failed || s == Eliminated
 }
 
 // Succeeded reports whether the terminal status means "completed
@@ -171,35 +161,22 @@ func (t *Table) Register(parent ids.PID, name string) ids.PID {
 	return pid
 }
 
-// unlink removes e from its parent's child index. Emptying the index of
-// a Forked parent retires that parent from its own parent's index in
-// turn: no live copy is reachable through it any more.
-//
-// This and SetStatus's retire condition are the two halves of one
-// handshake. A process turning Forked stores its status and then reads
-// its index; its last child stores the emptied index and then reads the
-// parent's status. Whichever pair runs second sees the other's store, so
-// a Forked node with an empty index is always unlinked (possibly by
-// both, which is idempotent).
+// unlink removes e from its parent's child index.
 func (t *Table) unlink(e *entry) {
-	for p := e.parent; p != nil; e, p = p, p.parent {
-		p.kidsMu.Lock()
-		next := p.kids.Load()
-		if next != nil {
-			if i := slices.Index(*next, e.pid); i >= 0 {
-				if len(*next) == 1 {
-					next = nil
-				} else {
-					l := make([]ids.PID, 0, len(*next)-1)
-					l = append(append(l, (*next)[:i]...), (*next)[i+1:]...)
-					next = &l
-				}
-				p.kids.Store(next)
+	p := e.parent
+	if p == nil {
+		return
+	}
+	p.kidsMu.Lock()
+	defer p.kidsMu.Unlock()
+	if kids := p.kids.Load(); kids != nil {
+		if i := slices.Index(*kids, e.pid); i >= 0 {
+			var next *[]ids.PID // nil: an emptied index is gone
+			if len(*kids) > 1 {
+				l := slices.Delete(slices.Clone(*kids), i, i+1)
+				next = &l
 			}
-		}
-		p.kidsMu.Unlock()
-		if next != nil || Status(p.status.Load()) != Forked {
-			return
+			p.kids.Store(next)
 		}
 	}
 }
@@ -260,9 +237,7 @@ func (t *Table) SetStatus(pid ids.PID, st Status) error {
 			break
 		}
 	}
-	// Retire from the parent's index — unless this is a fork with indexed
-	// children, which stays until the last of them has retired (unlink).
-	if st.Terminal() && (st != Forked || e.kids.Load() == nil) {
+	if st.Terminal() {
 		t.unlink(e)
 	}
 	if subs := t.subs.Load(); subs != nil {
@@ -313,7 +288,7 @@ func (t *Table) Children(pid ids.PID) []ids.PID {
 
 // AppendChildren appends pid's indexed children, in registration order,
 // to buf and returns the extended slice: every child that is registered
-// and not yet terminal, plus Forked children that still lead to one.
+// and not yet terminal.
 // With a buffer of sufficient capacity it performs no allocation — the
 // form the elimination cascade uses. Lock-free.
 func (t *Table) AppendChildren(buf []ids.PID, pid ids.PID) []ids.PID {
@@ -339,7 +314,7 @@ func (t *Table) Live() int {
 
 // Indexed returns the number of processes whose child index is
 // non-empty (diagnostic: it walks every entry). A quiescent runtime
-// returns to 0 — every block's children and every split lineage retired.
+// returns to 0 — every block's children retired.
 func (t *Table) Indexed() int {
 	n := 0
 	t.entries.Range(func(_ ids.PID, e *entry) bool {

@@ -219,7 +219,7 @@ func TestChildIndexIsLiveOnly(t *testing.T) {
 	}
 	for round := 0; round < 100; round++ {
 		var kids []ids.PID
-		for _, st := range []Status{Completed, Failed, Eliminated, Forked} {
+		for _, st := range []Status{Completed, Failed, Eliminated} {
 			k := tb.Register(parent, "kid")
 			kids = append(kids, k)
 			if err := tb.SetStatus(k, Blocked); err != nil {
@@ -246,54 +246,12 @@ func TestChildIndexIsLiveOnly(t *testing.T) {
 	}
 }
 
-// TestForkedLineageRetiresUpward: a Forked process stays indexed while
-// any of its children is — they are the copies that stand in for it —
-// and the whole lineage retires, leaf to root, when the last copy ends.
-func TestForkedLineageRetiresUpward(t *testing.T) {
-	tb := newTable()
-	owner := tb.Register(ids.None, "owner")
-	srv := tb.Register(owner, "srv")
-	a, d := tb.Register(srv, "srv+"), tb.Register(srv, "srv-")
-	mustSet := func(p ids.PID, st Status) {
-		t.Helper()
-		if err := tb.SetStatus(p, st); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSet(srv, Forked)
-	if got := tb.Children(owner); len(got) != 1 || got[0] != srv {
-		t.Fatalf("forked srv with live copies left its parent's index: %v", got)
-	}
-	aa, ad := tb.Register(a, "srv++"), tb.Register(a, "srv+-")
-	mustSet(a, Forked)
-	mustSet(d, Eliminated)
-	if got := tb.Children(srv); len(got) != 1 || got[0] != a {
-		t.Fatalf("children(srv) = %v, want the forked copy %v only", got, a)
-	}
-	mustSet(aa, Eliminated)
-	if tb.Indexed() != 3 {
-		t.Fatalf("Indexed = %d, want 3 (owner, srv, srv+)", tb.Indexed())
-	}
-	mustSet(ad, Completed) // the last live copy ends: a, srv and owner's entry all go
-	if tb.Indexed() != 0 || len(tb.Children(owner)) != 0 || len(tb.Children(srv)) != 0 {
-		t.Fatalf("lineage not retired: Indexed = %d, children(owner) = %v, children(srv) = %v",
-			tb.Indexed(), tb.Children(owner), tb.Children(srv))
-	}
-	// A fork whose copies all ended before it turned Forked retires at once.
-	srv2 := tb.Register(owner, "srv2")
-	c := tb.Register(srv2, "srv2+")
-	mustSet(c, Eliminated)
-	mustSet(srv2, Forked)
-	if tb.Indexed() != 0 {
-		t.Fatalf("childless fork stayed indexed: Indexed = %d", tb.Indexed())
-	}
-}
-
 // TestChildIndexNeverMissesALiveChild: writers register and retire
 // children of one parent while a reader keeps taking the index. A child
 // whose registration has returned and whose terminal transition has not
 // begun must be in every snapshot — the elimination cascade relies on it
-// — and forks racing their last copy must leave nothing behind.
+// — and a child retiring at the same time as its own child must leave
+// nothing behind.
 func TestChildIndexNeverMissesALiveChild(t *testing.T) {
 	tb := newTable()
 	parent := tb.Register(ids.None, "parent")
@@ -335,9 +293,9 @@ func TestChildIndexNeverMissesALiveChild(t *testing.T) {
 				k := tb.Register(parent, "kid")
 				live[g].Store(int64(k))
 				if i%3 == 0 {
-					// A fork and its only copy end at the same time from
-					// two goroutines: the handshake in unlink.
-					c := tb.Register(k, "copy")
+					// A child and its only child end at the same time from
+					// two goroutines.
+					c := tb.Register(k, "grandchild")
 					done := make(chan struct{})
 					go func() {
 						defer close(done)
@@ -346,7 +304,7 @@ func TestChildIndexNeverMissesALiveChild(t *testing.T) {
 						}
 					}()
 					live[g].Store(0)
-					if err := tb.SetStatus(k, Forked); err != nil {
+					if err := tb.SetStatus(k, Completed); err != nil {
 						t.Error(err)
 					}
 					<-done

@@ -219,7 +219,7 @@ func TestGuardReadOrderDeterministic(t *testing.T) {
 		}
 		storeHandler(w, m)
 	})
-	store := &Store{rt: rt, pid: srv.PID(), keys: cfg.StoreKeys()}
+	store := &Store{rt: rt, srv: srv, keys: cfg.StoreKeys()}
 	b := NewBlock(cfg)
 	const alt = 1
 	if err := b.run(store, root, alt); err != nil {

@@ -53,12 +53,13 @@ type (
 	}
 )
 
-// Store is a handle on one store server world. The PID outlives any
-// split: sends fan out to the live copies (its children in the process
-// table, see core.Runtime.Copies).
+// Store is a handle on one store server. The PID is its address for as
+// long as it runs: each send is one enqueue on the server's receive
+// loop, which decides it for every live version (see
+// core.Runtime.SpawnServer).
 type Store struct {
 	rt   *core.Runtime
-	pid  ids.PID
+	srv  *core.World
 	keys int
 	seq  atomic.Uint64
 }
@@ -68,11 +69,11 @@ type Store struct {
 // which is exactly what makes the store splittable.
 func NewStore(rt *core.Runtime, name string, keys int) *Store {
 	w := rt.SpawnServer(name, int64(keys)*8, storeHandler)
-	return &Store{rt: rt, pid: w.PID(), keys: keys}
+	return &Store{rt: rt, srv: w, keys: keys}
 }
 
 // PID returns the store's stable address.
-func (s *Store) PID() ids.PID { return s.pid }
+func (s *Store) PID() ids.PID { return s.srv.PID() }
 
 // Keys returns the number of sink pages.
 func (s *Store) Keys() int { return s.keys }
@@ -93,18 +94,18 @@ func storeHandler(w *core.World, m msg.Message) {
 }
 
 // Write sends a write on behalf of w. The receiving decision (accept /
-// ignore / split) is per store copy: an unresolved writer's first
+// ignore / split) is per store version: an unresolved writer's first
 // operation splits the store.
 func (s *Store) Write(w *core.World, key int, val uint64) error {
 	if key < 0 || key >= s.keys {
 		return fmt.Errorf("stm: write key %d out of range [0,%d)", key, s.keys)
 	}
-	return w.Send(s.pid, WriteReq{Key: key, Val: val})
+	return w.Send(s.PID(), WriteReq{Key: key, Val: val})
 }
 
-// Read round-trips a key's value through the store copy consistent
-// with w's assumptions. Exactly one live copy can answer: every other
-// copy's assumptions conflict with the reader's on some sibling fate,
+// Read round-trips a key's value through the store version consistent
+// with w's assumptions. Exactly one live version can answer: every other
+// version's assumptions conflict with the reader's on some sibling fate,
 // so they ignore the request. Stale replies (from an earlier timed-out
 // read) are discarded by sequence number.
 func (s *Store) Read(w *core.World, key int, timeout time.Duration) (uint64, error) {
@@ -112,7 +113,7 @@ func (s *Store) Read(w *core.World, key int, timeout time.Duration) (uint64, err
 		return 0, fmt.Errorf("stm: read key %d out of range [0,%d)", key, s.keys)
 	}
 	seq := s.seq.Add(1)
-	if err := w.Send(s.pid, ReadReq{Key: key, Seq: seq, Reply: w.PID()}); err != nil {
+	if err := w.Send(s.PID(), ReadReq{Key: key, Seq: seq, Reply: w.PID()}); err != nil {
 		return 0, err
 	}
 	deadline := time.Now().Add(timeout)
@@ -132,7 +133,7 @@ func (s *Store) Read(w *core.World, key int, timeout time.Duration) (uint64, err
 }
 
 // ReadAll reads every key through w — the settled-state read a block's
-// parent performs after commit, when the surviving copy's assumptions
+// parent performs after commit, when the surviving version's assumptions
 // have fully resolved and both directions of the round-trip are plain
 // accepts.
 func (s *Store) ReadAll(w *core.World, timeout time.Duration) ([]uint64, error) {
@@ -172,28 +173,8 @@ func (s *Store) Seed(w *core.World, vals []uint64, timeout time.Duration) error 
 	return nil
 }
 
-// closeRetries bounds Close's settle loop. Splits during teardown can
-// only come from still-running alternatives; a settled block needs one
-// pass.
-const closeRetries = 16
-
-// Close shuts down every live copy of the store. Shutdown is not an
-// elimination — no fates resolve — so a copy that has forked between the
-// snapshot and the kill leaves fresh copies behind; the loop re-snapshots
-// until no copy is live. (A copy shut down in the middle of splitting
-// ends the copies it was making itself.)
+// Close shuts the store down: its receive loop and every live version.
 func (s *Store) Close() error {
-	for i := 0; i < closeRetries; i++ {
-		copies := s.rt.Copies(s.pid)
-		if len(copies) == 0 {
-			return nil
-		}
-		for _, c := range copies {
-			s.rt.Shutdown(c)
-		}
-	}
-	if left := s.rt.Copies(s.pid); len(left) > 0 {
-		return fmt.Errorf("stm: %d store copies still live after %d close passes", len(left), closeRetries)
-	}
+	s.rt.Shutdown(s.srv)
 	return nil
 }

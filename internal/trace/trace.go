@@ -251,11 +251,10 @@ type SelCounters struct {
 	// takes no lock. It stays because the benchmark of record reports
 	// core.shard_contention_per_kblock from it.
 	ShardContention atomic.Int64
-	// AliasFastPath counts sends whose destination had no alias entry
-	// and skipped the alias walk entirely.
-	AliasFastPath atomic.Int64
-	// AliasWalks counts sends that expanded a split-receiver alias
-	// chain.
+	// AliasWalks always reads 0: a send to a split server is one
+	// enqueue on its receive loop, with no alias chain to walk. It stays
+	// because the benchmark of record reports core.alias_walks_per_block
+	// from it.
 	AliasWalks atomic.Int64
 }
 
@@ -265,7 +264,6 @@ type SelSnapshot struct {
 	SubscribersVisited int64
 	Eliminations       int64
 	ShardContention    int64
-	AliasFastPath      int64
 	AliasWalks         int64
 }
 
@@ -280,7 +278,6 @@ func (c *SelCounters) Snapshot() SelSnapshot {
 		SubscribersVisited: c.SubscribersVisited.Load(),
 		Eliminations:       c.Eliminations.Load(),
 		ShardContention:    c.ShardContention.Load(),
-		AliasFastPath:      c.AliasFastPath.Load(),
 		AliasWalks:         c.AliasWalks.Load(),
 	}
 }

@@ -102,11 +102,10 @@ func TestSelCountersSnapshot(t *testing.T) {
 	c.SubscribersVisited.Add(7)
 	c.Eliminations.Add(2)
 	c.ShardContention.Add(1)
-	c.AliasFastPath.Add(5)
 	c.AliasWalks.Add(4)
 	s := c.Snapshot()
 	if s.Resolutions != 3 || s.SubscribersVisited != 7 || s.Eliminations != 2 ||
-		s.ShardContention != 1 || s.AliasFastPath != 5 || s.AliasWalks != 4 {
+		s.ShardContention != 1 || s.AliasWalks != 4 {
 		t.Fatalf("snapshot = %+v", s)
 	}
 	// A snapshot is a copy: later increments don't retroactively change it.

@@ -36,12 +36,18 @@ type Config struct {
 	// alternative skips eliminating the copies that assumed it would
 	// complete. Must produce a NoObservableLosers violation.
 	SkipElim bool
+	// DropOnSplit is the deliberate mutation of a split whose assume
+	// side does not take the triggering message — a message lost while
+	// the receiver forks. Must produce a WinnerWritesSurvive violation.
+	DropOnSplit bool
 }
 
 // CopyRec is one server copy: bitmask of alternatives it assumes will
-// complete (Asm) and will not complete (Den). Alternative i is bit i.
+// complete (Asm) and will not complete (Den), and the number of each
+// alternative's messages it accepted (Acc). Alternative i is bit i.
 type CopyRec struct {
 	Asm, Den uint8
+	Acc      [maxAlts]uint8
 }
 
 // State is one node of the model's state graph.
@@ -86,11 +92,11 @@ func (s State) Key(nalts int) string {
 		byte(s.Elims>>8), byte(s.Elims), byte(s.Created>>8), byte(s.Created))
 	b = append(b, byte(len(s.Copies)))
 	for _, cp := range s.Copies {
-		b = append(b, cp.Asm, cp.Den)
+		b = append(append(b, cp.Asm, cp.Den), cp.Acc[:nalts]...)
 	}
 	b = append(b, byte(len(s.Flushed)))
 	for _, cp := range s.Flushed {
-		b = append(b, cp.Asm, cp.Den)
+		b = append(append(b, cp.Asm, cp.Den), cp.Acc[:nalts]...)
 	}
 	return string(b)
 }
@@ -121,7 +127,10 @@ func less(a, b CopyRec) bool {
 	if a.Asm != b.Asm {
 		return a.Asm < b.Asm
 	}
-	return a.Den < b.Den
+	if a.Den != b.Den {
+		return a.Den < b.Den
+	}
+	return string(a.Acc[:]) < string(b.Acc[:])
 }
 
 func containsCopy(cs []CopyRec, r CopyRec) bool {
@@ -163,13 +172,21 @@ func (c Config) Successors(s State) []Trans {
 				var next []CopyRec
 				splits := 0
 				for _, cp := range s.Copies {
-					if cp.Asm&bit != 0 || cp.Den&bit != 0 {
-						next = insertCopy(next, cp) // accept or ignore
-						continue
+					switch {
+					case cp.Asm&bit != 0: // accept
+						cp.Acc[a]++
+						next = insertCopy(next, cp)
+					case cp.Den&bit != 0: // ignore
+						next = insertCopy(next, cp)
+					default:
+						splits++
+						assume := CopyRec{Asm: cp.Asm | bit, Den: cp.Den, Acc: cp.Acc}
+						if !c.DropOnSplit {
+							assume.Acc[a]++ // the assume side takes the message
+						}
+						next = insertCopy(next, assume)
+						next = insertCopy(next, CopyRec{Asm: cp.Asm, Den: cp.Den | bit, Acc: cp.Acc})
 					}
-					splits++
-					next = insertCopy(next, CopyRec{Asm: cp.Asm | bit, Den: cp.Den})
-					next = insertCopy(next, CopyRec{Asm: cp.Asm, Den: cp.Den | bit})
 				}
 				n.Copies = next
 				n.Created += uint16(splits)
@@ -275,6 +292,17 @@ func (c Config) CheckInvariants(s State) error {
 			if cp.Den&bit != 0 && s.Alt[a] == StWon {
 				return fmt.Errorf("NoObservableLosers: flushed copy{asm:%b den:%b} denied alt %d which won",
 					cp.Asm, cp.Den, a+1)
+			}
+		}
+	}
+
+	// WinnerWritesSurvive: a live copy that assumes a completes has
+	// accepted every message a sent.
+	for _, cp := range s.Copies {
+		for a := 0; a < c.NAlts; a++ {
+			if cp.Asm&(1<<a) != 0 && cp.Acc[a] != s.Sent[a] {
+				return fmt.Errorf("WinnerWritesSurvive: copy{asm:%b den:%b} assumes alt %d but accepted %d of its %d messages",
+					cp.Asm, cp.Den, a+1, cp.Acc[a], s.Sent[a])
 			}
 		}
 	}

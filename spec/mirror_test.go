@@ -6,7 +6,7 @@ import (
 )
 
 // TestBoundedConfigsSafe exhaustively checks the two CI-bound configs:
-// every reachable state satisfies all three safety invariants, and
+// every reachable state satisfies all four safety invariants, and
 // every leaf state (no enabled action) is fully resolved — the
 // executable counterpart of the BlockTerminates liveness property.
 func TestBoundedConfigsSafe(t *testing.T) {
@@ -46,6 +46,22 @@ func TestMutationHasTeeth(t *testing.T) {
 	}
 	if len(res.Trace) == 0 {
 		t.Fatal("violation produced no counterexample trace")
+	}
+	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " -> "))
+}
+
+// TestDropOnSplitIsCaught: with DropOnSplit (a split's assume side does
+// not take the message that split it), the checker must produce a
+// WinnerWritesSurvive counterexample — a live copy that assumes an
+// alternative completes without holding all of its messages.
+func TestDropOnSplitIsCaught(t *testing.T) {
+	cfg := Config{NAlts: 3, MsgsPerAlt: 1, DropOnSplit: true}
+	res := cfg.Explore()
+	if res.Violation == nil {
+		t.Fatal("DropOnSplit mutation explored clean — WinnerWritesSurvive has no teeth")
+	}
+	if !strings.Contains(res.Violation.Error(), "WinnerWritesSurvive") {
+		t.Fatalf("expected a WinnerWritesSurvive counterexample, got: %v", res.Violation)
 	}
 	t.Logf("counterexample (%d steps): %s", len(res.Trace), strings.Join(res.Trace, " -> "))
 }
