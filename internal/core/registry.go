@@ -26,9 +26,10 @@ import (
 //     PID itself resolves. A child that never communicates never
 //     subscribes.
 //
-// Where a split receiver's messages go (§3.4.2) is not recorded here:
-// the copies are the forked original's children in the process table,
-// and Runtime.appendCopies resolves a destination through that.
+// A split server's copies (§3.4.2) are versions in its one receive
+// loop: a send to the server is one enqueue there (Runtime.deliver), and
+// only the server's address outliving its first version is recorded
+// outside this registry (Runtime.servers).
 //
 // Every read path — world lookup, subscriber snapshot — is lock-free: a
 // pinned epoch-guarded probe of an atomically-published structure, so a
