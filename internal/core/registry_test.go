@@ -2,9 +2,11 @@ package core
 
 import (
 	"sort"
+	"sync"
 	"testing"
 
 	"altrun/internal/ids"
+	"altrun/internal/proc"
 )
 
 // Unit tests for the world registry — the world map and the
@@ -117,4 +119,115 @@ func TestRegistrySubscriptionIndex(t *testing.T) {
 			t.Fatal("removeWorld failed after dropBucket")
 		}
 	})
+}
+
+// TestRegistryConcurrentReadersWriters hammers the world map and
+// subscription index from mixed readers and writers — under -race this
+// is the reclamation safety net for the epoch-based tables (a recycled
+// table still being probed is a detected race).
+func TestRegistryConcurrentReadersWriters(t *testing.T) {
+	eachRegistry(t, func(t *testing.T, mk func() *registry) {
+		r := mk()
+		const (
+			pids    = 128
+			rounds  = 100
+			readers = 4
+		)
+		// Anchors that stay registered for the whole run.
+		for pid := ids.PID(10_000); pid < 10_000+16; pid++ {
+			join(r, &World{pid: pid, subPIDs: []ids.PID{9999}})
+		}
+		stop := make(chan struct{})
+		var rg sync.WaitGroup
+		for i := 0; i < readers; i++ {
+			rg.Add(1)
+			go func() {
+				defer rg.Done()
+				var buf []*World
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					for pid := ids.PID(10_000); pid < 10_000+16; pid++ {
+						if r.world(pid) == nil {
+							t.Error("anchor world vanished")
+							return
+						}
+					}
+					buf = r.appendSubscribers(buf[:0], 9999)
+					if len(buf) < 16 {
+						t.Errorf("anchor bucket shrank to %d", len(buf))
+						return
+					}
+				}
+			}()
+		}
+		var wg sync.WaitGroup
+		for wtr := 0; wtr < 4; wtr++ {
+			wg.Add(1)
+			go func(wtr int) {
+				defer wg.Done()
+				base := ids.PID(wtr*pids + 1)
+				for round := 0; round < rounds; round++ {
+					ws := make([]*World, 0, pids/4)
+					for pid := base; pid < base+pids/4; pid++ {
+						w := &World{pid: pid, subPIDs: []ids.PID{9999, pid + 50_000}}
+						ws = append(ws, w)
+						join(r, w)
+					}
+					for _, w := range ws {
+						leave(r, w)
+					}
+				}
+			}(wtr)
+		}
+		wg.Wait()
+		close(stop)
+		rg.Wait()
+		if n := len(r.snapshotWorlds()); n != 16 {
+			t.Fatalf("%d worlds left, want the 16 anchors", n)
+		}
+	})
+}
+
+// TestRegisterCatchUpResolution pins the registration-time catch-up:
+// a world whose assumption was already decided before registerWorld ran
+// must have it applied immediately — resolved away, or contradicted and
+// the world eliminated — because the propagation snapshot that carried
+// the resolution may have predated the registration.
+func TestRegisterCatchUpResolution(t *testing.T) {
+	rt := New(Config{PageSize: 64})
+
+	// Assumption already satisfied: the predicate simplifies away.
+	done := rt.procs.Register(ids.None, "done")
+	if err := rt.procs.SetStatus(done, proc.Completed); err != nil {
+		t.Fatal(err)
+	}
+	w := registerBenchWorld(t, rt, "late", []ids.PID{done}, nil)
+	if w.Speculative() {
+		t.Fatal("world still speculative after catch-up of a completed assumption")
+	}
+	if w.Terminated() {
+		t.Fatal("world wrongly eliminated by a satisfied assumption")
+	}
+	rt.unregisterWorld(w)
+	w.discardSpace()
+
+	// Assumption already failed: the world is contradicted at birth.
+	dead := rt.procs.Register(ids.None, "dead")
+	if err := rt.procs.SetStatus(dead, proc.Failed); err != nil {
+		t.Fatal(err)
+	}
+	w2 := registerBenchWorld(t, rt, "doomed", []ids.PID{dead}, nil)
+	if !w2.Terminated() {
+		t.Fatal("world not eliminated despite assuming an already-failed process")
+	}
+	if rt.worldByPID(w2.pid) != nil {
+		t.Fatal("eliminated world still registered")
+	}
+	if n := rt.SelStats().Eliminations; n != 1 {
+		t.Fatalf("eliminations = %d, want 1", n)
+	}
 }
