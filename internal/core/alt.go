@@ -261,11 +261,14 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	// Phase 3: run the alternatives, the first one first. With fewer free
 	// cores than alternatives the one that runs first finishes first.
 	// Real mode readies the first alternative last, in the order 2, …, n,
-	// 1: Go runs the goroutine created last next on the creating thread
-	// (its run-next slot), so the first alternative takes the processor
-	// as soon as the parent parks in alt_wait, and the others wait in the
-	// run queue in block order for any idle thread to steal. Simulated
-	// mode spawns in block order and its scheduler starts them that way.
+	// 1: Go runs the goroutine readied last next on the readying thread
+	// (its run-next slot), whether spawn started it or woke a parked
+	// worker with a channel send, and each one readied pushes the one
+	// before it to the tail of the run queue. So the first alternative
+	// takes the processor as soon as the parent parks in alt_wait, and
+	// the others wait in the run queue in block order for any idle thread
+	// to steal. Simulated mode spawns in block order and its scheduler
+	// starts them that way.
 	first := 0
 	if rt.realBE != nil {
 		first = 1

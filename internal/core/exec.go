@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"altrun/internal/clock"
@@ -50,9 +51,25 @@ type backend interface {
 // Real backend: goroutines, wall clock, cooperative cancellation.
 // ---------------------------------------------------------------------
 
+// maxIdleWorkers caps the parked workers a real backend keeps; a worker
+// that finishes a body with the list full exits.
+const maxIdleWorkers = 32
+
+// realBackend runs each spawned function on a worker goroutine. A
+// worker that returns from a body parks in a LIFO idle list and the
+// next spawn hands it its function, so a spawn pays neither goroutine
+// creation nor stack growth: the warmest worker runs next, on the
+// stack its last body grew. A new goroutine starts only when no worker
+// is idle.
 type realBackend struct {
 	clk clock.Clock
-	wg  sync.WaitGroup
+
+	bodies  sync.WaitGroup // spawned functions that have not returned
+	workers sync.WaitGroup // worker goroutines that have not exited
+
+	mu     sync.Mutex
+	idle   []chan *realCtx // parked workers' hand-off slots, warmest last
+	closed bool            // the runtime is gone: workers exit, none park
 }
 
 func newRealBackend(clk clock.Clock) *realBackend {
@@ -64,9 +81,16 @@ func newRealBackend(clk clock.Clock) *realBackend {
 
 func (b *realBackend) now() time.Time { return b.clk.Now() }
 
+// workerGuard is owned by the runtime alone, and its finalizer retires
+// the backend's parked workers.
+type workerGuard struct{ be *realBackend }
+
+// realCtx is one real process: the execution context its body runs in
+// and the handle that kills it.
 type realCtx struct {
-	clk    clock.Clock
 	cancel chan struct{}
+	killed atomic.Bool
+	fn     func(ctx execCtx) // the body, until a worker takes it
 }
 
 func (c *realCtx) compute(d time.Duration) { c.sleep(d) }
@@ -92,31 +116,109 @@ func (c *realCtx) cancelled() bool {
 	}
 }
 
-type realHandle struct {
-	cancel chan struct{}
-	once   sync.Once
+func (c *realCtx) kill() {
+	if c.killed.CompareAndSwap(false, true) {
+		close(c.cancel)
+	}
 }
 
-func (h *realHandle) kill() { h.once.Do(func() { close(h.cancel) }) }
+func newRealCtx(fn func(ctx execCtx)) *realCtx {
+	return &realCtx{cancel: make(chan struct{}), fn: fn}
+}
 
+// spawn hands fn to the most recently parked worker, or starts one.
+// Either way the worker is readied into the spawning thread's run-next
+// slot: a channel send wakes a parked receiver there, as go does a new
+// goroutine, so RunAlt's spawn order decides the run order alike. (A
+// worker that has joined the list but not yet parked finds fn at once
+// and runs it on its own thread.)
 func (b *realBackend) spawn(_ string, fn func(ctx execCtx)) procHandle {
-	h := &realHandle{cancel: make(chan struct{})}
-	ctx := &realCtx{clk: b.clk, cancel: h.cancel}
-	b.wg.Add(1)
-	go func() {
-		defer b.wg.Done()
-		fn(ctx)
-	}()
-	return h
+	c := newRealCtx(fn)
+	b.bodies.Add(1)
+	b.mu.Lock()
+	if n := len(b.idle); n > 0 {
+		w := b.idle[n-1]
+		b.idle[n-1] = nil
+		b.idle = b.idle[:n-1]
+		b.mu.Unlock()
+		w <- c
+		return c
+	}
+	b.mu.Unlock()
+	b.workers.Add(1)
+	go b.work(c)
+	return c
 }
 
-// wait blocks until every spawned goroutine has returned.
-func (b *realBackend) wait() { b.wg.Wait() }
+// work is a worker goroutine: it runs c's body, then parks for the next
+// until it is retired or finds the idle list full. A body that leaves
+// through runtime.Goexit takes its worker with it.
+func (b *realBackend) work(c *realCtx) {
+	next := make(chan *realCtx, 1)
+	inBody := false
+	defer func() {
+		if inBody {
+			b.bodies.Done() // the body called runtime.Goexit
+		}
+		b.workers.Done()
+	}()
+	for c != nil {
+		fn := c.fn
+		c.fn = nil // the handle must not keep the body's closure alive
+		inBody = true
+		fn(c)
+		inBody = false
+		if !b.park(next) {
+			return
+		}
+		c = <-next // nil: retired
+	}
+}
 
-// realInbox is a mutex+notify unbounded queue.
+// park puts a worker whose body returned in the idle list, unless it is
+// full or the runtime is gone, and only then counts the body done: when
+// wait sees no body left, every worker is parked or on its way out.
+func (b *realBackend) park(next chan *realCtx) bool {
+	b.mu.Lock()
+	keep := !b.closed && len(b.idle) < maxIdleWorkers
+	if keep {
+		b.idle = append(b.idle, next)
+	}
+	b.mu.Unlock()
+	b.bodies.Done()
+	return keep
+}
+
+// wait blocks until every spawned function has returned, then retires
+// the idle workers and waits for them to exit: no backend goroutine
+// outlives it. Spawning again afterwards starts new workers.
+func (b *realBackend) wait() {
+	b.bodies.Wait()
+	b.retire(false)
+	b.workers.Wait()
+}
+
+// retire wakes every parked worker to exit. With closing set no worker
+// parks again: the runtime is unreachable and nothing will spawn.
+func (b *realBackend) retire(closing bool) {
+	b.mu.Lock()
+	idle := b.idle
+	b.idle = nil
+	b.closed = b.closed || closing
+	b.mu.Unlock()
+	for _, w := range idle {
+		w <- nil
+	}
+}
+
+// realInbox is a mutex+notify unbounded queue. queue[head:] is what is
+// queued; a dequeued slot is cleared, so a long-lived inbox keeps no
+// delivered message alive, and the queue rewinds to the start of its
+// array whenever it empties, so a burst reuses the array.
 type realInbox struct {
 	mu     sync.Mutex
 	queue  []any
+	head   int
 	notify chan struct{}
 }
 
@@ -126,6 +228,13 @@ func (b *realBackend) newInbox() inbox {
 
 func (q *realInbox) put(v any) {
 	q.mu.Lock()
+	if q.head > 0 && len(q.queue) == cap(q.queue) {
+		// Full with a dequeued prefix: slide the rest down rather than
+		// grow an array that is partly dead.
+		n := copy(q.queue, q.queue[q.head:])
+		clear(q.queue[n:])
+		q.queue, q.head = q.queue[:n], 0
+	}
 	q.queue = append(q.queue, v)
 	q.mu.Unlock()
 	select {
@@ -137,11 +246,14 @@ func (q *realInbox) put(v any) {
 func (q *realInbox) tryGet() (any, bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	if len(q.queue) == 0 {
+	if q.head == len(q.queue) {
 		return nil, false
 	}
-	v := q.queue[0]
-	q.queue = q.queue[1:]
+	v := q.queue[q.head]
+	q.queue[q.head] = nil
+	if q.head++; q.head == len(q.queue) {
+		q.queue, q.head = q.queue[:0], 0
+	}
 	return v, true
 }
 
@@ -174,15 +286,15 @@ func (q *realInbox) get(ctx execCtx, timeout time.Duration) (any, bool) {
 func (q *realInbox) drain() []any {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	out := q.queue
-	q.queue = nil
+	out := q.queue[q.head:]
+	q.queue, q.head = nil, 0
 	return out
 }
 
 func (q *realInbox) size() int {
 	q.mu.Lock()
 	defer q.mu.Unlock()
-	return len(q.queue)
+	return len(q.queue) - q.head
 }
 
 // ---------------------------------------------------------------------

@@ -26,6 +26,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -115,6 +116,7 @@ type WorldObserver interface {
 type Runtime struct {
 	be      backend
 	realBE  *realBackend // non-nil in real mode
+	workers *workerGuard // non-nil in real mode
 	eng     *sim.Engine  // non-nil in sim mode
 	profile *sim.MachineProfile
 
@@ -160,6 +162,12 @@ func New(cfg Config) *Runtime {
 	rt.be = be
 	rt.realBE = be
 	rt.finishInit()
+	// The parked workers hold the backend, not the runtime: a runtime
+	// dropped without Wait retires them when it is collected. The
+	// finalizer sits on a guard only the runtime points at, as the
+	// runtime's own cycles (world → runtime) would keep it from running.
+	rt.workers = &workerGuard{be: be}
+	runtime.SetFinalizer(rt.workers, func(g *workerGuard) { g.be.retire(true) })
 	return rt
 }
 
@@ -279,8 +287,8 @@ func (rt *Runtime) Run() error {
 	return rt.eng.Run()
 }
 
-// Wait blocks until all real-mode goroutines have exited. It is a
-// no-op in simulated mode.
+// Wait blocks until every real-mode body has returned and the idle
+// worker goroutines have exited. It is a no-op in simulated mode.
 func (rt *Runtime) Wait() {
 	if rt.realBE != nil {
 		rt.realBE.wait()
@@ -300,7 +308,7 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 		return nil, errors.New("core: NewRootWorld is only valid in real mode; use GoRoot")
 	}
 	pid := rt.procs.Register(ids.None, name)
-	h := &realHandle{cancel: make(chan struct{})}
+	c := newRealCtx(nil)
 	w := &World{
 		rt:         rt,
 		pid:        pid,
@@ -308,8 +316,8 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
 		ownedSpace: true,
-		ctx:        &realCtx{clk: rt.realBE.clk, cancel: h.cancel},
-		handle:     h,
+		ctx:        c,
+		handle:     c,
 		noBody:     true,
 	}
 	rt.registerWorld(w)
