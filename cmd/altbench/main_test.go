@@ -1,11 +1,16 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
+	"flag"
+	"io"
 	"os"
 	"strings"
 	"testing"
 )
+
+var update = flag.Bool("update", false, "rewrite testdata/experiments.golden from the current output")
 
 // captureStdout runs f with os.Stdout redirected and returns what it
 // printed.
@@ -16,13 +21,56 @@ func captureStdout(t *testing.T, f func() error) (string, error) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	read := make(chan []byte)
+	go func() {
+		b, _ := io.ReadAll(r)
+		read <- b
+	}()
 	os.Stdout = w
 	ferr := f()
 	w.Close()
 	os.Stdout = old
-	buf := make([]byte, 1<<20)
-	n, _ := r.Read(buf)
-	return string(buf[:n]), ferr
+	return string(<-read), ferr
+}
+
+// TestExperimentsGolden pins the default altbench output, E1 through
+// E17, byte for byte. Every experiment runs in the deterministic
+// simulator, so the output is the same on any machine, at any
+// GOMAXPROCS and under -race. A change that means to move a table
+// regenerates the file with `go test ./cmd/altbench -run
+// ExperimentsGolden -update` and shows the diff.
+func TestExperimentsGolden(t *testing.T) {
+	out, err := captureStdout(t, func() error { return realMain("all", false) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	const golden = "testdata/experiments.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal([]byte(out), want) {
+		return
+	}
+	got, exp := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, e string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			e = exp[i]
+		}
+		if g != e {
+			t.Fatalf("output differs from %s at line %d:\n got: %q\nwant: %q", golden, i+1, g, e)
+		}
+	}
 }
 
 func TestList(t *testing.T) {
