@@ -399,7 +399,7 @@ func runSelbench(args []string) error {
 	}
 	fmt.Printf("mutex-profile read-path check: %s\n", mutexVerdict)
 
-	// Selection counters from a dedicated traced run: the affected-set
+	// Selection counters from a dedicated run: the affected-set
 	// size per resolution is the quantity commit cost scales with.
 	subsPerRes, err := measureSelCounters()
 	if err != nil {

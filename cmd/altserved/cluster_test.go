@@ -57,7 +57,7 @@ func testCluster(t *testing.T, n int) []*clusterNode {
 			SpecTokens:      4,
 			QueueDepth:      8,
 			DefaultDeadline: 30 * time.Second,
-			Runtime:         core.New(core.Config{Trace: true, TraceCap: 1024}),
+			Runtime:         core.New(core.Config{}),
 			NewClaim:        cs.newClaim,
 			Recorder:        rec,
 		})
@@ -101,7 +101,7 @@ func startDaemon(t *testing.T, opts clusterOptions) *clusterNode {
 		SpecTokens:      4,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Runtime:         core.New(core.Config{Trace: true, TraceCap: 1024}),
+		Runtime:         core.New(core.Config{}),
 		NewClaim:        cs.newClaim,
 		Recorder:        rec,
 	})

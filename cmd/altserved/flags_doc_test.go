@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/parser"
 	"go/token"
+	"net/http"
 	"os"
 	"regexp"
 	"strconv"
@@ -104,6 +105,61 @@ func TestDocumentedFlagsExist(t *testing.T) {
 			if !defined[name] {
 				t.Errorf("%s names -%s on an altserved command line; main.go defines no such flag", doc, name)
 			}
+		}
+	}
+}
+
+// metricName matches an altrun_* metric name in prose; one that ends in
+// "_" (as in "altrun_gossip_*") names a family by its prefix.
+var metricName = regexp.MustCompile(`altrun_[a-z0-9_]*`)
+
+// TestDocumentedMetricsExist: every altrun_* metric the README and
+// DESIGN name is one a clustered daemon's /metrics?format=prom emits,
+// so deleting a metric without its docs fails here.
+func TestDocumentedMetricsExist(t *testing.T) {
+	nd := testCluster(t, 1)[0]
+	if resp, v := postJSON(t, nd.http.URL+"/jobs?wait=1", submitRequest{
+		Kind: "sort", Input: []int{3, 1, 2},
+	}); resp.StatusCode != http.StatusOK || v.Status != "done" {
+		t.Fatalf("job: %d %+v", resp.StatusCode, v)
+	}
+	code, body := getBody(t, nd.http.URL+"/metrics?format=prom")
+	if code != http.StatusOK {
+		t.Fatalf("prom metrics = %d", code)
+	}
+	emitted := make(map[string]bool)
+	for _, line := range strings.Split(string(body), "\n") {
+		if rest, ok := strings.CutPrefix(line, "# TYPE "); ok {
+			line = rest
+		} else if strings.HasPrefix(line, "#") {
+			continue
+		}
+		if name, _, _ := strings.Cut(line, " "); name != "" {
+			name, _, _ = strings.Cut(name, "{")
+			emitted[name] = true
+		}
+	}
+	if len(emitted) == 0 {
+		t.Fatal("scrape emitted no metrics")
+	}
+	for _, doc := range []string{"../../README.md", "../../DESIGN.md"} {
+		raw, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+	names:
+		for _, name := range metricName.FindAllString(string(raw), -1) {
+			if emitted[name] {
+				continue
+			}
+			if strings.HasSuffix(name, "_") {
+				for e := range emitted {
+					if strings.HasPrefix(e, name) {
+						continue names
+					}
+				}
+			}
+			t.Errorf("%s names metric %s; /metrics?format=prom emits no such metric", doc, name)
 		}
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/obs"
 	"altrun/internal/serve"
-	"altrun/internal/trace"
 )
 
 // traceWriter returns an OnComplete hook that dumps each sampled
@@ -59,7 +58,6 @@ func main() {
 		maxDegree    = flag.Int("max-degree", 4, "max alternatives raced at once per job")
 		queueDepth   = flag.Int("queue", 256, "admission queue depth")
 		deadline     = flag.Duration("deadline", 30*time.Second, "default per-job deadline (0 = none)")
-		traceCap     = flag.Int("trace-cap", trace.DefaultLogCap, "trace ring-buffer capacity (events)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "max wait for in-flight jobs on shutdown")
 		node         = flag.Int("node", 0, "this daemon's node id in the peer group (0 = single-node)")
 		peers        = flag.String("peers", "", `static peer group as "1=host:port,2=host:port,..." (must include this node)`)
@@ -123,7 +121,7 @@ func main() {
 		MaxDegree:       *maxDegree,
 		QueueDepth:      *queueDepth,
 		DefaultDeadline: *deadline,
-		Runtime:         core.New(core.Config{Trace: true, TraceCap: *traceCap}),
+		Runtime:         core.New(core.Config{}),
 		Recorder:        rec,
 		Adapt:           *adapt,
 	}

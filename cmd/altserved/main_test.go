@@ -33,7 +33,7 @@ func testServerAdapt(t *testing.T, adapt bool) (*httptest.Server, *serve.Pool) {
 		SpecTokens:      4,
 		QueueDepth:      8,
 		DefaultDeadline: 30 * time.Second,
-		Runtime:         core.New(core.Config{Trace: true, TraceCap: 1024}),
+		Runtime:         core.New(core.Config{}),
 		Recorder:        rec,
 		Adapt:           adapt,
 	})

@@ -102,8 +102,8 @@ func TestDebugBlocksEndpoint(t *testing.T) {
 }
 
 // TestMetricsPromFormat: ?format=prom renders the Prometheus text
-// exposition, including the satellite counters (selection, trace
-// drops) and the recorder's histograms.
+// exposition, including the selection counters and the recorder's
+// histograms.
 func TestMetricsPromFormat(t *testing.T) {
 	ts, _ := testServer(t)
 	if resp, v := postJSON(t, ts.URL+"/jobs?wait=1", submitRequest{
@@ -121,7 +121,6 @@ func TestMetricsPromFormat(t *testing.T) {
 		"altrun_jobs_completed_total 1",
 		"altrun_sel_resolutions_total",
 		"altrun_sel_eliminations_total",
-		"altrun_trace_dropped_total",
 		"altrun_obs_blocks_sampled_total 1",
 		"# TYPE altrun_obs_block_wall_seconds histogram",
 		"altrun_obs_setup_seconds_count 1",
@@ -133,7 +132,7 @@ func TestMetricsPromFormat(t *testing.T) {
 }
 
 // TestMetricsJSONIncludesObs: the JSON view carries the recorder
-// aggregates (and the trace/selection counters it always had).
+// aggregates (and the selection counters it always had).
 func TestMetricsJSONIncludesObs(t *testing.T) {
 	ts, _ := testServer(t)
 	if resp, v := postJSON(t, ts.URL+"/jobs?wait=1", submitRequest{

@@ -49,8 +49,7 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteGauge(bw, "altrun_policy_mean_degree", "Mean chosen speculation degree.", m.Policy.MeanDegree)
 	obs.WriteGauge(bw, "altrun_history_kinds", "Job kinds retained in the history.", float64(m.Policy.HistoryKinds))
 
-	// Selection (predicate-propagation) counters — satellite: these and
-	// the trace drop counter were previously JSON-only.
+	// Selection (predicate-propagation) counters.
 	obs.WriteCounter(bw, "altrun_sel_resolutions_total", "Selection resolutions processed.", float64(m.Selection.Resolutions))
 	obs.WriteCounter(bw, "altrun_sel_subscribers_visited_total", "Subscriber worlds visited during selection.", float64(m.Selection.SubscribersVisited))
 	obs.WriteCounter(bw, "altrun_sel_eliminations_total", "Worlds eliminated by selection.", float64(m.Selection.Eliminations))
@@ -61,11 +60,10 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 	obs.WriteCounter(bw, "altrun_msgs_ignored_total", "Messages ignored (eliminated or absent receiver).", float64(m.Messages.Ignored))
 	obs.WriteCounter(bw, "altrun_msgs_splits_total", "Receiver splits on speculative delivery.", float64(m.Messages.Splits))
 
-	// Memory and tracing.
+	// Memory.
 	obs.WriteGauge(bw, "altrun_live_worlds", "Worlds alive in the registry.", float64(m.LiveWorlds))
 	obs.WriteCounter(bw, "altrun_page_allocs_total", "Pages allocated.", float64(m.PageAllocs))
 	obs.WriteCounter(bw, "altrun_page_copies_total", "COW page copies.", float64(m.PageCopies))
-	obs.WriteCounter(bw, "altrun_trace_dropped_total", "Trace events dropped by the ring buffer.", float64(m.TraceDropped))
 
 	// Peer group, when clustered.
 	if c := m.Cluster; c != nil {

@@ -108,16 +108,15 @@ type jobView struct {
 
 // metricsView is the GET /metrics payload.
 type metricsView struct {
-	Pool         serve.PoolStats    `json:"pool"`
-	Policy       serve.PolicyStats  `json:"policy"`
-	Selection    trace.SelSnapshot  `json:"selection"`
-	Messages     msg.Stats          `json:"messages"`
-	LiveWorlds   int                `json:"live_worlds"`
-	PageAllocs   int64              `json:"page_allocs"`
-	PageCopies   int64              `json:"page_copies"`
-	TraceDropped uint64             `json:"trace_dropped"`
-	Cluster      *clusterView       `json:"cluster,omitempty"`
-	Obs          *obs.RecorderStats `json:"obs,omitempty"`
+	Pool       serve.PoolStats    `json:"pool"`
+	Policy     serve.PolicyStats  `json:"policy"`
+	Selection  trace.SelSnapshot  `json:"selection"`
+	Messages   msg.Stats          `json:"messages"`
+	LiveWorlds int                `json:"live_worlds"`
+	PageAllocs int64              `json:"page_allocs"`
+	PageCopies int64              `json:"page_copies"`
+	Cluster    *clusterView       `json:"cluster,omitempty"`
+	Obs        *obs.RecorderStats `json:"obs,omitempty"`
 }
 
 type server struct {
@@ -345,9 +344,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		LiveWorlds: rt.LiveWorlds(),
 		PageAllocs: rt.Store().Allocs(),
 		PageCopies: rt.Store().Copies(),
-	}
-	if l := rt.Log(); l != nil {
-		m.TraceDropped = l.Dropped()
 	}
 	if s.cluster != nil {
 		m.Cluster = s.cluster.view()

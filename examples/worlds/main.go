@@ -23,7 +23,6 @@ import (
 func main() {
 	rt := altrun.NewSim(altrun.SimConfig{
 		Profile: altrun.MachineProfile{Name: "demo", PageSize: 4096, CPUs: 0},
-		Trace:   true,
 	})
 
 	// The inventory server: stock count at offset 0 of its own paged

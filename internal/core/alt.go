@@ -9,7 +9,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/mem"
 	"altrun/internal/proc"
-	"altrun/internal/trace"
 )
 
 // Alt is one alternative of a block: ENSURE Guard WITH Body (Figure 1).
@@ -18,7 +17,7 @@ import (
 // the body (acceptance test); both compose here because "the
 // computation can be viewed as part of the guard" (§5.1.1).
 type Alt struct {
-	// Name labels the alternative in traces and results.
+	// Name labels the alternative in probes and results.
 	Name string
 	// Body computes the alternative's state change against its private
 	// world. A non-nil error means the alternative failed.
@@ -178,8 +177,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		if opts.PreCheckGuard && alts[i].Guard != nil {
 			ok, gerr := alts[i].Guard(w)
 			if gerr != nil || !ok {
-				rt.log.Addf(start, trace.KindGuardFail, w.pid,
-					"pre-spawn guard closed %q", alts[i].Name)
 				preFailures++
 				continue
 			}
@@ -187,7 +184,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		live = append(live, i)
 	}
 	if len(live) == 0 {
-		rt.log.Add(rt.be.now(), trace.KindBlockFail, w.pid, "all guards closed before spawning")
 		return Result{}, ErrAllFailed
 	}
 
@@ -244,9 +240,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		}
 		rt.publishWorld(cw)
 		children[k] = cw
-		if rt.log != nil {
-			rt.log.Addf(start, trace.KindSpawn, cw.pid, "alt %d of %v", i+1, w.pid)
-		}
 		if opts.Probe != nil {
 			opts.Probe.ChildSpawned(cw.pid, cw.name, rt.be.now())
 		}
@@ -319,7 +312,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 			// TIMEOUT: claim the block for the parent so no child can
 			// commit afterwards ("too late", §3.2.1).
 			if claim(w) {
-				rt.log.Add(rt.be.now(), trace.KindTimeout, w.pid, "alt_wait timeout")
 				rt.propagate(eliminations(children))
 				return Result{}, ErrTimeout
 			}
@@ -343,7 +335,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 		default:
 			failures++
 			if failures == len(live) {
-				rt.log.Add(rt.be.now(), trace.KindBlockFail, w.pid, "all alternatives failed")
 				return Result{}, ErrAllFailed
 			}
 		}
@@ -352,7 +343,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 			// were refused without a winner (an unreachable quorum).
 			// Nothing can ever commit — the block fails as a timeout
 			// would ("preserve the at-most-one semantics", §3.2.1).
-			rt.log.Add(rt.be.now(), trace.KindBlockFail, w.pid, "synchronization unavailable")
 			rt.propagate(eliminations(children))
 			return Result{}, ErrTimeout
 		}
@@ -371,9 +361,6 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	}
 	w.inheritDeferred(ww)
 	rt.unregisterWorld(ww)
-	if rt.log != nil {
-		rt.log.Addf(rt.be.now(), trace.KindCommit, ww.pid, "absorbed into %v", w.pid)
-	}
 	if opts.Probe != nil {
 		opts.Probe.Committed(ww.pid, rt.be.now())
 	}
@@ -493,9 +480,6 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		}
 	}
 	if err != nil {
-		if rt.log != nil {
-			rt.log.Addf(rt.be.now(), trace.KindGuardFail, cw.pid, "%v", err)
-		}
 		if opts.Probe != nil {
 			// A body that errors after its world was cancelled lost an
 			// elimination race; only report a genuine failure when the
@@ -514,15 +498,9 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		done.put(rep)
 		return
 	}
-	if rt.log != nil {
-		rt.log.Add(rt.be.now(), trace.KindGuardPass, cw.pid, alt.Name)
-	}
 	if cw.Terminated() || !claim(cw) {
 		// "It is informed that it is 'too late' for the
 		// synchronization, and it should terminate itself" (§3.2.1).
-		if rt.log != nil {
-			rt.log.Add(rt.be.now(), trace.KindTooLate, cw.pid, alt.Name)
-		}
 		if opts.Probe != nil {
 			opts.Probe.ChildExit(cw.pid, OutcomeTooLate, rt.be.now(), cw.CopiedPages())
 		}
@@ -558,7 +536,6 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 // if it had lost the claim (§3.2.1's at-most-one semantics hold because
 // nothing observable ever escaped the block).
 func (rt *Runtime) abandonBlock(w *World, claim ClaimFunc, children []*World, done inbox, reports, live int) error {
-	rt.log.Add(rt.be.now(), trace.KindEliminate, w.pid, "block abandoned (parent cancelled)")
 	if !claim(w) {
 		// The claim is already taken: either a child won (its report is
 		// in flight) or a distributed arbiter is unreachable (every

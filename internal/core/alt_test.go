@@ -9,7 +9,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/proc"
 	"altrun/internal/sim"
-	"altrun/internal/trace"
 )
 
 // zeroProfile has no modelled overhead: timing assertions then depend
@@ -20,7 +19,7 @@ func zeroProfile(cpus int) sim.MachineProfile {
 
 func simRT(t *testing.T, cpus int) *Runtime {
 	t.Helper()
-	return NewSim(SimConfig{Profile: zeroProfile(cpus), Trace: true})
+	return NewSim(SimConfig{Profile: zeroProfile(cpus)})
 }
 
 // runBlock runs one alternative block under a root world and returns
@@ -314,7 +313,7 @@ func TestForkAndCopyChargesAppear(t *testing.T) {
 	profile := zeroProfile(0)
 	profile.ForkBase = 10 * time.Millisecond
 	profile.PageCopy = time.Millisecond
-	rt := NewSim(SimConfig{Profile: profile, Trace: true})
+	rt := NewSim(SimConfig{Profile: profile})
 	var res Result
 	rt.GoRoot("root", 1024, func(w *World) {
 		// Prime parent pages so children fork a resident space.
@@ -388,7 +387,7 @@ func TestSyncVsAsyncElimination(t *testing.T) {
 	for _, syncElim := range []bool{true, false} {
 		profile := zeroProfile(0)
 		profile.CommitPerSibling = 100 * time.Millisecond
-		rt := NewSim(SimConfig{Profile: profile, Trace: true})
+		rt := NewSim(SimConfig{Profile: profile})
 		var res Result
 		rt.GoRoot("root", 1024, func(w *World) {
 			r, err := w.RunAlt(Options{SyncElimination: syncElim},
@@ -413,8 +412,8 @@ func TestSyncVsAsyncElimination(t *testing.T) {
 		} else if res.Elapsed != time.Second {
 			t.Fatalf("async elimination: elapsed = %v, want 1s (deletion off the critical path)", res.Elapsed)
 		}
-		if rt.Log().Count(trace.KindEliminate) != 2 {
-			t.Fatalf("eliminations = %d, want 2", rt.Log().Count(trace.KindEliminate))
+		if n := rt.SelStats().Eliminations; n != 2 {
+			t.Fatalf("eliminations = %d, want 2", n)
 		}
 	}
 }

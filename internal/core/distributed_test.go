@@ -31,7 +31,7 @@ func consensusClaim(g *consensus.Group, node *cluster.Node) ClaimFunc {
 
 func newConsensusFixture(t *testing.T, nNodes int) (*Runtime, *cluster.Cluster, *consensus.Group) {
 	t.Helper()
-	rt := NewSim(SimConfig{Profile: zeroProfile(0), Trace: true})
+	rt := NewSim(SimConfig{Profile: zeroProfile(0)})
 	c := cluster.New(rt.Engine(), 5)
 	var nodes []*cluster.Node
 	for i := 0; i < nNodes; i++ {

@@ -28,7 +28,7 @@ import (
 // Afterwards every side effect must reflect exactly one surviving
 // timeline.
 func TestEndToEndKitchenSink(t *testing.T) {
-	rt := NewSim(SimConfig{Profile: zeroProfile(0), Trace: true})
+	rt := NewSim(SimConfig{Profile: zeroProfile(0)})
 
 	// Distributed commit substrate.
 	c := cluster.New(rt.Engine(), 17)

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"altrun/internal/clock"
 	"altrun/internal/sim"
 )
 
@@ -62,8 +61,6 @@ const maxIdleWorkers = 32
 // stack its last body grew. A new goroutine starts only when no worker
 // is idle.
 type realBackend struct {
-	clk clock.Clock
-
 	bodies  sync.WaitGroup // spawned functions that have not returned
 	workers sync.WaitGroup // worker goroutines that have not exited
 
@@ -72,14 +69,7 @@ type realBackend struct {
 	closed bool            // the runtime is gone: workers exit, none park
 }
 
-func newRealBackend(clk clock.Clock) *realBackend {
-	if clk == nil {
-		clk = clock.Real{}
-	}
-	return &realBackend{clk: clk}
-}
-
-func (b *realBackend) now() time.Time { return b.clk.Now() }
+func (b *realBackend) now() time.Time { return time.Now() }
 
 // workerGuard is owned by the runtime alone, and its finalizer retires
 // the backend's parked workers.

@@ -17,7 +17,7 @@ import (
 
 func realRT(t *testing.T) *Runtime {
 	t.Helper()
-	return New(Config{PageSize: 64, Trace: true})
+	return New(Config{PageSize: 64})
 }
 
 func TestRealFastestWins(t *testing.T) {

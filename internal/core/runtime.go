@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"altrun/internal/clock"
 	"altrun/internal/device"
 	"altrun/internal/ids"
 	"altrun/internal/mem"
@@ -69,15 +68,6 @@ var (
 type Config struct {
 	// PageSize for the page store; 0 selects page.DefaultPageSize.
 	PageSize int
-	// Clock supplies time; nil selects the wall clock.
-	Clock clock.Clock
-	// Trace enables event tracing.
-	Trace bool
-	// TraceCap bounds the trace log to a ring of the most recent
-	// TraceCap events (overwritten events are counted, see
-	// trace.Log.Dropped). 0 keeps the log unbounded — the mode
-	// experiments want; long-running daemons should set a cap.
-	TraceCap int
 }
 
 // SimConfig configures a simulated runtime.
@@ -87,10 +77,6 @@ type SimConfig struct {
 	Profile sim.MachineProfile
 	// CPUs overrides Profile.CPUs when > 0.
 	CPUs int
-	// Trace enables event tracing.
-	Trace bool
-	// TraceCap bounds the trace log as in Config.TraceCap.
-	TraceCap int
 }
 
 // WorldObserver observes world registration and unregistration — the
@@ -123,7 +109,6 @@ type Runtime struct {
 	store   *page.Store
 	procs   *proc.Table
 	router  *msg.Router
-	log     *trace.Log
 	console *device.Console
 
 	// reg is the sharded world registry: live worlds and the predicate
@@ -157,11 +142,10 @@ type propQueue struct {
 
 // New returns a real-mode runtime.
 func New(cfg Config) *Runtime {
-	be := newRealBackend(cfg.Clock)
-	rt := newRuntime(page.NewStore(cfg.PageSize), cfg.Trace, cfg.TraceCap)
+	be := &realBackend{}
+	rt := newRuntime(page.NewStore(cfg.PageSize))
 	rt.be = be
 	rt.realBE = be
-	rt.finishInit()
 	// The parked workers hold the backend, not the runtime: a runtime
 	// dropped without Wait retires them when it is collected. The
 	// finalizer sits on a guard only the runtime points at, as the
@@ -178,26 +162,23 @@ func NewSim(cfg SimConfig) *Runtime {
 		cpus = cfg.CPUs
 	}
 	eng := sim.New(cpus)
-	rt := newRuntime(page.NewStore(cfg.Profile.PageSize), cfg.Trace, cfg.TraceCap)
+	rt := newRuntime(page.NewStore(cfg.Profile.PageSize))
 	rt.be = &simBackend{e: eng}
 	rt.eng = eng
 	profile := cfg.Profile
 	rt.profile = &profile
-	rt.finishInit()
 	return rt
 }
 
-func newRuntime(store *page.Store, traced bool, traceCap int) *Runtime {
-	rt := &Runtime{store: store, reg: newRegistry()}
+func newRuntime(store *page.Store) *Runtime {
+	rt := &Runtime{
+		store:   store,
+		reg:     newRegistry(),
+		router:  msg.NewRouter(),
+		console: device.NewConsole(),
+	}
 	rt.propPool.New = func() any {
 		return &propQueue{items: make([]propEvent, 0, 64)}
-	}
-	if traced {
-		if traceCap > 0 {
-			rt.log = trace.NewLogCapped(traceCap)
-		} else {
-			rt.log = trace.NewLog()
-		}
 	}
 	rt.procs = proc.NewTable(&ids.Generator{})
 	return rt
@@ -223,27 +204,6 @@ func (rt *Runtime) worldObserver() WorldObserver {
 	return nil
 }
 
-func (rt *Runtime) finishInit() {
-	rt.router = msg.NewRouter(rt.be.now, rt.log)
-	rt.console = device.NewConsole(rt.be.now, rt.log)
-	if rt.log != nil {
-		// Mirror page-store events into the trace so the layered-table
-		// behavior (faults, chain folds) is observable in experiment
-		// traces. Only wired when tracing: the hook sits on the fault
-		// path.
-		rt.store.SetHook(func(kind page.HookKind, pg int64) {
-			switch kind {
-			case page.HookAlloc:
-				rt.log.Addf(rt.be.now(), trace.KindPageFault, ids.None, "alloc page %d", pg)
-			case page.HookCopy:
-				rt.log.Addf(rt.be.now(), trace.KindPageFault, ids.None, "cow-copy page %d", pg)
-			case page.HookCompaction:
-				rt.log.Addf(rt.be.now(), trace.KindCompaction, ids.None, "folded %d layers", pg)
-			}
-		})
-	}
-}
-
 // Engine returns the simulation engine (nil in real mode).
 func (rt *Runtime) Engine() *sim.Engine { return rt.eng }
 
@@ -255,9 +215,6 @@ func (rt *Runtime) Store() *page.Store { return rt.store }
 
 // Procs returns the process registry.
 func (rt *Runtime) Procs() *proc.Table { return rt.procs }
-
-// Log returns the trace log (nil unless tracing was enabled).
-func (rt *Runtime) Log() *trace.Log { return rt.log }
 
 // Console returns the runtime's source device.
 func (rt *Runtime) Console() *device.Console { return rt.console }
@@ -458,10 +415,7 @@ func (rt *Runtime) catchUp(w *World, pids []ids.PID) {
 		outcome, nowResolved := w.applyResolution(p, st.Succeeded())
 		switch outcome {
 		case predicate.Contradicted:
-			if rt.log != nil {
-				rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
-					"assumption about %v failed", p)
-			}
+			rt.sel.Contradictions.Add(1)
 			rt.propagate([]propEvent{{eliminate: w}})
 			return
 		case predicate.Simplified:
@@ -545,7 +499,7 @@ func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.P
 	}
 	rcvPred := w.Predicates() // activates w, building its inbox
 	m := rt.router.Stamp(sender, senderPreds, pid, data)
-	switch d, _, _ := rt.decideFor(pid, rcvPred, m); d {
+	switch d, _, _ := rt.decideFor(rcvPred, m); d {
 	case predicate.Accept:
 		w.box.put(m)
 	case predicate.Split:
@@ -561,12 +515,12 @@ func (rt *Runtime) deliver(sender ids.PID, senderPreds *predicate.Set, pid ids.P
 // fates are read after rcvPred was: every fate the receiver's set has
 // taken in is then in the sender's too, so a receiver that assumed the
 // sender and everything it assumed still finds them implied.
-func (rt *Runtime) decideFor(rcv ids.PID, rcvPred *predicate.Set, m msg.Message) (predicate.Decision, *predicate.Set, *predicate.Set) {
+func (rt *Runtime) decideFor(rcvPred *predicate.Set, m msg.Message) (predicate.Decision, *predicate.Set, *predicate.Set) {
 	senderPred, live := rt.normalizePreds(m.SenderPredicates)
 	if !live {
 		senderPred = nil // the sender's world is dead: an ignore
 	}
-	return rt.router.Decide(rcv, rcvPred, senderPred, m)
+	return rt.router.Decide(rcvPred, senderPred, m)
 }
 
 // propEvent is a unit of work for the propagation engine: either an
@@ -620,10 +574,7 @@ func (rt *Runtime) propagate(events []propEvent) {
 			outcome, nowResolved := w.applyResolution(ev.resolvePID, ev.completed)
 			switch outcome {
 			case predicate.Contradicted:
-				if rt.log != nil {
-					rt.log.Addf(rt.be.now(), trace.KindContradiction, w.pid,
-						"assumption about %v failed", ev.resolvePID)
-				}
+				rt.sel.Contradictions.Add(1)
 				q.items = append(q.items, propEvent{eliminate: w})
 			case predicate.Simplified:
 				if nowResolved {
@@ -673,9 +624,6 @@ func (rt *Runtime) eliminateOne(w *World) bool {
 		// terminated flag after setting the handle and kills it
 		// (discard is idempotent).
 		w.discardSpace()
-	}
-	if rt.log != nil {
-		rt.log.Add(rt.be.now(), trace.KindEliminate, w.pid, w.name)
 	}
 	return true
 }

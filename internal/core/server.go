@@ -10,7 +10,6 @@ import (
 	"altrun/internal/msg"
 	"altrun/internal/predicate"
 	"altrun/internal/proc"
-	"altrun/internal/trace"
 )
 
 // Handler processes one accepted message against one version of the
@@ -100,7 +99,7 @@ func (rt *Runtime) decide(s *server, v *World, m msg.Message) {
 	if v.Terminated() {
 		return // eliminated since the reap: its handler must never run
 	}
-	d, assume, deny := rt.decideFor(v.pid, v.Predicates(), m)
+	d, assume, deny := rt.decideFor(v.Predicates(), m)
 	switch d {
 	case predicate.Accept:
 		s.handler(v, m)
@@ -133,13 +132,10 @@ func (rt *Runtime) fork(s *server, v *World, assume, deny *predicate.Set, sender
 	}
 	rt.registerWorld(nv)
 	rt.rebase(v, deny)
+	rt.sel.WorldSplits.Add(1)
 	s.mu.Lock()
 	s.versions = append(s.versions, nv) // a Shutdown since leaves it to endServer
 	s.mu.Unlock()
-	if rt.log != nil {
-		rt.log.Addf(rt.be.now(), trace.KindWorldSplit, v.pid,
-			"split on message from %v: %v keeps the deny side, %v assumes", sender, v.pid, nv.pid)
-	}
 	return nv
 }
 

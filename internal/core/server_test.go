@@ -9,7 +9,6 @@ import (
 	"altrun/internal/ids"
 	"altrun/internal/msg"
 	"altrun/internal/proc"
-	"altrun/internal/trace"
 )
 
 // counterServer returns a handler maintaining a uint64 counter at
@@ -123,8 +122,8 @@ func TestServerSplitsOnSpeculativeSender(t *testing.T) {
 	if st := rt.MsgStats(); st.Splits != 1 {
 		t.Fatalf("splits = %d, want 1", st.Splits)
 	}
-	if rt.Log().Count(trace.KindWorldSplit) != 1 {
-		t.Fatal("expected one world-split trace event")
+	if n := rt.SelStats().WorldSplits; n != 1 {
+		t.Fatalf("world splits = %d, want 1", n)
 	}
 	// The first version kept its PID on the deny side, which the
 	// sender's win contradicted; the assume side, a fresh PID, survived

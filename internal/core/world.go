@@ -437,7 +437,7 @@ func (w *World) WriteConsole(line string) error {
 // makes speculative reads idempotent (§6).
 func (w *World) ReadConsole(index int) (string, error) {
 	w.rt.activate(w)
-	return w.rt.console.Read(w.pid, index)
+	return w.rt.console.Read(index)
 }
 
 // DeferredOutput returns a copy of output lines awaiting resolution.

@@ -18,13 +18,11 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"altrun/internal/ids"
 	"altrun/internal/mem"
 	"altrun/internal/page"
 	"altrun/internal/predicate"
-	"altrun/internal/trace"
 )
 
 // ErrSpeculative is returned when a world with unresolved predicates
@@ -38,8 +36,6 @@ var ErrNoInput = errors.New("device: no input available")
 // use.
 type Console struct {
 	mu     sync.Mutex
-	now    func() time.Time
-	log    *trace.Log
 	output []string
 	input  []string
 	// reads[i] is the buffered result of input read i; replayed reads of
@@ -47,11 +43,8 @@ type Console struct {
 	reads []string
 }
 
-// NewConsole returns an empty console. now supplies trace timestamps;
-// log may be nil.
-func NewConsole(now func() time.Time, log *trace.Log) *Console {
-	return &Console{now: now, log: log}
-}
+// NewConsole returns an empty console.
+func NewConsole() *Console { return &Console{} }
 
 // Feed appends input lines for future reads.
 func (c *Console) Feed(lines ...string) {
@@ -64,13 +57,11 @@ func (c *Console) Feed(lines ...string) {
 // be fully resolved: output is observable, non-retractable source state.
 func (c *Console) Write(pid ids.PID, preds *predicate.Set, line string) error {
 	if preds != nil && preds.Unresolved() {
-		c.log.Addf(c.now(), trace.KindSourceBlocked, pid, "write %q blocked on %v", line, preds)
 		return fmt.Errorf("%w: %v write with %v", ErrSpeculative, pid, preds)
 	}
 	c.mu.Lock()
 	c.output = append(c.output, line)
 	c.mu.Unlock()
-	c.log.Addf(c.now(), trace.KindSourceOp, pid, "write %q", line)
 	return nil
 }
 
@@ -79,7 +70,7 @@ func (c *Console) Write(pid ids.PID, preds *predicate.Set, line string) error {
 // the same index — from sibling timelines replaying the same logical
 // input — return the buffered line without consuming. Speculative
 // worlds MAY read (buffering makes it idempotent).
-func (c *Console) Read(pid ids.PID, index int) (string, error) {
+func (c *Console) Read(index int) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if index < 0 {
@@ -92,9 +83,7 @@ func (c *Console) Read(pid ids.PID, index int) (string, error) {
 		c.reads = append(c.reads, c.input[0])
 		c.input = c.input[1:]
 	}
-	line := c.reads[index]
-	c.log.Addf(c.now(), trace.KindSourceOp, pid, "read[%d] %q", index, line)
-	return line, nil
+	return c.reads[index], nil
 }
 
 // Output returns a copy of the committed output lines.

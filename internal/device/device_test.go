@@ -3,14 +3,11 @@ package device
 import (
 	"errors"
 	"testing"
-	"time"
 
 	"altrun/internal/ids"
 	"altrun/internal/page"
 	"altrun/internal/predicate"
 )
-
-func now() time.Time { return time.Unix(0, 0) }
 
 func specSet(t *testing.T) *predicate.Set {
 	t.Helper()
@@ -22,7 +19,7 @@ func specSet(t *testing.T) *predicate.Set {
 }
 
 func TestConsoleWriteResolved(t *testing.T) {
-	c := NewConsole(now, nil)
+	c := NewConsole()
 	if err := c.Write(ids.PID(1), predicate.New(), "hello"); err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +33,7 @@ func TestConsoleWriteResolved(t *testing.T) {
 }
 
 func TestConsoleWriteSpeculativeBlocked(t *testing.T) {
-	c := NewConsole(now, nil)
+	c := NewConsole()
 	err := c.Write(ids.PID(1), specSet(t), "leak")
 	if !errors.Is(err, ErrSpeculative) {
 		t.Fatalf("err = %v, want ErrSpeculative", err)
@@ -47,14 +44,14 @@ func TestConsoleWriteSpeculativeBlocked(t *testing.T) {
 }
 
 func TestConsoleReadBuffered(t *testing.T) {
-	c := NewConsole(now, nil)
+	c := NewConsole()
 	c.Feed("first", "second")
 	// Two sibling timelines both read index 0: same line, consumed once.
-	a, err := c.Read(ids.PID(1), 0)
+	a, err := c.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := c.Read(ids.PID(2), 0)
+	b, err := c.Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,17 +62,17 @@ func TestConsoleReadBuffered(t *testing.T) {
 		t.Fatalf("consumed = %d, want 1", c.ReadsConsumed())
 	}
 	// Next index advances.
-	s, err := c.Read(ids.PID(1), 1)
+	s, err := c.Read(1)
 	if err != nil || s != "second" {
 		t.Fatalf("read[1] = %q, %v", s, err)
 	}
 }
 
 func TestConsoleReadGapFillsSequentially(t *testing.T) {
-	c := NewConsole(now, nil)
+	c := NewConsole()
 	c.Feed("a", "b", "c")
 	// Reading index 2 first consumes 0..2 in order.
-	s, err := c.Read(ids.PID(1), 2)
+	s, err := c.Read(2)
 	if err != nil || s != "c" {
 		t.Fatalf("read[2] = %q, %v", s, err)
 	}
@@ -83,18 +80,18 @@ func TestConsoleReadGapFillsSequentially(t *testing.T) {
 		t.Fatalf("consumed = %d", c.ReadsConsumed())
 	}
 	// Earlier indices replay from buffer.
-	s, err = c.Read(ids.PID(2), 0)
+	s, err = c.Read(0)
 	if err != nil || s != "a" {
 		t.Fatalf("read[0] = %q, %v", s, err)
 	}
 }
 
 func TestConsoleReadErrors(t *testing.T) {
-	c := NewConsole(now, nil)
-	if _, err := c.Read(ids.PID(1), 0); !errors.Is(err, ErrNoInput) {
+	c := NewConsole()
+	if _, err := c.Read(0); !errors.Is(err, ErrNoInput) {
 		t.Fatalf("err = %v, want ErrNoInput", err)
 	}
-	if _, err := c.Read(ids.PID(1), -1); err == nil {
+	if _, err := c.Read(-1); err == nil {
 		t.Fatal("negative index must fail")
 	}
 }

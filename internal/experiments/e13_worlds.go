@@ -6,7 +6,6 @@ import (
 
 	"altrun/internal/core"
 	"altrun/internal/msg"
-	"altrun/internal/trace"
 )
 
 // E13: §3.4.2 multiple worlds. Speculative alternatives message a
@@ -34,7 +33,7 @@ type E13Result struct {
 // must survive.
 func E13() (E13Result, error) {
 	const senders = 4
-	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(1024), Trace: true})
+	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(1024)})
 	out := E13Result{Senders: senders}
 	var failure error
 
@@ -121,8 +120,9 @@ func E13() (E13Result, error) {
 	out.Accepted = st.Accepted
 	out.Ignored = st.Ignored
 	out.Splits = st.Splits
-	out.WorldSplits = rt.Log().Count(trace.KindWorldSplit)
-	out.Eliminations = rt.Log().Count(trace.KindEliminate)
+	sel := rt.SelStats()
+	out.WorldSplits = int(sel.WorldSplits)
+	out.Eliminations = int(sel.Eliminations)
 	return out, nil
 }
 

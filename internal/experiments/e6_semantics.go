@@ -6,7 +6,7 @@ import (
 	"time"
 
 	"altrun/internal/core"
-	"altrun/internal/trace"
+	"altrun/internal/ids"
 )
 
 // E6: Figures 1 and 2 — the construct and its concurrent execution.
@@ -29,9 +29,25 @@ type E6Result struct {
 	Elapsed      time.Duration
 }
 
+// e6Probe counts the block's lifecycle events. The simulator runs one
+// process at a time, so the counts need no lock.
+type e6Probe struct {
+	spawns, commits int
+	exits           map[string]int // by outcome
+}
+
+func (p *e6Probe) ChildSpawned(ids.PID, string, time.Time) { p.spawns++ }
+func (p *e6Probe) SetupDone(time.Time, int)                {}
+func (p *e6Probe) ChildFault(ids.PID, int64, time.Time)    {}
+func (p *e6Probe) Committed(ids.PID, time.Time)            { p.commits++ }
+func (p *e6Probe) ChildExit(_ ids.PID, outcome string, _ time.Time, _ int64) {
+	p.exits[outcome]++
+}
+
 // E6 runs the Figure-1 block concurrently and audits the transcript.
 func E6() (E6Result, error) {
-	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(4096), Trace: true})
+	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(4096)})
+	probe := &e6Probe{exits: map[string]int{}}
 	var out E6Result
 	var failure error
 	rt.GoRoot("root", 1<<16, func(w *core.World) {
@@ -45,7 +61,7 @@ func E6() (E6Result, error) {
 				Guard: func(cw *core.World) (bool, error) { return guardOK, nil },
 			}
 		}
-		res, err := w.RunAlt(core.Options{SyncElimination: true},
+		res, err := w.RunAlt(core.Options{SyncElimination: true, Probe: probe},
 			mk("method1", 8*time.Second, true, "m1-result"),
 			mk("method2", 3*time.Second, false, "m2-result"), // guard fails
 			mk("method3", 5*time.Second, true, "m3-result"),
@@ -70,13 +86,15 @@ func E6() (E6Result, error) {
 	if failure != nil {
 		return out, failure
 	}
-	log := rt.Log()
-	out.Spawns = log.Count(trace.KindSpawn)
-	out.GuardPasses = log.Count(trace.KindGuardPass)
-	out.GuardFails = log.Count(trace.KindGuardFail)
-	out.Commits = log.Count(trace.KindCommit)
-	out.TooLate = log.Count(trace.KindTooLate)
-	out.Eliminations = log.Count(trace.KindEliminate)
+	out.Spawns = probe.spawns
+	// A guard that passed leaves its child either the winner or too
+	// late; one that failed (body error included) leaves it failed, or
+	// cancelled when an elimination cut its body short.
+	out.GuardPasses = probe.exits[core.OutcomeWin] + probe.exits[core.OutcomeTooLate]
+	out.GuardFails = probe.exits[core.OutcomeGuardFail] + probe.exits[core.OutcomeCancelled]
+	out.Commits = probe.commits
+	out.TooLate = probe.exits[core.OutcomeTooLate]
+	out.Eliminations = int(rt.SelStats().Eliminations)
 	return out, nil
 }
 

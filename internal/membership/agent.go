@@ -754,14 +754,6 @@ func memberOf(id ids.NodeID, m *memberState) Member {
 	}
 }
 
-// Alive reports whether id is currently believed alive (not suspect).
-func (a *Agent) Alive(id ids.NodeID) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	m := a.members[id]
-	return m != nil && m.status == StatusAlive
-}
-
 // StatusCounts returns how many members are alive, suspect, and out
 // of the view (dead or left) — the /metrics gauges.
 func (a *Agent) StatusCounts() (alive, suspect, dead int) {

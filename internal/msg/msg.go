@@ -18,11 +18,9 @@ package msg
 import (
 	"errors"
 	"sync/atomic"
-	"time"
 
 	"altrun/internal/ids"
 	"altrun/internal/predicate"
-	"altrun/internal/trace"
 )
 
 // ErrUnknownReceiver is returned when the destination is not live.
@@ -66,16 +64,10 @@ type Router struct {
 	accepted atomic.Int64
 	ignored  atomic.Int64
 	splits   atomic.Int64
-
-	now func() time.Time
-	log *trace.Log
 }
 
-// NewRouter returns a router. now supplies trace timestamps (virtual or
-// wall time); log may be nil.
-func NewRouter(now func() time.Time, log *trace.Log) *Router {
-	return &Router{now: now, log: log}
-}
+// NewRouter returns a router.
+func NewRouter() *Router { return &Router{} }
 
 // Stats returns a snapshot of the delivery counters.
 func (r *Router) Stats() Stats {
@@ -88,8 +80,8 @@ func (r *Router) Stats() Stats {
 }
 
 // Stamp makes the message data from the sender (with predicate set
-// senderPred) to dest: it assigns the sequence number, counts the send
-// and traces it. The message carries senderPred itself — sets are
+// senderPred) to dest: it assigns the sequence number and counts the
+// send. The message carries senderPred itself — sets are
 // immutable, so one may be shared by any number of messages. The caller
 // queues the message and decides it later with Decide.
 func (r *Router) Stamp(sender ids.PID, senderPred *predicate.Set, dest ids.PID, data any) Message {
@@ -101,51 +93,35 @@ func (r *Router) Stamp(sender ids.PID, senderPred *predicate.Set, dest ids.PID, 
 		Data:             data,
 	}
 	r.sent.Add(1)
-	if r.log != nil {
-		r.log.Addf(r.now(), trace.KindMsgSend, sender, "to %v seq %d pred %v", dest, m.Seq, senderPred)
-	}
 	return m
 }
 
-// Decide applies the accept/ignore/split rule to m for the receiver
-// copy rcv, which holds the set rcvPred, and counts and traces the
-// decision. senderPred is the set to decide against — m's sending
+// Decide applies the accept/ignore/split rule to m for a receiver copy
+// holding the set rcvPred, and counts the decision. senderPred is the set to decide against — m's sending
 // predicate, possibly with fates that have resolved since folded in —
 // or nil when one of its assumptions is already known false: a message
 // from a dead world, ignored. On Split it returns the copies' sets: the
 // assume-copy takes m, the deny-copy does not. A split no set can
 // express is an ignore (the sender's world is already dead from the
 // receiver's perspective).
-func (r *Router) Decide(rcv ids.PID, rcvPred, senderPred *predicate.Set, m Message) (d predicate.Decision, assume, deny *predicate.Set) {
-	d, why := predicate.Ignore, "sender dead"
+func (r *Router) Decide(rcvPred, senderPred *predicate.Set, m Message) (d predicate.Decision, assume, deny *predicate.Set) {
+	d = predicate.Ignore
 	if senderPred != nil {
-		d, why = predicate.Decide(rcvPred, senderPred), "conflicting worlds"
+		d = predicate.Decide(rcvPred, senderPred)
 	}
 	if d == predicate.Split {
 		var err error
 		if assume, deny, err = predicate.SplitWorlds(rcvPred, senderPred, m.Sender); err != nil {
-			d, why = predicate.Ignore, "split impossible: "+err.Error()
+			d = predicate.Ignore
 		}
 	}
-	kind := trace.KindMsgIgnore
 	switch d {
 	case predicate.Accept:
 		r.accepted.Add(1)
-		kind = trace.KindMsgAccept
 	case predicate.Split:
 		r.splits.Add(1)
-		kind = trace.KindMsgSplit
 	default:
 		r.ignored.Add(1)
-	}
-	// Every trace site tests the log first: with tracing off no argument
-	// is evaluated (no clock read, no boxing).
-	if r.log != nil {
-		if kind == trace.KindMsgIgnore {
-			r.log.Addf(r.now(), kind, rcv, "seq %d from %v (%s)", m.Seq, m.Sender, why)
-		} else {
-			r.log.Addf(r.now(), kind, rcv, "seq %d from %v", m.Seq, m.Sender)
-		}
 	}
 	return d, assume, deny
 }

@@ -1,26 +1,19 @@
 package msg
 
 import (
-	"strings"
 	"testing"
-	"time"
 
 	"altrun/internal/ids"
 	"altrun/internal/predicate"
-	"altrun/internal/trace"
 )
 
-func newRouter() *Router {
-	return NewRouter(func() time.Time { return time.Unix(0, 0) }, trace.NewLog())
-}
-
 func TestSendAccept(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	m := r.Stamp(ids.PID(1), predicate.New(), ids.PID(2), "hello")
 	if m.Sender != ids.PID(1) || m.Dest != ids.PID(2) || m.Seq == 0 || m.Data != "hello" {
 		t.Fatalf("control info wrong: %+v", m)
 	}
-	if d, _, _ := r.Decide(m.Dest, predicate.New(), m.SenderPredicates, m); d != predicate.Accept {
+	if d, _, _ := r.Decide(predicate.New(), m.SenderPredicates, m); d != predicate.Accept {
 		t.Fatalf("decision = %v, want accept", d)
 	}
 	st := r.Stats()
@@ -34,16 +27,16 @@ func TestSendAccept(t *testing.T) {
 // a split receiver decides against one — and a split's sets are its
 // own: the shared snapshot is untouched.
 func TestSendTakesOneSnapshotEach(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	senderPred := mustPred(t, []int64{5}, nil)
 	m := r.Stamp(ids.PID(1), senderPred, ids.PID(3), "x")
 	if m.SenderPredicates != senderPred {
 		t.Fatal("the message must carry the snapshot it was given")
 	}
-	if d, _, _ := r.Decide(ids.PID(2), mustPred(t, []int64{5}, nil), m.SenderPredicates, m); d != predicate.Accept {
+	if d, _, _ := r.Decide(mustPred(t, []int64{5}, nil), m.SenderPredicates, m); d != predicate.Accept {
 		t.Fatalf("implied receiver decision = %v, want accept", d)
 	}
-	d, assume, _ := r.Decide(ids.PID(3), predicate.New(), m.SenderPredicates, m)
+	d, assume, _ := r.Decide(predicate.New(), m.SenderPredicates, m)
 	if d != predicate.Split || !assume.MustComplete(ids.PID(5)) {
 		t.Fatalf("split from the single snapshot = %v %v", d, assume)
 	}
@@ -53,10 +46,10 @@ func TestSendTakesOneSnapshotEach(t *testing.T) {
 }
 
 func TestSendIgnoreConflicting(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	// Receiver assumes p7 fails; sender assumes p7 completes.
 	m := r.Stamp(ids.PID(1), mustPred(t, []int64{7}, nil), ids.PID(2), "x")
-	if d, _, _ := r.Decide(m.Dest, mustPred(t, nil, []int64{7}), m.SenderPredicates, m); d != predicate.Ignore {
+	if d, _, _ := r.Decide(mustPred(t, nil, []int64{7}), m.SenderPredicates, m); d != predicate.Ignore {
 		t.Fatalf("conflicting message decision = %v, want ignore", d)
 	}
 	if st := r.Stats(); st.Ignored != 1 {
@@ -68,11 +61,11 @@ func TestSendIgnoreConflicting(t *testing.T) {
 // that must make a further assumption, and counts one split; a message
 // stamped once is counted sent once however many copies decide it.
 func TestSendSplit(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	rcv := predicate.New()
 	sender := ids.PID(9)
 	m := r.Stamp(sender, mustPred(t, []int64{9}, nil), ids.PID(2), "spec")
-	d, assume, deny := r.Decide(ids.PID(2), rcv, m.SenderPredicates, m)
+	d, assume, deny := r.Decide(rcv, m.SenderPredicates, m)
 	if d != predicate.Split {
 		t.Fatalf("decision = %v, want split", d)
 	}
@@ -82,28 +75,28 @@ func TestSendSplit(t *testing.T) {
 	// The two copies decide the sender's next message: one accepts, one
 	// ignores.
 	m2 := r.Stamp(sender, m.SenderPredicates, ids.PID(2), "again")
-	if d, _, _ := r.Decide(ids.PID(2), assume, m2.SenderPredicates, m2); d != predicate.Accept {
+	if d, _, _ := r.Decide(assume, m2.SenderPredicates, m2); d != predicate.Accept {
 		t.Fatalf("assume-copy decision = %v, want accept", d)
 	}
-	if d, _, _ := r.Decide(ids.PID(2), deny, m2.SenderPredicates, m2); d != predicate.Ignore {
+	if d, _, _ := r.Decide(deny, m2.SenderPredicates, m2); d != predicate.Ignore {
 		t.Fatalf("deny-copy decision = %v, want ignore", d)
 	}
 	if st := r.Stats(); st != (Stats{Sent: 2, Accepted: 1, Ignored: 1, Splits: 1}) {
 		t.Fatalf("stats = %+v", st)
 	}
 	// A dead sender's message is ignored without looking at the sets.
-	if d, _, _ := r.Decide(ids.PID(2), rcv, nil, m2); d != predicate.Ignore {
+	if d, _, _ := r.Decide(rcv, nil, m2); d != predicate.Ignore {
 		t.Fatalf("dead sender's message decision = %v, want ignore", d)
 	}
 }
 
 func TestSendSplitImpossibleIgnores(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	// Receiver assumes the sender (pid 9) fails; the sender's set {must
 	// 4} neither conflicts with that nor is implied → Split, but the
 	// assume-world would need must(9), which contradicts cant(9).
 	m := r.Stamp(ids.PID(9), mustPred(t, []int64{4}, nil), ids.PID(2), "x")
-	if d, _, _ := r.Decide(m.Dest, mustPred(t, nil, []int64{9}), m.SenderPredicates, m); d != predicate.Ignore {
+	if d, _, _ := r.Decide(mustPred(t, nil, []int64{9}), m.SenderPredicates, m); d != predicate.Ignore {
 		t.Fatalf("impossible split decision = %v, want ignore", d)
 	}
 	if st := r.Stats(); st.Ignored != 1 || st.Splits != 0 {
@@ -111,25 +104,8 @@ func TestSendSplitImpossibleIgnores(t *testing.T) {
 	}
 }
 
-// TestSendSplitErrorPropagates: the reason a split was impossible is
-// not swallowed — the ignore's trace event carries it.
-func TestSendSplitErrorPropagates(t *testing.T) {
-	r := newRouter()
-	m := r.Stamp(ids.PID(9), mustPred(t, []int64{4}, nil), ids.PID(2), "x")
-	r.Decide(m.Dest, mustPred(t, nil, []int64{9}), m.SenderPredicates, m)
-	var detail string
-	for _, e := range r.log.Events() {
-		if e.Kind == trace.KindMsgIgnore {
-			detail = e.Detail
-		}
-	}
-	if !strings.Contains(detail, "split impossible") || !strings.Contains(detail, "contradiction") {
-		t.Fatalf("ignore traced as %q, want the split error", detail)
-	}
-}
-
 func TestSeqMonotonic(t *testing.T) {
-	r := newRouter()
+	r := NewRouter()
 	var prev int64
 	for i := 0; i < 5; i++ {
 		m := r.Stamp(ids.PID(1), predicate.New(), ids.PID(2), i)

@@ -3,11 +3,9 @@ package msg
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"altrun/internal/ids"
 	"altrun/internal/predicate"
-	"altrun/internal/trace"
 )
 
 // Concurrent-sender router test (run with -race): many speculative
@@ -44,7 +42,7 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 		perSender = 40
 		senders   = groups*siblings + committed
 	)
-	r := NewRouter(time.Now, trace.NewLog())
+	r := NewRouter()
 	const dest = ids.PID(1)
 	queue := make(chan Message, senders*perSender)
 
@@ -86,7 +84,7 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 		for m := range queue {
 			for _, c := range copies[:len(copies):len(copies)] {
 				decisions++
-				switch d, assume, deny := r.Decide(dest, c.preds, m.SenderPredicates, m); d {
+				switch d, assume, deny := r.Decide(c.preds, m.SenderPredicates, m); d {
 				case predicate.Accept:
 					c.delivered = append(c.delivered, m)
 				case predicate.Split:

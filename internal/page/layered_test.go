@@ -235,19 +235,10 @@ func TestSharedChainIsNotCompacted(t *testing.T) {
 	}
 }
 
+// TestStoreHookObservesFaultsAndCompaction: the store's counters see
+// every fresh-page fault, COW copy and chain fold.
 func TestStoreHookObservesFaultsAndCompaction(t *testing.T) {
 	s := NewStore(64)
-	var allocs, copies, compactions int
-	s.SetHook(func(kind HookKind, _ int64) {
-		switch kind {
-		case HookAlloc:
-			allocs++
-		case HookCopy:
-			copies++
-		case HookCompaction:
-			compactions++
-		}
-	})
 	tb := s.NewTable()
 	for i := 0; i < 2*compactDepth; i++ {
 		if _, err := tb.Write(int64(i)); err != nil {
@@ -262,13 +253,10 @@ func TestStoreHookObservesFaultsAndCompaction(t *testing.T) {
 		}
 		c.Release()
 	}
-	if allocs == 0 || copies == 0 || compactions == 0 {
-		t.Fatalf("hook saw allocs=%d copies=%d compactions=%d, want all > 0",
-			allocs, copies, compactions)
-	}
-	s.SetHook(nil) // uninstall must not panic subsequent faults
-	if _, err := tb.Write(9999); err != nil {
-		t.Fatal(err)
+	// Each round writes one fresh page in tb and copies it in the clone.
+	if s.Allocs() != 2*compactDepth || s.Copies() != 2*compactDepth || s.Compactions() == 0 {
+		t.Fatalf("store counted allocs=%d copies=%d compactions=%d, want %d, %d, > 0",
+			s.Allocs(), s.Copies(), s.Compactions(), 2*compactDepth, 2*compactDepth)
 	}
 }
 

@@ -62,34 +62,6 @@ const compactDepth = 8
 // ErrReleased is returned when using a table after Release.
 var ErrReleased = errors.New("page: table already released")
 
-// HookKind classifies a store event delivered to the observer hook.
-type HookKind int
-
-// Store event kinds.
-const (
-	// HookAlloc is a write fault on a missing page (fresh zero page).
-	HookAlloc HookKind = iota + 1
-	// HookCopy is a COW write fault on a shared page.
-	HookCopy
-	// HookCompaction is a layer-chain fold; the page argument carries
-	// the number of layers folded.
-	HookCompaction
-)
-
-// String renders the hook kind for traces and metrics.
-func (k HookKind) String() string {
-	switch k {
-	case HookAlloc:
-		return "alloc"
-	case HookCopy:
-		return "cow-copy"
-	case HookCompaction:
-		return "compaction"
-	default:
-		return "unknown"
-	}
-}
-
 // Store is a page allocator with global copy/alloc accounting and a
 // pool of recycled page buffers. It is safe for concurrent use.
 type Store struct {
@@ -99,8 +71,7 @@ type Store struct {
 	clones      atomic.Int64
 	compactions atomic.Int64
 	recycled    atomic.Int64
-	pool        sync.Pool    // *pageBuf
-	hook        atomic.Value // func(HookKind, int64)
+	pool        sync.Pool // *pageBuf
 }
 
 // NewStore returns a Store with the given page size; size <= 0 selects
@@ -134,20 +105,6 @@ func (s *Store) Compactions() int64 { return s.compactions.Load() }
 // Recycled returns the number of page buffers served from the pool
 // instead of the allocator.
 func (s *Store) Recycled() int64 { return s.recycled.Load() }
-
-// SetHook installs an observer called on alloc/copy/compaction events
-// (e.g. to mirror them into a trace log). hook must be safe for
-// concurrent use; nil uninstalls. The hook runs on the faulting
-// table's goroutine.
-func (s *Store) SetHook(hook func(kind HookKind, page int64)) {
-	s.hook.Store(hook)
-}
-
-func (s *Store) emit(kind HookKind, page int64) {
-	if h, _ := s.hook.Load().(func(HookKind, int64)); h != nil {
-		h(kind, page)
-	}
-}
 
 // A pageBuf is a fixed-size unit of sink state. In the layered design a
 // buffer lives in exactly one container (one layer's map or one table's
@@ -363,7 +320,6 @@ func (t *Table) maybeCompact() {
 			return
 		}
 	}
-	folded := int64(depthOf(t.base))
 	for l := t.base; l != nil; l = l.parent {
 		for n, p := range l.pages {
 			if _, ok := t.delta[n]; ok {
@@ -384,7 +340,6 @@ func (t *Table) maybeCompact() {
 	t.base = nil
 	t.cache = nil
 	t.store.compactions.Add(1)
-	t.store.emit(HookCompaction, folded)
 }
 
 // Read returns a read-only view of page n. Missing pages read as a
@@ -452,7 +407,6 @@ func (t *Table) Write(n int64) ([]byte, error) {
 	t.delta[n] = np
 	t.copies++
 	t.store.copies.Add(1)
-	t.store.emit(HookCopy, n)
 	return np.data, nil
 }
 
@@ -462,7 +416,6 @@ func (t *Table) allocAt(n int64) []byte {
 	t.delta[n] = np
 	t.resident++
 	t.store.allocs.Add(1)
-	t.store.emit(HookAlloc, n)
 	return np.data
 }
 

@@ -1,22 +1,21 @@
 // Package proc is the process-status registry. Predicates are "lists of
 // process identifiers" whose value is updated "as processes change
 // status" (§3.3); this package is where status lives and where the
-// predicate and message layers learn about changes.
+// predicate and message layers read it.
 //
 // It deliberately knows nothing about memory or scheduling: it records
 // who exists, how they relate (parent, sibling group), and how they
-// ended (completed, failed, eliminated), and broadcasts transitions to
-// subscribers. The core runtime wires those broadcasts into predicate
-// resolution and world elimination.
+// ended (completed, failed, eliminated). The core runtime, which makes
+// the transitions, drives predicate resolution and world elimination
+// from them itself.
 //
 // The read paths the commit cascade hits — Status, AppendChildren —
 // are lock-free: entries live in an epoch-reclaimed table
 // (internal/epoch), a process's status is one atomic word transitioned
 // by CAS (terminal states absorb: the CAS that makes a status terminal
 // wins forever), and each parent's child index is an immutable slice
-// republished when a child registers or retires. Only Register, a
-// terminal SetStatus (its parent's index) and Subscribe take a writer
-// side.
+// republished when a child registers or retires. Only Register and a
+// terminal SetStatus (its parent's index) take a writer side.
 //
 // The child index is live-only. A child leaves its parent's index on its
 // terminal transition, so an index holds what an elimination cascade can
@@ -80,13 +79,6 @@ func (s Status) Terminal() bool {
 // both count as not completing (§3.2.1).
 func (s Status) Succeeded() bool { return s == Completed }
 
-// Event is a status transition.
-type Event struct {
-	PID ids.PID
-	Old Status
-	New Status
-}
-
 // Entry is the registry's record of one process (a copy; see Get).
 type Entry struct {
 	PID    ids.PID
@@ -109,12 +101,6 @@ type entry struct {
 	kids   atomic.Pointer[[]ids.PID]
 }
 
-// subscriber is one registered status-transition callback.
-type subscriber struct {
-	id int
-	f  func(Event)
-}
-
 // Table is the process registry. It is safe for concurrent use.
 type Table struct {
 	gen *ids.Generator
@@ -125,12 +111,6 @@ type Table struct {
 	// after it ended), so a pointer obtained under a pin stays valid
 	// forever; the pin protects only the table probe.
 	entries *epoch.Map[entry]
-
-	// subMu serializes Subscribe/unsubscribe; subs is the COW snapshot
-	// SetStatus reads without locking.
-	subMu   sync.Mutex
-	subs    atomic.Pointer[[]subscriber]
-	nextSub int
 }
 
 // NewTable returns an empty registry drawing PIDs from gen.
@@ -213,7 +193,7 @@ func (t *Table) Status(pid ids.PID) Status {
 	return 0
 }
 
-// SetStatus transitions pid to st and notifies subscribers. Transitions
+// SetStatus transitions pid to st. Transitions
 // out of a terminal state, or on unknown PIDs, are rejected. The
 // transition itself is one CAS: concurrent resolvers race, exactly one
 // wins the terminal transition, and the loser gets the idempotent-or-
@@ -223,7 +203,6 @@ func (t *Table) SetStatus(pid ids.PID, st Status) error {
 	if e == nil {
 		return fmt.Errorf("proc: unknown pid %v", pid)
 	}
-	var old Status
 	for {
 		cur := Status(e.status.Load())
 		if cur.Terminal() {
@@ -233,52 +212,13 @@ func (t *Table) SetStatus(pid ids.PID, st Status) error {
 			return fmt.Errorf("proc: %v already terminal (%v), cannot set %v", pid, cur, st)
 		}
 		if e.status.CompareAndSwap(int32(cur), int32(st)) {
-			old = cur
 			break
 		}
 	}
 	if st.Terminal() {
 		t.unlink(e)
 	}
-	if subs := t.subs.Load(); subs != nil {
-		ev := Event{PID: pid, Old: old, New: st}
-		for _, s := range *subs {
-			s.f(ev)
-		}
-	}
 	return nil
-}
-
-// Subscribe registers a callback for every status transition and
-// returns an unsubscribe function. Callbacks run synchronously on the
-// goroutine calling SetStatus and must not call back into the Table's
-// mutating methods for the same PID.
-func (t *Table) Subscribe(f func(Event)) (unsubscribe func()) {
-	t.subMu.Lock()
-	defer t.subMu.Unlock()
-	id := t.nextSub
-	t.nextSub++
-	var next []subscriber
-	if old := t.subs.Load(); old != nil {
-		next = append(next, *old...)
-	}
-	next = append(next, subscriber{id: id, f: f})
-	t.subs.Store(&next)
-	return func() {
-		t.subMu.Lock()
-		defer t.subMu.Unlock()
-		old := t.subs.Load()
-		if old == nil {
-			return
-		}
-		kept := make([]subscriber, 0, len(*old))
-		for _, s := range *old {
-			if s.id != id {
-				kept = append(kept, s)
-			}
-		}
-		t.subs.Store(&kept)
-	}
 }
 
 // Children returns pid's indexed children (see AppendChildren).

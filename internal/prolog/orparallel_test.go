@@ -15,7 +15,6 @@ func orRT(t *testing.T, cpus int) *core.Runtime {
 	t.Helper()
 	return core.NewSim(core.SimConfig{
 		Profile: sim.MachineProfile{Name: "zero", PageSize: 256, CPUs: cpus},
-		Trace:   true,
 	})
 }
 

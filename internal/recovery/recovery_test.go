@@ -19,7 +19,7 @@ func zeroProfile() sim.MachineProfile {
 // runtime and returns the runtime.
 func runInSim(t *testing.T, spaceSize int64, fn func(w *core.World)) *core.Runtime {
 	t.Helper()
-	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(), Trace: true})
+	rt := core.NewSim(core.SimConfig{Profile: zeroProfile()})
 	rt.GoRoot("root", spaceSize, fn)
 	if err := rt.Run(); err != nil {
 		t.Fatalf("sim: %v", err)
@@ -268,7 +268,7 @@ func TestConcurrentBeatsSequentialOnFaultyPrimary(t *testing.T) {
 
 func runRB(t *testing.T, xs []int, perCompare time.Duration, exec func(w *core.World, b *Block) error) time.Duration {
 	t.Helper()
-	rt := core.NewSim(core.SimConfig{Profile: zeroProfile(), Trace: false})
+	rt := core.NewSim(core.SimConfig{Profile: zeroProfile()})
 	var elapsed time.Duration
 	rt.GoRoot("root", ArraySpaceSize(len(xs)), func(w *core.World) {
 		if err := WriteIntArray(w, xs); err != nil {

@@ -155,17 +155,6 @@ func (t *TCP) AddPeer(id ids.NodeID, addr string) {
 	t.peers[id] = p
 }
 
-// Peers returns the registered peer node IDs (sorted not guaranteed).
-func (t *TCP) Peers() []ids.NodeID {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]ids.NodeID, 0, len(t.peers))
-	for id := range t.peers {
-		out = append(out, id)
-	}
-	return out
-}
-
 // Counters returns the transport's accounting.
 func (t *TCP) Counters() *trace.NetCounters { return t.nc }
 
