@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"sync/atomic"
 	"time"
 
 	"altrun/internal/core"
@@ -19,26 +18,35 @@ var ErrWhenRefused = errors.New("choo: when condition refused")
 // stand-in for nontermination — Go cannot preempt a spinning world).
 var ErrSteps = errors.New("choo: step budget exhausted")
 
-// DefaultMaxSteps bounds one program execution across all its worlds.
+// DefaultMaxSteps bounds the steps along one execution path.
 const DefaultMaxSteps = 1 << 20
 
+// stepsOff is where a world keeps its step count: word 0 of its own
+// address space, which the machine uses for nothing else. A forked
+// world starts from its parent's count and a commit adopts the
+// winner's, so each world is charged the steps along its own path —
+// the count Oracle charges — and never a sibling's.
+const stepsOff = 0
+
 // Machine executes a resolved program against an STM store. One
-// machine serves every world of one program run — the step budget and
-// variable→page map are shared; all mutable program state lives in the
-// store, which is what makes procedures splittable contenders.
+// machine serves every world of one program run. The program's
+// variables live in the store, which is what makes procedures
+// splittable contenders; each world's step count lives in its own
+// address space (stepsOff).
 type Machine struct {
 	Prog *Program
 	// Store holds the program's variables (key = index into Prog.Vars).
 	Store *stm.Store
 	// ReadTimeout bounds each variable read (default 2s).
 	ReadTimeout time.Duration
-	// MaxSteps bounds total evaluation steps (default DefaultMaxSteps).
+	// MaxSteps bounds the evaluation steps along one execution path
+	// (default DefaultMaxSteps): a world's own steps plus those of the
+	// ancestors and committed winners it continues from, never a losing
+	// sibling's.
 	MaxSteps int64
 	// PrintPrefix tags console lines so a job's extract can collect its
 	// own output from the shared console device.
 	PrintPrefix string
-
-	steps atomic.Int64
 }
 
 // StoreKeys returns the page count a store for prog needs (at least
@@ -57,12 +65,37 @@ func (m *Machine) timeout() time.Duration {
 	return m.ReadTimeout
 }
 
-func (m *Machine) charge() error {
+// A frame is one world's run of the machine. It keeps the world's step
+// count in a local while the world runs: loaded from stepsOff when the
+// frame starts, stored back before the world forks and when its run
+// ends, so a step costs no runtime call.
+type frame struct {
+	w     *core.World
+	steps uint64
+}
+
+// run executes body in a frame over w.
+func (m *Machine) run(w *core.World, body func(*frame) error) error {
+	n, err := w.ReadUint64(stepsOff)
+	if err != nil {
+		return err
+	}
+	f := &frame{w: w, steps: n}
+	if err := body(f); err != nil {
+		return err
+	}
+	return f.store()
+}
+
+func (f *frame) store() error { return f.w.WriteUint64(stepsOff, f.steps) }
+
+// charge counts one step of f's world against the budget.
+func (m *Machine) charge(f *frame) error {
 	limit := m.MaxSteps
 	if limit <= 0 {
 		limit = DefaultMaxSteps
 	}
-	if m.steps.Add(1) > limit {
+	if f.steps++; int64(f.steps) > limit {
 		return ErrSteps
 	}
 	return nil
@@ -72,30 +105,35 @@ func (m *Machine) charge() error {
 // through the store (split per the receiver's assumptions about w),
 // choo groups become alternative blocks of w.
 func (m *Machine) Exec(w *core.World, stmts []Stmt) error {
+	return m.run(w, func(f *frame) error { return m.exec(f, stmts) })
+}
+
+func (m *Machine) exec(f *frame, stmts []Stmt) error {
 	for _, s := range stmts {
-		if err := m.execStmt(w, s); err != nil {
+		if err := m.execStmt(f, s); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func (m *Machine) execStmt(w *core.World, s Stmt) error {
-	if err := m.charge(); err != nil {
+func (m *Machine) execStmt(f *frame, s Stmt) error {
+	if err := m.charge(f); err != nil {
 		return err
 	}
+	w := f.w
 	if w.Cancelled() {
 		return fmt.Errorf("%v: world cancelled", s.Position())
 	}
 	switch x := s.(type) {
 	case *Assign:
-		v, err := m.eval(w, x.X)
+		v, err := m.eval(f, x.X)
 		if err != nil {
 			return err
 		}
 		return m.Store.Write(w, m.Prog.VarKey(x.Name), uint64(v))
 	case *Print:
-		v, err := m.eval(w, x.X)
+		v, err := m.eval(f, x.X)
 		if err != nil {
 			return err
 		}
@@ -103,32 +141,32 @@ func (m *Machine) execStmt(w *core.World, s Stmt) error {
 		// performed (§3.4.2 sources), a winner's is carried upward.
 		return w.WriteConsole(m.PrintPrefix + strconv.FormatInt(v, 10))
 	case *If:
-		v, err := m.eval(w, x.Cond)
+		v, err := m.eval(f, x.Cond)
 		if err != nil {
 			return err
 		}
 		if v != 0 {
-			return m.Exec(w, x.Then)
+			return m.exec(f, x.Then)
 		}
-		return m.Exec(w, x.Else)
+		return m.exec(f, x.Else)
 	case *While:
 		for {
-			if err := m.charge(); err != nil {
+			if err := m.charge(f); err != nil {
 				return err
 			}
-			v, err := m.eval(w, x.Cond)
+			v, err := m.eval(f, x.Cond)
 			if err != nil {
 				return err
 			}
 			if v == 0 {
 				return nil
 			}
-			if err := m.Exec(w, x.Body); err != nil {
+			if err := m.exec(f, x.Body); err != nil {
 				return err
 			}
 		}
 	case *Choo:
-		return m.execChoo(w, x)
+		return m.execChoo(f, x)
 	default:
 		return fmt.Errorf("%v: unexecutable statement %T", s.Position(), s)
 	}
@@ -137,8 +175,10 @@ func (m *Machine) execStmt(w *core.World, s Stmt) error {
 // execChoo lowers one choo group to an alternative block: each named
 // procedure runs in a private COW world under "I complete, my group
 // siblings don't"; their variable accesses contend through the store;
-// the first to finish with its when condition satisfied commits.
-func (m *Machine) execChoo(w *core.World, c *Choo) error {
+// the first to finish with its when condition satisfied commits. The
+// procedures start from f's step count and f continues from the
+// winner's.
+func (m *Machine) execChoo(f *frame, c *Choo) error {
 	alts := make([]core.Alt, len(c.Procs))
 	for i, name := range c.Procs {
 		d := m.Prog.Procs[name]
@@ -147,41 +187,51 @@ func (m *Machine) execChoo(w *core.World, c *Choo) error {
 			Body: func(cw *core.World) error { return m.execProc(cw, d) },
 		}
 	}
-	_, err := w.RunAlt(core.Options{SyncElimination: true}, alts...)
+	if err := f.store(); err != nil {
+		return err
+	}
+	_, err := f.w.RunAlt(core.Options{SyncElimination: true}, alts...)
 	if errors.Is(err, core.ErrAllFailed) {
 		return fmt.Errorf("%v: every procedure of choo(%v) refused", c.Pos, c.Procs)
 	}
+	if err != nil {
+		return err
+	}
+	f.steps, err = f.w.ReadUint64(stepsOff)
 	return err
 }
 
+// execProc runs procedure d as world w: its when guard, then its body.
 func (m *Machine) execProc(w *core.World, d *ProcDecl) error {
-	if d.When != nil {
-		v, err := m.eval(w, d.When)
-		if err != nil {
-			return err
+	return m.run(w, func(f *frame) error {
+		if d.When != nil {
+			v, err := m.eval(f, d.When)
+			if err != nil {
+				return err
+			}
+			if v == 0 {
+				return fmt.Errorf("%s at %v: %w", d.Name, d.When.Position(), ErrWhenRefused)
+			}
 		}
-		if v == 0 {
-			return fmt.Errorf("%s at %v: %w", d.Name, d.When.Position(), ErrWhenRefused)
-		}
-	}
-	return m.Exec(w, d.Body)
+		return m.exec(f, d.Body)
+	})
 }
 
-func (m *Machine) eval(w *core.World, e Expr) (int64, error) {
-	if err := m.charge(); err != nil {
+func (m *Machine) eval(f *frame, e Expr) (int64, error) {
+	if err := m.charge(f); err != nil {
 		return 0, err
 	}
 	switch x := e.(type) {
 	case *IntLit:
 		return x.Val, nil
 	case *VarRef:
-		v, err := m.Store.Read(w, m.Prog.VarKey(x.Name), m.timeout())
+		v, err := m.Store.Read(f.w, m.Prog.VarKey(x.Name), m.timeout())
 		if err != nil {
 			return 0, fmt.Errorf("%v: read %s: %w", x.Pos, x.Name, err)
 		}
 		return int64(v), nil
 	case *Unary:
-		v, err := m.eval(w, x.X)
+		v, err := m.eval(f, x.X)
 		if err != nil {
 			return 0, err
 		}
@@ -193,11 +243,11 @@ func (m *Machine) eval(w *core.World, e Expr) (int64, error) {
 		}
 		return 0, nil
 	case *Binary:
-		a, err := m.eval(w, x.X)
+		a, err := m.eval(f, x.X)
 		if err != nil {
 			return 0, err
 		}
-		b, err := m.eval(w, x.Y)
+		b, err := m.eval(f, x.Y)
 		if err != nil {
 			return 0, err
 		}

@@ -32,7 +32,8 @@ type JobOptions struct {
 	Deadline time.Duration
 	// ReadTimeout bounds each variable read (default 2s).
 	ReadTimeout time.Duration
-	// MaxSteps bounds total evaluation steps (default DefaultMaxSteps).
+	// MaxSteps bounds the evaluation steps along one execution path
+	// (default DefaultMaxSteps; see Machine.MaxSteps).
 	MaxSteps int64
 }
 

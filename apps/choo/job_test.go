@@ -2,6 +2,8 @@ package choo
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -181,6 +183,40 @@ choo(a, b);
 	want := map[int64]string{1: "111", 2: "222"}[out.Vars["x"]]
 	if out.Prints[0] != want {
 		t.Errorf("print %q does not belong to winner x=%d", out.Prints[0], out.Vars["x"])
+	}
+}
+
+// TestStepBudgetIsPerPath: MaxSteps bounds one execution path, so a
+// losing procedure's steps are never charged to the winner. A
+// sequential run of this program takes about 85 steps; the two
+// procedures together take about 165, over the budget of 120, so a
+// budget shared between them fails the job at degree 2.
+func TestStepBudgetIsPerPath(t *testing.T) {
+	var src strings.Builder
+	src.WriteString("x := 1;\n")
+	for _, name := range []string{"a", "b"} {
+		fmt.Fprintf(&src, "proc %s {", name)
+		for i := 0; i < 20; i++ {
+			src.WriteString(" x := x + 1;")
+		}
+		src.WriteString(" }\n")
+	}
+	src.WriteString("choo(a, b);\n")
+	for run := 0; run < 20; run++ {
+		rt := core.New(core.Config{})
+		res := runProgram(t, rt, src.String(), JobOptions{MaxDegree: 2, MaxSteps: 120})
+		if res.Status != serve.StatusDone {
+			t.Fatalf("run %d: status %v (err %v), want done: a path of ~85 steps fits a budget of 120",
+				run, res.Status, res.Err)
+		}
+		if out := checkAgainstOracle(t, src.String(), res); out.Vars["x"] != 21 {
+			t.Fatalf("run %d: x = %d, want 21", run, out.Vars["x"])
+		}
+	}
+	// The budget still binds one path.
+	res := runProgram(t, core.New(core.Config{}), src.String(), JobOptions{MaxDegree: 2, MaxSteps: 60})
+	if res.Status != serve.StatusFailed {
+		t.Fatalf("status %v with a budget of 60, want failed", res.Status)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"os"
+	"strings"
 	"testing"
 
 	appchoo "altrun/apps/choo"
@@ -42,12 +43,31 @@ func TestSubmitStmAndWait(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mresp.Body.Close()
-	var m metricsView
+	// Decode the selection and messages sections by their JSON keys:
+	// like every other section, they are snake_case.
+	var m struct {
+		Selection map[string]int64 `json:"selection"`
+		Messages  map[string]int64 `json:"messages"`
+	}
 	if err := json.NewDecoder(mresp.Body).Decode(&m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Messages.Splits == 0 {
-		t.Fatalf("metrics show no receiver splits after a contended stm job: %+v", m.Messages)
+	for section, keys := range map[string]map[string]int64{"selection": m.Selection, "messages": m.Messages} {
+		for k := range keys {
+			if k != strings.ToLower(k) {
+				t.Errorf("/metrics %s key %q is not snake_case", section, k)
+			}
+		}
+	}
+	if m.Messages["sent"] == 0 || m.Selection["resolutions"] == 0 {
+		t.Fatalf("metrics show no sends or resolutions after a contended stm job: %v %v", m.Messages, m.Selection)
+	}
+	if m.Messages["splits"] == 0 {
+		t.Fatalf("metrics show no receiver splits after a contended stm job: %v", m.Messages)
+	}
+	if m.Messages["splits"] != m.Selection["world_splits"] {
+		t.Fatalf("messages.splits = %d, selection.world_splits = %d: a split counted without a fork",
+			m.Messages["splits"], m.Selection["world_splits"])
 	}
 }
 

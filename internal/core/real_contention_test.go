@@ -195,6 +195,7 @@ func TestRealContendedPagesWinnerImage(t *testing.T) {
 	if st := rt.MsgStats(); st.Splits == 0 || st.Ignored == 0 {
 		t.Fatalf("contended rounds drove no split/ignore traffic: %+v", st)
 	}
+	checkSplitsForked(t, rt)
 	if rt.SelStats().Eliminations == 0 {
 		t.Fatal("commits eliminated no contradicted copies")
 	}
@@ -257,6 +258,7 @@ func TestRealCascadeAcrossTwoStores(t *testing.T) {
 	if rt.SelStats().Eliminations == 0 {
 		t.Fatal("cross-store commit eliminated nothing")
 	}
+	checkSplitsForked(t, rt)
 	for _, srv := range []ids.PID{a.PID(), b.PID()} {
 		for _, cw := range rt.Copies(srv) {
 			rt.Shutdown(cw)

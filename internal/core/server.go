@@ -133,6 +133,7 @@ func (rt *Runtime) fork(s *server, v *World, assume, deny *predicate.Set, sender
 	rt.registerWorld(nv)
 	rt.rebase(v, deny)
 	rt.sel.WorldSplits.Add(1)
+	rt.router.CountSplit()
 	s.mu.Lock()
 	s.versions = append(s.versions, nv) // a Shutdown since leaves it to endServer
 	s.mu.Unlock()

@@ -239,6 +239,20 @@ func TestNonServerCannotSplit(t *testing.T) {
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
+	// The refused message was stamped but forked nothing.
+	if st := rt.MsgStats(); st.Sent != 1 || st.Splits != 0 {
+		t.Fatalf("refused send counted %+v, want 1 sent and no split", st)
+	}
+	checkSplitsForked(t, rt)
+}
+
+// checkSplitsForked asserts that every split the router counted forked
+// a server version.
+func checkSplitsForked(t *testing.T, rt *Runtime) {
+	t.Helper()
+	if splits, forks := rt.MsgStats().Splits, rt.SelStats().WorldSplits; int64(splits) != forks {
+		t.Fatalf("MsgStats().Splits = %d, SelStats().WorldSplits = %d: a split counted without a fork", splits, forks)
+	}
 }
 
 func TestSendToDeadWorld(t *testing.T) {
@@ -300,6 +314,7 @@ func TestTwoSpeculativeSendersNestSplits(t *testing.T) {
 	if st := rt.MsgStats(); st.Splits < 2 {
 		t.Fatalf("splits = %d, want >= 2", st.Splits)
 	}
+	checkSplitsForked(t, rt)
 }
 
 func TestServerFIFOPerSender(t *testing.T) {
@@ -376,6 +391,7 @@ func TestServerFIFOPerSender(t *testing.T) {
 	if st := rt.MsgStats(); st.Splits != 2 {
 		t.Fatalf("splits = %d, want 2 (the deny side of the first split splits again)", st.Splits)
 	}
+	checkSplitsForked(t, rt)
 	var want []uint64
 	for i := 0; i < 20; i++ {
 		want = append(want, item(root, i))

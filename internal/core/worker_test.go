@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"math/rand"
 	"runtime"
 	"sync"
 	"testing"
@@ -357,6 +358,71 @@ func BenchmarkRunAltTwoWay(b *testing.B) {
 		var arb arbiter.Local
 		claim := func(w *World) bool { return arb.Claim(w.PID()) }
 		if _, err := root.RunAlt(Options{SyncElimination: true, Claim: claim}, alts...); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	rt.Shutdown(root)
+	rt.Wait()
+}
+
+// BenchmarkRunAltForkWrite is one fork_write-shaped block: 3
+// alternatives on a 4 MiB root, each reading 256 pages, writing 256
+// others (a page copy each) and writing 32 of those again, over
+// seed-made page plans. Synchronous elimination and a local arbiter, as
+// in BenchmarkRunAltTwoWay. The page layer does most of its work.
+func BenchmarkRunAltForkWrite(b *testing.B) {
+	const (
+		pageSize = 4096
+		pages    = 1024
+		touch    = 256
+		rewrite  = 32
+		plans    = 16
+	)
+	rt := New(Config{PageSize: pageSize})
+	root, err := rt.NewRootWorld("root", pages*pageSize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for p := int64(0); p < pages; p++ {
+		if err := root.WriteUint64(p*pageSize, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+	// Each plan gives every alternative touch pages to read and touch
+	// other pages to write.
+	r := rand.New(rand.NewSource(42))
+	blocks := make([][]Alt, plans)
+	for i := range blocks {
+		for a := 0; a < 3; a++ {
+			perm := r.Perm(pages)
+			reads, writes, mine := perm[:touch], perm[touch:2*touch], uint64(a+2)
+			blocks[i] = append(blocks[i], Alt{Name: "alt", Body: func(w *World) error {
+				for _, p := range reads {
+					if _, err := w.ReadUint64(int64(p) * pageSize); err != nil {
+						return err
+					}
+				}
+				for _, p := range writes {
+					if err := w.WriteUint64(int64(p)*pageSize+8, mine); err != nil {
+						return err
+					}
+				}
+				for _, p := range writes[:rewrite] {
+					if err := w.WriteUint64(int64(p)*pageSize+16, mine); err != nil {
+						return err
+					}
+				}
+				return nil
+			}})
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var arb arbiter.Local
+		claim := func(w *World) bool { return arb.Claim(w.PID()) }
+		if _, err := root.RunAlt(Options{SyncElimination: true, Claim: claim}, blocks[i%plans]...); err != nil {
 			b.Fatal(err)
 		}
 	}

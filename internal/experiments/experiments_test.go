@@ -330,6 +330,9 @@ func TestE13WorldsShape(t *testing.T) {
 	if res.Splits < res.Senders-1 {
 		t.Errorf("splits = %d, want >= %d", res.Splits, res.Senders-1)
 	}
+	if res.Splits != res.WorldSplits {
+		t.Errorf("split decisions = %d, world splits = %d: a split counted without a fork", res.Splits, res.WorldSplits)
+	}
 	_ = res.Format()
 }
 

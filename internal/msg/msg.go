@@ -45,13 +45,15 @@ type Message struct {
 
 // Stats counts delivery decisions; the worlds experiment (E13) reports
 // them. Sent counts stamped messages, one per send however many copies
-// of a split receiver decide it; the other three count decisions, one
-// per copy.
+// of a split receiver decide it. Accepted and Ignored count decisions,
+// one per copy. Splits counts receivers actually forked (CountSplit): a
+// receiver that cannot split refuses the message and counts nowhere
+// but Sent.
 type Stats struct {
-	Sent     int
-	Accepted int
-	Ignored  int
-	Splits   int
+	Sent     int `json:"sent"`
+	Accepted int `json:"accepted"`
+	Ignored  int `json:"ignored"`
+	Splits   int `json:"splits"`
 }
 
 // Router stamps messages and decides them for the receivers its caller
@@ -97,7 +99,9 @@ func (r *Router) Stamp(sender ids.PID, senderPred *predicate.Set, dest ids.PID, 
 }
 
 // Decide applies the accept/ignore/split rule to m for a receiver copy
-// holding the set rcvPred, and counts the decision. senderPred is the set to decide against — m's sending
+// holding the set rcvPred, and counts an accept or an ignore; the
+// caller counts a split with CountSplit once it has forked the
+// receiver. senderPred is the set to decide against — m's sending
 // predicate, possibly with fates that have resolved since folded in —
 // or nil when one of its assumptions is already known false: a message
 // from a dead world, ignored. On Split it returns the copies' sets: the
@@ -119,9 +123,12 @@ func (r *Router) Decide(rcvPred, senderPred *predicate.Set, m Message) (d predic
 	case predicate.Accept:
 		r.accepted.Add(1)
 	case predicate.Split:
-		r.splits.Add(1)
+		// Counted by CountSplit, once the receiver is forked.
 	default:
 		r.ignored.Add(1)
 	}
 	return d, assume, deny
 }
+
+// CountSplit counts a receiver forked on a Split decision.
+func (r *Router) CountSplit() { r.splits.Add(1) }

@@ -58,8 +58,9 @@ func TestSendIgnoreConflicting(t *testing.T) {
 }
 
 // TestSendSplit: Decide returns the two copies' sets for a receiver
-// that must make a further assumption, and counts one split; a message
-// stamped once is counted sent once however many copies decide it.
+// that must make a further assumption, and leaves the split to be
+// counted by the caller that forks the receiver; a message stamped once
+// is counted sent once however many copies decide it.
 func TestSendSplit(t *testing.T) {
 	r := NewRouter()
 	rcv := predicate.New()
@@ -72,6 +73,10 @@ func TestSendSplit(t *testing.T) {
 	if !assume.MustComplete(sender) || !deny.CantComplete(sender) {
 		t.Fatalf("split sets wrong: assume=%v deny=%v", assume, deny)
 	}
+	if st := r.Stats(); st.Splits != 0 {
+		t.Fatalf("Decide counted a split nothing forked: %+v", st)
+	}
+	r.CountSplit() // the receiver is forked
 	// The two copies decide the sender's next message: one accepts, one
 	// ignores.
 	m2 := r.Stamp(sender, m.SenderPredicates, ids.PID(2), "again")

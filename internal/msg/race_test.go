@@ -91,6 +91,7 @@ func TestConcurrentSendersSplitLineage(t *testing.T) {
 					nc := &raceCopy{preds: assume, delivered: append(append([]Message(nil), c.delivered...), m)}
 					c.preds = deny
 					copies = append(copies, nc)
+					r.CountSplit()
 				}
 			}
 		}

@@ -23,8 +23,8 @@ func TestCloneIsO1(t *testing.T) {
 		}
 		child.Release()
 	})
-	// Clone allocates the child table and its empty delta map; it must
-	// not scale with the 1000 resident pages.
+	// Clone allocates the child table (its delta is allocated on its
+	// first write); it must not scale with the 1000 resident pages.
 	if allocs > 4 {
 		t.Fatalf("Clone of 1000-page table costs %.0f allocs/op, want O(1)", allocs)
 	}
@@ -280,7 +280,7 @@ func TestRefDebugCatchesDoubleRelease(t *testing.T) {
 
 	// A double chain release (white-box: impossible through the public
 	// API) must panic instead of corrupting the pool.
-	l := &layer{pages: map[int64]*pageBuf{}, depth: 1}
+	l := &layer{pages: make([]*pageBuf, 4), depth: 1}
 	l.refs.Store(1)
 	s.releaseChain(l)
 	defer func() {

@@ -14,19 +14,29 @@
 // # Layered (persistent) page tables
 //
 // A Table is a chain of immutable, reference-counted base layers plus a
-// private mutable delta. Clone freezes the delta into a new shared
-// layer and hands both tables a pointer to it, so a fork is O(1) in the
-// resident size — the analogue of the hardware page-map inheritance
-// that lets the paper's 3B2 fork a 320 KB space in 31 ms regardless of
-// how much of it is resident. Reads walk the layer chain newest-first
-// with a per-table lookup cache; writes always land in the delta,
-// copying from the chain when the page is shared (counted in Copies) or
-// migrating the page buffer when the whole chain is exclusively owned
-// (the refcount-1 in-place fast path of the eager design). Page buffers
-// are recycled through a store-wide pool, so steady-state write faults
-// and sibling eliminations are allocation-free. Once an exclusively
-// owned chain grows past compactDepth layers it is folded back into the
-// delta, bounding walk depth for long fork→commit lineages.
+// private mutable delta. Every layer, the delta included, is a slot
+// array indexed by page number, like the MMU page tables the paper
+// relies on: a nil slot means the page is not in that layer, and a
+// tombstone slot means it was dropped there. Clone freezes the delta
+// into a new shared layer by handing its array over, and gives both
+// tables a pointer to it, so a fork is O(1) in the resident size — the
+// analogue of the hardware page-map inheritance that lets the paper's
+// 3B2 fork a 320 KB space in 31 ms regardless of how much of it is
+// resident. A read tries the delta and then each layer newest-first,
+// one indexed load per array and no allocation; there is no lookup
+// cache. Writes always land in the delta, copying from the chain when
+// the page is shared (counted in Copies) or migrating the page buffer
+// when the whole chain is exclusively owned (the refcount-1 in-place
+// fast path of the eager design). Page buffers and slot arrays are
+// recycled through store-wide pools, so steady-state write faults,
+// forks and sibling eliminations are allocation-free. Once an
+// exclusively owned chain grows past compactDepth layers it is folded
+// back into the delta, so a read walks at most compactDepth + 1 arrays
+// unless other tables still pin the chain.
+//
+// Page numbers index arrays: a table is as wide as the highest page it
+// maps, and callers bound page numbers (internal/mem checks every
+// access against its fixed size before it reaches the table).
 //
 // One accounting nuance of the layered design: a page stays "shared"
 // while any other table's chain still reaches its layer, even if that
@@ -47,6 +57,7 @@ package page
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 )
@@ -62,8 +73,9 @@ const compactDepth = 8
 // ErrReleased is returned when using a table after Release.
 var ErrReleased = errors.New("page: table already released")
 
-// Store is a page allocator with global copy/alloc accounting and a
-// pool of recycled page buffers. It is safe for concurrent use.
+// Store is a page allocator with global copy/alloc accounting, a pool
+// of recycled page buffers and pools of recycled slot arrays. It is
+// safe for concurrent use.
 type Store struct {
 	pageSize    int
 	allocs      atomic.Int64
@@ -72,6 +84,10 @@ type Store struct {
 	compactions atomic.Int64
 	recycled    atomic.Int64
 	pool        sync.Pool // *pageBuf
+
+	// layers pools empty layers by the log2 of their slot array's
+	// length (always a power of two).
+	layers [64]sync.Pool // *layer
 }
 
 // NewStore returns a Store with the given page size; size <= 0 selects
@@ -107,9 +123,9 @@ func (s *Store) Compactions() int64 { return s.compactions.Load() }
 func (s *Store) Recycled() int64 { return s.recycled.Load() }
 
 // A pageBuf is a fixed-size unit of sink state. In the layered design a
-// buffer lives in exactly one container (one layer's map or one table's
-// delta) at a time, so container ownership — not a per-page refcount —
-// governs when it returns to the pool.
+// buffer lives in exactly one container (one layer's slot or one
+// table's delta slot) at a time, so container ownership — not a
+// per-page refcount — governs when it returns to the pool.
 type pageBuf struct {
 	data []byte
 }
@@ -148,14 +164,16 @@ func (s *Store) put(p *pageBuf) {
 	s.pool.Put(p)
 }
 
-// A layer is one frozen generation of page mappings. Layers are
-// immutable while shared; refs counts direct referents (tables using it
-// as their base plus layers using it as their parent). A table that
-// owns every layer of its chain exclusively (all refs == 1) may mutate
-// them, since no other table can reach any of them.
+// A layer is one generation of page mappings: a slot array indexed by
+// page number. A table's delta is a private, unfrozen layer; Clone
+// freezes it. Frozen layers are immutable while shared; refs counts
+// direct referents (tables using it as their base plus layers using it
+// as their parent). A table that owns every layer of its chain
+// exclusively (all refs == 1) may mutate them, since no other table can
+// reach any of them.
 type layer struct {
 	parent *layer
-	pages  map[int64]*pageBuf
+	pages  []*pageBuf // nil = not in this layer, tombstone = dropped
 	refs   atomic.Int32
 	depth  int
 }
@@ -167,9 +185,49 @@ func depthOf(l *layer) int {
 	return l.depth
 }
 
+// widthOf returns the length of the longest slot array in the chain
+// ending at l. No layer is shorter than the one it was frozen on (a
+// delta is grown to its chain's width), so that is l's own length.
+func widthOf(l *layer) int {
+	if l == nil {
+		return 0
+	}
+	return len(l.pages)
+}
+
+// slot returns l's entry for page n: nil when l is nil, n is outside
+// its array, or the page is not in this layer.
+func (l *layer) slot(n int64) *pageBuf {
+	if l == nil || uint64(n) >= uint64(len(l.pages)) {
+		return nil
+	}
+	return l.pages[n]
+}
+
+// getLayer returns an empty, unfrozen layer whose slot array holds at
+// least n >= 1 slots, rounded up to a power of two.
+func (s *Store) getLayer(n int) *layer {
+	class := bits.Len(uint(n - 1))
+	if v := s.layers[class].Get(); v != nil {
+		return v.(*layer)
+	}
+	return &layer{pages: make([]*pageBuf, 1<<class)}
+}
+
+// putLayer clears l and returns it to its pool. The caller must hold
+// the only reference and must already have disposed of the page
+// buffers in it. Clearing the array means a stale page pointer can
+// never reach the next table that gets it.
+func (s *Store) putLayer(l *layer) {
+	clear(l.pages)
+	l.parent, l.depth = nil, 0
+	l.refs.Store(0)
+	s.layers[bits.Len(uint(len(l.pages)-1))].Put(l)
+}
+
 // releaseChain drops one reference from l and every ancestor whose
 // reference count consequently reaches zero, returning their page
-// buffers to the pool.
+// buffers and slot arrays to the pools.
 func (s *Store) releaseChain(l *layer) {
 	for l != nil {
 		n := l.refs.Add(-1)
@@ -180,8 +238,9 @@ func (s *Store) releaseChain(l *layer) {
 		for _, p := range l.pages {
 			s.put(p)
 		}
-		l.pages = nil
-		l = l.parent
+		parent := l.parent
+		s.putLayer(l)
+		l = parent
 	}
 }
 
@@ -191,16 +250,15 @@ func (s *Store) releaseChain(l *layer) {
 type Table struct {
 	store    *Store
 	base     *layer
-	delta    map[int64]*pageBuf
-	cache    map[int64]*pageBuf // memoized base-chain lookups (tombstone = miss)
-	copies   int64              // COW page copies performed by this table
-	resident int                // distinct visible pages
+	delta    *layer // private and unfrozen; nil until the first write
+	copies   int64  // COW page copies performed by this table
+	resident int    // distinct visible pages
 	released bool
 }
 
 // NewTable returns an empty page table.
 func (s *Store) NewTable() *Table {
-	return &Table{store: s, delta: make(map[int64]*pageBuf)}
+	return &Table{store: s}
 }
 
 // Len returns the number of resident pages.
@@ -214,34 +272,54 @@ func (t *Table) Depth() int { return depthOf(t.base) }
 // since creation (write faults to shared pages).
 func (t *Table) Copies() int64 { return t.copies }
 
-// lookupBase resolves page n through the base chain, memoizing the
-// result (tombstone for both dropped and absent pages; layers are
-// immutable to every other table, so memoized misses cannot go stale).
+// lookupBase resolves page n through the base chain, newest layer
+// first; nil for a dropped or absent page.
 func (t *Table) lookupBase(n int64) *pageBuf {
-	if t.base == nil {
-		return nil
+	for l := t.base; l != nil; l = l.parent {
+		if p := l.slot(n); p != nil {
+			if p == tombstone {
+				return nil
+			}
+			return p
+		}
 	}
-	if p, ok := t.cache[n]; ok {
+	return nil
+}
+
+// resolve returns the buffer backing page n, or nil if absent/dropped
+// (or the table is released: it then has neither delta nor base).
+func (t *Table) resolve(n int64) *pageBuf {
+	if p := t.delta.slot(n); p != nil {
 		if p == tombstone {
 			return nil
 		}
 		return p
 	}
-	found := tombstone
-	for l := t.base; l != nil; l = l.parent {
-		if p, ok := l.pages[n]; ok {
-			found = p
-			break
-		}
+	return t.lookupBase(n)
+}
+
+// set stores p in the delta's slot n, growing the delta first if it
+// does not reach n.
+func (t *Table) set(n int64, p *pageBuf) {
+	d := t.delta
+	if d == nil || n >= int64(len(d.pages)) {
+		d = t.growDelta(int(n) + 1)
 	}
-	if t.cache == nil {
-		t.cache = make(map[int64]*pageBuf)
+	d.pages[n] = p
+}
+
+// growDelta replaces the delta with one of at least n slots and at
+// least the chain's width, so a fresh child's delta is allocated once
+// and then written within its capacity; a delta that outgrows the chain
+// (a root being filled page by page) doubles.
+func (t *Table) growDelta(n int) *layer {
+	d := t.store.getLayer(max(n, widthOf(t.base)))
+	if old := t.delta; old != nil {
+		copy(d.pages, old.pages)
+		t.store.putLayer(old)
 	}
-	t.cache[n] = found
-	if found == tombstone {
-		return nil
-	}
-	return found
+	t.delta = d
+	return d
 }
 
 // SharedWith returns how many of t's resident pages are also reachable
@@ -252,23 +330,22 @@ func (t *Table) SharedWith() int {
 	if t.released {
 		return 0
 	}
+	width := max(widthOf(t.base), widthOf(t.delta))
 	shared := 0
-	exclusive := true
-	seen := make(map[int64]bool, len(t.delta))
-	for n := range t.delta {
-		seen[n] = true // delta pages (and tombstones) are private
-	}
-	for l := t.base; l != nil; l = l.parent {
-		if l.refs.Load() != 1 {
-			exclusive = false
+	for n := int64(0); n < int64(width); n++ {
+		if t.delta.slot(n) != nil {
+			continue // delta pages (and tombstones) are private
 		}
-		for n, p := range l.pages {
-			if seen[n] {
-				continue
+		exclusive := true
+		for l := t.base; l != nil; l = l.parent {
+			if l.refs.Load() != 1 {
+				exclusive = false
 			}
-			seen[n] = true
-			if p != tombstone && !exclusive {
-				shared++
+			if p := l.slot(n); p != nil {
+				if p != tombstone && !exclusive {
+					shared++
+				}
+				break
 			}
 		}
 	}
@@ -284,23 +361,19 @@ func (t *Table) Clone() (*Table, error) {
 		return nil, ErrReleased
 	}
 	t.maybeCompact()
-	base := t.base
-	if len(t.delta) > 0 {
-		nl := &layer{parent: t.base, pages: t.delta, depth: depthOf(t.base) + 1}
-		// The new layer inherits t's reference to the old base and is
-		// itself referenced by t and the child.
-		nl.refs.Store(2)
-		t.base = nl
-		t.delta = make(map[int64]*pageBuf)
-		t.cache = nil
-		base = nl
-	} else if base != nil {
-		base.refs.Add(1)
+	if d := t.delta; d != nil {
+		// The delta becomes the new base layer. It inherits t's
+		// reference to the old base and is itself referenced by t and
+		// the child.
+		d.parent, d.depth = t.base, depthOf(t.base)+1
+		d.refs.Store(2)
+		t.base, t.delta = d, nil
+	} else if t.base != nil {
+		t.base.refs.Add(1)
 	}
 	nt := &Table{
 		store:    t.store,
-		base:     base,
-		delta:    make(map[int64]*pageBuf),
+		base:     t.base,
 		resident: t.resident,
 	}
 	t.store.clones.Add(1)
@@ -320,25 +393,32 @@ func (t *Table) maybeCompact() {
 			return
 		}
 	}
-	for l := t.base; l != nil; l = l.parent {
+	d := t.delta
+	if d == nil || len(d.pages) < widthOf(t.base) {
+		d = t.growDelta(widthOf(t.base))
+	}
+	for l := t.base; l != nil; {
 		for n, p := range l.pages {
-			if _, ok := t.delta[n]; ok {
+			if p == nil {
+				continue
+			}
+			if d.pages[n] != nil {
 				t.store.put(p) // shadowed by a newer generation
 				continue
 			}
-			t.delta[n] = p
+			d.pages[n] = p
 		}
-		l.pages = nil
-		l.refs.Store(0)
+		parent := l.parent
+		t.store.putLayer(l)
+		l = parent
 	}
 	// With no chain left to shadow, tombstones mean nothing.
-	for n, p := range t.delta {
+	for n, p := range d.pages {
 		if p == tombstone {
-			delete(t.delta, n)
+			d.pages[n] = nil
 		}
 	}
 	t.base = nil
-	t.cache = nil
 	t.store.compactions.Add(1)
 }
 
@@ -350,13 +430,7 @@ func (t *Table) Read(n int64) ([]byte, error) {
 	if t.released {
 		return nil, ErrReleased
 	}
-	if p, ok := t.delta[n]; ok {
-		if p == tombstone {
-			return nil, nil
-		}
-		return p.data, nil
-	}
-	if p := t.lookupBase(n); p != nil {
+	if p := t.resolve(n); p != nil {
 		return p.data, nil
 	}
 	return nil, nil
@@ -370,7 +444,10 @@ func (t *Table) Write(n int64) ([]byte, error) {
 	if t.released {
 		return nil, ErrReleased
 	}
-	if p, ok := t.delta[n]; ok {
+	if n < 0 {
+		return nil, fmt.Errorf("page: negative page number %d", n)
+	}
+	if p := t.delta.slot(n); p != nil {
 		if p != tombstone {
 			return p.data, nil
 		}
@@ -384,9 +461,8 @@ func (t *Table) Write(n int64) ([]byte, error) {
 		if l.refs.Load() != 1 {
 			exclusive = false
 		}
-		if p, ok := l.pages[n]; ok {
-			found = p
-			foundLayer = l
+		if p := l.slot(n); p != nil {
+			found, foundLayer = p, l
 			break
 		}
 	}
@@ -397,14 +473,13 @@ func (t *Table) Write(n int64) ([]byte, error) {
 		// Sole owner of every layer down to the page: migrate the
 		// buffer and write in place — the refcount-1 fast path; no copy
 		// is charged, matching the eager design after sibling release.
-		delete(foundLayer.pages, n)
-		delete(t.cache, n)
-		t.delta[n] = found
+		foundLayer.pages[n] = nil
+		t.set(n, found)
 		return found.data, nil
 	}
 	np := t.store.get()
 	copy(np.data, found.data)
-	t.delta[n] = np
+	t.set(n, np)
 	t.copies++
 	t.store.copies.Add(1)
 	return np.data, nil
@@ -413,7 +488,7 @@ func (t *Table) Write(n int64) ([]byte, error) {
 // allocAt materializes a fresh zero page at n in the delta.
 func (t *Table) allocAt(n int64) []byte {
 	np := t.store.getZero()
-	t.delta[n] = np
+	t.set(n, np)
 	t.resident++
 	t.store.allocs.Add(1)
 	return np.data
@@ -426,37 +501,40 @@ func (t *Table) Drop(n int64) error {
 	if t.released {
 		return ErrReleased
 	}
-	if p, ok := t.delta[n]; ok {
+	if p := t.delta.slot(n); p != nil {
 		if p == tombstone {
 			return nil
 		}
 		t.store.put(p)
 		t.resident--
 		if t.lookupBase(n) != nil {
-			t.delta[n] = tombstone
+			t.delta.pages[n] = tombstone
 		} else {
-			delete(t.delta, n)
+			t.delta.pages[n] = nil
 		}
 		return nil
 	}
 	if t.lookupBase(n) != nil {
-		t.delta[n] = tombstone
+		t.set(n, tombstone)
 		t.resident--
 	}
 	return nil
 }
 
 // Release drops every mapping, returning exclusively held page buffers
-// to the pool. Further use returns ErrReleased. Release is idempotent.
+// and slot arrays to the pools. Further use returns ErrReleased.
+// Release is idempotent.
 func (t *Table) Release() {
 	if t.released {
 		return
 	}
-	for _, p := range t.delta {
-		t.store.put(p)
+	if d := t.delta; d != nil {
+		for _, p := range d.pages {
+			t.store.put(p)
+		}
+		t.store.putLayer(d)
+		t.delta = nil
 	}
-	t.delta = nil
-	t.cache = nil
 	t.store.releaseChain(t.base)
 	t.base = nil
 	t.resident = 0
@@ -476,24 +554,9 @@ func (t *Table) Swap(other *Table) error {
 	}
 	t.base, other.base = other.base, t.base
 	t.delta, other.delta = other.delta, t.delta
-	t.cache, other.cache = other.cache, t.cache
 	t.copies, other.copies = other.copies, t.copies
 	t.resident, other.resident = other.resident, t.resident
 	return nil
-}
-
-// resolve returns the buffer backing page n, or nil if absent/dropped.
-func (t *Table) resolve(n int64) *pageBuf {
-	if t.released {
-		return nil
-	}
-	if p, ok := t.delta[n]; ok {
-		if p == tombstone {
-			return nil
-		}
-		return p
-	}
-	return t.lookupBase(n)
 }
 
 // SamePage reports whether t and other map the same physical page at n

@@ -103,6 +103,9 @@ func TestBlockCommitMatchesOracle(t *testing.T) {
 		t.Fatalf("no ignored messages: %d -> %d (losers' writes must be ignored by conflicting copies)",
 			before.Ignored, after.Ignored)
 	}
+	if splits, forks := after.Splits, rt.SelStats().WorldSplits; int64(splits) != forks {
+		t.Fatalf("MsgStats().Splits = %d, SelStats().WorldSplits = %d: a split counted without a fork", splits, forks)
+	}
 	if elimAfter := rt.SelStats().Eliminations; elimAfter <= elimBefore {
 		t.Fatalf("no eliminations: %d -> %d (the commit must eliminate the store copies that assumed a loser)",
 			elimBefore, elimAfter)

@@ -39,13 +39,13 @@ type SelCounters struct {
 
 // SelSnapshot is a point-in-time copy of SelCounters.
 type SelSnapshot struct {
-	Resolutions        int64
-	SubscribersVisited int64
-	Eliminations       int64
-	Contradictions     int64
-	WorldSplits        int64
-	ShardContention    int64
-	AliasWalks         int64
+	Resolutions        int64 `json:"resolutions"`
+	SubscribersVisited int64 `json:"subscribers_visited"`
+	Eliminations       int64 `json:"eliminations"`
+	Contradictions     int64 `json:"contradictions"`
+	WorldSplits        int64 `json:"world_splits"`
+	ShardContention    int64 `json:"shard_contention"`
+	AliasWalks         int64 `json:"alias_walks"`
 }
 
 // Snapshot reads all counters. Nil-safe: a nil receiver reads as zero.
