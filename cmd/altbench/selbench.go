@@ -56,7 +56,7 @@ type selBenchReport struct {
 	// bystander population.
 	Contended []selContendedResult `json:"contended_64way,omitempty"`
 	// MutexProfileReadPath is "clean" when a full mutex profile of the
-	// contended run contains no registry/epoch/proc/router
+	// contended run contains no registry/pidmap/proc/router
 	// read-path frame — the zero-mutex-acquisition check.
 	MutexProfileReadPath string `json:"mutex_profile_read_path,omitempty"`
 	// SubscribersPerResolution is the mean affected-set size observed
@@ -257,12 +257,10 @@ func benchContendedCommit(live, blocksPerWorker int) (selContendedResult, error)
 // lock): registry lookup (which
 // also resolves every send's receiver), subscriber snapshot and process
 // status take zero mutexes by construction. Writer-side functions
-// (epoch.Map Set/Update/Delete, addWorld, proc Register) legitimately
+// (pidmap.Map Set/Update/Delete, addWorld, proc Register) legitimately
 // hold mutexes and are not in this list.
 var readPathSites = []string{
-	"epoch.(*Domain).Pin",
-	"epoch.Guard.Unpin",
-	").Get", // epoch.(*Map[...]).Get — scoped by the epoch package check below
+	").Get", // pidmap.(*Map[...]).Get — scoped by the pidmap package check below
 	"core.(*registry).world",
 	"core.(*registry).appendSubscribers",
 	"proc.(*Table).Status",
@@ -277,8 +275,8 @@ func isReadPathSite(name string) bool {
 		if !strings.Contains(name, rp) {
 			continue
 		}
-		if rp == ").Get" && !strings.Contains(name, "internal/epoch.") {
-			continue // only the epoch map's Get is in scope
+		if rp == ").Get" && !strings.Contains(name, "internal/pidmap.") {
+			continue // only the PID map's Get is in scope
 		}
 		return true
 	}

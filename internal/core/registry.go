@@ -1,8 +1,8 @@
 package core
 
 import (
-	"altrun/internal/epoch"
 	"altrun/internal/ids"
+	"altrun/internal/pidmap"
 )
 
 // This file is the world registry behind Runtime: who is live and which
@@ -31,18 +31,17 @@ import (
 // only the server's address outliving its first version is recorded
 // outside this registry (Runtime.servers).
 //
-// Every read path — world lookup, subscriber snapshot — is lock-free: a
-// pinned epoch-guarded probe of an atomically-published structure, so a
-// propagation cascade on one commit cannot stall lookups from any
-// other, and 64 goroutines committing concurrently contend only on
-// their own shard's writer lock (and the commit arbiter, which is the
-// protocol's own serialization point, not an implementation one).
+// Every read path — world lookup, subscriber snapshot — is lock-free,
+// atomic loads and nothing else, so a propagation cascade on one commit
+// cannot stall lookups from any other, and 64 goroutines committing
+// concurrently contend only on their own shard's writer lock (and the
+// commit arbiter, which is the protocol's own serialization point, not
+// an implementation one).
 //
-//   - worlds: per-shard epoch.Map[World] — open-addressed PID→*World
-//     tables swapped wholesale on growth and reclaimed through the
-//     registry's epoch domain, so a reader mid-probe never races a
-//     table recycle;
-//   - subs: per-shard epoch.Map of immutable copy-on-write []*World
+//   - worlds: per-shard pidmap.Map[World] — open-addressed PID→*World
+//     tables swapped wholesale on growth; a reader mid-probe keeps
+//     walking the table it loaded, and the GC frees it afterwards;
+//   - subs: per-shard pidmap.Map of immutable copy-on-write []*World
 //     buckets. Writers publish a fresh slice per mutation; readers
 //     copy out of whichever snapshot they loaded.
 //
@@ -57,18 +56,17 @@ const regShardCount = 16
 // registry is the world registry. world and appendSubscribers (the
 // selection path) are safe for unbounded concurrency with writers.
 type registry struct {
-	dom    *epoch.Domain
 	shards [regShardCount]regShard
 }
 
 // regShard pairs the world map and the subscription index for one PID
 // stripe. A world lives in the shard of its own PID; a subscription
 // bucket lives in the shard of the *assumed* PID. Writers to the two
-// maps serialize independently (each epoch.Map has its own writer
+// maps serialize independently (each pidmap.Map has its own writer
 // mutex).
 type regShard struct {
-	worlds *epoch.Map[World]
-	subs   *epoch.Map[subBucket]
+	worlds *pidmap.Map[World]
+	subs   *pidmap.Map[subBucket]
 }
 
 // subBucket is one immutable subscriber set. Never mutated after
@@ -76,10 +74,10 @@ type regShard struct {
 type subBucket []*World
 
 func newRegistry() *registry {
-	r := &registry{dom: epoch.NewDomain()}
+	r := &registry{}
 	for i := range r.shards {
-		r.shards[i].worlds = epoch.NewMap[World](r.dom)
-		r.shards[i].subs = epoch.NewMap[subBucket](r.dom)
+		r.shards[i].worlds = pidmap.NewMap[World]()
+		r.shards[i].subs = pidmap.NewMap[subBucket]()
 	}
 	return r
 }
@@ -148,10 +146,7 @@ func (r *registry) world(pid ids.PID) *World {
 	if pid <= 0 {
 		return nil
 	}
-	g := r.dom.Pin()
-	w := r.shardFor(pid).worlds.Get(pid)
-	g.Unpin()
-	return w
+	return r.shardFor(pid).worlds.Get(pid)
 }
 
 // appendSubscribers appends a snapshot of pid's subscription bucket —
@@ -161,13 +156,9 @@ func (r *registry) appendSubscribers(buf []*World, pid ids.PID) []*World {
 	if pid <= 0 {
 		return buf
 	}
-	g := r.dom.Pin()
 	if b := r.shardFor(pid).subs.Get(pid); b != nil {
-		// The bucket slice is immutable; the pin protects the table
-		// probe that found it.
-		buf = append(buf, *b...)
+		buf = append(buf, *b...) // the bucket slice is immutable
 	}
-	g.Unpin()
 	return buf
 }
 

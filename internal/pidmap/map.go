@@ -1,4 +1,8 @@
-package epoch
+// Package pidmap is the lock-free-read PID map under the commit path:
+// the world registry's shards and the process table look up every PID
+// that selection — commit, sibling elimination, predicate resolution —
+// touches through it.
+package pidmap
 
 import (
 	"sync"
@@ -7,38 +11,26 @@ import (
 	"altrun/internal/ids"
 )
 
-// Map is a lock-free-read hash map from PID to *V, the shape every hot
-// lookup on the commit path shares (world registry shards, the process
-// table, the message router). Readers — Get, Range — are pure atomic
-// loads and never block, never take a lock, and never observe a torn
-// table; writers — Set, Update, Delete — serialize on an internal
-// mutex, publish entries with atomic stores, and swap in a rebuilt
-// table when occupancy or tombstone thresholds are crossed. Replaced
-// tables are retired through the Domain and recycled into a free list
-// once their grace period elapses, so steady-state churn (worlds
-// registering and unregistering at block rate) reuses memory instead of
-// feeding the GC.
+// Map is a lock-free-read hash map from PID to *V. Readers — Get,
+// Range — are atomic loads and nothing else: they never block, never
+// take a lock, and never observe a torn table. Writers — Set, Update,
+// Delete — serialize on an internal mutex, publish entries with atomic
+// stores, and swap in a freshly allocated table when occupancy or
+// tombstone thresholds are crossed. A replaced table is never written
+// again and is left to the garbage collector, which frees it once the
+// last reader still probing it has moved on; a rebuild comes only after
+// at least cap/4 inserts or deletes, so its fresh table costs a bounded
+// number of bytes per write.
 //
-// Consistency: a Get that races a Set/Delete may return the old view —
-// exactly the guarantee the previous RWMutex-sharded maps gave a reader
-// that took its read lock just before the writer.
-//
-// Reclamation contract: because replaced tables are RECYCLED (zeroed
-// and reused), every Get/GetSlot caller must hold an active Guard on
-// the Map's Domain for the duration of the call — otherwise a rebuild's
-// grace period can elapse mid-probe and the reader would race the
-// recycler. Range pins internally. Writers need no guard.
+// Consistency: a Get that races a Set/Delete may return the old view,
+// as if the lookup had run just before the write.
 type Map[V any] struct {
-	d     *Domain
 	table atomic.Pointer[mapTable[V]]
 
 	mu    sync.Mutex // serializes writers
 	live  int        // entries with a value (writer-owned)
 	tombs int        // tombstoned slots in the current table (writer-owned)
 	count atomic.Int64
-
-	flMu sync.Mutex // guards free — recycle callbacks run off-thread
-	free map[int][]*mapTable[V]
 }
 
 // mapTable is one immutable-capacity open-addressed table. Slots are
@@ -62,9 +54,9 @@ const (
 	minMapCap = 16
 )
 
-// NewMap returns an empty map reclaiming through d.
-func NewMap[V any](d *Domain) *Map[V] {
-	m := &Map[V]{d: d, free: make(map[int][]*mapTable[V])}
+// NewMap returns an empty map.
+func NewMap[V any]() *Map[V] {
+	m := &Map[V]{}
 	m.table.Store(newMapTable[V](minMapCap))
 	return m
 }
@@ -86,8 +78,7 @@ func hashPID(pid ids.PID) uint64 {
 }
 
 // Get returns the value for pid, or nil. Lock-free: one table load and
-// a linear probe of atomic key loads. The caller must hold a Guard on
-// the Map's Domain (see the type doc).
+// a linear probe of atomic key loads.
 func (m *Map[V]) Get(pid ids.PID) *V {
 	t := m.table.Load()
 	h := hashPID(pid)
@@ -142,11 +133,8 @@ func (m *Map[V]) Len() int { return int(m.count.Load()) }
 
 // Range calls fn for every entry of one consistent table snapshot,
 // stopping early if fn returns false. Entries mutated mid-range may or
-// may not be reflected. The walk pins the Map's domain so a table swap
-// cannot recycle the snapshot underneath it.
+// may not be reflected.
 func (m *Map[V]) Range(fn func(pid ids.PID, v *V) bool) {
-	g := m.d.Pin()
-	defer g.Unpin()
 	t := m.table.Load()
 	for i := range t.slots {
 		s := &t.slots[i]
@@ -184,10 +172,10 @@ func (m *Map[V]) lookupSlot(pid ids.PID) *mapSlot[V] {
 // set inserts or overwrites pid→v. m.mu held.
 func (m *Map[V]) set(pid ids.PID, v *V) {
 	if pid <= 0 {
-		panic("epoch: Map keys must be positive PIDs")
+		panic("pidmap: Map keys must be positive PIDs")
 	}
 	if v == nil {
-		panic("epoch: Map values must be non-nil (use Delete)")
+		panic("pidmap: Map values must be non-nil (use Delete)")
 	}
 	t := m.table.Load()
 	// Rebuild when the next insert could push occupied (live+tombstone)
@@ -251,15 +239,15 @@ func (m *Map[V]) delete(pid ids.PID) bool {
 }
 
 // rebuild swaps in a fresh table sized for the live population, copying
-// live entries and dropping tombstones, and retires the old table into
-// the free list. m.mu held; readers continue on the old table until
-// they next load the pointer.
+// live entries and dropping tombstones. m.mu held; readers continue on
+// the old table until they next load the pointer, and the GC frees it
+// after the last of them.
 func (m *Map[V]) rebuild(old *mapTable[V]) *mapTable[V] {
 	capacity := minMapCap
 	for capacity*2 < (m.live+1)*4 { // live ≤ cap/2 after rebuild
 		capacity *= 2
 	}
-	t := m.takeFree(capacity)
+	t := newMapTable[V](capacity)
 	for i := range old.slots {
 		s := &old.slots[i]
 		k := s.key.Load()
@@ -284,37 +272,5 @@ func (m *Map[V]) rebuild(old *mapTable[V]) *mapTable[V] {
 	}
 	m.tombs = 0
 	m.table.Store(t)
-	m.d.Retire(func() { m.recycle(old) })
 	return t
-}
-
-// takeFree pops a recycled table of the exact capacity or allocates.
-func (m *Map[V]) takeFree(capacity int) *mapTable[V] {
-	m.flMu.Lock()
-	list := m.free[capacity]
-	if n := len(list); n > 0 {
-		t := list[n-1]
-		m.free[capacity] = list[:n-1]
-		m.flMu.Unlock()
-		return t
-	}
-	m.flMu.Unlock()
-	return newMapTable[V](capacity)
-}
-
-// recycle zeroes a retired table and returns it to the free list. Runs
-// as a Domain recycle callback — after the grace period, so no reader
-// still probes the table. It takes only flMu (never m.mu: the writer
-// that triggered collection may hold it).
-func (m *Map[V]) recycle(t *mapTable[V]) {
-	for i := range t.slots {
-		t.slots[i].val.Store(nil)
-		t.slots[i].key.Store(0)
-	}
-	m.flMu.Lock()
-	capacity := len(t.slots)
-	if len(m.free[capacity]) < 4 { // bound the cache per size class
-		m.free[capacity] = append(m.free[capacity], t)
-	}
-	m.flMu.Unlock()
 }

@@ -10,8 +10,8 @@
 // from them itself.
 //
 // The read paths the commit cascade hits — Status, AppendChildren —
-// are lock-free: entries live in an epoch-reclaimed table
-// (internal/epoch), a process's status is one atomic word transitioned
+// are lock-free: entries live in a table read by atomic loads
+// (internal/pidmap), a process's status is one atomic word transitioned
 // by CAS (terminal states absorb: the CAS that makes a status terminal
 // wins forever), and each parent's child index is an immutable slice
 // republished when a child registers or retires. Only Register and a
@@ -30,8 +30,8 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"altrun/internal/epoch"
 	"altrun/internal/ids"
+	"altrun/internal/pidmap"
 )
 
 // Status is a process's lifecycle state.
@@ -105,18 +105,15 @@ type entry struct {
 type Table struct {
 	gen *ids.Generator
 
-	dom *epoch.Domain
 	// entries maps PID → record. Entries are never removed (PIDs are
 	// never reused, and the status of a resolved PID is asked for long
-	// after it ended), so a pointer obtained under a pin stays valid
-	// forever; the pin protects only the table probe.
-	entries *epoch.Map[entry]
+	// after it ended), so a record once looked up stays valid forever.
+	entries *pidmap.Map[entry]
 }
 
 // NewTable returns an empty registry drawing PIDs from gen.
 func NewTable(gen *ids.Generator) *Table {
-	d := epoch.NewDomain()
-	return &Table{gen: gen, dom: d, entries: epoch.NewMap[entry](d)}
+	return &Table{gen: gen, entries: pidmap.NewMap[entry]()}
 }
 
 // Register creates a new Running process and returns its PID. It costs
@@ -166,10 +163,7 @@ func (t *Table) lookup(pid ids.PID) *entry {
 	if pid <= 0 {
 		return nil
 	}
-	g := t.dom.Pin()
-	e := t.entries.Get(pid)
-	g.Unpin()
-	return e
+	return t.entries.Get(pid)
 }
 
 // Get returns a copy of the entry for pid.
