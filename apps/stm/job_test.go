@@ -247,10 +247,10 @@ func runJobDirect(job serve.Job, first int) (Result, int, error) {
 }
 
 // TestLineageRetiresPerJob: a store's split lineage is dead once its job
-// has cleaned up, so what the runtime keeps of it — the process table's
-// child index, which is where the alias edges to split copies live —
-// must return to empty after every job, and the 3 000th job must
-// allocate what the 500th did. 3 000 stm_spec-shaped blocks through one
+// has cleaned up, so what the runtime keeps of it — the PID table's
+// child lists and live worlds — must return to where it was before the
+// first job after every job, and the 3 000th job must allocate what the
+// 500th did. 3 000 stm_spec-shaped blocks through one
 // pool, one in flight; MemStats and counts only.
 //
 // Allocation is compared per message sent, not per block: how many
@@ -271,6 +271,7 @@ func TestLineageRetiresPerJob(t *testing.T) {
 	if testing.Short() { // the -race -count=20 CI step
 		jobs = 300
 	}
+	baseWorlds := rt.LiveWorlds()
 	type mark struct {
 		bytes uint64
 		sent  int
@@ -310,8 +311,16 @@ func TestLineageRetiresPerJob(t *testing.T) {
 		pool.Forget(tk.ID())
 		<-cleaned
 		rt.Wait() // a copy that was mid-split when its store closed ends its own copies
-		if n := rt.Procs().Indexed(); n != 0 {
-			t.Fatalf("job %d: %d parents still indexed after Cleanup: its lineage was not retired", i, n)
+		if n := rt.ChildLists(); n != 0 {
+			t.Fatalf("job %d: %d child lists remain after Cleanup: its lineage was not retired", i, n)
+		}
+		// The pool shuts the job's root down after Cleanup returns, on
+		// its own goroutine: wait for that, not for a leak.
+		for deadline := time.Now().Add(10 * time.Second); rt.LiveWorlds() != baseWorlds; {
+			if time.Now().After(deadline) {
+				t.Fatalf("job %d: %d live worlds after Cleanup, want the %d before the first job", i, rt.LiveWorlds(), baseWorlds)
+			}
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	marks[3] = takeMark()

@@ -56,8 +56,7 @@ type selBenchReport struct {
 	// bystander population.
 	Contended []selContendedResult `json:"contended_64way,omitempty"`
 	// MutexProfileReadPath is "clean" when a full mutex profile of the
-	// contended run contains no registry/pidmap/proc/router
-	// read-path frame — the zero-mutex-acquisition check.
+	// contended run contains no PID-table read-path frame — the zero-mutex-acquisition check.
 	MutexProfileReadPath string `json:"mutex_profile_read_path,omitempty"`
 	// SubscribersPerResolution is the mean affected-set size observed
 	// across the run — the quantity commit cost now scales with.
@@ -252,33 +251,28 @@ func benchContendedCommit(live, blocksPerWorker int) (selContendedResult, error)
 	}, nil
 }
 
-// readPathSites are the lock-free read-path functions that must never
-// be a mutex-contention *site* (the function that held the contended
-// lock): registry lookup (which
-// also resolves every send's receiver), subscriber snapshot and process
-// status take zero mutexes by construction. Writer-side functions
-// (pidmap.Map Set/Update/Delete, addWorld, proc Register) legitimately
-// hold mutexes and are not in this list.
+// readPathSites are the PID table's lock-free read-path functions, which
+// must never be a mutex-contention *site* (the function that held the
+// contended lock): world lookup (which also resolves every send's
+// receiver), record and segment lookup, fate reads and the subscriber
+// snapshot take zero mutexes by construction. Writer-side functions
+// (add, addBlock, setFate, subscribe, dropBucket) legitimately hold
+// mutexes and are not in this list.
 var readPathSites = []string{
-	").Get", // pidmap.(*Map[...]).Get — scoped by the pidmap package check below
-	"core.(*registry).world",
-	"core.(*registry).appendSubscribers",
-	"proc.(*Table).Status",
-	"proc.(*Table).AppendChildren",
-	"proc.(*Table).lookup",
+	"core.(*pidTable).world",
+	"core.(*pidTable).rec",
+	"core.(*pidTable).segmentOf",
+	"core.(*pidTable).fate",
+	"core.(*pidTable).appendSubscribers",
 }
 
 // isReadPathSite reports whether name is one of the functions that by
 // contract acquire no mutex.
 func isReadPathSite(name string) bool {
 	for _, rp := range readPathSites {
-		if !strings.Contains(name, rp) {
-			continue
+		if strings.HasSuffix(name, rp) {
+			return true
 		}
-		if rp == ").Get" && !strings.Contains(name, "internal/pidmap.") {
-			continue // only the PID map's Get is in scope
-		}
-		return true
 	}
 	return false
 }

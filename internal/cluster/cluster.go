@@ -10,10 +10,9 @@
 // fixed per link and the simulator breaks ties by schedule order.
 //
 // Cluster implements transport.Transport and Node implements
-// transport.Endpoint, so the consensus, checkpoint-shipping, and
-// paged-file protocols written against those interfaces run unmodified
-// on the simulator — deterministically — and on the real TCP
-// transport.
+// transport.Endpoint, so the consensus and checkpoint-shipping
+// protocols written against those interfaces run unmodified on the
+// simulator — deterministically — and on the real TCP transport.
 package cluster
 
 import (

@@ -12,7 +12,6 @@ import (
 	"altrun/internal/msg"
 	"altrun/internal/page"
 	"altrun/internal/predicate"
-	"altrun/internal/proc"
 )
 
 // Activation: an alternative's world builds its predicate set,
@@ -21,11 +20,11 @@ import (
 // on what resolved before, or its subscriptions.
 
 // waitStatus polls until pid reaches st; alternatives' bodies call it.
-func waitStatus(rt *Runtime, pid ids.PID, st proc.Status) error {
+func waitStatus(rt *Runtime, pid ids.PID, st fate) error {
 	deadline := time.Now().Add(10 * time.Second)
-	for rt.procs.Status(pid) != st {
+	for rt.tab.fate(pid) != st {
 		if time.Now().After(deadline) {
-			return fmt.Errorf("%v is %v, want %v", pid, rt.procs.Status(pid), st)
+			return fmt.Errorf("%v is %v, want %v", pid, rt.tab.fate(pid), st)
 		}
 		time.Sleep(50 * time.Microsecond)
 	}
@@ -66,14 +65,13 @@ func settle(t *testing.T, rt *Runtime, srv *World, roots ...*World) {
 }
 
 // subscribedPIDs lists the PIDs that have a subscription bucket.
-func subscribedPIDs(r *registry) []ids.PID {
+func subscribedPIDs(t *pidTable) []ids.PID {
 	var out []ids.PID
-	for i := range r.shards {
-		r.shards[i].subs.Range(func(p ids.PID, _ *subBucket) bool {
-			out = append(out, p)
-			return true
-		})
-	}
+	t.each(func(w *World) {
+		if w.subs.Load() != nil {
+			out = append(out, w.pid)
+		}
+	})
 	return out
 }
 
@@ -96,7 +94,7 @@ func TestActivationSendAfterSiblingFailed(t *testing.T) {
 		}},
 		Alt{Name: "sends", Body: func(w *World) error {
 			sender, sibling = w.PID(), <-failed
-			if err := waitStatus(rt, sibling, proc.Failed); err != nil {
+			if err := waitStatus(rt, sibling, fateFailed); err != nil {
 				return err
 			}
 			return w.Send(srv.PID(), "hello")
@@ -270,8 +268,8 @@ func TestActivationRacingEliminationLeavesNoBuckets(t *testing.T) {
 	close(spawned)
 	pokes.Wait()
 	rt.Wait()
-	for _, p := range subscribedPIDs(rt.reg) {
-		if rt.procs.Status(p).Terminal() {
+	for _, p := range subscribedPIDs(&rt.tab) {
+		if rt.tab.fate(p).terminal() {
 			t.Errorf("a subscription bucket outlived the resolution of %v", p)
 		}
 	}
@@ -344,7 +342,7 @@ func TestActivationDeliveryDecidedAgainstDerivedSet(t *testing.T) {
 		block <- outcome{res, err}
 	}()
 	lw, sib := <-listener, <-failed
-	if err := waitStatus(rt, sib, proc.Failed); err != nil {
+	if err := waitStatus(rt, sib, fateFailed); err != nil {
 		t.Fatal(err)
 	}
 	if lw.activated.Load() {
@@ -398,7 +396,7 @@ func TestActivationNestedGrandchildCaughtUp(t *testing.T) {
 	res, err := root.RunAlt(Options{SyncElimination: true},
 		Alt{Name: "nests", Body: func(w *World) error {
 			parent, sibling = w.PID(), <-failed
-			if err := waitStatus(rt, sibling, proc.Failed); err != nil {
+			if err := waitStatus(rt, sibling, fateFailed); err != nil {
 				return err
 			}
 			probe := newTestProbe()
@@ -525,16 +523,16 @@ func TestSpawnErrorReleasesBlock(t *testing.T) {
 	if _, err := built.Snapshot(); !errors.Is(err, page.ErrReleased) {
 		t.Fatalf("the built child's pages were not released: %v", err)
 	}
-	if kids := rt.procs.AppendChildren(nil, root.pid); len(kids) != 0 {
+	if kids := rt.tab.children(root); len(kids) != 0 {
 		t.Fatalf("the root still indexes children %v", kids)
 	}
 	// Nothing else registers processes here, so the block's two PIDs
 	// are consecutive.
-	if st := rt.procs.Status(built.pid); st != proc.Eliminated {
-		t.Errorf("the built child is %v, want %v", st, proc.Eliminated)
+	if st := rt.tab.fate(built.pid); st != fateEliminated {
+		t.Errorf("the built child is %v, want %v", st, fateEliminated)
 	}
-	if st := rt.procs.Status(built.pid + 1); st != proc.Failed {
-		t.Errorf("the unbuilt child is %v, want %v", st, proc.Failed)
+	if st := rt.tab.fate(built.pid + 1); st != fateFailed {
+		t.Errorf("the unbuilt child is %v, want %v", st, fateFailed)
 	}
 	rt.Wait()
 }

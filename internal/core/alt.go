@@ -8,7 +8,6 @@ import (
 	"altrun/internal/arbiter"
 	"altrun/internal/ids"
 	"altrun/internal/mem"
-	"altrun/internal/proc"
 )
 
 // Alt is one alternative of a block: ENSURE Guard WITH Body (Figure 1).
@@ -188,24 +187,25 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	}
 
 	// Phase 1: allocate identities so every child can assume "I
-	// complete, my siblings don't" (§3.3).
-	pids := make([]ids.PID, len(live))
+	// complete, my siblings don't" (§3.3). children is indexed by live
+	// slot k; reports carry the original alternative index. The slice
+	// becomes w's child list, so it is not changed after this.
+	children := make([]*World, len(live))
 	for k, i := range live {
-		name := alts[i].Name
-		if name == "" {
-			name = fmt.Sprintf("alt-%d", i+1)
-		}
-		pids[k] = rt.procs.Register(w.pid, name)
+		children[k] = &World{rt: rt, name: alts[i].Name}
+	}
+	rt.tab.addBlock(w, children)
+	pids := make([]ids.PID, len(live))
+	for k, cw := range children {
+		pids[k] = cw.pid
 	}
 
 	// Phase 2: build child worlds (setup overhead, charged to the
-	// blocked parent). children is indexed by live slot k; reports
-	// carry the original alternative index. A child is published but not
-	// activated: every child's set is derived on first use from one
-	// snapshot of the parent's set and the block's PIDs, and a child that
-	// never communicates never subscribes to its siblings' fates — the
-	// block eliminates them directly (§3.2.1).
-	children := make([]*World, len(live))
+	// blocked parent). A child is published but not activated: every
+	// child's set is derived on first use from one snapshot of the
+	// parent's set and the block's PIDs, and a child that never
+	// communicates never subscribes to its siblings' fates — the block
+	// eliminates them directly (§3.2.1).
 	w.mu.Lock()
 	parentPreds := w.predsLocked()
 	w.mu.Unlock()
@@ -225,21 +225,16 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 			space, err = w.space.Fork()
 		}
 		if err != nil {
-			rt.abortSpawn(children[:k], pids[k:])
+			rt.abortSpawn(children[:k], children[k:])
 			return Result{}, fmt.Errorf("spawn %q: %w", alts[i].Name, err)
 		}
-		cw := &World{
-			rt:          rt,
-			pid:         pids[k],
-			name:        alts[i].Name,
-			space:       space,
-			spawnParent: parentPreds,
-			spawnPIDs:   pids,
-			ownedSpace:  true,
-			probe:       opts.Probe,
-		}
+		cw := children[k]
+		cw.space = space
+		cw.spawnParent = parentPreds
+		cw.spawnPIDs = pids
+		cw.ownedSpace = true
+		cw.probe = opts.Probe
 		rt.publishWorld(cw)
-		children[k] = cw
 		if opts.Probe != nil {
 			opts.Probe.ChildSpawned(cw.pid, cw.name, rt.be.now())
 		}
@@ -355,7 +350,7 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 	winnerAt := rt.be.now()
 	ww := winner.w
 	winnerCopies := ww.CopiedPages()
-	rt.procs.SetStatus(ww.pid, proc.Completed) //nolint:errcheck // status was Running
+	rt.tab.setFate(ww, fateCompleted)
 	if err := w.space.Adopt(ww.space); err != nil {
 		return Result{}, fmt.Errorf("adopt winner %v: %w", ww.pid, err)
 	}
@@ -418,13 +413,13 @@ func (w *World) RunAlt(opts Options, alts ...Alt) (Result, error) {
 
 // abortSpawn unwinds a block whose setup failed: the children already
 // built are eliminated, which releases their forked pages, and the
-// PIDs never built are resolved as failed, so no process of the block
-// stays Running in the parent's child index.
-func (rt *Runtime) abortSpawn(built []*World, unbuilt []ids.PID) {
+// children never built are resolved as failed, so none of the block
+// stays running in the parent's child list.
+func (rt *Runtime) abortSpawn(built, unbuilt []*World) {
 	work := eliminations(built)
-	for _, p := range unbuilt {
-		if rt.procs.SetStatus(p, proc.Failed) == nil {
-			work = append(work, propEvent{resolvePID: p, completed: false})
+	for _, cw := range unbuilt {
+		if rt.tab.setFate(cw, fateFailed) {
+			work = append(work, propEvent{resolvePID: cw.pid, completed: false})
 		}
 	}
 	rt.propagate(work)
@@ -490,7 +485,7 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 			}
 			opts.Probe.ChildExit(cw.pid, outcome, rt.be.now(), cw.CopiedPages())
 		}
-		if cw.terminate(proc.Failed) {
+		if cw.terminate(fateFailed) {
 			rt.unregisterWorld(cw)
 			rt.propagate([]propEvent{{resolvePID: cw.pid, completed: false}})
 		}
@@ -504,7 +499,7 @@ func (rt *Runtime) runAlternative(idx int, alt Alt, cw *World, opts Options, cla
 		if opts.Probe != nil {
 			opts.Probe.ChildExit(cw.pid, OutcomeTooLate, rt.be.now(), cw.CopiedPages())
 		}
-		if cw.terminate(proc.Eliminated) {
+		if cw.terminate(fateEliminated) {
 			rt.unregisterWorld(cw)
 			rt.propagate([]propEvent{{resolvePID: cw.pid, completed: false}})
 		}
@@ -571,7 +566,7 @@ func (rt *Runtime) abandonBlock(w *World, claim ClaimFunc, children []*World, do
 			// resolve the winner as not-completed so worlds that
 			// assumed its fate (split server copies) settle correctly.
 			winner.space.Discard()
-			_ = rt.procs.SetStatus(winner.pid, proc.Eliminated)
+			rt.tab.setFate(winner, fateEliminated)
 			rt.unregisterWorld(winner)
 			work := eliminationsExceptWorld(children, winner)
 			work = append(work, propEvent{resolvePID: winner.pid, completed: false})

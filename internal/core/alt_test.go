@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"altrun/internal/ids"
-	"altrun/internal/proc"
 	"altrun/internal/sim"
 )
 
@@ -468,7 +467,7 @@ func TestStatusesAfterBlock(t *testing.T) {
 	// The bodies record their own PIDs: the process table indexes live
 	// children only, and after the block there are none.
 	var pids []ids.PID
-	_, res, err := runBlock(t, rt, 1024, Options{SyncElimination: true},
+	root, res, err := runBlock(t, rt, 1024, Options{SyncElimination: true},
 		Alt{Name: "win", Body: func(w *World) error { pids = append(pids, w.PID()); w.Compute(time.Second); return nil }},
 		Alt{Name: "fail", Body: func(w *World) error { pids = append(pids, w.PID()); return errors.New("nope") }},
 		Alt{Name: "lose", Body: func(w *World) error { pids = append(pids, w.PID()); w.Compute(time.Hour); return nil }},
@@ -476,18 +475,17 @@ func TestStatusesAfterBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	procs := rt.Procs()
-	if st := procs.Status(res.Winner); st != proc.Completed {
+	if st := rt.tab.fate(res.Winner); st != fateCompleted {
 		t.Fatalf("winner status = %v", st)
 	}
-	counts := map[proc.Status]int{}
+	counts := map[fate]int{}
 	for _, pid := range pids {
-		counts[procs.Status(pid)]++
+		counts[rt.tab.fate(pid)]++
 	}
-	if counts[proc.Completed] != 1 || counts[proc.Failed] != 1 || counts[proc.Eliminated] != 1 {
+	if counts[fateCompleted] != 1 || counts[fateFailed] != 1 || counts[fateEliminated] != 1 {
 		t.Fatalf("status counts = %v", counts)
 	}
-	if kids := procs.Children(1); len(kids) != 0 { // root is pid 1
+	if kids := rt.tab.children(root); len(kids) != 0 {
 		t.Fatalf("root still indexes %v after the block", kids)
 	}
 }
@@ -543,16 +541,16 @@ func TestManyAlternativesScale(t *testing.T) {
 	if res.Elapsed != time.Second {
 		t.Fatalf("elapsed = %v", res.Elapsed)
 	}
-	if live := rt.Procs().Live(); live != 0 {
+	if live := rt.tab.live(); live != 0 {
 		t.Fatalf("live processes after the run = %d, want 0 (no leaks)", live)
 	}
 	// Exactly one child completed; the rest were eliminated.
 	completed, eliminated := 0, 0
 	for _, pid := range pids {
-		switch rt.Procs().Status(pid) {
-		case proc.Completed:
+		switch rt.tab.fate(pid) {
+		case fateCompleted:
 			completed++
-		case proc.Eliminated:
+		case fateEliminated:
 			eliminated++
 		}
 	}
@@ -624,7 +622,7 @@ func TestCascadeKillsInFlightNestedBlock(t *testing.T) {
 	if got := rt.Engine().Now().Sub(time.Unix(0, 0).UTC()); got > time.Minute {
 		t.Fatalf("cascade failed; simulation ran to %v", got)
 	}
-	if live := rt.Procs().Live(); live != 0 {
+	if live := rt.tab.live(); live != 0 {
 		t.Fatalf("leaked %d live processes", live)
 	}
 }

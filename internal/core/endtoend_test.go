@@ -200,7 +200,7 @@ func TestEndToEndKitchenSink(t *testing.T) {
 		t.Fatal("consensus group must have a winner")
 	}
 	// No leaked processes.
-	if live := rt.Procs().Live(); live != 0 {
+	if live := rt.tab.live(); live != 0 {
 		t.Fatalf("leaked %d live processes", live)
 	}
 }

@@ -56,9 +56,9 @@ func TestCommitPathFlat(t *testing.T) {
 			t.Fatalf("block %d: %v", i, err)
 		}
 		// Synchronous elimination: both children are terminal, so the
-		// root indexes nothing and registering the next block's children
-		// copies nothing.
-		if kids := rt.procs.Children(root.pid); len(kids) != 0 {
+		// root's child list is gone and the next block's children start
+		// a fresh one.
+		if kids := rt.tab.children(root); len(kids) != 0 {
 			t.Fatalf("block %d: root still indexes %v", i, kids)
 		}
 		switch i {
@@ -76,8 +76,8 @@ func TestCommitPathFlat(t *testing.T) {
 	if late >= 16<<10 {
 		t.Errorf("a block that writes one word allocates %.0f B, want < 16 KiB", late)
 	}
-	if n := rt.procs.Indexed(); n != 0 {
-		t.Errorf("process table still indexes %d parents", n)
+	if n := rt.ChildLists(); n != 0 {
+		t.Errorf("%d child lists remain", n)
 	}
 	rt.Wait()
 }

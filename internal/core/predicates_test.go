@@ -21,7 +21,7 @@ func TestPredicateSnapshotsSurviveResolution(t *testing.T) {
 	rt := New(Config{})
 	deps := make([]ids.PID, 64)
 	for i := range deps {
-		deps[i] = rt.procs.Register(ids.None, "dep")
+		deps[i] = bare(rt).pid
 	}
 	w := registerBenchWorld(t, rt, "subject", deps, nil)
 	before := w.Predicates()

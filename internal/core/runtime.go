@@ -38,7 +38,6 @@ import (
 	"altrun/internal/msg"
 	"altrun/internal/page"
 	"altrun/internal/predicate"
-	"altrun/internal/proc"
 	"altrun/internal/sim"
 	"altrun/internal/trace"
 )
@@ -97,8 +96,8 @@ type WorldObserver interface {
 	WorldUnregistered(pid ids.PID, speculative bool)
 }
 
-// Runtime owns the worlds, the page store, the process registry, and
-// the message router.
+// Runtime owns the worlds, the page store, the PID table, and the
+// message router.
 type Runtime struct {
 	be      backend
 	realBE  *realBackend // non-nil in real mode
@@ -107,14 +106,13 @@ type Runtime struct {
 	profile *sim.MachineProfile
 
 	store   *page.Store
-	procs   *proc.Table
 	router  *msg.Router
 	console *device.Console
 
-	// reg is the sharded world registry: live worlds and the predicate
-	// subscription index (see registry.go). sel counts the
-	// selection-path work.
-	reg *registry
+	// tab is the PID table: every PID's fate and, while it is in use,
+	// its world, child list and subscribers (see pidtable.go). sel
+	// counts the selection-path work.
+	tab pidTable
 	sel trace.SelCounters
 
 	// propPool recycles propagation queues so elimination cascades are
@@ -173,14 +171,12 @@ func NewSim(cfg SimConfig) *Runtime {
 func newRuntime(store *page.Store) *Runtime {
 	rt := &Runtime{
 		store:   store,
-		reg:     newRegistry(),
 		router:  msg.NewRouter(),
 		console: device.NewConsole(),
 	}
 	rt.propPool.New = func() any {
 		return &propQueue{items: make([]propEvent, 0, 64)}
 	}
-	rt.procs = proc.NewTable(&ids.Generator{})
 	return rt
 }
 
@@ -213,23 +209,45 @@ func (rt *Runtime) Profile() *sim.MachineProfile { return rt.profile }
 // Store returns the page store (for sharing/copy accounting).
 func (rt *Runtime) Store() *page.Store { return rt.store }
 
-// Procs returns the process registry.
-func (rt *Runtime) Procs() *proc.Table { return rt.procs }
-
 // Console returns the runtime's source device.
 func (rt *Runtime) Console() *device.Console { return rt.console }
 
 // LiveWorlds returns the number of registered worlds (root and
-// speculative). Diagnostic/metrics path — it walks every registry
-// shard, so the selection path never calls it.
-func (rt *Runtime) LiveWorlds() int { return len(rt.reg.snapshotWorlds()) }
+// speculative). Diagnostic/metrics path — it walks the PID table, so
+// the selection path never calls it.
+func (rt *Runtime) LiveWorlds() int {
+	n := 0
+	rt.tab.each(func(w *World) {
+		if w.listed.Load() {
+			n++
+		}
+	})
+	return n
+}
+
+// Processes returns the number of PIDs the runtime has issued: every
+// world it created, live or ended.
+func (rt *Runtime) Processes() int { return int(rt.tab.issued.Load()) }
+
+// ChildLists returns the number of worlds whose child list is not empty
+// (diagnostic: it walks the PID table). A quiescent runtime returns to 0
+// — every block's children ended.
+func (rt *Runtime) ChildLists() int {
+	n := 0
+	rt.tab.each(func(w *World) {
+		if w.kids.Load() != nil {
+			n++
+		}
+	})
+	return n
+}
 
 // MsgStats returns the message-layer decision counters.
 func (rt *Runtime) MsgStats() msg.Stats { return rt.router.Stats() }
 
 // SelStats returns the selection-path counters: resolutions applied,
-// subscribers visited (the affected sets), eliminations and registry
-// shard contention.
+// subscribers visited (the affected sets), eliminations, contradictions
+// and server world splits.
 func (rt *Runtime) SelStats() trace.SelSnapshot { return rt.sel.Snapshot() }
 
 // Now returns the runtime's current time (virtual in sim mode).
@@ -264,11 +282,9 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 	if rt.realBE == nil {
 		return nil, errors.New("core: NewRootWorld is only valid in real mode; use GoRoot")
 	}
-	pid := rt.procs.Register(ids.None, name)
 	c := newRealCtx(nil)
 	w := &World{
 		rt:         rt,
-		pid:        pid,
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
@@ -277,6 +293,7 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 		handle:     c,
 		noBody:     true,
 	}
+	rt.tab.add(w)
 	rt.registerWorld(w)
 	return w, nil
 }
@@ -285,15 +302,14 @@ func (rt *Runtime) NewRootWorld(name string, spaceSize int64) (*World, error) {
 // (simulated mode, or detached real-mode roots). Call Run (sim) or
 // Wait (real) afterwards.
 func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *World {
-	pid := rt.procs.Register(ids.None, name)
 	w := &World{
 		rt:         rt,
-		pid:        pid,
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
 		ownedSpace: true,
 	}
+	rt.tab.add(w)
 	rt.registerWorld(w)
 	w.handle = rt.be.spawn(name, func(ctx execCtx) {
 		w.ctx = ctx
@@ -301,8 +317,8 @@ func (rt *Runtime) GoRoot(name string, spaceSize int64, body func(w *World)) *Wo
 		// callers can inspect the final state.
 		body(w)
 		w.markTerminated()
-		if err := rt.procs.SetStatus(w.pid, proc.Completed); err == nil {
-			rt.propagate([]propEvent{{resolvePID: pid, completed: true}})
+		if rt.tab.setFate(w, fateCompleted) {
+			rt.propagate([]propEvent{{resolvePID: w.pid, completed: true}})
 		}
 		rt.unregisterWorld(w)
 	})
@@ -330,7 +346,7 @@ func (rt *Runtime) publishWorld(w *World) {
 		w.obsSeen = true
 		o.WorldRegistered(w.pid, w.obsSpec)
 	}
-	rt.reg.addWorld(w)
+	w.listed.Store(true)
 }
 
 // activate builds w's inbox (a server version has none: its messages
@@ -341,24 +357,25 @@ func (rt *Runtime) publishWorld(w *World) {
 // satisfied assumptions, §3.4.2), so the index stays a superset of the
 // world's live assumptions until it is unregistered. Before a RunAlt
 // child activates, its own block eliminates it directly (§3.2.1), and an
-// ancestor's elimination reaches it through the process table's child
-// index.
+// ancestor's elimination reaches it through its parent's child list.
 //
 // After subscribing, activate catches up on assumptions that resolved
 // before: a child's set is derived from its parent's set as it was
 // when the block was entered, and a forked version's sender may have
 // been eliminated since its loop folded in the fates it knew.
-// Every resolver sets the proc status terminal *before* snapshotting
-// subscribers, and we add w to the index *before* reading statuses, so
-// each resolution reaches w at least one way: through the index (w was
-// visible at the snapshot) or through this catch-up (the status was
-// terminal by the time we look). Double delivery is harmless —
-// resolving a PID a set no longer mentions is a no-op.
+// Every resolver sets the fate terminal *before* snapshotting
+// subscribers, and we add w to the buckets *before* reading fates, so
+// each resolution reaches w at least one way: through a bucket (w was
+// visible at the snapshot) or through this catch-up (the fate was
+// terminal by the time we look). A PID whose record was released is
+// terminal already, so finding no bucket to join is safe. Double
+// delivery is harmless — resolving a PID a set no longer mentions is a
+// no-op.
 //
-// Subscriptions are published under w.mu, where unregisterWorld marks
-// the world gone: an activation racing the unregistration either
-// subscribes first, and the unregistration tears it down, or finds the
-// world gone and subscribes nothing.
+// Subscriptions are published under w.mu, and unregisterWorld unlists
+// the world before it reads them under w.mu: an activation racing the
+// unregistration either subscribes first, and the unregistration tears
+// it down, or finds the world unlisted and subscribes nothing.
 func (rt *Runtime) activate(w *World) {
 	if w.activated.Load() {
 		return
@@ -372,9 +389,9 @@ func (rt *Runtime) activate(w *World) {
 	if w.box == nil && w.srv == nil {
 		w.box = rt.be.newInbox()
 	}
-	if !w.unregistered {
+	if w.listed.Load() {
 		w.subPIDs = preds.AppendPIDs(nil)
-		rt.reg.subscribe(w, w.subPIDs)
+		rt.tab.subscribe(w, w.subPIDs)
 	}
 	subs := w.subPIDs
 	w.activated.Store(true)
@@ -391,11 +408,11 @@ func (rt *Runtime) activate(w *World) {
 func (rt *Runtime) rebase(w *World, preds *predicate.Set) {
 	w.mu.Lock()
 	w.preds = preds
-	if !w.unregistered {
+	if w.listed.Load() {
 		old := w.subPIDs
 		w.subPIDs = preds.AppendPIDs(nil)
-		rt.reg.subscribe(w, w.subPIDs)
-		rt.reg.unsubscribe(w, slices.DeleteFunc(old, func(p ids.PID) bool {
+		rt.tab.subscribe(w, w.subPIDs)
+		rt.tab.unsubscribe(w, slices.DeleteFunc(old, func(p ids.PID) bool {
 			return slices.Contains(w.subPIDs, p)
 		}))
 	}
@@ -408,11 +425,11 @@ func (rt *Runtime) rebase(w *World, preds *predicate.Set) {
 // eliminating w if one contradicts it.
 func (rt *Runtime) catchUp(w *World, pids []ids.PID) {
 	for _, p := range pids {
-		st := rt.procs.Status(p)
-		if !st.Terminal() {
+		f := rt.tab.fate(p)
+		if !f.terminal() {
 			continue
 		}
-		outcome, nowResolved := w.applyResolution(p, st.Succeeded())
+		outcome, nowResolved := w.applyResolution(p, f.succeeded())
 		switch outcome {
 		case predicate.Contradicted:
 			rt.sel.Contradictions.Add(1)
@@ -426,17 +443,16 @@ func (rt *Runtime) catchUp(w *World, pids []ids.PID) {
 	}
 }
 
-// unregisterWorld removes w from the registry and its subscription
-// buckets.
+// unregisterWorld unlists w and removes it from its subscription
+// buckets. Its record stays in the PID table until release.
 func (rt *Runtime) unregisterWorld(w *World) {
-	rt.reg.removeWorld(w)
+	rt.tab.unlist(w)
 	w.mu.Lock()
-	w.unregistered = true
 	subs := w.subPIDs
 	seen := w.obsSeen
 	w.obsSeen = false
 	w.mu.Unlock()
-	rt.reg.unsubscribe(w, subs)
+	rt.tab.unsubscribe(w, subs)
 	if seen {
 		if o := rt.worldObserver(); o != nil {
 			o.WorldUnregistered(w.pid, w.obsSpec)
@@ -445,7 +461,7 @@ func (rt *Runtime) unregisterWorld(w *World) {
 }
 
 func (rt *Runtime) worldByPID(pid ids.PID) *World {
-	return rt.reg.world(pid)
+	return rt.tab.world(pid)
 }
 
 // Copies returns the live versions of the server pid addresses (its
@@ -473,7 +489,7 @@ func (rt *Runtime) Copies(pid ids.PID) []*World {
 // lookup resolves pid to its live world, or to the receive loop of the
 // server it addresses (then w may be nil).
 func (rt *Runtime) lookup(pid ids.PID) (w *World, s *server) {
-	if w = rt.reg.world(pid); w != nil {
+	if w = rt.tab.world(pid); w != nil {
 		return w, w.srv
 	}
 	if v, ok := rt.servers.Load(pid); ok {
@@ -484,7 +500,7 @@ func (rt *Runtime) lookup(pid ids.PID) (w *World, s *server) {
 
 // deliver routes data from a sender (with predicate snapshot) to pid. A
 // server's message is one enqueue on its loop, which decides it for
-// every version; any other world is resolved in the registry and handed
+// every version; any other world is resolved in the PID table and handed
 // to the router for the accept/ignore decision. A pid with no live world
 // is msg.ErrUnknownReceiver, and one that would have to split to take
 // the message is ErrNotServer.
@@ -540,8 +556,8 @@ type propEvent struct {
 // Each resolution event visits only the worlds subscribed to the
 // resolved PID — the affected set — so the cost of a commit cascade is
 // O(Σ affected sets), independent of how many unrelated worlds are
-// live. The work queue is recycled and the child/subscriber lookups use
-// stack buffers, so steady-state cascades do not allocate.
+// live. The work queue is recycled and the subscriber lookup uses a
+// stack buffer, so steady-state cascades do not allocate.
 func (rt *Runtime) propagate(events []propEvent) {
 	if len(events) == 0 {
 		return
@@ -549,7 +565,6 @@ func (rt *Runtime) propagate(events []propEvent) {
 	q := rt.propPool.Get().(*propQueue)
 	q.items = append(q.items[:0], events...)
 	var subBuf [16]*World
-	var childBuf [16]ids.PID
 	for head := 0; head < len(q.items); head++ {
 		ev := q.items[head]
 		if ev.eliminate != nil {
@@ -560,15 +575,17 @@ func (rt *Runtime) propagate(events []propEvent) {
 			q.items = append(q.items, propEvent{resolvePID: w.pid, completed: false})
 			// Cascade to the world's live descendants: a dead parent's
 			// in-flight alternative block must not leave orphans.
-			for _, cp := range rt.procs.AppendChildren(childBuf[:0], w.pid) {
-				if cw := rt.reg.world(cp); cw != nil {
-					q.items = append(q.items, propEvent{eliminate: cw})
+			if kids := w.kids.Load(); kids != nil {
+				for _, cw := range *kids {
+					if cw.listed.Load() {
+						q.items = append(q.items, propEvent{eliminate: cw})
+					}
 				}
 			}
 			continue
 		}
 		rt.sel.Resolutions.Add(1)
-		subs := rt.reg.appendSubscribers(subBuf[:0], ev.resolvePID)
+		subs := rt.tab.appendSubscribers(subBuf[:0], ev.resolvePID)
 		rt.sel.SubscribersVisited.Add(int64(len(subs)))
 		for _, w := range subs {
 			outcome, nowResolved := w.applyResolution(ev.resolvePID, ev.completed)
@@ -584,7 +601,7 @@ func (rt *Runtime) propagate(events []propEvent) {
 		}
 		// The resolved PID's fate is final (identifiers are never
 		// reused): its bucket can never be consulted again.
-		rt.reg.dropBucket(ev.resolvePID)
+		rt.tab.dropBucket(ev.resolvePID)
 	}
 	clear(q.items) // drop *World references before pooling
 	q.items = q.items[:0]
@@ -604,7 +621,7 @@ func (rt *Runtime) eliminateOne(w *World) bool {
 	// elimination that finds it terminated finds it eliminated.
 	w.terminated = true
 	w.eliminated.Store(true)
-	rt.procs.SetStatus(w.pid, proc.Eliminated) //nolint:errcheck // terminated was ours to set
+	rt.tab.setFate(w, fateEliminated)
 	w.mu.Unlock()
 	rt.sel.Eliminations.Add(1)
 	rt.unregisterWorld(w)

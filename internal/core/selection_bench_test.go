@@ -11,7 +11,7 @@ import (
 
 // registerBenchWorld registers a minimal world carrying the given
 // assumptions, without spawning a body. It is the selection-path
-// equivalent of a parked speculative process: it sits in the registry
+// equivalent of a parked speculative process: it sits in the PID table
 // and (dis)appears from predicate-subscription buckets.
 func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []ids.PID) *World {
 	preds, err := predicate.New().WithFail(cant...)
@@ -25,12 +25,12 @@ func registerBenchWorld(tb testing.TB, rt *Runtime, name string, must, cant []id
 	}
 	w := &World{
 		rt:         rt,
-		pid:        rt.procs.Register(ids.None, name),
 		name:       name,
 		space:      mem.New(rt.store, 4096),
 		preds:      preds,
 		ownedSpace: true,
 	}
+	rt.tab.add(w)
 	rt.registerWorld(w)
 	return w
 }
@@ -48,17 +48,18 @@ func BenchmarkPropagateScaling(b *testing.B) {
 			// Bystanders: each assumes a distinct PID that never
 			// resolves, so none of them are in the affected set.
 			for i := 0; i < live; i++ {
-				dummy := rt.procs.Register(ids.None, "dummy")
+				dummy := bare(rt).pid
 				registerBenchWorld(b, rt, "bystander", []ids.PID{dummy}, nil)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				subject := rt.procs.Register(ids.None, "subject")
-				victim := registerBenchWorld(b, rt, "victim", nil, []ids.PID{subject})
+				subject := bare(rt)
+				victim := registerBenchWorld(b, rt, "victim", nil, []ids.PID{subject.pid})
 				// Resolving subject-as-failed simplifies exactly one
 				// world: the affected set has size 1 regardless of live.
-				rt.propagate([]propEvent{{resolvePID: subject, completed: false}})
+				rt.tab.setFate(subject, fateFailed)
+				rt.propagate([]propEvent{{resolvePID: subject.pid, completed: false}})
 				rt.unregisterWorld(victim)
 				victim.discardSpace()
 			}

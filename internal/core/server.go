@@ -9,7 +9,6 @@ import (
 	"altrun/internal/mem"
 	"altrun/internal/msg"
 	"altrun/internal/predicate"
-	"altrun/internal/proc"
 )
 
 // Handler processes one accepted message against one version of the
@@ -50,19 +49,18 @@ type server struct {
 // the server runs: a send to it, or to any live version's PID, is one
 // enqueue on the server's loop, decided there for every live version.
 func (rt *Runtime) SpawnServer(name string, spaceSize int64, handler Handler) *World {
-	pid := rt.procs.Register(ids.None, name)
-	s := &server{pid: pid, name: name, handler: handler, box: rt.be.newInbox()}
 	w := &World{
 		rt:         rt,
-		pid:        pid,
 		name:       name,
 		space:      mem.New(rt.store, spaceSize),
 		preds:      predicate.New(),
 		ownedSpace: true,
-		srv:        s,
 	}
+	rt.tab.add(w)
+	s := &server{pid: w.pid, name: name, handler: handler, box: rt.be.newInbox()}
+	w.srv = s
 	s.versions = []*World{w}
-	rt.servers.Store(pid, s)
+	rt.servers.Store(s.pid, s)
 	rt.registerWorld(w)
 	// The handle is published under the lock Shutdown reads it with, and
 	// the loop's first reap takes it too: a Shutdown either kills the
@@ -122,7 +120,6 @@ func (rt *Runtime) fork(s *server, v *World, assume, deny *predicate.Set, sender
 	}
 	nv := &World{
 		rt:         rt,
-		pid:        rt.procs.Register(ids.None, s.name),
 		name:       s.name,
 		space:      space,
 		preds:      assume,
@@ -130,6 +127,7 @@ func (rt *Runtime) fork(s *server, v *World, assume, deny *predicate.Set, sender
 		srv:        s,
 		ctx:        v.ctx,
 	}
+	rt.tab.add(nv)
 	rt.registerWorld(nv)
 	rt.rebase(v, deny)
 	rt.sel.WorldSplits.Add(1)
@@ -175,11 +173,20 @@ func (rt *Runtime) endServer(s *server) {
 
 // endVersion ends a live version the way Shutdown ends a world: its PID
 // completes, no predicate resolution is propagated, and it leaves the
-// registry. Its pages are the loop's to release.
+// PID table. Its pages are the loop's to release.
 func (rt *Runtime) endVersion(v *World) {
-	if v.terminate(proc.Completed) {
-		rt.unregisterWorld(v)
+	if v.terminate(fateCompleted) {
+		rt.retire(v)
 	}
+}
+
+// retire unregisters w, which ended without a resolution (Shutdown), and
+// drops its subscription bucket: no resolution of its PID will ever be
+// propagated, so none of its subscribers is ever visited, and its record
+// can be released.
+func (rt *Runtime) retire(w *World) {
+	rt.unregisterWorld(w)
+	rt.tab.dropBucket(w.pid)
 }
 
 // normalizePreds derives from a predicate snapshot the set with every
@@ -188,12 +195,12 @@ func (rt *Runtime) endVersion(v *World) {
 func (rt *Runtime) normalizePreds(s *predicate.Set) (*predicate.Set, bool) {
 	var buf [16]ids.PID
 	for _, p := range s.AppendPIDs(buf[:0]) {
-		st := rt.procs.Status(p)
-		if !st.Terminal() {
+		f := rt.tab.fate(p)
+		if !f.terminal() {
 			continue
 		}
 		var out predicate.Outcome
-		if s, out = s.Resolve(p, st.Succeeded()); out == predicate.Contradicted {
+		if s, out = s.Resolve(p, f.succeeded()); out == predicate.Contradicted {
 			return nil, false
 		}
 	}
@@ -226,10 +233,10 @@ func (rt *Runtime) Shutdown(w *World) {
 		}
 		return
 	}
-	if !w.terminate(proc.Completed) {
+	if !w.terminate(fateCompleted) {
 		return
 	}
-	rt.unregisterWorld(w)
+	rt.retire(w)
 	w.mu.Lock()
 	h := w.handle
 	noBody := w.noBody

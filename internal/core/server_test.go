@@ -8,7 +8,6 @@ import (
 
 	"altrun/internal/ids"
 	"altrun/internal/msg"
-	"altrun/internal/proc"
 )
 
 // counterServer returns a handler maintaining a uint64 counter at
@@ -128,10 +127,10 @@ func TestServerSplitsOnSpeculativeSender(t *testing.T) {
 	// The first version kept its PID on the deny side, which the
 	// sender's win contradicted; the assume side, a fresh PID, survived
 	// and was shut down.
-	if st := rt.Procs().Status(srv.PID()); st != proc.Eliminated {
+	if st := rt.tab.fate(srv.PID()); st != fateEliminated {
 		t.Fatalf("first version status = %v, want Eliminated (deny side)", st)
 	}
-	if st := rt.Procs().Status(survivor); st != proc.Completed {
+	if st := rt.tab.fate(survivor); st != fateCompleted {
 		t.Fatalf("assume side %v status = %v, want Completed", survivor, st)
 	}
 }
@@ -455,7 +454,7 @@ func TestServerVersionsShareOneLoop(t *testing.T) {
 		w.Sleep(time.Second)
 		// The sender won: the first version, on the deny side, is gone,
 		// and its PID still reaches the loop.
-		if st := rt.Procs().Status(srv.PID()); st != proc.Eliminated {
+		if st := rt.tab.fate(srv.PID()); st != fateEliminated {
 			t.Errorf("first version = %v, want eliminated", st)
 		}
 		if vs := rt.Copies(srv.PID()); len(vs) != 1 || vs[0].PID() != fresh {
@@ -466,7 +465,7 @@ func TestServerVersionsShareOneLoop(t *testing.T) {
 		}
 		w.Sleep(10 * time.Millisecond)
 		rt.Shutdown(srv) // any version's world ends the whole server
-		if st := rt.Procs().Status(fresh); st != proc.Completed {
+		if st := rt.tab.fate(fresh); st != fateCompleted {
 			t.Errorf("version %v after shutdown = %v, want completed", fresh, st)
 		}
 		if err := w.Send(srv.PID(), "ping"); !errors.Is(err, msg.ErrUnknownReceiver) {

@@ -8,7 +8,6 @@ import (
 
 	"altrun/internal/ids"
 	"altrun/internal/msg"
-	"altrun/internal/proc"
 )
 
 // Stress tests for the selection path under genuine concurrency: many
@@ -21,7 +20,7 @@ import (
 // from parallel roots against one runtime while a churn goroutine
 // registers and unregisters bystander worlds and speculative senders
 // force server splits. Every commit, elimination, and split contends on
-// the shared registry and subscription index.
+// the shared PID table and its subscriber buckets.
 func TestStressConcurrentSelectionInvariants(t *testing.T) {
 	const (
 		workers = 8
@@ -301,9 +300,9 @@ func TestStressContradictionChainsTerminate(t *testing.T) {
 			}
 			deadline := time.Now().Add(10 * time.Second)
 			for _, p := range spawned {
-				for rt.procs.Status(p) != proc.Eliminated {
+				for rt.tab.fate(p) != fateEliminated {
 					if time.Now().After(deadline) {
-						t.Errorf("round %d: inner child %v is %v, want eliminated", r, p, rt.procs.Status(p))
+						t.Errorf("round %d: inner child %v is %v, want eliminated", r, p, rt.tab.fate(p))
 						return
 					}
 					time.Sleep(100 * time.Microsecond)

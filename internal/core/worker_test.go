@@ -330,40 +330,14 @@ func TestRealInboxReleasesAndRewinds(t *testing.T) {
 	}
 }
 
-// BenchmarkRunAltTwoWay is one commit_null-shaped block: a writer and a
-// loser asleep until eliminated, synchronous elimination and a local
-// arbiter. Its setup is the two spawns this backend's workers serve.
+// BenchmarkRunAltTwoWay is one commit_null-shaped block (twoWayBlock).
 func BenchmarkRunAltTwoWay(b *testing.B) {
-	rt := New(Config{})
-	root, err := rt.NewRootWorld("root", 64<<10)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := root.WriteUint64(0, 1); err != nil {
-		b.Fatal(err)
-	}
-	alts := []Alt{
-		{Name: "write", Body: func(w *World) error { return w.WriteUint64(0, 2) }},
-		{Name: "sleep", Body: func(w *World) error {
-			w.Sleep(time.Second)
-			if w.Cancelled() {
-				return ErrEliminated
-			}
-			return w.WriteUint64(0, 3)
-		}},
-	}
+	_, block := twoWayBlock(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		var arb arbiter.Local
-		claim := func(w *World) bool { return arb.Claim(w.PID()) }
-		if _, err := root.RunAlt(Options{SyncElimination: true, Claim: claim}, alts...); err != nil {
-			b.Fatal(err)
-		}
+		block()
 	}
-	b.StopTimer()
-	rt.Shutdown(root)
-	rt.Wait()
 }
 
 // BenchmarkRunAltForkWrite is one fork_write-shaped block: 3

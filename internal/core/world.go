@@ -10,7 +10,6 @@ import (
 	"altrun/internal/mem"
 	"altrun/internal/msg"
 	"altrun/internal/predicate"
-	"altrun/internal/proc"
 	"altrun/internal/sim"
 )
 
@@ -74,12 +73,9 @@ type World struct {
 	preds       *predicate.Set
 	spawnParent *predicate.Set
 	spawnPIDs   []ids.PID
-	// unregistered is set by unregisterWorld: an activation after it
-	// publishes no subscriptions, so none outlives the world.
-	unregistered bool
-	deferred     []string // deferred console output (source ops)
-	terminated   bool
-	ownedSpace   bool // false once the parent adopted it (winner)
+	deferred    []string // deferred console output (source ops)
+	terminated  bool
+	ownedSpace  bool // false once the parent adopted it (winner)
 	// noBody marks a world with a cancellation handle but no spawned
 	// goroutine (a NewRootWorld root): no exit path will release its
 	// space, so Shutdown must.
@@ -88,6 +84,22 @@ type World struct {
 	// srv is the receive loop of a server version (nil for any other
 	// world).
 	srv *server
+
+	// The world's record in the PID table (pidtable.go). listed is set
+	// while the world is resolvable by PID (publishWorld to
+	// unregisterWorld): an activation that finds it unset publishes no
+	// subscriptions, so none outlives the world. parent is the world
+	// whose child list holds this one. recMu serializes the writers of
+	// kids, liveKids and subs; kids and subs are immutable slices,
+	// republished on change and read lock-free.
+	listed   atomic.Bool
+	dropped  atomic.Bool // subs dropped: the PID's fate was propagated
+	released atomic.Bool // the record left its slot
+	parent   *World
+	recMu    sync.Mutex
+	liveKids int
+	kids     atomic.Pointer[[]*World] // children of ours still running; nil when none
+	subs     atomic.Pointer[[]*World] // worlds whose sets mention our PID
 
 	// probe, when non-nil, receives this world's COW fault events;
 	// RunAlt sets it on the children of probed blocks before their
@@ -178,19 +190,19 @@ func (w *World) markTerminated() bool {
 }
 
 // terminate flips the terminated flag and moves w's PID to the terminal
-// status st in one step under w.mu; reports false if already set. An
+// fate f in one step under w.mu; reports false if already set. An
 // elimination that finds w terminated returns at once, leaving the
 // cascade to this caller, so w's fate must be readable by then: a
-// message's sending predicate is brought up to date from statuses
+// message's sending predicate is brought up to date from fates
 // (Runtime.decideFor).
-func (w *World) terminate(st proc.Status) bool {
+func (w *World) terminate(f fate) bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.terminated {
 		return false
 	}
 	w.terminated = true
-	w.rt.procs.SetStatus(w.pid, st) //nolint:errcheck // terminated was ours to set
+	w.rt.tab.setFate(w, f)
 	return true
 }
 

@@ -105,7 +105,7 @@ func TestOrParallelDeterministicGoalsNoRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Only the root world: deterministic prefixes must not spawn alts.
-	spawns = rt.Procs().Len()
+	spawns = rt.Processes()
 	if spawns != 1 {
 		t.Fatalf("processes = %d, want 1 (no racing on deterministic goals)", spawns)
 	}

@@ -1,12 +1,11 @@
 // Package codec is the single wire-registration point for every
 // protocol message that crosses the transport fabric: consensus ballot
-// rounds, checkpoint ships (full and delta), the netfs page protocol
-// and membership gossip. Each type registers its hand-rolled binary
+// rounds, checkpoint ships (full and delta) and membership gossip. Each type registers its hand-rolled binary
 // codec with transport.RegisterWire; a type with no codec cannot cross
 // the TCP wire at all.
 //
 // Centralizing the registrations here (instead of init functions
-// scattered across consensus, checkpoint, and device) means the sim
+// scattered across consensus, checkpoint and membership) means the sim
 // and TCP fabrics cannot drift: any binary importing this package —
 // and every daemon, bench, and fabric test does, usually as
 //
@@ -31,7 +30,6 @@ import (
 
 	"altrun/internal/checkpoint"
 	"altrun/internal/consensus"
-	"altrun/internal/device"
 	"altrun/internal/ids"
 	"altrun/internal/membership"
 	"altrun/internal/transport"
@@ -39,8 +37,9 @@ import (
 
 // Wire tags for protocol messages (transport.TagBytes = 1). Tags 2..5
 // were the retired per-claim consensus messages (VoteReq, VoteReply,
-// Release, CommitAnnounce); they stay reserved so a new message type
-// can't collide with old peers on the wire.
+// Release, CommitAnnounce) and 16..17 the retired network paged-file
+// device (PageRequest, PageReply); they stay reserved so a new message
+// type can't collide with old peers on the wire.
 const (
 	TagBallotReq      byte = 6
 	TagBallotReply    byte = 7
@@ -52,8 +51,6 @@ const (
 	TagShipDelta      byte = 13
 	TagShipNak        byte = 14
 	TagBaseInvalidate byte = 15
-	TagPageRequest    byte = 16
-	TagPageReply      byte = 17
 	TagMemberPing     byte = 18
 	TagMemberPingReq  byte = 19
 	TagMemberAck      byte = 20
@@ -64,7 +61,6 @@ const (
 func init() {
 	registerConsensus()
 	registerCheckpoint()
-	registerNetfs()
 	registerMembership()
 }
 
@@ -348,47 +344,6 @@ func registerCheckpoint() {
 		func(data []byte) (any, error) {
 			r := transport.NewWireReader(data)
 			m := checkpoint.BaseInvalidate{Lineage: r.String()}
-			return m, r.Err()
-		})
-}
-
-func registerNetfs() {
-	reg(TagPageRequest, device.PageRequest{},
-		func(p any, dst []byte) []byte {
-			m := p.(device.PageRequest)
-			dst = transport.AppendString(dst, m.File)
-			dst = transport.AppendVarint(dst, m.Page)
-			return appendAddr(dst, m.Reply)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := device.PageRequest{
-				File:  r.String(),
-				Page:  r.Varint(),
-				Reply: readAddr(r),
-			}
-			return m, r.Err()
-		})
-	reg(TagPageReply, device.PageReply{},
-		func(p any, dst []byte) []byte {
-			m := p.(device.PageReply)
-			dst = transport.AppendString(dst, m.File)
-			dst = transport.AppendVarint(dst, m.Page)
-			okb := byte(0)
-			if m.OK {
-				okb = 1
-			}
-			dst = append(dst, okb)
-			return transport.AppendBytes(dst, m.Data)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := device.PageReply{
-				File: r.String(),
-				Page: r.Varint(),
-			}
-			m.OK = r.Uvarint() != 0
-			m.Data = r.Bytes() // aliases the frame: zero-copy receive
 			return m, r.Err()
 		})
 }

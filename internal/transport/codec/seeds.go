@@ -3,7 +3,6 @@ package codec
 import (
 	"altrun/internal/checkpoint"
 	"altrun/internal/consensus"
-	"altrun/internal/device"
 	"altrun/internal/ids"
 	"altrun/internal/membership"
 	"altrun/internal/transport"
@@ -76,12 +75,6 @@ func SeedEnvelopes() []transport.Envelope {
 			Lineage: "rfork/json", Epoch: 1,
 		}},
 		{From: 1, To: addr(2, "rfork"), Payload: checkpoint.BaseInvalidate{Lineage: "rfork/json"}},
-		{From: 1, To: addr(2, "pagesvc"), Payload: device.PageRequest{
-			File: "data.db", Page: 3, Reply: addr(1, "pagecli/data.db/1"),
-		}},
-		{From: 2, To: addr(1, "pagecli/data.db/1"), Payload: device.PageReply{
-			File: "data.db", Page: 3, OK: true, Data: []byte("page contents"),
-		}},
 		{From: 1, To: addr(2, membership.Port), Payload: membership.Ping{
 			Seq: 17, Reply: addr(1, membership.Port),
 			Updates: []membership.Update{

@@ -15,9 +15,9 @@
 //     and connect/send timeouts, used by cmd/altserved peer groups and
 //     distbench.
 //
-// consensus, checkpoint shipping (rfork), and the network paged-file
-// device are written against these interfaces only, so the same
-// protocol code is exercised by the simulator and by live daemons.
+// consensus, checkpoint shipping (rfork) and membership are written
+// against these interfaces only, so the same protocol code is exercised
+// by the simulator and by live daemons.
 package transport
 
 import (

@@ -1,8 +1,8 @@
 // Package transporttest runs protocol tests over both transport
 // fabrics: the deterministic simulated cluster and a real TCP loopback
 // fleet. A test written once against transport.Endpoint is exercised
-// on each via Each, which is how the consensus and netfs suites prove
-// the protocols are fabric-independent.
+// on each via Each, which is how the consensus suite proves the
+// protocols are fabric-independent.
 package transporttest
 
 import (
