@@ -392,11 +392,25 @@ func TestPIDTableTerminalFateAbsorbs(t *testing.T) {
 	if tab.live() != len(ws)/4 {
 		t.Fatalf("live = %d, want %d", tab.live(), len(ws)/4)
 	}
-	if fateRunning.terminal() || fateUnknown.terminal() {
-		t.Fatal("running and unknown are not terminal")
-	}
-	if !fateCompleted.succeeded() || fateFailed.succeeded() || fateEliminated.succeeded() {
-		t.Fatal("only completed succeeds")
+}
+
+// TestPIDTableFatePredicates: completed, failed and eliminated are
+// terminal and unknown and running are not; only completed succeeds.
+func TestPIDTableFatePredicates(t *testing.T) {
+	for _, c := range []struct {
+		f                   fate
+		terminal, succeeded bool
+	}{
+		{fateUnknown, false, false},
+		{fateRunning, false, false},
+		{fateCompleted, true, true},
+		{fateFailed, true, false},
+		{fateEliminated, true, false},
+	} {
+		if c.f.terminal() != c.terminal || c.f.succeeded() != c.succeeded {
+			t.Fatalf("fate %d: terminal = %v, succeeded = %v; want %v, %v",
+				c.f, c.f.terminal(), c.f.succeeded(), c.terminal, c.succeeded)
+		}
 	}
 }
 
@@ -458,10 +472,24 @@ func TestPIDTableChildList(t *testing.T) {
 	if stranger.kids.Load() != nil || c2.kids.Load() != nil {
 		t.Fatal("a world with no children has a child list")
 	}
-	// A second block appends to the list in registration order.
+	if c1.parent != parent || c2.parent != parent || g.parent != c1 {
+		t.Fatal("a child does not point at its parent")
+	}
+}
+
+// TestPIDTableChildListAppendsInOrder: a later block under the same
+// parent appends its children after the earlier ones, in registration
+// order, and a world registered under another parent never joins.
+func TestPIDTableChildListAppendsInOrder(t *testing.T) {
+	var tab pidTable
+	parent := listed(&tab)
+	first := []*World{{}, {}}
+	tab.addBlock(parent, first)
+	stranger := listed(&tab)
+	tab.addBlock(stranger, []*World{{}})
 	more := []*World{{}, {}, {}}
 	tab.addBlock(parent, more)
-	want := []ids.PID{c1.pid, c2.pid, more[0].pid, more[1].pid, more[2].pid}
+	want := []ids.PID{first[0].pid, first[1].pid, more[0].pid, more[1].pid, more[2].pid}
 	got := tab.children(parent)
 	if len(got) != len(want) {
 		t.Fatalf("children = %v, want %v", got, want)
@@ -471,8 +499,8 @@ func TestPIDTableChildList(t *testing.T) {
 			t.Fatalf("children = %v, want %v (registration order)", got, want)
 		}
 	}
-	if c1.parent != parent || more[2].parent != parent || g.parent != c1 {
-		t.Fatal("a child does not point at its parent")
+	if more[2].parent != parent {
+		t.Fatal("a child of the second block does not point at its parent")
 	}
 }
 
