@@ -15,9 +15,7 @@ import (
 	"altrun/internal/consensus"
 	"altrun/internal/core"
 	"altrun/internal/ids"
-	"altrun/internal/mem"
 	"altrun/internal/membership"
-	"altrun/internal/page"
 	"altrun/internal/serve"
 	"altrun/internal/stats"
 	"altrun/internal/trace"
@@ -479,7 +477,6 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		arena := mem.New(page.NewStore(512), 4096)
 		for seq := 0; ; seq++ {
 			select {
 			case <-rforkDone:
@@ -496,19 +493,11 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 				continue
 			}
 			body := []byte(fmt.Sprintf(`{"kind":"distbench","seq":%d}`, seq))
-			if err := arena.WriteAt(body, 0); err != nil {
-				failWith(err)
-				return
-			}
-			img, err := checkpoint.Capture(ids.PID(seq+1), "rfork-churn", arena, map[string]int64{"seq": int64(seq)})
-			if err != nil {
-				failWith(err)
-				return
-			}
+			img := checkpoint.BodyImage(ids.PID(seq+1), "rfork-churn", 512, 4096, body, map[string]int64{"seq": int64(seq)})
 			// Fresh lineage per attempt: every ship is a standalone full
 			// image, so delivery accounting never depends on a peer's
 			// delta base surviving the partition.
-			if _, _, err := shipper.Ship(transport.Background(), to, key, img, nil); err != nil {
+			if _, _, err := shipper.Ship(transport.Background(), to, key, img); err != nil {
 				failWith(err)
 				return
 			}
@@ -637,13 +626,14 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 }
 
 // runDistShip measures rfork delta economics over a two-node TCP pair:
-// the same fixed-size arena altserved uses, a stream of distinct JSON
-// request bodies, one full base then per-job deltas. The interesting
-// number is warm-path bytes/job: full-image cost over mean delta cost.
+// the same fixed-size, zero-padded image altserved ships, a stream of
+// distinct JSON request bodies, one full base then per-job deltas. The
+// interesting number is warm-path bytes/job: full-image cost over mean
+// delta cost.
 func runDistShip(jobs int) (*distShipResult, error) {
 	const (
 		pageSize  = 512
-		arenaSize = 16 << 10
+		spaceSize = 16 << 10
 		lineage   = "rfork/json"
 	)
 	fleet, err := transport.NewTCPFleet(2, distbenchSeed)
@@ -673,28 +663,12 @@ func runDistShip(jobs int) (*distShipResult, error) {
 	defer svc.Kill()
 
 	shipper := checkpoint.NewShipper(eps[0], nc)
-	arena := mem.New(page.NewStore(pageSize), arenaSize)
-	prevLen := 0
-	var dirty []int64
 	for i := 0; i < jobs; i++ {
 		body := []byte(fmt.Sprintf(`{"kind":"distbench","name":"block-%d","input":[%d,%d,%d]}`, i, i*7, i*3, i))
-		if err := arena.WriteAt(body, 0); err != nil {
-			return nil, err
-		}
-		if len(body) < prevLen {
-			if err := arena.WriteAt(make([]byte, prevLen-len(body)), int64(len(body))); err != nil {
-				return nil, err
-			}
-		}
-		prevLen = len(body)
-		img, err := checkpoint.Capture(ids.PID(i+1), "rfork-job", arena, map[string]int64{
+		img := checkpoint.BodyImage(ids.PID(i+1), "rfork-job", pageSize, spaceSize, body, map[string]int64{
 			"len": int64(len(body)), "seq": int64(i),
 		})
-		if err != nil {
-			return nil, err
-		}
-		dirty = arena.DirtyPageList(dirty[:0])
-		if _, _, err := shipper.Ship(transport.Background(), eps[1].ID(), lineage, img, dirty); err != nil {
+		if _, _, err := shipper.Ship(transport.Background(), eps[1].ID(), lineage, img); err != nil {
 			return nil, err
 		}
 		select {
@@ -707,7 +681,7 @@ func runDistShip(jobs int) (*distShipResult, error) {
 	snap := nc.Snapshot()
 	res := &distShipResult{
 		Jobs:           jobs,
-		ArenaBytes:     arenaSize,
+		ArenaBytes:     spaceSize,
 		PageSize:       pageSize,
 		FullShips:      snap.FullShips,
 		DeltaShips:     snap.DeltaShips,

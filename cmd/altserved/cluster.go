@@ -18,7 +18,6 @@ import (
 	"altrun/internal/consensus"
 	"altrun/internal/core"
 	"altrun/internal/ids"
-	"altrun/internal/mem"
 	"altrun/internal/membership"
 	"altrun/internal/page"
 	"altrun/internal/serve"
@@ -44,12 +43,12 @@ import (
 // a future message type can't collide with old peers on the wire.
 
 const (
-	// rfork delta shipping writes each forwarded request into a
-	// fixed-size per-peer arena so successive jobs diff page-by-page
-	// against a peer-cached base image; requests that outgrow the arena
-	// fall back to a one-off legacy full ship.
+	// rfork delta shipping places each forwarded request at offset 0 of
+	// a fixed-size zero-filled image so successive jobs diff
+	// page-by-page against a peer-cached base image; requests that
+	// outgrow the image fall back to a one-off legacy full ship.
 	rforkPageSize   = 512
-	rforkArenaSize  = 16 << 10
+	rforkSpaceSize  = 16 << 10
 	rforkLineage    = "rfork/json"
 	rforkJobTimeout = 10 * time.Second
 )
@@ -122,11 +121,12 @@ type clusterState struct {
 	// batched ballots, one leader per key. A lone claim is a batch of one.
 	coalescer *consensus.Coalescer
 
-	// Delta checkpoint shipping for rfork.
+	// Delta checkpoint shipping for rfork. shipMu serializes ships, so
+	// each peer receives a lineage's full base before any delta
+	// against it.
 	shipper  *checkpoint.Shipper
 	receiver *checkpoint.Receiver
-	arenaMu  sync.Mutex
-	arenas   map[ids.NodeID]*rforkArena
+	shipMu   sync.Mutex
 
 	pool *serve.Pool // wired by start()
 
@@ -138,15 +138,6 @@ type clusterState struct {
 
 	rforkSvc transport.Handle
 	ctlSvc   transport.Handle
-}
-
-// rforkArena is the persistent per-destination capture space: each
-// forwarded request overwrites the previous one, so the space's
-// accumulated dirty-page set bounds the delta diff.
-type rforkArena struct {
-	space   *mem.AddressSpace
-	prevLen int64
-	dirty   []int64 // reused DirtyPageList buffer
 }
 
 // clusterOptions selects how a daemon finds its peer group: a full
@@ -227,7 +218,6 @@ func clusterFromTransport(tcp *transport.TCP, members []ids.NodeID, nc *trace.Ne
 		coalescer:   consensus.StartCoalescer(tcp, members, "", consensus.Config{Net: nc}),
 		shipper:     checkpoint.NewShipper(tcp, nc),
 		receiver:    checkpoint.NewReceiver(tcp, nc, 0),
-		arenas:      make(map[ids.NodeID]*rforkArena),
 	}
 }
 
@@ -291,9 +281,6 @@ func (c *clusterState) onView(v membership.View) {
 			log.Printf("cluster: dropped %d rfork session(s) toward departed node %d", n, id)
 		}
 		c.receiver.InvalidateNode(id)
-		c.arenaMu.Lock()
-		delete(c.arenas, id)
-		c.arenaMu.Unlock()
 		c.winMu.Lock()
 		delete(c.windows, id)
 		c.winMu.Unlock()
@@ -486,53 +473,20 @@ func (c *clusterState) rfork(to ids.NodeID, id uint64, req submitRequest) error 
 		return err
 	}
 	control := map[string]int64{"len": int64(len(body))}
-	if len(body) > rforkArenaSize {
-		// Oversized request: one-off legacy full ship in a throwaway
-		// space (no lineage, no delta economics to exploit).
-		store := page.NewStore(rforkPageSize)
-		space := mem.New(store, int64(len(body)))
-		if err := space.WriteAt(body, 0); err != nil {
-			return err
-		}
-		img, err := checkpoint.Capture(ids.PID(id+1), "rfork-job", space, control)
-		if err != nil {
-			return err
-		}
+	if len(body) > rforkSpaceSize {
+		// Oversized request: one-off legacy full ship of an image the
+		// body's own size (no lineage, no delta economics to exploit).
+		img := checkpoint.BodyImage(ids.PID(id+1), "rfork-job", rforkPageSize, int64(len(body)), body, control)
 		if _, err := checkpoint.Ship(transport.Background(), c.tcp, to, img); err != nil {
 			return err
 		}
 		c.rforksOut.Add(1)
 		return nil
 	}
-	c.arenaMu.Lock()
-	ar := c.arenas[to]
-	if ar == nil {
-		ar = &rforkArena{space: mem.New(page.NewStore(rforkPageSize), rforkArenaSize)}
-		c.arenas[to] = ar
-	}
-	if err := ar.space.WriteAt(body, 0); err != nil {
-		c.arenaMu.Unlock()
-		return err
-	}
-	// Zero the tail the previous request wrote past this one's length, so
-	// the captured image depends only on the current body.
-	if n := int64(len(body)); n < ar.prevLen {
-		if err := ar.space.WriteAt(make([]byte, ar.prevLen-n), n); err != nil {
-			c.arenaMu.Unlock()
-			return err
-		}
-	}
-	ar.prevLen = int64(len(body))
-	img, err := checkpoint.Capture(ids.PID(id+1), "rfork-job", ar.space, control)
-	if err != nil {
-		c.arenaMu.Unlock()
-		return err
-	}
-	// The dirty list accumulates over the arena's whole life — exactly
-	// the superset of pages that can differ from any base the peer holds.
-	ar.dirty = ar.space.DirtyPageList(ar.dirty[:0])
-	_, _, err = c.shipper.Ship(transport.Background(), to, rforkLineage, img, ar.dirty)
-	c.arenaMu.Unlock()
+	img := checkpoint.BodyImage(ids.PID(id+1), "rfork-job", rforkPageSize, rforkSpaceSize, body, control)
+	c.shipMu.Lock()
+	_, _, err = c.shipper.Ship(transport.Background(), to, rforkLineage, img)
+	c.shipMu.Unlock()
 	if err != nil {
 		return err
 	}

@@ -134,13 +134,9 @@ func NewShipper(ep transport.Endpoint, nc *trace.NetCounters) *Shipper {
 // Ship sends img to the rfork port on node `to` under the given
 // lineage: a full base image the first time (or after re-base /
 // invalidation), only the pages differing from the base afterwards.
-// dirty, when non-nil, bounds the diff to those page numbers — pass the
-// capture space's accumulated mem.DirtyPageList (accumulated since the
-// lineage began, NOT since the last ship: deltas are diffed against the
-// fixed base, and a stale-excluded page would silently revert on the
-// receiver). Returns the estimated wire size and whether a delta was
-// sent.
-func (s *Shipper) Ship(p transport.Proc, to ids.NodeID, lineage string, img *Image, dirty []int64) (int, bool, error) {
+// Every page of the image is compared with the base. Returns the
+// estimated wire size and whether a delta was sent.
+func (s *Shipper) Ship(p transport.Proc, to ids.NodeID, lineage string, img *Image) (int, bool, error) {
 	key := shipKey{to: to, lineage: lineage}
 	s.mu.Lock()
 	sess := s.sessions[key]
@@ -150,7 +146,7 @@ func (s *Shipper) Ship(p transport.Proc, to ids.NodeID, lineage string, img *Ima
 	}
 	var pages []DeltaPage
 	if sess.base != nil {
-		pages = diffPages(sess.base, img.Data, img.PageSize, dirty)
+		pages = diffPages(sess.base, img.Data, img.PageSize)
 		// Re-base when the delta stops being a win: more than half the
 		// space changed means the base has drifted from the stream.
 		if int64(len(pages)*img.PageSize)*2 > img.SpaceSize {
@@ -220,7 +216,7 @@ func (s *Shipper) HandleNak(p transport.Proc, from ids.NodeID, nak ShipNak) {
 	last := sess.last
 	sess.base = nil
 	s.mu.Unlock()
-	_, _, _ = s.Ship(p, from, nak.Lineage, last, nil)
+	_, _, _ = s.Ship(p, from, nak.Lineage, last)
 }
 
 // InvalidateLineage drops the sender-side session for lineage toward
@@ -262,31 +258,14 @@ func (s *Shipper) DropPeer(to ids.NodeID) int {
 }
 
 // diffPages returns the pages of cur that differ from base (equal
-// lengths assumed; the caller re-bases on size change). dirty, when
-// non-nil, is the only candidate set examined.
-func diffPages(base, cur []byte, pageSize int, dirty []int64) []DeltaPage {
+// lengths assumed; the caller re-bases on size change).
+func diffPages(base, cur []byte, pageSize int) []DeltaPage {
 	var out []DeltaPage
-	check := func(pn int64) {
-		off := pn * int64(pageSize)
-		if off >= int64(len(cur)) {
-			return
-		}
-		end := off + int64(pageSize)
-		if end > int64(len(cur)) {
-			end = int64(len(cur))
-		}
+	for off := 0; off < len(cur); off += pageSize {
+		end := min(off+pageSize, len(cur))
 		if !bytes.Equal(base[off:end], cur[off:end]) {
-			out = append(out, DeltaPage{Page: pn, Data: cur[off:end]})
+			out = append(out, DeltaPage{Page: int64(off / pageSize), Data: cur[off:end]})
 		}
-	}
-	if dirty != nil {
-		for _, pn := range dirty {
-			check(pn)
-		}
-		return out
-	}
-	for pn := int64(0); pn*int64(pageSize) < int64(len(cur)); pn++ {
-		check(pn)
 	}
 	return out
 }

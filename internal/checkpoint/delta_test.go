@@ -101,7 +101,7 @@ func TestDeltaShipWarmPath(t *testing.T) {
 			defer stop()
 			space := mem.New(page.NewStore(256), 2048)
 			imgA := captureBody(t, space, []byte("request body A"), 0)
-			if _, delta, err := shipper.Ship(p, f.Eps()[1].ID(), "L", imgA, nil); err != nil || delta {
+			if _, delta, err := shipper.Ship(p, f.Eps()[1].ID(), "L", imgA); err != nil || delta {
 				t.Errorf("first ship: delta=%v err=%v, want full", delta, err)
 				return
 			}
@@ -112,7 +112,7 @@ func TestDeltaShipWarmPath(t *testing.T) {
 
 			// Same bytes again: a delta with zero pages.
 			imgA2 := captureBody(t, space, []byte("request body A"), len("request body A"))
-			wire, delta, err := shipper.Ship(p, f.Eps()[1].ID(), "L", imgA2, nil)
+			wire, delta, err := shipper.Ship(p, f.Eps()[1].ID(), "L", imgA2)
 			if err != nil || !delta {
 				t.Errorf("identical ship: delta=%v err=%v, want delta", delta, err)
 				return
@@ -128,7 +128,7 @@ func TestDeltaShipWarmPath(t *testing.T) {
 			// Change one page's worth of bytes: a one-page delta.
 			body := []byte("request body B")
 			imgB := captureBody(t, space, body, len("request body A"))
-			wire, delta, err = shipper.Ship(p, f.Eps()[1].ID(), "L", imgB, nil)
+			wire, delta, err = shipper.Ship(p, f.Eps()[1].ID(), "L", imgB)
 			if err != nil || !delta {
 				t.Errorf("changed ship: delta=%v err=%v, want delta", delta, err)
 				return
@@ -162,7 +162,7 @@ func TestDeltaBaseCacheMissFallsBack(t *testing.T) {
 			to := f.Eps()[1].ID()
 			spaceA := mem.New(page.NewStore(256), 2048)
 			imgA := captureBody(t, spaceA, []byte("lineage A body 1"), 0)
-			if _, _, err := shipper.Ship(p, to, "A", imgA, nil); err != nil {
+			if _, _, err := shipper.Ship(p, to, "A", imgA); err != nil {
 				t.Error(err)
 				return
 			}
@@ -170,7 +170,7 @@ func TestDeltaBaseCacheMissFallsBack(t *testing.T) {
 
 			spaceB := mem.New(page.NewStore(256), 2048)
 			imgB := captureBody(t, spaceB, []byte("lineage B body 1"), 0)
-			if _, _, err := shipper.Ship(p, to, "B", imgB, nil); err != nil {
+			if _, _, err := shipper.Ship(p, to, "B", imgB); err != nil {
 				t.Error(err)
 				return
 			}
@@ -180,7 +180,7 @@ func TestDeltaBaseCacheMissFallsBack(t *testing.T) {
 			// re-ships full; the echo we get is the NAK-recovery image.
 			imgA2 := captureBody(t, spaceA, []byte("lineage A body 2"), len("lineage A body 1"))
 			want = append([]byte(nil), imgA2.Data...)
-			if _, delta, err := shipper.Ship(p, to, "A", imgA2, nil); err != nil || !delta {
+			if _, delta, err := shipper.Ship(p, to, "A", imgA2); err != nil || !delta {
 				t.Errorf("warm ship: delta=%v err=%v, want delta", delta, err)
 				return
 			}
@@ -216,7 +216,7 @@ func TestInvalidateLineageAfterCompetingCommit(t *testing.T) {
 			to := f.Eps()[1].ID()
 			space := mem.New(page.NewStore(256), 2048)
 			img := captureBody(t, space, []byte("pre-commit body"), 0)
-			if _, _, err := shipper.Ship(p, to, "L", img, nil); err != nil {
+			if _, _, err := shipper.Ship(p, to, "L", img); err != nil {
 				t.Error(err)
 				return
 			}
@@ -234,7 +234,7 @@ func TestInvalidateLineageAfterCompetingCommit(t *testing.T) {
 			}
 
 			img2 := captureBody(t, space, []byte("post-commit body"), len("pre-commit body"))
-			if _, delta, err := shipper.Ship(p, to, "L", img2, nil); err != nil || delta {
+			if _, delta, err := shipper.Ship(p, to, "L", img2); err != nil || delta {
 				t.Errorf("post-invalidate ship: delta=%v err=%v, want full", delta, err)
 				return
 			}
@@ -246,41 +246,6 @@ func TestInvalidateLineageAfterCompetingCommit(t *testing.T) {
 		if nc.FullShips.Load() != 2 || nc.DeltaShips.Load() != 0 {
 			t.Fatalf("ships full=%d delta=%d, want 2 full + 0 deltas", nc.FullShips.Load(), nc.DeltaShips.Load())
 		}
-	})
-}
-
-// TestDeltaDirtyHintBoundsDiff: the capture space's accumulated dirty
-// list is a safe diff candidate set — reconstruction stays exact while
-// the diff only examines hinted pages.
-func TestDeltaDirtyHintBoundsDiff(t *testing.T) {
-	transporttest.Each(t, 2, 5, func(t *testing.T, f *transporttest.Fabric) {
-		shipper, _, _, stop := startDeltaPair(f, 0)
-		echo := f.Eps()[0].Bind(deltaEchoPort)
-		f.Go("driver", func(p transport.Proc) {
-			defer stop()
-			to := f.Eps()[1].ID()
-			space := mem.New(page.NewStore(256), 4096)
-			var dirty []int64
-			prev := 0
-			for i, body := range [][]byte{
-				[]byte("hinted body one"),
-				[]byte("hinted body two, a little longer"),
-				[]byte("hinted"),
-			} {
-				img := captureBody(t, space, body, prev)
-				prev = len(body)
-				dirty = space.DirtyPageList(dirty[:0])
-				if _, _, err := shipper.Ship(p, to, "H", img, dirty); err != nil {
-					t.Errorf("ship %d: %v", i, err)
-					return
-				}
-				if !bytes.Equal(awaitEcho(t, f, p, echo), img.Data) {
-					t.Errorf("ship %d: reconstruction differs", i)
-					return
-				}
-			}
-		})
-		f.Run(t)
 	})
 }
 
@@ -301,7 +266,7 @@ func TestDropPeerResetsStreams(t *testing.T) {
 			ship := func(lineage string, body []byte, prev int, wantDelta bool) {
 				t.Helper()
 				img := captureBody(t, space, body, prev)
-				_, delta, err := shipper.Ship(p, to, lineage, img, nil)
+				_, delta, err := shipper.Ship(p, to, lineage, img)
 				if err != nil || delta != wantDelta {
 					t.Errorf("ship %s: delta=%v err=%v, want delta=%v", lineage, delta, err, wantDelta)
 					return

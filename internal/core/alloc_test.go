@@ -76,10 +76,10 @@ func TestTwoWayBlockAllocs(t *testing.T) {
 // block leaves two terminal PIDs behind, and a PID that ended is two
 // bits in its segment (0.5 B per block plus the segment headers).
 //
-// The root's page chain runs deep for as long as a killed loser that
-// has not exited yet still shares a layer of it (up to a few hundred
-// 4 KiB layers under CPU contention), and folds back at the first fork
-// after it exits. So each reading is the least of three, each taken
+// A killed loser that has not exited yet still shares a layer of the
+// root's page chain: that layer and those below it stay until it
+// exits, and fold back at the next fork that finds the chain exclusive
+// and deep enough. So each reading is the least of three, each taken
 // after the stragglers had a moment to exit and a few more blocks let
 // the chain fold.
 func TestLiveHeapFlatAcrossBlocks(t *testing.T) {

@@ -323,14 +323,8 @@ func (w *World) RestoreSnapshot(data []byte) error {
 	return nil
 }
 
-// DirtyPages returns pages written since the world was forked.
-func (w *World) DirtyPages() int { return w.space.DirtyPages() }
-
 // CopiedPages returns COW copies performed by this world.
 func (w *World) CopiedPages() int64 { return w.space.CopiedPages() }
-
-// FractionWritten returns the §4.4 independent variable for this world.
-func (w *World) FractionWritten() float64 { return w.space.FractionWritten() }
 
 // ---------------------------------------------------------------------
 // Execution.

@@ -21,19 +21,6 @@ func TestWorldAccessors(t *testing.T) {
 		if w.SimProc() == nil {
 			t.Error("sim-mode world must expose its proc")
 		}
-		if w.DirtyPages() != 0 || w.FractionWritten() != 0 {
-			t.Error("fresh world must be clean")
-		}
-		if err := w.WriteAt([]byte{1}, 0); err != nil {
-			t.Error(err)
-			return
-		}
-		if w.DirtyPages() != 1 {
-			t.Errorf("DirtyPages = %d", w.DirtyPages())
-		}
-		if got := w.FractionWritten(); got != 0.1 { // 640B / 64B pages
-			t.Errorf("FractionWritten = %v", got)
-		}
 	})
 	if err := rt.Run(); err != nil {
 		t.Fatal(err)

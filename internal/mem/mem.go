@@ -4,20 +4,16 @@
 // An AddressSpace is the unit of state a process "is often associated
 // with" (§3.1). Alternatives inherit the parent's space with Fork (page
 // map inheritance, no data copied); the winner's state is absorbed with
-// Adopt (the atomic page-pointer swap of §3.2). The space tracks which
-// pages have been written — in a bitmap, since "the fraction of the
-// pages in the address space which are written is the important
-// independent variable" for COW cost (§4.4) and the accounting must not
-// itself allocate on the write path. ReadAt/WriteAt keep a one-entry
-// cache of the last page touched, so streaming and loop-local access
-// bypasses the table walk entirely.
+// Adopt (the atomic page-pointer swap of §3.2). The page table is the
+// space's only record: ReadAt and WriteAt go to the table for every
+// page they touch, and what a space has written is what its table's
+// delta and layers hold.
 package mem
 
 import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"altrun/internal/page"
 )
@@ -32,32 +28,11 @@ type AddressSpace struct {
 	store *page.Store
 	table *page.Table
 	size  int64
-
-	// dirty is a bitmap over page numbers written since creation/fork;
-	// dirtyCount is its population count.
-	dirty      []uint64
-	dirtyCount int
-
-	// One-entry page cache: the last page buffer obtained from the
-	// table. lastWritable distinguishes a buffer returned by Write
-	// (safe to write through again) from one returned by Read. The
-	// cache MUST be invalidated whenever the table's sharing state can
-	// change under us: Fork, Adopt, Discard.
-	lastPage     int64
-	lastBuf      []byte
-	lastWritable bool
 }
 
 // New returns a zero-filled address space of the given size.
 func New(store *page.Store, size int64) *AddressSpace {
-	a := &AddressSpace{
-		store:    store,
-		table:    store.NewTable(),
-		size:     size,
-		lastPage: -1,
-	}
-	a.dirty = make([]uint64, (a.Pages()+63)/64)
-	return a
+	return &AddressSpace{store: store, table: store.NewTable(), size: size}
 }
 
 // Size returns the space's size in bytes.
@@ -76,63 +51,9 @@ func (a *AddressSpace) Pages() int {
 // a write at some point in the space's ancestry).
 func (a *AddressSpace) ResidentPages() int { return a.table.Len() }
 
-// DirtyPages returns the number of distinct pages written since this
-// space was created or forked.
-func (a *AddressSpace) DirtyPages() int { return a.dirtyCount }
-
 // CopiedPages returns the number of COW copies this space's table has
 // performed (write faults on shared pages).
 func (a *AddressSpace) CopiedPages() int64 { return a.table.Copies() }
-
-// FractionWritten returns DirtyPages / Pages — §4.4's independent
-// variable for COW cost.
-func (a *AddressSpace) FractionWritten() float64 {
-	total := a.Pages()
-	if total == 0 {
-		return 0
-	}
-	return float64(a.dirtyCount) / float64(total)
-}
-
-// DirtyPageList appends the dirty page numbers to dst in ascending
-// order and returns it. Delta checkpoint shipping uses this as the
-// candidate set for a page diff: a page never written since the
-// accounting was reset cannot differ from a base captured before it.
-func (a *AddressSpace) DirtyPageList(dst []int64) []int64 {
-	for w, word := range a.dirty {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, int64(w)*64+int64(b))
-			word &^= 1 << b
-		}
-	}
-	return dst
-}
-
-// ResetDirty clears the dirty-page accounting (e.g., at the start of an
-// alternative block) without allocating.
-func (a *AddressSpace) ResetDirty() {
-	clear(a.dirty)
-	a.dirtyCount = 0
-}
-
-// markDirty records a write to page pn.
-func (a *AddressSpace) markDirty(pn int64) {
-	w, bit := pn>>6, uint64(1)<<(pn&63)
-	if a.dirty[w]&bit == 0 {
-		a.dirty[w] |= bit
-		a.dirtyCount++
-	}
-}
-
-// invalidatePageCache forgets the cached last-page buffer. Called
-// whenever the table's mappings or sharing state change outside
-// ReadAt/WriteAt.
-func (a *AddressSpace) invalidatePageCache() {
-	a.lastPage = -1
-	a.lastBuf = nil
-	a.lastWritable = false
-}
 
 func (a *AddressSpace) check(off int64, n int) error {
 	if off < 0 || n < 0 || off+int64(n) > a.size {
@@ -155,18 +76,9 @@ func (a *AddressSpace) ReadAt(buf []byte, off int64) error {
 		if int64(len(buf)) < n {
 			n = int64(len(buf))
 		}
-		var pg []byte
-		if pn == a.lastPage {
-			pg = a.lastBuf
-		} else {
-			var err error
-			pg, err = a.table.Read(pn)
-			if err != nil {
-				return err
-			}
-			if pg != nil {
-				a.lastPage, a.lastBuf, a.lastWritable = pn, pg, false
-			}
+		pg, err := a.table.Read(pn)
+		if err != nil {
+			return err
 		}
 		if pg == nil {
 			clear(buf[:n])
@@ -193,19 +105,11 @@ func (a *AddressSpace) WriteAt(buf []byte, off int64) error {
 		if int64(len(buf)) < n {
 			n = int64(len(buf))
 		}
-		var pg []byte
-		if pn == a.lastPage && a.lastWritable {
-			pg = a.lastBuf
-		} else {
-			var err error
-			pg, err = a.table.Write(pn)
-			if err != nil {
-				return err
-			}
-			a.lastPage, a.lastBuf, a.lastWritable = pn, pg, true
+		pg, err := a.table.Write(pn)
+		if err != nil {
+			return err
 		}
 		copy(pg[po:po+n], buf[:n])
-		a.markDirty(pn)
 		buf = buf[n:]
 		off += n
 	}
@@ -229,23 +133,13 @@ func (a *AddressSpace) WriteUint64(off int64, v uint64) error {
 }
 
 // Fork returns a child space sharing every page copy-on-write — the
-// paper's alt_spawn memory semantics, O(1) in the resident size. The
-// child starts with clean dirty accounting.
+// paper's alt_spawn memory semantics, O(1) in the resident size.
 func (a *AddressSpace) Fork() (*AddressSpace, error) {
 	nt, err := a.table.Clone()
 	if err != nil {
 		return nil, err
 	}
-	// Every page the parent held exclusively is now shared: writing
-	// through a cached buffer would bypass COW and corrupt the child.
-	a.invalidatePageCache()
-	return &AddressSpace{
-		store:    a.store,
-		table:    nt,
-		size:     a.size,
-		dirty:    make([]uint64, (a.Pages()+63)/64),
-		lastPage: -1,
-	}, nil
+	return &AddressSpace{store: a.store, table: nt, size: a.size}, nil
 }
 
 // FullCopy returns a child with every resident page physically copied
@@ -273,7 +167,6 @@ func (a *AddressSpace) FullCopy() (*AddressSpace, error) {
 			return nil, err
 		}
 	}
-	child.ResetDirty()
 	return child, nil
 }
 
@@ -291,14 +184,6 @@ func (a *AddressSpace) Adopt(child *AddressSpace) error {
 	}
 	child.table.Release()
 	a.size = child.size
-	// The parent inherits the child's dirty accounting: those are the
-	// block's state changes.
-	a.dirty = child.dirty
-	a.dirtyCount = child.dirtyCount
-	child.dirty = nil
-	child.dirtyCount = 0
-	a.invalidatePageCache()
-	child.invalidatePageCache()
 	return nil
 }
 
@@ -306,7 +191,6 @@ func (a *AddressSpace) Adopt(child *AddressSpace) error {
 // The space must not be used again.
 func (a *AddressSpace) Discard() {
 	a.table.Release()
-	a.invalidatePageCache()
 }
 
 // Snapshot returns a full copy of the space's contents as a flat byte

@@ -137,29 +137,6 @@ func TestForkSharesUntilWrite(t *testing.T) {
 	}
 }
 
-func TestDirtyAndFractionWritten(t *testing.T) {
-	a := newSpace(t, 32, 320) // 10 pages
-	if a.FractionWritten() != 0 {
-		t.Fatal("fresh space must have fraction 0")
-	}
-	// Write into 3 distinct pages.
-	for _, off := range []int64{0, 40, 300} {
-		if err := a.WriteAt([]byte{1}, off); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if a.DirtyPages() != 3 {
-		t.Fatalf("DirtyPages = %d, want 3", a.DirtyPages())
-	}
-	if got := a.FractionWritten(); got != 0.3 {
-		t.Fatalf("FractionWritten = %v, want 0.3", got)
-	}
-	a.ResetDirty()
-	if a.DirtyPages() != 0 {
-		t.Fatal("ResetDirty must clear accounting")
-	}
-}
-
 func TestAdoptTransparency(t *testing.T) {
 	a := newSpace(t, 32, 256)
 	if err := a.WriteAt([]byte("before"), 0); err != nil {
@@ -180,10 +157,6 @@ func TestAdoptTransparency(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("parent after Adopt must equal child's state byte-for-byte")
-	}
-	// The block's changes are visible as dirty pages on the parent.
-	if a.DirtyPages() == 0 {
-		t.Fatal("adopted dirty accounting must carry over")
 	}
 }
 
@@ -227,10 +200,6 @@ func TestFullCopyIndependence(t *testing.T) {
 	}
 	if store.Copies() != before {
 		t.Fatal("full copy must not share pages with the parent")
-	}
-	// And the copy is clean w.r.t. dirty accounting.
-	if cp.DirtyPages() != 0 {
-		t.Fatalf("full copy DirtyPages = %d, want 0", cp.DirtyPages())
 	}
 }
 

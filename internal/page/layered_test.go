@@ -1,12 +1,9 @@
 package page
 
-import (
-	"bytes"
-	"testing"
-)
+import "testing"
 
 // Tests specific to the layered-table design: O(1) clone, buffer
-// pooling, tombstones, compaction, and the refcount assertions.
+// pooling, compaction, and the refcount assertions.
 
 func TestCloneIsO1(t *testing.T) {
 	s := NewStore(64)
@@ -69,88 +66,6 @@ func TestPoolRecyclesReleasedBuffers(t *testing.T) {
 	}
 }
 
-func TestDropReturnsBufferAndShadowsChain(t *testing.T) {
-	s := NewStore(64)
-	parent := s.NewTable()
-	w, _ := parent.Write(0)
-	copy(w, []byte("base"))
-	child, err := parent.Clone()
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Child drops the inherited page: a tombstone must shadow the
-	// shared occurrence, not free it.
-	if err := child.Drop(0); err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := child.Read(0); r != nil {
-		t.Fatalf("dropped page reads %q, want nil", r)
-	}
-	pr, _ := parent.Read(0)
-	if !bytes.Equal(pr[:4], []byte("base")) {
-		t.Fatalf("parent lost the page to a child drop: %q", pr[:4])
-	}
-	if child.Len() != 0 || parent.Len() != 1 {
-		t.Fatalf("Len child=%d parent=%d, want 0/1", child.Len(), parent.Len())
-	}
-	// Writing after the drop materializes a fresh zero page (an alloc,
-	// not a copy of the shadowed data).
-	copiesBefore, allocsBefore := s.Copies(), s.Allocs()
-	cw, err := child.Write(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cw[:4], []byte{0, 0, 0, 0}) {
-		t.Fatalf("write after drop sees stale data %q", cw[:4])
-	}
-	if s.Copies() != copiesBefore || s.Allocs() != allocsBefore+1 {
-		t.Fatalf("write after drop: copies %d→%d allocs %d→%d, want alloc not copy",
-			copiesBefore, s.Copies(), allocsBefore, s.Allocs())
-	}
-}
-
-func TestTombstoneSurvivesCloneAndCompaction(t *testing.T) {
-	s := NewStore(64)
-	tb := s.NewTable()
-	if _, err := tb.Write(7); err != nil {
-		t.Fatal(err)
-	}
-	c1, err := tb.Clone() // page 7 now lives in a frozen layer
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Drop(7); err != nil {
-		t.Fatal(err)
-	}
-	c2, err := tb.Clone() // tombstone frozen into a layer
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r, _ := c2.Read(7); r != nil {
-		t.Fatal("clone of a dropped page must read nil")
-	}
-	if r, _ := c1.Read(7); r == nil {
-		t.Fatal("pre-drop clone lost the page")
-	}
-	c1.Release()
-	c2.Release()
-	// Force compaction of the (now exclusive) chain; the tombstone must
-	// vanish with it, not resurrect the page.
-	for i := 0; i < compactDepth+2; i++ {
-		if _, err := tb.Write(int64(100 + i)); err != nil {
-			t.Fatal(err)
-		}
-		c, err := tb.Clone()
-		if err != nil {
-			t.Fatal(err)
-		}
-		c.Release()
-	}
-	if r, _ := tb.Read(7); r != nil {
-		t.Fatal("compaction resurrected a dropped page")
-	}
-}
-
 func TestCompactionBoundsDepth(t *testing.T) {
 	s := NewStore(64)
 	parent := s.NewTable()
@@ -189,6 +104,89 @@ func TestCompactionBoundsDepth(t *testing.T) {
 		if r[0] != b {
 			t.Fatalf("page %d = %d after compaction, want %d", n, r[0], b)
 		}
+	}
+	// Folding moves pages between layers but never invents one: a page
+	// no generation wrote still reads as missing.
+	if r, _ := parent.Read(100); r != nil {
+		t.Fatal("compaction materialized a page nothing wrote")
+	}
+}
+
+// TestFoldAboveStraggler: a straggling table (a killed loser that has
+// not released yet) pins one early layer while the root keeps
+// committing blocks. The chain above the pin must still fold every
+// compactDepth blocks, the pin must keep reading its snapshot, and once
+// it releases, the next Clone folds the whole chain.
+func TestFoldAboveStraggler(t *testing.T) {
+	s := NewStore(64)
+	root := s.NewTable()
+	var want [16]byte
+	block := func(i int) {
+		child, err := root.Clone()
+		if err != nil {
+			t.Fatal(err)
+		}
+		w, err := child.Write(int64(i % 16))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w[0] = byte(i)
+		want[i%16] = byte(i)
+		if err := root.Swap(child); err != nil {
+			t.Fatal(err)
+		}
+		child.Release()
+	}
+	// compactDepth-1 blocks put the pinned layer at depth compactDepth:
+	// once the pin releases, the whole chain is exclusive and at least
+	// compactDepth deep, so the next Clone has to fold it.
+	for i := 0; i < compactDepth-1; i++ {
+		block(i)
+	}
+	pin, err := root.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := want
+	pinDepth := pin.Depth()
+	compactionsBefore := s.Compactions()
+	for i := compactDepth - 1; i < 100+compactDepth-1; i++ {
+		block(i)
+		if above := root.Depth() - pinDepth; above > compactDepth {
+			t.Fatalf("block %d: %d layers above the pinned one, want <= %d", i, above, compactDepth)
+		}
+	}
+	if s.Compactions() == compactionsBefore {
+		t.Fatal("no fold while the straggler pinned an old layer")
+	}
+	firstByte := func(tb *Table, n int) byte {
+		r, err := tb.Read(int64(n))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r == nil {
+			return 0
+		}
+		return r[0]
+	}
+	for n, b := range snapshot {
+		if got := firstByte(pin, n); got != b {
+			t.Fatalf("pin page %d reads %d, want its snapshot value %d", n, got, b)
+		}
+	}
+	for n, b := range want {
+		if got := firstByte(root, n); got != b {
+			t.Fatalf("root page %d reads %d after the blocks, want %d", n, got, b)
+		}
+	}
+	pin.Release()
+	c, err := root.Clone()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Release()
+	if d := root.Depth(); d > 1 {
+		t.Fatalf("chain depth %d after the pin released, want <= 1 (folded)", d)
 	}
 }
 

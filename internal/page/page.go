@@ -16,23 +16,24 @@
 // A Table is a chain of immutable, reference-counted base layers plus a
 // private mutable delta. Every layer, the delta included, is a slot
 // array indexed by page number, like the MMU page tables the paper
-// relies on: a nil slot means the page is not in that layer, and a
-// tombstone slot means it was dropped there. Clone freezes the delta
-// into a new shared layer by handing its array over, and gives both
-// tables a pointer to it, so a fork is O(1) in the resident size — the
-// analogue of the hardware page-map inheritance that lets the paper's
-// 3B2 fork a 320 KB space in 31 ms regardless of how much of it is
-// resident. A read tries the delta and then each layer newest-first,
-// one indexed load per array and no allocation; there is no lookup
-// cache. Writes always land in the delta, copying from the chain when
-// the page is shared (counted in Copies) or migrating the page buffer
-// when the whole chain is exclusively owned (the refcount-1 in-place
-// fast path of the eager design). Page buffers and slot arrays are
+// relies on: a non-nil slot holds the page, a nil slot means the page
+// is not in that layer. Clone freezes the delta into a new shared
+// layer by handing its array over, and gives both tables a pointer to
+// it, so a fork is O(1) in the resident size — the analogue of the
+// hardware page-map inheritance that lets the paper's 3B2 fork a 320 KB
+// space in 31 ms regardless of how much of it is resident. A read tries
+// the delta and then each layer newest-first, one indexed load per
+// array and no allocation; there is no lookup cache. Writes always land
+// in the delta, copying from the chain when the page is shared (counted
+// in Copies) or migrating the page buffer when every layer down to the
+// page's is exclusively owned (the refcount-1 in-place fast path of the
+// eager design). Page buffers and slot arrays are
 // recycled through store-wide pools, so steady-state write faults,
-// forks and sibling eliminations are allocation-free. Once an
-// exclusively owned chain grows past compactDepth layers it is folded
-// back into the delta, so a read walks at most compactDepth + 1 arrays
-// unless other tables still pin the chain.
+// forks and sibling eliminations are allocation-free. Once the
+// exclusively owned top of a chain is compactDepth layers deep, Clone
+// folds it back into the delta and stops at the first layer another
+// table still shares, so a read walks at most compactDepth + 1 arrays
+// above the newest layer any other table pins.
 //
 // Page numbers index arrays: a table is as wide as the highest page it
 // maps, and callers bound page numbers (internal/mem checks every
@@ -50,8 +51,8 @@
 // safe for concurrent use. Layers (and the pages inside them) may be
 // shared by many tables across goroutines; that sharing is safe because
 // layers are immutable while their reference count exceeds one, a table
-// mutates a layer only when it owns the entire chain exclusively, and
-// reference counts are atomic.
+// mutates a layer only when it owns that layer and every layer above it
+// exclusively, and reference counts are atomic.
 package page
 
 import (
@@ -65,9 +66,9 @@ import (
 // DefaultPageSize matches the HP 9000/350's 4 KB pages (§4.4).
 const DefaultPageSize = 4096
 
-// compactDepth is the layer-chain length beyond which Clone folds an
-// exclusively owned chain back into the private delta, so chains never
-// degrade lookups beyond a small constant.
+// compactDepth is the number of exclusively owned layers at the top of
+// a chain at which Clone folds them back into the private delta, so
+// chains never degrade lookups beyond a small constant.
 const compactDepth = 8
 
 // ErrReleased is returned when using a table after Release.
@@ -130,10 +131,6 @@ type pageBuf struct {
 	data []byte
 }
 
-// tombstone marks a dropped page in a delta or frozen layer: it shadows
-// any occurrence deeper in the chain so the page reads as zeros.
-var tombstone = &pageBuf{}
-
 // get returns a page buffer with undefined contents (callers overwrite
 // it completely).
 func (s *Store) get() *pageBuf {
@@ -158,22 +155,21 @@ func (s *Store) getZero() *pageBuf {
 // put returns a buffer to the pool. The caller must hold the only
 // reference.
 func (s *Store) put(p *pageBuf) {
-	if p == tombstone || p == nil {
-		return
+	if p != nil {
+		s.pool.Put(p)
 	}
-	s.pool.Put(p)
 }
 
 // A layer is one generation of page mappings: a slot array indexed by
 // page number. A table's delta is a private, unfrozen layer; Clone
 // freezes it. Frozen layers are immutable while shared; refs counts
 // direct referents (tables using it as their base plus layers using it
-// as their parent). A table that owns every layer of its chain
-// exclusively (all refs == 1) may mutate them, since no other table can
-// reach any of them.
+// as their parent). A table may mutate a layer when that layer and
+// every layer above it in the table's chain have refs == 1, since no
+// other table can then reach it.
 type layer struct {
 	parent *layer
-	pages  []*pageBuf // nil = not in this layer, tombstone = dropped
+	pages  []*pageBuf // nil = not in this layer
 	refs   atomic.Int32
 	depth  int
 }
@@ -264,38 +260,23 @@ func (s *Store) NewTable() *Table {
 // Len returns the number of resident pages.
 func (t *Table) Len() int { return t.resident }
 
-// Depth returns the length of the table's base layer chain (0 for a
-// fresh or just-compacted table). Diagnostic/test helper.
-func (t *Table) Depth() int { return depthOf(t.base) }
-
 // Copies returns the number of COW page copies this table has performed
 // since creation (write faults to shared pages).
 func (t *Table) Copies() int64 { return t.copies }
 
-// lookupBase resolves page n through the base chain, newest layer
-// first; nil for a dropped or absent page.
-func (t *Table) lookupBase(n int64) *pageBuf {
+// resolve returns the buffer backing page n: the delta's, else the
+// newest layer's that holds it; nil if no layer does (or the table is
+// released: it then has neither delta nor base).
+func (t *Table) resolve(n int64) *pageBuf {
+	if p := t.delta.slot(n); p != nil {
+		return p
+	}
 	for l := t.base; l != nil; l = l.parent {
 		if p := l.slot(n); p != nil {
-			if p == tombstone {
-				return nil
-			}
 			return p
 		}
 	}
 	return nil
-}
-
-// resolve returns the buffer backing page n, or nil if absent/dropped
-// (or the table is released: it then has neither delta nor base).
-func (t *Table) resolve(n int64) *pageBuf {
-	if p := t.delta.slot(n); p != nil {
-		if p == tombstone {
-			return nil
-		}
-		return p
-	}
-	return t.lookupBase(n)
 }
 
 // set stores p in the delta's slot n, growing the delta first if it
@@ -320,36 +301,6 @@ func (t *Table) growDelta(n int) *layer {
 	}
 	t.delta = d
 	return d
-}
-
-// SharedWith returns how many of t's resident pages are also reachable
-// by at least one other table through a shared layer. The experiments
-// use this to verify maximal sharing (§3.3: predicates and COW
-// "maximize sharing").
-func (t *Table) SharedWith() int {
-	if t.released {
-		return 0
-	}
-	width := max(widthOf(t.base), widthOf(t.delta))
-	shared := 0
-	for n := int64(0); n < int64(width); n++ {
-		if t.delta.slot(n) != nil {
-			continue // delta pages (and tombstones) are private
-		}
-		exclusive := true
-		for l := t.base; l != nil; l = l.parent {
-			if l.refs.Load() != 1 {
-				exclusive = false
-			}
-			if p := l.slot(n); p != nil {
-				if p != tombstone && !exclusive {
-					shared++
-				}
-				break
-			}
-		}
-	}
-	return shared
 }
 
 // Clone returns a new table mapping exactly the same pages, all shared.
@@ -380,24 +331,36 @@ func (t *Table) Clone() (*Table, error) {
 	return nt, nil
 }
 
-// maybeCompact folds the base chain into the private delta when it has
-// grown past compactDepth and is exclusively owned (every layer's
-// refcount is 1, i.e. no other table can reach any of it). Shadowed
-// buffers return to the pool; visible ones migrate without copying.
+// maybeCompact folds the exclusively owned top of the base chain into
+// the private delta once it is compactDepth layers deep. The top ends at
+// the first layer with another referent (refs > 1): that layer and
+// everything below it stay, shadowed by the delta where the top held a
+// newer page. Counting only the exclusive top keeps the batching (one
+// fold every compactDepth clones) while a straggling table pins an old
+// layer, instead of letting the chain above it grow one layer per
+// clone. Shadowed buffers return to the pool; visible ones migrate
+// without copying.
+//
+// A refcount of 1 seen here cannot rise again — t holds the only
+// reference and t is single-owner — but one above 1 can fall at any
+// time as other tables release, so the walk reads each count once and
+// folds exactly the layers it saw exclusive.
 func (t *Table) maybeCompact() {
 	if depthOf(t.base) < compactDepth {
 		return
 	}
-	for l := t.base; l != nil; l = l.parent {
-		if l.refs.Load() != 1 {
-			return
-		}
+	keep := t.base
+	for keep != nil && keep.refs.Load() == 1 {
+		keep = keep.parent
+	}
+	if depthOf(t.base)-depthOf(keep) < compactDepth {
+		return
 	}
 	d := t.delta
 	if d == nil || len(d.pages) < widthOf(t.base) {
 		d = t.growDelta(widthOf(t.base))
 	}
-	for l := t.base; l != nil; {
+	for l := t.base; l != keep; {
 		for n, p := range l.pages {
 			if p == nil {
 				continue
@@ -412,13 +375,7 @@ func (t *Table) maybeCompact() {
 		t.store.putLayer(l)
 		l = parent
 	}
-	// With no chain left to shadow, tombstones mean nothing.
-	for n, p := range d.pages {
-		if p == tombstone {
-			d.pages[n] = nil
-		}
-	}
-	t.base = nil
+	t.base = keep
 	t.store.compactions.Add(1)
 }
 
@@ -448,11 +405,7 @@ func (t *Table) Write(n int64) ([]byte, error) {
 		return nil, fmt.Errorf("page: negative page number %d", n)
 	}
 	if p := t.delta.slot(n); p != nil {
-		if p != tombstone {
-			return p.data, nil
-		}
-		// Dropped here: the page is missing regardless of the chain.
-		return t.allocAt(n), nil
+		return p.data, nil
 	}
 	exclusive := true
 	var found *pageBuf
@@ -466,7 +419,7 @@ func (t *Table) Write(n int64) ([]byte, error) {
 			break
 		}
 	}
-	if found == nil || found == tombstone {
+	if found == nil {
 		return t.allocAt(n), nil
 	}
 	if exclusive {
@@ -492,33 +445,6 @@ func (t *Table) allocAt(n int64) []byte {
 	t.resident++
 	t.store.allocs.Add(1)
 	return np.data
-}
-
-// Drop unmaps page n (it reads as zeros afterwards). The buffer returns
-// to the pool if this table held it exclusively; a tombstone shadows
-// any shared occurrence deeper in the chain.
-func (t *Table) Drop(n int64) error {
-	if t.released {
-		return ErrReleased
-	}
-	if p := t.delta.slot(n); p != nil {
-		if p == tombstone {
-			return nil
-		}
-		t.store.put(p)
-		t.resident--
-		if t.lookupBase(n) != nil {
-			t.delta.pages[n] = tombstone
-		} else {
-			t.delta.pages[n] = nil
-		}
-		return nil
-	}
-	if t.lookupBase(n) != nil {
-		t.set(n, tombstone)
-		t.resident--
-	}
-	return nil
 }
 
 // Release drops every mapping, returning exclusively held page buffers
@@ -557,12 +483,4 @@ func (t *Table) Swap(other *Table) error {
 	t.copies, other.copies = other.copies, t.copies
 	t.resident, other.resident = other.resident, t.resident
 	return nil
-}
-
-// SamePage reports whether t and other map the same physical page at n
-// (i.e., the page is still shared, not copied). Test helper for COW
-// invariants.
-func (t *Table) SamePage(other *Table, n int64) bool {
-	a := t.resolve(n)
-	return a != nil && a == other.resolve(n)
 }

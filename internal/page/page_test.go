@@ -177,27 +177,6 @@ func TestReleasedErrors(t *testing.T) {
 	if _, err := tb.Clone(); err != ErrReleased {
 		t.Fatalf("Clone after release: %v", err)
 	}
-	if err := tb.Drop(0); err != ErrReleased {
-		t.Fatalf("Drop after release: %v", err)
-	}
-}
-
-func TestDrop(t *testing.T) {
-	s := NewStore(64)
-	tb := s.NewTable()
-	if _, err := tb.Write(5); err != nil {
-		t.Fatal(err)
-	}
-	if err := tb.Drop(5); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := tb.Read(5)
-	if r != nil {
-		t.Fatal("dropped page must read as nil")
-	}
-	if err := tb.Drop(5); err != nil {
-		t.Fatal("dropping a missing page is a no-op")
-	}
 }
 
 func TestSharedWith(t *testing.T) {

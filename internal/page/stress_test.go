@@ -11,8 +11,10 @@ import (
 // design's concurrency contract: each Table is single-owner, but layers
 // and their pages are shared across goroutines, guarded only by atomic
 // reference counts. Every goroutine owns a private fork of one shared
-// parent and churns clone/write/drop/release cycles against the shared
-// chain while its siblings do the same.
+// parent and churns clone/write/commit/release cycles against the
+// shared chain while its siblings do the same. A commit (Swap with a
+// grandchild) grows the fork's chain, so forks fold their exclusive top
+// down to the parent's layer while siblings release references to it.
 func TestConcurrentCloneWriteRelease(t *testing.T) {
 	EnableRefDebug(true)
 	defer EnableRefDebug(false)
@@ -110,10 +112,15 @@ func TestConcurrentCloneWriteRelease(t *testing.T) {
 						grandkids[k].Release()
 						grandkids = append(grandkids[:k], grandkids[k+1:]...)
 					}
-				case 9: // drop one of our pages
-					if err := cur.Drop(rng.Int63n(pages)); err != nil {
-						t.Error(err)
-						return
+				case 9: // commit a grandchild: take its map, release ours
+					if len(grandkids) > 0 {
+						k := rng.Intn(len(grandkids))
+						if err := cur.Swap(grandkids[k]); err != nil {
+							t.Error(err)
+							return
+						}
+						grandkids[k].Release()
+						grandkids = append(grandkids[:k], grandkids[k+1:]...)
 					}
 				}
 			}
@@ -128,14 +135,15 @@ func TestConcurrentCloneWriteRelease(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Accounting invariants: forks never alloc fresh pages by writing
-	// inherited ones (only drop→rewrite can), each COW copy corresponds
-	// to at most one write, and clone count covers every fork made.
+	// Accounting invariants: every page exists in the parent, so forks
+	// never alloc fresh pages by writing inherited ones; each COW copy
+	// corresponds to at most one write, and clone count covers every
+	// fork made.
 	if s.Copies() > totalWrites {
 		t.Fatalf("Copies = %d > total writes %d", s.Copies(), totalWrites)
 	}
-	if s.Allocs()-allocsBefore > totalWrites {
-		t.Fatalf("Allocs grew by %d, more than the %d writes", s.Allocs()-allocsBefore, totalWrites)
+	if s.Allocs() != allocsBefore {
+		t.Fatalf("Allocs grew by %d; every written page was inherited", s.Allocs()-allocsBefore)
 	}
 	if s.Clones()-clonesBefore < 0 || s.Clones() < int64(siblings) {
 		t.Fatalf("Clones = %d, want >= %d", s.Clones(), siblings)
