@@ -7,10 +7,8 @@ import (
 	"altrun/internal/serve"
 )
 
-// ProgSpec is the wire form of a choo program submission — the payload
-// an rfork forwards when a program's job is placed on a peer node
-// (codec tag 203). Shipping source instead of a lowered form keeps the
-// wire format independent of the AST: the executing node parses.
+// ProgSpec is a choo program submission. It holds source, not a
+// lowered form, so whoever builds the job parses it.
 type ProgSpec struct {
 	// ProgID is the submitter-chosen program identity (names the job).
 	ProgID int64

@@ -30,9 +30,9 @@ import (
 // nodes (§3.2.1). At 3 and 5 nodes one voter is crashed mid-run: the
 // quorum holds and the remaining blocks keep committing. Rows carry
 // commit latency (p50/p95), committed blocks per second, and the
-// transport's message/byte/RTT accounting. A final section ships a
-// stream of rfork-style checkpoint images through the delta shipper to
-// measure full-vs-delta bytes per job.
+// transport's message/byte/RTT accounting. A churn section kills and
+// restarts members of a gossiped group while jobs commit and an rfork
+// driver forwards requests to ring-placed peers.
 //
 // Usage: altbench distbench [-quick] [-levels 1,3,5] [-minratio R] [-o BENCH_dist.json]
 
@@ -47,21 +47,6 @@ type distLevelResult struct {
 	Throughput   float64            `json:"committed_blocks_per_sec"`
 	VoterCrashed bool               `json:"voter_crashed,omitempty"`
 	Net          *trace.NetSnapshot `json:"net,omitempty"`
-}
-
-// distShipResult measures rfork delta shipping: a warm lineage's
-// bytes/job against the full-image cost.
-type distShipResult struct {
-	Jobs             int     `json:"jobs"`
-	ArenaBytes       int     `json:"arena_bytes"`
-	PageSize         int     `json:"page_size"`
-	FullShips        int64   `json:"full_ships"`
-	DeltaShips       int64   `json:"delta_ships"`
-	FullShipBytes    int64   `json:"full_ship_bytes"`
-	DeltaShipBytes   int64   `json:"delta_ship_bytes"`
-	FullBytesPerJob  float64 `json:"full_bytes_per_job"`
-	DeltaBytesPerJob float64 `json:"delta_bytes_per_job"`
-	FullToDeltaRatio float64 `json:"full_to_delta_ratio"`
 }
 
 // distChurnResult is one kill/restart run over a gossiped peer group:
@@ -94,7 +79,6 @@ type distBenchReport struct {
 	Clients int               `json:"clients"`
 	Levels  []distLevelResult `json:"levels"`
 	Churn   []distChurnResult `json:"churn,omitempty"`
-	Ship    *distShipResult   `json:"rfork_ship,omitempty"`
 }
 
 const (
@@ -336,13 +320,12 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 		}
 	}()
 
-	// Every node reconstructs shipped rfork images; delivery is counted
-	// at the receivers, so a ship dropped on the floor by an isolated
+	// Every node receives forwarded rfork requests; delivery is counted
+	// at the receivers, so a request dropped on the floor by an isolated
 	// node's partition never counts.
 	var delivered atomic.Int64
 	recvSvcs := make([]transport.Handle, nodes)
 	for i, ep := range eps {
-		recv := checkpoint.NewReceiver(ep, fleet.Counters(), 0)
 		inbox := ep.Bind(checkpoint.RForkPort)
 		recvSvcs[i] = ep.Spawn(fmt.Sprintf("churn-recv-%d", i+1), func(p transport.Proc) {
 			for {
@@ -350,7 +333,7 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 				if !ok {
 					return
 				}
-				if _, ok := recv.Handle(env); ok {
+				if _, ok := env.Payload.([]byte); ok {
 					delivered.Add(1)
 				}
 			}
@@ -469,10 +452,10 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 	}
 
 	// RFork driver: consistent-hash placement over node 1's live view,
-	// one full image per attempt; no eligible peer means a counted
-	// local fallback (the altserved behavior), never a stall.
+	// one raw JSON request frame per attempt, as altserved forwards a
+	// job; no eligible peer means a counted local fallback (the
+	// altserved behavior), never a stall.
 	var attempts, fallbacks atomic.Int64
-	shipper := checkpoint.NewShipper(eps[0], fleet.Counters())
 	rforkDone := make(chan struct{})
 	wg.Add(1)
 	go func() {
@@ -493,14 +476,7 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 				continue
 			}
 			body := []byte(fmt.Sprintf(`{"kind":"distbench","seq":%d}`, seq))
-			img := checkpoint.BodyImage(ids.PID(seq+1), "rfork-churn", 512, 4096, body, map[string]int64{"seq": int64(seq)})
-			// Fresh lineage per attempt: every ship is a standalone full
-			// image, so delivery accounting never depends on a peer's
-			// delta base surviving the partition.
-			if _, _, err := shipper.Ship(transport.Background(), to, key, img); err != nil {
-				failWith(err)
-				return
-			}
+			eps[0].Send(transport.Addr{Node: to, Port: checkpoint.RForkPort}, body)
 		}
 	}()
 
@@ -625,81 +601,6 @@ func runDistChurn(nodes int, phase time.Duration) (distChurnResult, error) {
 	return res, nil
 }
 
-// runDistShip measures rfork delta economics over a two-node TCP pair:
-// the same fixed-size, zero-padded image altserved ships, a stream of
-// distinct JSON request bodies, one full base then per-job deltas. The
-// interesting number is warm-path bytes/job: full-image cost over mean
-// delta cost.
-func runDistShip(jobs int) (*distShipResult, error) {
-	const (
-		pageSize  = 512
-		spaceSize = 16 << 10
-		lineage   = "rfork/json"
-	)
-	fleet, err := transport.NewTCPFleet(2, distbenchSeed)
-	if err != nil {
-		return nil, err
-	}
-	defer fleet.Close()
-	eps := fleet.Endpoints()
-	nc := fleet.Counters()
-
-	// Receiver service on node 2: reconstruct each shipped image and
-	// acknowledge it so the sender can pace the stream.
-	recv := checkpoint.NewReceiver(eps[1], nc, 0)
-	inbox := eps[1].Bind(checkpoint.RForkPort)
-	got := make(chan int64, jobs)
-	svc := eps[1].Spawn("distship-recv", func(p transport.Proc) {
-		for {
-			env, ok := inbox.Recv(p)
-			if !ok {
-				return
-			}
-			if img, ok := recv.Handle(env); ok {
-				got <- img.Control["seq"]
-			}
-		}
-	})
-	defer svc.Kill()
-
-	shipper := checkpoint.NewShipper(eps[0], nc)
-	for i := 0; i < jobs; i++ {
-		body := []byte(fmt.Sprintf(`{"kind":"distbench","name":"block-%d","input":[%d,%d,%d]}`, i, i*7, i*3, i))
-		img := checkpoint.BodyImage(ids.PID(i+1), "rfork-job", pageSize, spaceSize, body, map[string]int64{
-			"len": int64(len(body)), "seq": int64(i),
-		})
-		if _, _, err := shipper.Ship(transport.Background(), eps[1].ID(), lineage, img); err != nil {
-			return nil, err
-		}
-		select {
-		case <-got:
-		case <-time.After(10 * time.Second):
-			return nil, fmt.Errorf("ship %d: receiver did not reconstruct within 10s", i)
-		}
-	}
-
-	snap := nc.Snapshot()
-	res := &distShipResult{
-		Jobs:           jobs,
-		ArenaBytes:     spaceSize,
-		PageSize:       pageSize,
-		FullShips:      snap.FullShips,
-		DeltaShips:     snap.DeltaShips,
-		FullShipBytes:  snap.FullShipBytes,
-		DeltaShipBytes: snap.DeltaShipBytes,
-	}
-	if res.FullShips > 0 {
-		res.FullBytesPerJob = float64(res.FullShipBytes) / float64(res.FullShips)
-	}
-	if res.DeltaShips > 0 {
-		res.DeltaBytesPerJob = float64(res.DeltaShipBytes) / float64(res.DeltaShips)
-	}
-	if res.DeltaBytesPerJob > 0 {
-		res.FullToDeltaRatio = res.FullBytesPerJob / res.DeltaBytesPerJob
-	}
-	return res, nil
-}
-
 // parseLevels turns "1,3,5" into node counts.
 func parseLevels(s string) ([]int, error) {
 	var out []int
@@ -797,20 +698,11 @@ func runDistbench(args []string) error {
 		}
 	}
 
-	ship, err := runDistShip(jobs)
-	if err != nil {
-		return fmt.Errorf("rfork ship measurement: %w", err)
-	}
-	fmt.Printf("\nrfork delta shipping (%d jobs, %dB arena, %dB pages): full %d×%.0fB, delta %d×%.0fB — %.1f× fewer bytes/job warm\n",
-		ship.Jobs, ship.ArenaBytes, ship.PageSize,
-		ship.FullShips, ship.FullBytesPerJob, ship.DeltaShips, ship.DeltaBytesPerJob, ship.FullToDeltaRatio)
-
 	if err := writeReport(*out, distBenchReport{
 		reportMeta: newReportMeta(),
 		Clients:    distbenchClients,
 		Levels:     results,
 		Churn:      churns,
-		Ship:       ship,
 	}); err != nil {
 		return err
 	}

@@ -12,16 +12,12 @@ import (
 	"sync/atomic"
 	"time"
 
-	appchoo "altrun/apps/choo"
-	appstm "altrun/apps/stm"
 	"altrun/internal/checkpoint"
 	"altrun/internal/consensus"
 	"altrun/internal/core"
 	"altrun/internal/ids"
 	"altrun/internal/membership"
-	"altrun/internal/page"
 	"altrun/internal/serve"
-	istm "altrun/internal/stm"
 	"altrun/internal/trace"
 	"altrun/internal/transport"
 
@@ -34,24 +30,15 @@ import (
 // receiver. A job submitted to any node commits through a majority of
 // the group's voters (§3.2.1: "the synchronization is set up as a
 // majority consensus decision"), and a busy node can rfork a job —
-// shipped as a checkpoint image — onto a peer chosen by
-// consistent-hash placement over the live membership view, biased by
+// forward its submit request as one raw JSON frame — onto a peer chosen
+// by consistent-hash placement over the live membership view, biased by
 // the load hints the agents gossip on probe traffic.
 //
 // Wire-codec tags 200/201 were the polled load-query protocol, retired
-// now that occupancy rides the membership gossip; they stay reserved so
-// a future message type can't collide with old peers on the wire.
-
-const (
-	// rfork delta shipping places each forwarded request at offset 0 of
-	// a fixed-size zero-filled image so successive jobs diff
-	// page-by-page against a peer-cached base image; requests that
-	// outgrow the image fall back to a one-off legacy full ship.
-	rforkPageSize   = 512
-	rforkSpaceSize  = 16 << 10
-	rforkLineage    = "rfork/json"
-	rforkJobTimeout = 10 * time.Second
-)
+// now that occupancy rides the membership gossip, and 202/203 the typed
+// stm and choo rfork specs, retired when every kind came to be
+// forwarded as its request; they stay reserved so a future message
+// type can't collide with old peers on the wire.
 
 // peerSpec maps node IDs to cluster listen addresses ("1=host:port,...").
 type peerSpec map[ids.NodeID]string
@@ -116,17 +103,11 @@ type clusterState struct {
 	windows map[ids.NodeID]*peerWindow
 
 	rforkFallbacks atomic.Int64 // rfork requests that ran locally instead
+	rforksDropped  atomic.Int64 // forwarded frames refused on arrival
 
 	// Every commit claim routes through the node's coalescer: pipelined
 	// batched ballots, one leader per key. A lone claim is a batch of one.
 	coalescer *consensus.Coalescer
-
-	// Delta checkpoint shipping for rfork. shipMu serializes ships, so
-	// each peer receives a lineage's full base before any delta
-	// against it.
-	shipper  *checkpoint.Shipper
-	receiver *checkpoint.Receiver
-	shipMu   sync.Mutex
 
 	pool *serve.Pool // wired by start()
 
@@ -137,7 +118,6 @@ type clusterState struct {
 	rforkSeq  atomic.Int64
 
 	rforkSvc transport.Handle
-	ctlSvc   transport.Handle
 }
 
 // clusterOptions selects how a daemon finds its peer group: a full
@@ -216,22 +196,18 @@ func clusterFromTransport(tcp *transport.TCP, members []ids.NodeID, nc *trace.Ne
 		staticPeers: static,
 		windows:     make(map[ids.NodeID]*peerWindow),
 		coalescer:   consensus.StartCoalescer(tcp, members, "", consensus.Config{Net: nc}),
-		shipper:     checkpoint.NewShipper(tcp, nc),
-		receiver:    checkpoint.NewReceiver(tcp, nc, 0),
 	}
 }
 
 // start wires the pool in and launches the membership agent plus the
-// load, rfork, and ship-control services. The agent starts here rather
-// than in the constructor because its gossiped load hint reads the
-// pool.
+// rfork service. The agent starts here rather than in the constructor
+// because its gossiped load hint reads the pool.
 func (c *clusterState) start(pool *serve.Pool) {
 	c.pool = pool
-	// Bind the rfork ports before anything can advertise this node: a
+	// Bind the rfork port before anything can advertise this node: a
 	// frame reaching an unbound port is dropped, and its sender, whose
 	// Send succeeded, never runs the job locally instead.
 	rforkIn := c.tcp.Bind(checkpoint.RForkPort)
-	ctlIn := c.tcp.Bind(checkpoint.RForkCtlPort)
 	c.agent = membership.Start(c.tcp, membership.Config{
 		SelfAddr:      c.tcp.Addr(),
 		Static:        c.staticPeers,
@@ -251,16 +227,12 @@ func (c *clusterState) start(pool *serve.Pool) {
 		Logf:     log.Printf,
 	})
 	c.rforkSvc = c.tcp.Spawn("rfork-svc", func(p transport.Proc) { c.serveRFork(p, rforkIn) })
-	c.ctlSvc = c.tcp.Spawn("rfork-ctl", func(p transport.Proc) {
-		checkpoint.ServeNaks(p, ctlIn, c.shipper)
-	})
 }
 
 // onView is the epoch-fenced reconfiguration hook, called from the
 // membership agent whenever the view changes: fence the voter, hand the
-// coalescer its new quorum, and tear down shipping state toward peers
-// that left the view (their cached bases and sessions are dead weight —
-// a rejoin restarts each lineage with a fresh full base).
+// coalescer its new quorum, and forget the rfork windows of peers that
+// left the view.
 func (c *clusterState) onView(v membership.View) {
 	c.voter.SetEpoch(v.Epoch)
 	c.coalescer.SetView(v.Epoch, v.Members)
@@ -277,10 +249,6 @@ func (c *clusterState) onView(v membership.View) {
 		if inView[id] || id == c.node {
 			continue
 		}
-		if n := c.shipper.DropPeer(id); n > 0 {
-			log.Printf("cluster: dropped %d rfork session(s) toward departed node %d", n, id)
-		}
-		c.receiver.InvalidateNode(id)
 		c.winMu.Lock()
 		delete(c.windows, id)
 		c.winMu.Unlock()
@@ -295,9 +263,6 @@ func (c *clusterState) membersSnapshot() []ids.NodeID {
 }
 
 func (c *clusterState) close() {
-	// Tell peers the lineage's base dies with us: a restarted daemon
-	// starts a fresh epoch, and a stale cached base must not satisfy it.
-	c.shipper.InvalidateLineage(rforkLineage)
 	if c.agent != nil {
 		// Voluntary departure: peers drop us on the Left update instead
 		// of waiting out a suspicion timeout.
@@ -306,9 +271,6 @@ func (c *clusterState) close() {
 	}
 	if c.rforkSvc != nil {
 		c.rforkSvc.Kill()
-	}
-	if c.ctlSvc != nil {
-		c.ctlSvc.Kill()
 	}
 	c.coalescer.Stop()
 	c.voter.Stop()
@@ -332,56 +294,42 @@ func (c *clusterState) newClaim(job serve.Job, id uint64) core.ClaimFunc {
 	}
 }
 
-// serveRFork receives shipped jobs: a checkpoint image whose address
-// space holds the JSON submit request. Images arrive as legacy full
-// ships ([]byte), delta-shipping full bases, or deltas against a cached
-// base — the Receiver reconstructs all three (NAKing deltas whose base
-// it lacks). The request is re-read from the restored space and the job
-// admitted to the local pool under this node's own consensus key.
+// serveRFork admits forwarded jobs. Each frame is a submit request's
+// JSON, checked as a POST /jobs body is (size cap, decode, buildJob)
+// and submitted to the local pool under this node's own consensus key.
+// A frame that fails a check is counted in rforksDropped: its origin has
+// already answered its client 202, so the count is the only trace.
 func (c *clusterState) serveRFork(p transport.Proc, inbox transport.Mailbox) {
 	for {
 		env, ok := inbox.Recv(p)
 		if !ok {
 			return
 		}
-		// Typed rfork payloads (wire tags 202/203) carry the job spec
-		// itself; the executing node rebuilds the job from it directly,
-		// skipping the checkpoint-image restore the JSON path needs.
-		switch spec := env.Payload.(type) {
-		case istm.TxnSpec:
-			if spec.Validate() != nil {
-				continue // counts a peer chose; nothing is built from them
-			}
-			if _, err := c.pool.Submit(appstm.JobFromSpec(spec)); err == nil {
-				c.rforksIn.Add(1)
-			}
-			continue
-		case appchoo.ProgSpec:
-			job, err := spec.Job()
-			if err != nil {
-				continue
-			}
-			if _, err := c.pool.Submit(job); err == nil {
-				c.rforksIn.Add(1)
-			}
-			continue
-		}
-		img, ok := c.receiver.Handle(env)
-		if !ok {
-			continue
-		}
-		req, err := requestFromImage(img)
+		job, err := rforkJob(env.Payload)
 		if err != nil {
-			continue
-		}
-		job, err := buildJob(req)
-		if err != nil {
+			c.rforksDropped.Add(1)
 			continue
 		}
 		if _, err := c.pool.Submit(job); err == nil {
 			c.rforksIn.Add(1)
 		}
 	}
+}
+
+// rforkJob builds the job a forwarded frame asks for.
+func rforkJob(payload any) (serve.Job, error) {
+	body, ok := payload.([]byte)
+	if !ok {
+		return serve.Job{}, fmt.Errorf("rfork: payload %T, want []byte", payload)
+	}
+	if len(body) > maxSubmitBytes {
+		return serve.Job{}, fmt.Errorf("rfork: %d-byte request over the %d-byte cap", len(body), maxSubmitBytes)
+	}
+	var req submitRequest
+	if err := json.Unmarshal(body, &req); err != nil {
+		return serve.Job{}, fmt.Errorf("rfork: %w", err)
+	}
+	return buildJob(req)
 }
 
 // peerWindow is the backpressure state for one rfork destination: sent
@@ -395,8 +343,7 @@ type peerWindow struct {
 // ringTarget picks an rfork destination by consistent-hashing the job
 // lineage onto the membership ring — O(1) against gossiped state,
 // where the old leastLoaded ran a query round-trip to every peer for
-// every rfork. Keying by kind gives each lineage a stable home, which
-// is exactly the affinity the delta shipper's cached bases want.
+// every rfork. Keying by kind gives each lineage a stable home.
 // Saturated or suspected owners are skipped in ring order; no
 // admissible peer means run locally.
 func (c *clusterState) ringTarget(kind string) (ids.NodeID, bool) {
@@ -440,28 +387,13 @@ func (c *clusterState) admitWindow(m membership.Member, capacity int) bool {
 	return true
 }
 
-// rfork ships a submit request to a peer as a checkpoint image: the
-// JSON request is written into an address space, captured, and sent
-// over the transport exactly like a migrating process (§5.1.2's rfork).
-func (c *clusterState) rfork(to ids.NodeID, id uint64, req submitRequest) error {
-	// Typed fast path: stm and choo jobs have first-class spec codecs,
-	// so the spec itself crosses the wire — no image capture, no arena,
-	// no JSON. (Specs carry no TraceID; cross-node timeline stitching
-	// stays a JSON-path feature.)
-	switch req.Kind {
-	case "stm":
-		if !c.tcp.Send(transport.Addr{Node: to, Port: checkpoint.RForkPort}, stmSpecFrom(req)) {
-			return fmt.Errorf("rfork: typed send to node %d failed", to)
-		}
-		c.rforksOut.Add(1)
-		return nil
-	case "choo":
-		if !c.tcp.Send(transport.Addr{Node: to, Port: checkpoint.RForkPort}, chooSpecFrom(req)) {
-			return fmt.Errorf("rfork: typed send to node %d failed", to)
-		}
-		c.rforksOut.Add(1)
-		return nil
-	}
+// rfork forwards a submit request to a peer: its JSON, as one raw
+// []byte frame to the peer's rfork port. The paper's rfork ships a
+// running process's checkpoint image (§5.1.2; E3 and E5 measure it); a
+// job forwarded before it has run has no state beyond its request, so
+// the request is all that crosses the wire. A request the peer would
+// refuse for its size is not sent: the caller runs it locally.
+func (c *clusterState) rfork(to ids.NodeID, req submitRequest) error {
 	// Stamp the stitch ID before the request leaves this node: the
 	// receiving daemon's flight recorder tags its timeline with it, so
 	// the origin and the executing node's spans join on one key.
@@ -472,48 +404,14 @@ func (c *clusterState) rfork(to ids.NodeID, id uint64, req submitRequest) error 
 	if err != nil {
 		return err
 	}
-	control := map[string]int64{"len": int64(len(body))}
-	if len(body) > rforkSpaceSize {
-		// Oversized request: one-off legacy full ship of an image the
-		// body's own size (no lineage, no delta economics to exploit).
-		img := checkpoint.BodyImage(ids.PID(id+1), "rfork-job", rforkPageSize, int64(len(body)), body, control)
-		if _, err := checkpoint.Ship(transport.Background(), c.tcp, to, img); err != nil {
-			return err
-		}
-		c.rforksOut.Add(1)
-		return nil
+	if len(body) > maxSubmitBytes {
+		return fmt.Errorf("rfork: %d-byte request over the %d-byte cap", len(body), maxSubmitBytes)
 	}
-	img := checkpoint.BodyImage(ids.PID(id+1), "rfork-job", rforkPageSize, rforkSpaceSize, body, control)
-	c.shipMu.Lock()
-	_, _, err = c.shipper.Ship(transport.Background(), to, rforkLineage, img)
-	c.shipMu.Unlock()
-	if err != nil {
-		return err
+	if !c.tcp.Send(transport.Addr{Node: to, Port: checkpoint.RForkPort}, body) {
+		return fmt.Errorf("rfork: send to node %d failed", to)
 	}
 	c.rforksOut.Add(1)
 	return nil
-}
-
-// requestFromImage restores a shipped image and re-reads the JSON
-// request embedded in its address space.
-func requestFromImage(img *checkpoint.Image) (submitRequest, error) {
-	var req submitRequest
-	space, err := img.Restore(page.NewStore(img.PageSize))
-	if err != nil {
-		return req, err
-	}
-	n := img.Control["len"]
-	if n <= 0 || n > img.SpaceSize {
-		return req, fmt.Errorf("rfork image: bad payload length %d", n)
-	}
-	body := make([]byte, n)
-	if err := space.ReadAt(body, 0); err != nil {
-		return req, err
-	}
-	if err := json.Unmarshal(body, &req); err != nil {
-		return req, fmt.Errorf("rfork image: %w", err)
-	}
-	return req, nil
 }
 
 // clusterView is the /metrics rendering of the peer group.
@@ -526,7 +424,7 @@ type clusterView struct {
 	RForksIn         int64        `json:"rforks_in"`
 	RForksOut        int64        `json:"rforks_out"`
 	RForkFallbacks   int64        `json:"rfork_fallbacks"`
-	RForkBases       int          `json:"rfork_cached_bases"`
+	RForksDropped    int64        `json:"rforks_dropped"`
 
 	// Live membership: the epoch-fenced view the quorum derives from,
 	// plus the failure detector's state counts and gossip accounting.
@@ -551,7 +449,7 @@ func (c *clusterState) view() *clusterView {
 		RForksIn:         c.rforksIn.Load(),
 		RForksOut:        c.rforksOut.Load(),
 		RForkFallbacks:   c.rforkFallbacks.Load(),
-		RForkBases:       c.receiver.CachedBases(),
+		RForksDropped:    c.rforksDropped.Load(),
 		Gossip:           c.mc.Snapshot(),
 		Net:              c.nc.Snapshot(),
 	}

@@ -310,8 +310,8 @@ func TestClusterConsensusCommit(t *testing.T) {
 }
 
 // TestClusterRForkForwarding: a busy node forwards an ?rfork=1 job to
-// the least-loaded peer as a shipped checkpoint image; the peer rebuilds
-// and runs it under its own consensus key.
+// the least-loaded peer as its JSON request; the peer rebuilds and runs
+// it under its own consensus key.
 func TestClusterRForkForwarding(t *testing.T) {
 	nodes := testCluster(t, 3)
 
@@ -344,7 +344,7 @@ func TestClusterRForkForwarding(t *testing.T) {
 		time.Sleep(5 * time.Millisecond)
 	}
 
-	// Some peer received the image, rebuilt the job, and completed it —
+	// Some peer received the request, rebuilt the job, and completed it —
 	// and its flight recorder carries the origin node's stitch ID, so
 	// the two nodes' timelines join on one key.
 	for time.Now().Before(deadline) {
@@ -367,10 +367,10 @@ func TestClusterRForkForwarding(t *testing.T) {
 	t.Fatal("no peer completed the forwarded job")
 }
 
-// TestRForkPortsBoundWhenStartReturns: a peer may ship an rfork the
+// TestRForkPortsBoundWhenStartReturns: a peer may forward an rfork the
 // moment start returns. Its sender sees Send succeed and never falls
 // back to running the job locally, so a frame that reached an unbound
-// port would lose the job: both rfork ports must be bound by then.
+// port would lose the job: the rfork port must be bound by then.
 func TestRForkPortsBoundWhenStartReturns(t *testing.T) {
 	tcp, err := transport.NewTCP(transport.TCPOptions{Node: 1})
 	if err != nil {
@@ -394,9 +394,7 @@ func TestRForkPortsBoundWhenStartReturns(t *testing.T) {
 		cs.close()
 	})
 	cs.start(pool)
-	for _, port := range []string{checkpoint.RForkPort, checkpoint.RForkCtlPort} {
-		if !tcp.Send(transport.Addr{Node: 1, Port: port}, []byte("probe")) {
-			t.Errorf("send to own %q port right after start was dropped", port)
-		}
+	if !tcp.Send(transport.Addr{Node: 1, Port: checkpoint.RForkPort}, []byte("probe")) {
+		t.Errorf("send to own %q port right after start was dropped", checkpoint.RForkPort)
 	}
 }

@@ -3,13 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
-	"math"
+	"fmt"
 	"net/http"
 	"strings"
 	"testing"
 	"time"
 
-	istm "altrun/internal/stm"
+	"altrun/internal/checkpoint"
+	"altrun/internal/consensus"
 	"altrun/internal/transport"
 )
 
@@ -38,55 +39,71 @@ func TestSubmitBodyTooLarge(t *testing.T) {
 	}
 }
 
-// TestRForkDropsOutOfRangeStmSpec: a typed stm spec off the rfork wire
-// whose counts exceed the caps is dropped by the receiving daemon.
+// TestRForkDropsOutOfRangeStmSpec: a forwarded stm request whose
+// counts exceed the caps is dropped by the receiving daemon.
 func TestRForkDropsOutOfRangeStmSpec(t *testing.T) {
-	rforkDropsStmSpecs(t, submitRequest{Kind: "stm", Alts: 1_000_000_000})
-}
-
-// TestRForkDropsNonFiniteStmSpec: the rfork codec carries a float's bits
-// as they are, so a +Inf zipf arrives intact, and the receiving daemon
-// drops the spec rather than build a block whose key sampler never
-// returns.
-func TestRForkDropsNonFiniteStmSpec(t *testing.T) {
-	bad := submitRequest{Kind: "stm", Keys: 4, Alts: 3, Ops: 6, Zipf: math.Inf(1), Seed: 5}
-	frame, _, err := transport.AppendEnvelope(nil, transport.Envelope{Payload: stmSpecFrom(bad)})
+	body, err := json.Marshal(submitRequest{Kind: "stm", Alts: 1_000_000_000})
 	if err != nil {
 		t.Fatal(err)
 	}
-	env, err := transport.DecodeEnvelope(frame)
+	rforkDrops(t, body)
+}
+
+// TestRForkDropsMalformedRequests: the receiving daemon drops a
+// truncated request, one whose zipf no float64 holds (a finite decode
+// of it does not exist, so nothing non-finite reaches the sampler), a
+// request padded past maxSubmitBytes and a payload that is not a
+// []byte, and counts each drop.
+func TestRForkDropsMalformedRequests(t *testing.T) {
+	valid, err := json.Marshal(validStmRequest)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if spec, ok := env.Payload.(istm.TxnSpec); !ok || !math.IsInf(spec.Zipf, 1) {
-		t.Fatalf("decoded %#v, want a TxnSpec with zipf +Inf", env.Payload)
-	}
-	rforkDropsStmSpecs(t, bad)
+	rforkDrops(t,
+		valid[:len(valid)/2],
+		[]byte(`{"kind":"stm","keys":4,"alts":3,"ops":6,"zipf":1e999,"seed":5}`),
+		// Leading whitespace is valid JSON: only the size cap refuses it.
+		append(bytes.Repeat([]byte(" "), maxSubmitBytes), valid...),
+		consensus.ClaimDecision{Key: "job/1/1", Won: true},
+	)
 }
 
-// rforkDropsStmSpecs rforks each bad request, then a valid one, to a
-// peer as typed stm specs, and fails unless the peer admitted the valid
-// one alone. The receiver handles its rfork frames in arrival order, so
-// once the valid spec sent last has run, the others have been seen (a
-// bad spec that was admitted instead may never finish).
-func rforkDropsStmSpecs(t *testing.T, bad ...submitRequest) {
+var validStmRequest = submitRequest{Kind: "stm", Keys: 4, Alts: 3, Ops: 6, ReadFrac: 0.3, Seed: 5}
+
+// rforkDrops sends each bad payload to a peer's rfork port, then
+// forwards a valid stm request, and fails unless the peer admitted the
+// valid one alone and counted every bad payload as dropped, in the JSON
+// and the Prometheus metrics both. The receiver handles its rfork
+// frames in arrival order, so once it has admitted a job, every frame
+// before that job's has been seen: if a bad one was admitted, fewer
+// drops than bad payloads are counted by then.
+func rforkDrops(t *testing.T, bad ...any) {
 	t.Helper()
 	nodes := testCluster(t, 2)
-	to := nodes[1].state.node
-	valid := submitRequest{Kind: "stm", Keys: 4, Alts: 3, Ops: 6, ReadFrac: 0.3, Seed: 5}
-	for _, req := range append(bad, valid) {
-		if err := nodes[0].state.rfork(to, 0, req); err != nil {
-			t.Fatalf("typed stm rfork: %v", err)
+	origin, peer := nodes[0].state, nodes[1]
+	for i, p := range bad {
+		if !origin.tcp.Send(transport.Addr{Node: peer.state.node, Port: checkpoint.RForkPort}, p) {
+			t.Fatalf("send of bad payload %d failed", i)
 		}
 	}
+	if err := origin.rfork(peer.state.node, validStmRequest); err != nil {
+		t.Fatalf("rfork: %v", err)
+	}
 	deadline := time.Now().Add(15 * time.Second)
-	for st := nodes[1].pool.Stats(); st.JobsCompleted+st.JobsFailed == 0; st = nodes[1].pool.Stats() {
+	for peer.state.rforksIn.Load() == 0 {
 		if time.Now().After(deadline) {
-			t.Fatal("peer never ran the valid spec")
+			t.Fatal("peer never admitted the valid request")
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	if in, sub := nodes[1].state.rforksIn.Load(), nodes[1].pool.Stats().JobsSubmitted; in != 1 || sub != 1 {
-		t.Fatalf("rforksIn = %d, jobs submitted = %d; want 1 each (the bad specs dropped)", in, sub)
+	if in, sub := peer.state.rforksIn.Load(), peer.pool.Stats().JobsSubmitted; in != 1 || sub != 1 {
+		t.Fatalf("rforksIn = %d, jobs submitted = %d; want 1 each (the bad payloads dropped)", in, sub)
+	}
+	if got := getMetrics(t, peer.http.URL).Cluster.RForksDropped; got != int64(len(bad)) {
+		t.Fatalf("rforks_dropped = %d, want %d", got, len(bad))
+	}
+	_, prom := getBody(t, peer.http.URL+"/metrics?format=prom")
+	if want := fmt.Sprintf("altrun_rfork_dropped_total %d\n", len(bad)); !strings.Contains(string(prom), want) {
+		t.Fatalf("prom metrics lack %q", want)
 	}
 }

@@ -84,13 +84,8 @@ func (s *server) writeProm(w http.ResponseWriter, m metricsView) {
 		obs.WriteCounter(bw, "altrun_ballots_coalesced_total", "Claims carried inside batched quorum rounds.", float64(c.Net.BallotsCoalesced))
 		obs.WriteCounter(bw, "altrun_claims_followed_total", "Claims answered from their key's leader or the decided-key cache, without a round.", float64(c.Net.ClaimsFollowed))
 		obs.WriteCounter(bw, "altrun_codec_frames_total", "Frames encoded on the binary wire.", float64(c.Net.CodecFrames))
-		obs.WriteCounter(bw, "altrun_rfork_full_ships_total", "Full checkpoint images shipped.", float64(c.Net.FullShips))
-		obs.WriteCounter(bw, "altrun_rfork_delta_ships_total", "Delta checkpoint images shipped.", float64(c.Net.DeltaShips))
-		obs.WriteCounter(bw, "altrun_rfork_full_ship_bytes_total", "Bytes shipped as full images.", float64(c.Net.FullShipBytes))
-		obs.WriteCounter(bw, "altrun_rfork_delta_ship_bytes_total", "Bytes shipped as deltas.", float64(c.Net.DeltaShipBytes))
-		obs.WriteCounter(bw, "altrun_rfork_ship_misses_total", "Deltas NAKed for a missing or stale base.", float64(c.Net.ShipMisses))
-		obs.WriteGauge(bw, "altrun_rfork_cached_bases", "Delta-ship base images cached on this node.", float64(c.RForkBases))
 		obs.WriteCounter(bw, "altrun_rfork_fallbacks_total", "RForks run locally because no ring peer had window.", float64(c.RForkFallbacks))
+		obs.WriteCounter(bw, "altrun_rfork_dropped_total", "Forwarded requests refused on arrival (bad payload, oversize, undecodable, or unbuildable).", float64(c.RForksDropped))
 
 		// SWIM membership: view composition, ring, and gossip traffic.
 		obs.WriteGauge(bw, "altrun_member_epoch", "Membership view epoch.", float64(c.Epoch))

@@ -3,6 +3,8 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,82 +14,97 @@ import (
 	"altrun/internal/transport"
 )
 
-// TestRForkShipsBodyPlusZeroPadding drives the JSON rfork sender path
-// with a long, a short, a long and then an oversized request. The
-// receiver must reconstruct each body followed by zeros to the image
-// size (rforkSpaceSize, or the body's own size past it), with no tail
-// of an earlier body left over; the second and third ships must be
-// deltas against the first one's base, and the oversized one a legacy
-// full image.
-func TestRForkShipsBodyPlusZeroPadding(t *testing.T) {
+// rforkFrameHeader bounds what one forwarded request adds to its JSON
+// on the wire: the 4-byte length prefix, version and tag bytes, the
+// sender and destination node uvarints, the length-prefixed "rfork"
+// port and the body's length uvarint. Measured: 15 bytes for a body
+// under 128 bytes, 17 for one over 16 KiB.
+const rforkFrameHeader = 17
+
+// rforkPair returns a sender with nothing but its transport, meshed
+// toward a second node's transport.
+func rforkPair(t *testing.T) (*clusterState, *transport.TCP) {
+	t.Helper()
 	var tcps [2]*transport.TCP
 	for i := range tcps {
 		tcp, err := transport.NewTCP(transport.TCPOptions{Node: ids.NodeID(i + 1), Counters: &trace.NetCounters{}})
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer tcp.Close()
+		t.Cleanup(func() { tcp.Close() })
 		tcps[i] = tcp
 	}
 	tcps[0].AddPeer(tcps[1].ID(), tcps[1].Addr())
-	tcps[1].AddPeer(tcps[0].ID(), tcps[0].Addr())
-	inbox := tcps[1].Bind(checkpoint.RForkPort)
-	nc := &trace.NetCounters{}
-	sender := &clusterState{node: tcps[0].ID(), tcp: tcps[0], shipper: checkpoint.NewShipper(tcps[0], nc)}
-	receiver := checkpoint.NewReceiver(tcps[1], nil, 0)
+	return &clusterState{node: tcps[0].ID(), tcp: tcps[0]}, tcps[1]
+}
+
+// TestRForkSendsTheRequestAsOneFrame: forwarding a short and a more
+// than 16 KiB request each sends one message that raises the sender's
+// BytesSent by the JSON body plus at most rforkFrameHeader, and the
+// peer's rfork port receives that body as a []byte holding the request
+// with the origin's TraceID stamped in.
+func TestRForkSendsTheRequestAsOneFrame(t *testing.T) {
+	sender, peer := rforkPair(t)
+	inbox := peer.Bind(checkpoint.RForkPort)
+	nc := sender.tcp.Counters()
 
 	sortOf := func(n int) submitRequest {
-		req := submitRequest{Kind: "sort", TraceID: "rfork-wire", Input: make([]int, n)}
+		req := submitRequest{Kind: "sort", Input: make([]int, n)}
 		for i := range req.Input {
 			req.Input[i] = n - i
 		}
 		return req
 	}
-	for i, tc := range []struct {
-		req   submitRequest
-		delta bool
-	}{
-		{sortOf(600), false},
-		{sortOf(20), true},
-		{sortOf(900), true},
-		{sortOf(5000), false},
-	} {
-		body, err := json.Marshal(tc.req)
+	for i, req := range []submitRequest{sortOf(3), sortOf(5000)} {
+		before := nc.Snapshot()
+		if err := sender.rfork(peer.ID(), req); err != nil {
+			t.Fatalf("rfork %d: %v", i, err)
+		}
+		after := nc.Snapshot()
+		env, ok := inbox.RecvTimeout(transport.Background(), 10*time.Second)
+		if !ok {
+			t.Fatalf("rfork %d never arrived", i)
+		}
+		body, ok := env.Payload.([]byte)
+		if !ok {
+			t.Fatalf("rfork %d: payload %T, want []byte", i, env.Payload)
+		}
+		req.TraceID = fmt.Sprintf("n1-r%d", i+1)
+		want, err := json.Marshal(req)
 		if err != nil {
 			t.Fatal(err)
 		}
-		size := max(int64(len(body)), rforkSpaceSize)
-		if oversized := len(body) > rforkSpaceSize; oversized != (i == 3) {
-			t.Fatalf("ship %d: %d-byte body does not exercise the intended path", i, len(body))
+		if !bytes.Equal(body, want) {
+			t.Fatalf("rfork %d: received %.80q, want %.80q", i, body, want)
 		}
-		deltasBefore := nc.DeltaShips.Load()
-		if err := sender.rfork(tcps[1].ID(), uint64(i), tc.req); err != nil {
-			t.Fatalf("ship %d: %v", i, err)
+		if i == 1 && len(body) <= 16<<10 {
+			t.Fatalf("rfork %d: %d-byte body, want one over 16 KiB", i, len(body))
 		}
-		env, ok := inbox.RecvTimeout(transport.Background(), 10*time.Second)
-		if !ok {
-			t.Fatalf("ship %d never arrived", i)
+		msgs, sent := after.MsgsSent-before.MsgsSent, after.BytesSent-before.BytesSent
+		if msgs != 1 || sent < int64(len(body)) || sent > int64(len(body))+rforkFrameHeader {
+			t.Fatalf("rfork %d: %d message(s), %d bytes sent for a %d-byte body; want 1 message of at most %d header bytes",
+				i, msgs, sent, len(body), rforkFrameHeader)
 		}
-		img, ok := receiver.Handle(env)
-		if !ok {
-			t.Fatalf("ship %d: receiver could not reconstruct %T", i, env.Payload)
-		}
-		want := make([]byte, size)
-		copy(want, body)
-		if img.SpaceSize != size || img.PageSize != rforkPageSize || !bytes.Equal(img.Data, want) {
-			t.Fatalf("ship %d: got a %d-byte image (space %d, pages %d), want the %d-byte body zero-padded to %d",
-				i, len(img.Data), img.SpaceSize, img.PageSize, len(body), size)
-		}
-		if img.Control["len"] != int64(len(body)) || img.PID != ids.PID(i+1) {
-			t.Fatalf("ship %d: control %v, PID %d", i, img.Control, img.PID)
-		}
-		if got := nc.DeltaShips.Load() > deltasBefore; got != tc.delta {
-			t.Fatalf("ship %d: delta = %v, want %v", i, got, tc.delta)
-		}
-		req, err := requestFromImage(img)
-		if err != nil || len(req.Input) != len(tc.req.Input) {
-			t.Fatalf("ship %d: request read back with %d inputs (%v), want %d",
-				i, len(req.Input), err, len(tc.req.Input))
-		}
+		t.Logf("rfork %d: %d-byte body, %d-byte frame header", i, len(body), sent-int64(len(body)))
+	}
+}
+
+// TestRForkKeepsOversizeRequestLocal: re-marshalling can grow a request
+// (json.Marshal writes '<' as six bytes, \u003c), so a body that passed
+// the HTTP cap may exceed it when forwarded. rfork refuses to send one
+// the peer would drop and returns an error, so the caller runs the job
+// locally.
+func TestRForkKeepsOversizeRequestLocal(t *testing.T) {
+	sender, peer := rforkPair(t)
+	peer.Bind(checkpoint.RForkPort)
+	req := submitRequest{Kind: "prolog", Query: "a(X)", Program: strings.Repeat("a(X) :- X < 1. ", maxSubmitBytes/16)}
+	if raw := len(req.Program); raw > maxSubmitBytes {
+		t.Fatalf("program of %d bytes is over the cap before escaping", raw)
+	}
+	if err := sender.rfork(peer.ID(), req); err == nil {
+		t.Fatal("rfork sent a request over maxSubmitBytes")
+	}
+	if sent := sender.tcp.Counters().Snapshot().MsgsSent; sent != 0 || sender.rforksOut.Load() != 0 {
+		t.Fatalf("%d message(s) sent, rforksOut %d; want none", sent, sender.rforksOut.Load())
 	}
 }

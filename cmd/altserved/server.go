@@ -65,8 +65,8 @@ type submitRequest struct {
 	TraceID string `json:"trace_id,omitempty"`
 }
 
-// appJobSeq numbers locally-built stm and choo jobs (the spec identity
-// a typed rfork carries to its executing node).
+// appJobSeq numbers the stm and choo jobs this node builds (it names
+// their blocks).
 var appJobSeq atomic.Int64
 
 func stmSpecFrom(req submitRequest) istm.TxnSpec {
@@ -262,7 +262,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	// suspected ring means the job runs locally instead.
 	if s.cluster != nil && r.URL.Query().Get("rfork") != "" {
 		if to, ok := s.cluster.ringTarget(req.Kind); ok {
-			if ferr := s.cluster.rfork(to, 0, req); ferr == nil {
+			if ferr := s.cluster.rfork(to, req); ferr == nil {
 				writeJSON(w, http.StatusAccepted, map[string]any{"rforked_to": to})
 				return
 			}
@@ -273,7 +273,7 @@ func (s *server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	case errors.Is(err, serve.ErrQueueFull), errors.Is(err, serve.ErrDraining):
 		if s.cluster != nil && errors.Is(err, serve.ErrQueueFull) {
 			if to, ok := s.cluster.ringTarget(req.Kind); ok {
-				if ferr := s.cluster.rfork(to, 0, req); ferr == nil {
+				if ferr := s.cluster.rfork(to, req); ferr == nil {
 					writeJSON(w, http.StatusAccepted, map[string]any{"rforked_to": to})
 					return
 				}

@@ -60,16 +60,6 @@ func Capture(pid ids.PID, name string, space *mem.AddressSpace, control map[stri
 	}, nil
 }
 
-// BodyImage returns the image of a size-byte space of pageSize pages
-// holding body at offset 0 and zeros after it: what Capture returns for
-// a fresh space into which only body was written. The image keeps
-// control as given.
-func BodyImage(pid ids.PID, name string, pageSize int, size int64, body []byte, control map[string]int64) *Image {
-	data := make([]byte, size)
-	copy(data, body)
-	return &Image{PID: pid, Name: name, PageSize: pageSize, SpaceSize: size, Data: data, Control: control}
-}
-
 // Bytes returns the image's size for transfer/checkpoint cost models.
 func (img *Image) Bytes() int { return len(img.Data) }
 

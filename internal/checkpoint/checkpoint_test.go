@@ -108,22 +108,3 @@ func TestControlMapCopied(t *testing.T) {
 		t.Fatal("control map must be copied at capture")
 	}
 }
-
-// TestBodyImageIsCaptureOfFreshSpace: BodyImage builds, without a
-// space, the image Capture takes of a fresh space holding only body.
-func TestBodyImageIsCaptureOfFreshSpace(t *testing.T) {
-	body := []byte("a request body that spans more than one page")
-	space := mem.New(page.NewStore(16), 128)
-	if err := space.WriteAt(body, 0); err != nil {
-		t.Fatal(err)
-	}
-	want, err := Capture(ids.PID(3), "job", space, map[string]int64{"len": int64(len(body))})
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := BodyImage(ids.PID(3), "job", 16, 128, body, map[string]int64{"len": int64(len(body))})
-	if got.PID != want.PID || got.Name != want.Name || got.PageSize != want.PageSize ||
-		got.SpaceSize != want.SpaceSize || !bytes.Equal(got.Data, want.Data) || got.Control["len"] != want.Control["len"] {
-		t.Fatalf("BodyImage = %+v, want %+v", got, want)
-	}
-}

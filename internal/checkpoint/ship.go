@@ -12,11 +12,10 @@ import (
 // checkpoint of the process in its entirety" — once captured, the
 // image is just bytes, and moving it is a transport concern. Ship and
 // Receive are the two halves of the rfork pipeline between checkpoint
-// Capture and Restore; E5 measures them on the simulated cluster and
-// altserved uses the same calls to forward work to the least-loaded
-// peer.
+// Capture and Restore; E3 and E5 measure them on the simulated cluster.
 
-// RForkPort is the well-known port rfork receivers bind.
+// RForkPort is the well-known port rfork receivers bind. altserved
+// binds it too, for the submit requests it forwards before they run.
 const RForkPort = "rfork"
 
 // Ship encodes img and sends it to the rfork port on node `to`,

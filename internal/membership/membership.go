@@ -137,7 +137,7 @@ type Peer struct {
 }
 
 // Protocol messages. Wire registration (the binary codec) lives in
-// internal/transport/codec, next to consensus and checkpoint.
+// internal/transport/codec, next to consensus.
 type (
 	// Ping probes a member directly; the target answers Ack to Reply.
 	Ping struct {

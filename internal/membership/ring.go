@@ -10,10 +10,9 @@ import (
 // each node contributes `replicas` virtual points hashed onto a
 // 64-bit circle, and Lookup walks clockwise from the key's hash.
 // Keying rfork placement by job lineage means all jobs of one kind
-// land on the same peer while its cached checkpoint base stays warm
-// (the delta shipper's hit rate depends on exactly this affinity),
-// and a node join/leave only remaps the 1/n arc it owns instead of
-// reshuffling every lineage the way argmin-load placement does.
+// land on the same peer, and a node join/leave only remaps the 1/n arc
+// it owns instead of reshuffling every lineage the way argmin-load
+// placement does.
 //
 // The agent rebuilds the ring on view changes and swaps the pointer;
 // readers never mutate it, so Lookup and Walk are safe without locks.

@@ -64,8 +64,8 @@ func TestRingWalkVisitsEachNodeOnce(t *testing.T) {
 }
 
 // Removing one node must only remap the keys it owned: the consistency
-// property that keeps rfork lineage affinity (and the delta shipper's
-// warm bases) intact across membership churn.
+// property that keeps rfork lineage affinity intact across membership
+// churn.
 func TestRingRemovalOnlyRemapsOwnedKeys(t *testing.T) {
 	full := NewRing(ringNodes(16), 0)
 	const gone = ids.NodeID(7)

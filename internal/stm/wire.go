@@ -5,10 +5,10 @@ import (
 	"math"
 )
 
-// TxnSpec is the wire form of one STM transaction job — everything a
-// peer needs to rebuild the block deterministically (codec tag 202).
-// rfork forwards it typed instead of re-marshalling the HTTP request,
-// so a forwarded STM job crosses the fabric as one binary frame.
+// TxnSpec is one STM transaction job: everything needed to rebuild the
+// block deterministically. altserved builds it from a submit request,
+// on the node the request was sent to or on the peer it was forwarded
+// to.
 type TxnSpec struct {
 	// TxnID distinguishes concurrent blocks in names and traces.
 	TxnID int64
@@ -27,7 +27,7 @@ type TxnSpec struct {
 	MaxDegree int
 }
 
-// Config converts the wire spec into a block config.
+// Config converts the spec into a block config.
 func (t TxnSpec) Config() Config {
 	return Config{
 		Keys:       t.Keys,
@@ -40,8 +40,8 @@ func (t TxnSpec) Config() Config {
 	}.withDefaults()
 }
 
-// Bounds on a spec from outside the process (an HTTP request or an
-// rfork frame): a block allocates per alternative, per operation and per
+// Bounds on a spec from outside the process (an HTTP request or a
+// forwarded one): a block allocates per alternative, per operation and per
 // key, so each count is capped before anything is built from it.
 const (
 	// MaxAlts matches serve's per-kind history cap (serve.DefaultMaxAlts).

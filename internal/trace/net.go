@@ -50,16 +50,6 @@ type NetCounters struct {
 	CodecFrames    atomic.Int64
 	CodecFallbacks atomic.Int64
 
-	// rfork checkpoint-shipping accounting: full base images vs
-	// dirty-page deltas, their payload bytes, and receiver cache misses
-	// (a delta that arrived without its base and was NAKed back for a
-	// full re-ship).
-	FullShips      atomic.Int64
-	DeltaShips     atomic.Int64
-	FullShipBytes  atomic.Int64
-	DeltaShipBytes atomic.Int64
-	ShipMisses     atomic.Int64
-
 	// rtt is a bounded reservoir of observed round-trip times (consensus
 	// ballot request → reply). Once full, new samples overwrite the
 	// oldest — recent behaviour is what /metrics wants.
@@ -137,18 +127,13 @@ type NetSnapshot struct {
 	Dropped   int64 `json:"dropped"`
 	Retries   int64 `json:"retries"`
 
-	// Group commit, codec, and delta-shipping accounting (zero when the
-	// corresponding mechanism is unused, omitted from JSON then).
+	// Group commit and codec accounting (zero when the corresponding
+	// mechanism is unused, omitted from JSON then).
 	BallotRounds     int64 `json:"ballot_rounds,omitempty"`
 	BallotsCoalesced int64 `json:"ballots_coalesced,omitempty"`
 	ClaimsFollowed   int64 `json:"claims_followed,omitempty"`
 	CodecFrames      int64 `json:"codec_frames,omitempty"`
 	CodecFallbacks   int64 `json:"codec_fallbacks,omitempty"`
-	FullShips        int64 `json:"full_ships,omitempty"`
-	DeltaShips       int64 `json:"delta_ships,omitempty"`
-	FullShipBytes    int64 `json:"full_ship_bytes,omitempty"`
-	DeltaShipBytes   int64 `json:"delta_ship_bytes,omitempty"`
-	ShipMisses       int64 `json:"ship_misses,omitempty"`
 
 	// RTT quantiles over the sample reservoir, in milliseconds
 	// (float so sub-millisecond sim latencies survive).
@@ -180,11 +165,6 @@ func (c *NetCounters) Snapshot() NetSnapshot {
 		ClaimsFollowed:   c.ClaimsFollowed.Load(),
 		CodecFrames:      c.CodecFrames.Load(),
 		CodecFallbacks:   c.CodecFallbacks.Load(),
-		FullShips:        c.FullShips.Load(),
-		DeltaShips:       c.DeltaShips.Load(),
-		FullShipBytes:    c.FullShipBytes.Load(),
-		DeltaShipBytes:   c.DeltaShipBytes.Load(),
-		ShipMisses:       c.ShipMisses.Load(),
 	}
 	c.rttMu.Lock()
 	samples := append([]time.Duration(nil), c.rtt...)

@@ -1,12 +1,12 @@
 // Package codec is the single wire-registration point for every
 // protocol message that crosses the transport fabric: consensus ballot
-// rounds, checkpoint ships (full and delta) and membership gossip. Each type registers its hand-rolled binary
-// codec with transport.RegisterWire; a type with no codec cannot cross
-// the TCP wire at all.
+// rounds and membership gossip. Each type registers its hand-rolled
+// binary codec with transport.RegisterWire; a type with no codec cannot
+// cross the TCP wire at all.
 //
 // Centralizing the registrations here (instead of init functions
-// scattered across consensus, checkpoint and membership) means the sim
-// and TCP fabrics cannot drift: any binary importing this package —
+// scattered across consensus and membership) means the sim and TCP
+// fabrics cannot drift: any binary importing this package —
 // and every daemon, bench, and fabric test does, usually as
 //
 //	import _ "altrun/internal/transport/codec"
@@ -17,18 +17,16 @@
 // which is also why transport itself must never import it.
 //
 // Tag space: 1 is claimed by transport for []byte; 2..99 are protocol
-// messages assigned here (2..5 stay reserved: see the tag list);
-// 200..255 are reserved for applications —
-// 200/201 stay reserved for the retired load-query protocol, 202/203
-// carry the stm and choo job specs for typed rfork forwarding. The app
-// specs self-register from their own packages (see apps.go for why),
-// against the tag constants declared there.
+// messages assigned here (2..5, 12..15 and 16..17 stay reserved: see
+// the tag list); 200..255 are reserved for applications. 200/201 were
+// altserved's polled load-query protocol and 202/203 its typed stm and
+// choo rfork specs; all four stay reserved. altserved now forwards a
+// job as its raw JSON request, a []byte on tag 1.
 package codec
 
 import (
 	"reflect"
 
-	"altrun/internal/checkpoint"
 	"altrun/internal/consensus"
 	"altrun/internal/ids"
 	"altrun/internal/membership"
@@ -37,30 +35,27 @@ import (
 
 // Wire tags for protocol messages (transport.TagBytes = 1). Tags 2..5
 // were the retired per-claim consensus messages (VoteReq, VoteReply,
-// Release, CommitAnnounce) and 16..17 the retired network paged-file
-// device (PageRequest, PageReply); they stay reserved so a new message
-// type can't collide with old peers on the wire.
+// Release, CommitAnnounce), 12..15 the retired delta checkpoint
+// shipping for rfork (ShipFull, ShipDelta, ShipNak, BaseInvalidate) and
+// 16..17 the retired network paged-file device (PageRequest,
+// PageReply); they stay reserved so a new message type can't collide
+// with old peers on the wire.
 const (
-	TagBallotReq      byte = 6
-	TagBallotReply    byte = 7
-	TagBallotRelease  byte = 8
-	TagBallotCommit   byte = 9
-	TagClaimSubmit    byte = 10
-	TagClaimDecision  byte = 11
-	TagShipFull       byte = 12
-	TagShipDelta      byte = 13
-	TagShipNak        byte = 14
-	TagBaseInvalidate byte = 15
-	TagMemberPing     byte = 18
-	TagMemberPingReq  byte = 19
-	TagMemberAck      byte = 20
-	TagMemberGossip   byte = 21
-	TagMemberEpoch    byte = 22
+	TagBallotReq     byte = 6
+	TagBallotReply   byte = 7
+	TagBallotRelease byte = 8
+	TagBallotCommit  byte = 9
+	TagClaimSubmit   byte = 10
+	TagClaimDecision byte = 11
+	TagMemberPing    byte = 18
+	TagMemberPingReq byte = 19
+	TagMemberAck     byte = 20
+	TagMemberGossip  byte = 21
+	TagMemberEpoch   byte = 22
 )
 
 func init() {
 	registerConsensus()
-	registerCheckpoint()
 	registerMembership()
 }
 
@@ -83,37 +78,6 @@ func appendAddr(dst []byte, a transport.Addr) []byte {
 
 func readAddr(r *transport.WireReader) transport.Addr {
 	return transport.Addr{Node: ids.NodeID(r.Uvarint()), Port: r.String()}
-}
-
-func appendControl(dst []byte, ctl map[string]int64) []byte {
-	dst = transport.AppendUvarint(dst, uint64(len(ctl)))
-	for k, v := range ctl {
-		dst = transport.AppendString(dst, k)
-		dst = transport.AppendVarint(dst, v)
-	}
-	return dst
-}
-
-func readControl(r *transport.WireReader) map[string]int64 {
-	n := r.Uvarint()
-	if r.Err() != nil || n == 0 {
-		return nil
-	}
-	if n > uint64(r.Remaining()) {
-		// Each entry takes at least 2 bytes; an absurd count is a
-		// malformed frame, not an allocation request.
-		return nil
-	}
-	ctl := make(map[string]int64, n)
-	for i := uint64(0); i < n; i++ {
-		k := r.String()
-		v := r.Varint()
-		if r.Err() != nil {
-			return nil
-		}
-		ctl[k] = v
-	}
-	return ctl
 }
 
 func registerConsensus() {
@@ -261,91 +225,6 @@ func readBallotClaims(r *transport.WireReader) []consensus.BallotClaim {
 		})
 	}
 	return claims
-}
-
-func registerCheckpoint() {
-	reg(TagShipFull, checkpoint.ShipFull{},
-		func(p any, dst []byte) []byte {
-			m := p.(checkpoint.ShipFull)
-			dst = transport.AppendString(dst, m.Lineage)
-			dst = transport.AppendVarint(dst, m.Epoch)
-			dst = transport.AppendVarint(dst, int64(m.PID))
-			dst = transport.AppendString(dst, m.Name)
-			dst = transport.AppendVarint(dst, int64(m.PageSize))
-			dst = transport.AppendVarint(dst, m.SpaceSize)
-			dst = transport.AppendBytes(dst, m.Data)
-			return appendControl(dst, m.Control)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := checkpoint.ShipFull{
-				Lineage:   r.String(),
-				Epoch:     r.Varint(),
-				PID:       ids.PID(r.Varint()),
-				Name:      r.String(),
-				PageSize:  int(r.Varint()),
-				SpaceSize: r.Varint(),
-				Data:      r.Bytes(), // aliases the frame: zero-copy receive
-			}
-			m.Control = readControl(r)
-			return m, r.Err()
-		})
-	reg(TagShipDelta, checkpoint.ShipDelta{},
-		func(p any, dst []byte) []byte {
-			m := p.(checkpoint.ShipDelta)
-			dst = transport.AppendString(dst, m.Lineage)
-			dst = transport.AppendVarint(dst, m.BaseEpoch)
-			dst = transport.AppendVarint(dst, int64(m.PID))
-			dst = transport.AppendString(dst, m.Name)
-			dst = appendControl(dst, m.Control)
-			dst = transport.AppendUvarint(dst, uint64(len(m.Pages)))
-			for _, pg := range m.Pages {
-				dst = transport.AppendVarint(dst, pg.Page)
-				dst = transport.AppendBytes(dst, pg.Data)
-			}
-			return dst
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := checkpoint.ShipDelta{
-				Lineage:   r.String(),
-				BaseEpoch: r.Varint(),
-				PID:       ids.PID(r.Varint()),
-				Name:      r.String(),
-			}
-			m.Control = readControl(r)
-			n := r.Uvarint()
-			if r.Err() == nil && n > 0 && n <= uint64(r.Remaining()) {
-				m.Pages = make([]checkpoint.DeltaPage, 0, n)
-				for i := uint64(0); i < n && r.Err() == nil; i++ {
-					m.Pages = append(m.Pages, checkpoint.DeltaPage{
-						Page: r.Varint(),
-						Data: r.Bytes(), // aliases the frame
-					})
-				}
-			}
-			return m, r.Err()
-		})
-	reg(TagShipNak, checkpoint.ShipNak{},
-		func(p any, dst []byte) []byte {
-			m := p.(checkpoint.ShipNak)
-			dst = transport.AppendString(dst, m.Lineage)
-			return transport.AppendVarint(dst, m.Epoch)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := checkpoint.ShipNak{Lineage: r.String(), Epoch: r.Varint()}
-			return m, r.Err()
-		})
-	reg(TagBaseInvalidate, checkpoint.BaseInvalidate{},
-		func(p any, dst []byte) []byte {
-			return transport.AppendString(dst, p.(checkpoint.BaseInvalidate).Lineage)
-		},
-		func(data []byte) (any, error) {
-			r := transport.NewWireReader(data)
-			m := checkpoint.BaseInvalidate{Lineage: r.String()}
-			return m, r.Err()
-		})
 }
 
 // Membership update lists: the shared field group of every gossip

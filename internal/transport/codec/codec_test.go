@@ -10,16 +10,18 @@ import (
 )
 
 // TestRetiredTagsStayReserved: tags 2..5 belonged to the retired
-// per-claim consensus messages and 16..17 to the retired network
-// paged-file device. Nothing may register them again, so an old peer's
-// frame is refused rather than decoded as some other type.
+// per-claim consensus messages, 12..15 to the retired delta checkpoint
+// shipping, 16..17 to the retired network paged-file device, 200/201 to
+// altserved's retired load queries and 202/203 to its retired typed
+// rfork specs. Nothing may register them again, so an old peer's frame
+// is refused rather than decoded as some other type.
 func TestRetiredTagsStayReserved(t *testing.T) {
 	env := codec.SeedEnvelopes()[1] // a BallotReq
 	body, binary, err := transport.AppendEnvelope(nil, env)
 	if err != nil || !binary {
 		t.Fatalf("seed frame: binary=%v err=%v", binary, err)
 	}
-	for _, tag := range []byte{2, 3, 4, 5, 16, 17} {
+	for _, tag := range []byte{2, 3, 4, 5, 12, 13, 14, 15, 16, 17, 200, 201, 202, 203} {
 		frame := append([]byte(nil), body...)
 		frame[1] = tag
 		if got, err := transport.DecodeEnvelope(frame); err == nil {

@@ -14,8 +14,8 @@ import (
 )
 
 // Gob-vs-binary codec benchmarks for the two hot frame shapes: a
-// batched ballot (group commit's control message) and a delta checkpoint
-// ship (rfork's data message). The gob path reproduces the per-frame
+// batched ballot (group commit's control message) and a forwarded
+// submit request (rfork's data message, a raw []byte). The gob path reproduces the per-frame
 // encoding the transport used before the binary codec — a fresh
 // gob.NewEncoder into a buffer — and the binary path is what
 // encodeFrame does. Numbers live in EXPERIMENTS.md ("Wire codec").
@@ -51,29 +51,13 @@ func benchBallotEnv() transport.Envelope {
 	}
 }
 
-// benchDeltaEnv is a two-page delta ship against a 512B-page arena.
-func benchDeltaEnv() transport.Envelope {
-	pg := func(fill byte) []byte {
-		b := make([]byte, 512)
-		for i := range b {
-			b[i] = fill
-		}
-		return b
-	}
+// benchRForkEnv is a forwarded sort request: the JSON body altserved
+// sends to a peer's rfork port.
+func benchRForkEnv() transport.Envelope {
 	return transport.Envelope{
-		From: 1,
-		To:   transport.Addr{Node: 2, Port: checkpoint.RForkPort},
-		Payload: checkpoint.ShipDelta{
-			Lineage:   "rfork/json",
-			BaseEpoch: 3,
-			PID:       ids.PID(77),
-			Name:      "rfork-job",
-			Control:   map[string]int64{"len": 731},
-			Pages: []checkpoint.DeltaPage{
-				{Page: 0, Data: pg(0xAA)},
-				{Page: 1, Data: pg(0xBB)},
-			},
-		},
+		From:    1,
+		To:      transport.Addr{Node: 2, Port: checkpoint.RForkPort},
+		Payload: []byte(`{"kind":"sort","deadline_ms":0,"input":[9,7,8,3,1],"trace_id":"n1-r77"}`),
 	}
 }
 
@@ -151,20 +135,20 @@ func BenchmarkDecodeBallotBinary(b *testing.B) {
 	benchDecode(b, binaryFrameBody(b, benchBallotEnv()), transport.DecodeEnvelope)
 }
 
-func BenchmarkEncodeShipDeltaGob(b *testing.B)    { benchEncodeGob(b, benchDeltaEnv()) }
-func BenchmarkEncodeShipDeltaBinary(b *testing.B) { benchEncodeBinary(b, benchDeltaEnv()) }
-func BenchmarkDecodeShipDeltaGob(b *testing.B) {
-	benchDecode(b, gobFrameBody(benchDeltaEnv()), gobDecodeFrame)
+func BenchmarkEncodeRForkGob(b *testing.B)    { benchEncodeGob(b, benchRForkEnv()) }
+func BenchmarkEncodeRForkBinary(b *testing.B) { benchEncodeBinary(b, benchRForkEnv()) }
+func BenchmarkDecodeRForkGob(b *testing.B) {
+	benchDecode(b, gobFrameBody(benchRForkEnv()), gobDecodeFrame)
 }
-func BenchmarkDecodeShipDeltaBinary(b *testing.B) {
-	benchDecode(b, binaryFrameBody(b, benchDeltaEnv()), transport.DecodeEnvelope)
+func BenchmarkDecodeRForkBinary(b *testing.B) {
+	benchDecode(b, binaryFrameBody(b, benchRForkEnv()), transport.DecodeEnvelope)
 }
 
 // TestBinaryRoundTripMatchesGob pins the binary codec to gob as a
 // reference: what the binary codec decodes must equal what gob decodes
 // for the same envelope.
 func TestBinaryRoundTripMatchesGob(t *testing.T) {
-	for _, env := range []transport.Envelope{benchBallotEnv(), benchDeltaEnv()} {
+	for _, env := range []transport.Envelope{benchBallotEnv(), benchRForkEnv()} {
 		gobEnv, err := gobDecodeFrame(gobFrameBody(env))
 		if err != nil {
 			t.Fatal(err)

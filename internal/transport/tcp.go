@@ -442,8 +442,8 @@ func encodeFrame(env Envelope, nc *trace.NetCounters) (*[]byte, error) {
 
 // readFrame reads one length-prefixed frame. n is the total bytes
 // consumed. The body buffer is freshly allocated and never reused:
-// decoded payloads (checkpoint pages) alias it, which is what makes
-// the receive path zero-copy.
+// decoded payloads ([]byte) alias it, which is what makes the receive
+// path zero-copy.
 func readFrame(r io.Reader) (Envelope, int, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {

@@ -23,21 +23,22 @@ import (
 //
 // Any other version byte is rejected. The payload encoding is the
 // registered codec's own; decoded byte slices may alias the received
-// frame buffer (which is never reused), so checkpoint pages cross the
+// frame buffer (which is never reused), so a []byte payload crosses the
 // receive path without a copy.
 //
 // Registration is centralized in internal/transport/codec: protocol
-// packages (consensus, checkpoint, device) get their binary codec from
-// that one package, so the sim and TCP fabrics cannot drift. The
-// transport itself registers only []byte — the raw-bytes shape every
-// fabric test uses.
+// packages (consensus, membership) get their binary codec from that one
+// package, so the sim and TCP fabrics cannot drift. The transport
+// itself registers only []byte — the raw-bytes shape every fabric test
+// uses.
 
 // wireVersion is the frame version byte.
 const wireVersion = 0x01
 
 func init() {
-	// The transport's own hot shape: raw bytes (fabric tests, legacy
-	// rfork images). Protocol types register in internal/transport/codec.
+	// The transport's own hot shape: raw bytes (fabric tests, the
+	// checkpoint images E3 and E5 ship, altserved's forwarded requests).
+	// Protocol types register in internal/transport/codec.
 	RegisterWire(WireCodec{
 		Tag:  TagBytes,
 		Type: reflect.TypeOf([]byte(nil)),
